@@ -35,6 +35,7 @@ from .mie import (
     charged_coefficient,
     collision_frequency,
     extinction_efficiency,
+    extinction_efficiency_array,
     extinction_efficiency_x,
     mie_ab,
     scale_parameter,
@@ -75,6 +76,7 @@ __all__ = [
     "collision_frequency",
     "dust_attenuation_coefficient",
     "extinction_efficiency",
+    "extinction_efficiency_array",
     "extinction_efficiency_x",
     "lognormal_params",
     "mie_ab",

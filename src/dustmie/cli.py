@@ -16,7 +16,6 @@ import configparser
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,15 +30,7 @@ from .constants import CONSTANTS
 from .dustfield import DustLayerModel, lognormal_params, size_pdf
 from .errors import ConfigError, DustmieError, QuadratureError, \
     RecurrenceOverflowError, SingularDenominatorError
-from .mie import (
-    ParticleState,
-    WaveSpec,
-    charged_coefficient,
-    collision_frequency,
-    extinction_efficiency_x,
-    scale_parameter,
-    surface_plasma_frequency,
-)
+from .mie import ParticleState, WaveSpec, extinction_efficiency_array
 from .sweeps import SweepTable, config_hash, sweep_grid
 
 ENV_CONFIG = "DUSTMIE_CONFIG"
@@ -107,6 +98,18 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"bad numeric list {text!r}") from exc
 
 
+def _electron_counts(text: str | None, default: list[int]) -> list[int]:
+    """--group-ne as whole electron counts; a fractional count is an error,
+    not something to truncate under a label that shows the fraction."""
+    if not text:
+        return default
+    counts = _float_list(text)
+    for ne in counts:
+        if not ne.is_integer():
+            raise ConfigError(f"electron count must be a whole number, got {ne!r}")
+    return [int(ne) for ne in counts]
+
+
 def _base_metadata(cfg: RunConfig, args) -> dict:
     meta = {f"config.{k}": v for k, v in cfg.items()}
     meta.update({
@@ -118,13 +121,6 @@ def _base_metadata(cfg: RunConfig, args) -> dict:
         "config_hash": config_hash(cfg.items()),
     })
     return meta
-
-
-def _map_jobs(fn, values, jobs: int):
-    if jobs <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, values))
 
 
 def _apply_overrides(cfg: RunConfig, args) -> None:
@@ -146,35 +142,28 @@ def _particle_template(cfg: RunConfig, ne: int | None = None) -> ParticleState:
 
 def cmd_qext(cfg: RunConfig, args) -> SweepTable:
     grid = sweep_grid(args.start, args.stop, args.count, args.spacing)
-    gamma_s = collision_frequency(cfg.T)
 
     if args.sweep == "x" and args.group_r:
         raise ConfigError("grouping by radius only applies to frequency sweeps")
     if args.group_r:
-        groups = [("r=%g_m" % r, ("r", r)) for r in _float_list(args.group_r)]
+        groups = [("r=%g_m" % r, r, cfg.ne) for r in _float_list(args.group_r)]
     else:
-        ne_list = _float_list(args.group_ne) if args.group_ne else [0, 10, 100]
-        groups = [("Ne=%g" % ne, ("ne", int(ne))) for ne in ne_list]
+        groups = [("Ne=%g" % ne, cfg.r, ne)
+                  for ne in _electron_counts(args.group_ne, [0, 10, 100])]
 
-    def q_at(point: float, kind: str, value) -> float:
-        if args.sweep == "x":
-            w = WaveSpec.from_frequency(cfg.f)
-            x = point
-            r = x * w.wavelength / (2 * math.pi)
-        else:
-            w = WaveSpec.from_frequency(point)
-            r = value if kind == "r" else cfg.r
-            x = scale_parameter(r, w.wavelength)
-        ne = value if kind == "ne" else cfg.ne
-        omega_s = surface_plasma_frequency(ne, r)
-        g_e = charged_coefficient(x, w.omega, omega_s, gamma_s, mode=args.mode)
-        return extinction_efficiency_x(x, cfg.m, g_e).q_ext
-
-    def row(point: float) -> list[float]:
-        return [point] + [q_at(point, kind, value) for _, (kind, value) in groups]
-
-    rows = _map_jobs(row, list(grid), args.jobs)
-    names = [args.sweep] + [f"q_ext[{label}]" for label, _ in groups]
+    # the whole table is one batch: a radius and an electron count per
+    # column, against the grid of sweep points
+    if args.sweep == "x":
+        frequency = cfg.f
+        radius = grid * WaveSpec.from_frequency(cfg.f).wavelength / (2 * math.pi)
+    else:
+        frequency = grid
+        radius = np.array([r for _, r, _ in groups])[:, None]
+    electrons = np.array([ne for _, _, ne in groups])[:, None]
+    q = extinction_efficiency_array(radius, frequency, electrons, cfg.T, cfg.m,
+                                    mode=args.mode)
+    rows = [[point] + list(col) for point, col in zip(grid, q.T)]
+    names = [args.sweep] + [f"q_ext[{label}]" for label, _, _ in groups]
     units = ["1" if args.sweep == "x" else "Hz"] + ["1"] * len(groups)
     table = SweepTable(names, units, rows, _base_metadata(cfg, args))
     table.metadata.update(sweep=args.sweep, start=args.start, stop=args.stop,
@@ -217,17 +206,17 @@ def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
     n0 = 1.0 if args.normalized else cfg.n0
     layer = DustLayerModel(n0=n0)
     grid = sweep_grid(args.start, args.stop, args.count, args.spacing)
-    ne_list = _float_list(args.group_ne) if args.group_ne else [0, 1e3, 1e6]
+    ne_list = _electron_counts(args.group_ne, [0, 1000, 1000000])
     unit_modes = ["physical", "paper"] if args.units == "both" else [args.units]
 
-    def k_at(point: float, ne: float, units_mode: str) -> float:
+    def k_at(point: float, ne: int, units_mode: str) -> float:
         if args.sweep == "h":
             w = WaveSpec.from_frequency(cfg.f)
             h = point
         else:
             w = WaveSpec.from_frequency(point)
             h = cfg.h0
-        particle = _particle_template(cfg, int(ne))
+        particle = _particle_template(cfg, ne)
         return dust_attenuation_coefficient(
             h, w, layer, particle, units_mode=units_mode, ge_mode=args.mode)
 
@@ -235,7 +224,7 @@ def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
         return [point] + [k_at(point, ne, um)
                           for um in unit_modes for ne in ne_list]
 
-    rows = _map_jobs(row, list(grid), args.jobs)
+    rows = [row(point) for point in grid]
     names = [args.sweep]
     units = ["m" if args.sweep == "h" else "Hz"]
     for um in unit_modes:
@@ -303,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--units", choices=["physical", "paper", "both"],
                         default="physical")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--kabs-profile", dest="kabs_profile", default=None,
                         help="two-column text profile: altitude_m dB_per_km")

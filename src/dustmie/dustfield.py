@@ -19,7 +19,7 @@ _MU_COEFF = (-2.061, 0.00159)     # mu_d(h) = a * exp(b h), h in m
 _SIGMA_COEFF = (0.323, 0.00476)   # sigma_d(h) = a * exp(b h)
 _EXTRAPOLATION_LIMIT = 1000.0     # m; warn above this
 _SUPPORT_SIGMAS = 8.0
-_MAX_RADIUS_MM = 10.0             # mm; matches the Mie kernel radius cap
+MAX_RADIUS_MM = 10.0              # mm; matches the Mie kernel radius cap
 
 
 def lognormal_params(h: float) -> tuple[float, float]:
@@ -32,8 +32,11 @@ def lognormal_params(h: float) -> tuple[float, float]:
             "measured range (~200 m)",
             stacklevel=2,
         )
-    mu = _MU_COEFF[0] * math.exp(_MU_COEFF[1] * h)
-    sigma = _SIGMA_COEFF[0] * math.exp(_SIGMA_COEFF[1] * h)
+    try:
+        mu = _MU_COEFF[0] * math.exp(_MU_COEFF[1] * h)
+        sigma = _SIGMA_COEFF[0] * math.exp(_SIGMA_COEFF[1] * h)
+    except OverflowError as exc:
+        raise DomainError(f"size-spectrum fit overflows at h={h} m") from exc
     return mu, sigma
 
 
@@ -58,10 +61,17 @@ def size_support(h: float) -> tuple[float, float]:
     """Radius interval (mm) carrying essentially all log-normal mass at h.
 
     +/- 8 sigma in log-radius, upper end clamped to the kernel's radius cap.
+    Far above the fitted range sigma grows until the lower end underflows;
+    there the spectrum has no usable support and a DomainError is raised.
     """
     mu, sigma = lognormal_params(h)
     lo = math.exp(mu - _SUPPORT_SIGMAS * sigma)
-    hi = min(math.exp(mu + _SUPPORT_SIGMAS * sigma), _MAX_RADIUS_MM)
+    if lo == 0.0:
+        raise DomainError(
+            f"size spectrum at h={h} m (sigma_d={sigma:.3g}) spans more radii "
+            "than a float can hold")
+    top = min(mu + _SUPPORT_SIGMAS * sigma, math.log(MAX_RADIUS_MM))
+    hi = min(math.exp(top), MAX_RADIUS_MM)
     return lo, hi
 
 

@@ -10,21 +10,34 @@ with Im(m) >= 0 (absorbing sphere, exp(-i omega t) time dependence). Inputs
 with Im(m) < 0 are interpreted as the same absorbing medium written in the
 opposite convention and are conjugated internally, so extinction stays
 non-negative either way.
+
+The series is evaluated in batches (Wiscombe 1980, "Improved Mie scattering
+algorithms"; the BHMIE code of Bohren & Huffman 1983). Dividing the charged
+coefficients through by psi_n(mx) leaves psi_n(mx) only in the logarithmic
+derivative D_n(mx) = psi_n'(mx)/psi_n(mx), which a downward recurrence gives
+without overflow however strongly the sphere absorbs. The Riccati-Bessel
+functions of the real argument x come from the same recurrence (psi_n) and
+an upward one (chi_n). Every recurrence steps over n with numpy vectors
+across the batch.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import CONSTANTS, PhysicalConstants
-from .errors import DomainError, SingularDenominatorError
-from .specfun import riccati_psi_arrays, riccati_xi_arrays
+from .errors import DomainError, RecurrenceOverflowError, SingularDenominatorError
 
 _MIN_RADIUS = 1e-9
 _MAX_RADIUS = 1e-2
 _DENOM_FLOOR = 1e-300
 _CONVERGENCE_EXTRA = 5
 _CONVERGENCE_RTOL = 1e-10
+# Orders x sizes evaluated together: each chunk's working arrays stay near
+# 2 MB, while a chunk of large spheres still spans several sizes.
+_CHUNK_TERMS = 8192
 
 
 @dataclass(frozen=True)
@@ -93,28 +106,27 @@ class MieResult:
     converged: bool
 
 
-def scale_parameter(radius: float, wavelength: float) -> float:
-    """Size parameter x = 2 pi r / lambda."""
-    if radius <= 0 or wavelength <= 0:
+def scale_parameter(radius, wavelength):
+    """Size parameter x = 2 pi r / lambda (scalars or arrays)."""
+    if np.any(np.less_equal(radius, 0)) or np.any(np.less_equal(wavelength, 0)):
         raise DomainError("radius and wavelength must be positive")
     return 2 * math.pi * radius / wavelength
 
 
-def surface_potential(electrons: int, radius: float,
-                      constants: PhysicalConstants = CONSTANTS) -> float:
+def surface_potential(electrons, radius, constants: PhysicalConstants = CONSTANTS):
     """Electrostatic potential (V) at the surface of a charged sphere."""
-    if radius <= 0:
+    if np.any(np.less_equal(radius, 0)):
         raise DomainError("radius must be positive")
-    if electrons < 0:
+    if np.any(np.less(electrons, 0)):
         raise DomainError("electron count must be non-negative")
     return constants.k_e * electrons * constants.e / radius
 
 
-def surface_plasma_frequency(electrons: int, radius: float,
-                             constants: PhysicalConstants = CONSTANTS) -> float:
+def surface_plasma_frequency(electrons, radius,
+                             constants: PhysicalConstants = CONSTANTS):
     """Surface plasma frequency (rad/s) of the charged sphere; 0 when neutral."""
     phi = surface_potential(electrons, radius, constants)
-    return math.sqrt(2 * constants.e * phi / (constants.m_e * radius**2))
+    return np.sqrt(2 * constants.e * phi / (constants.m_e * radius**2))
 
 
 def collision_frequency(temperature: float,
@@ -125,30 +137,30 @@ def collision_frequency(temperature: float,
     return 2 * math.pi * constants.k_B * temperature / constants.h_P
 
 
-def charged_coefficient(x: float, omega: float, omega_s: float, gamma_s: float,
-                        mode: str = "full") -> complex:
-    """Charge correction g_e.
+def charged_coefficient(x, omega, omega_s, gamma_s, mode: str = "full"):
+    """Charge correction g_e (scalars or arrays).
 
     mode="full" keeps both the real and imaginary parts; mode="approx" drops
     the real part, valid when the collision frequency dominates the wave
     frequency (the whole THz band at room temperature).
     """
-    if x <= 0 or omega <= 0 or gamma_s <= 0:
+    if (np.any(np.less_equal(x, 0)) or np.any(np.less_equal(omega, 0))
+            or gamma_s <= 0):
         raise DomainError("x, omega, gamma_s must be positive")
-    if omega_s == 0:
-        return complex(0.0)
     if mode == "full":
-        return (x / 2) * omega_s**2 / (omega**2 + gamma_s**2) * complex(-1, gamma_s / omega)
+        return (x / 2) * omega_s**2 / (omega**2 + gamma_s**2) * (-1 + 1j * (gamma_s / omega))
     if mode == "approx":
         return 1j * x * omega_s**2 / (2 * gamma_s * omega)
     raise DomainError(f"unknown g_e mode {mode!r}")
 
 
-def truncation_order(x: float) -> int:
-    """Series cutoff floor(x + 4 x^(1/3) + 2), clamped to at least 1."""
-    if x <= 0:
+def truncation_order(x):
+    """Series cutoff floor(x + 4 x^(1/3) + 2), clamped to at least 1
+    (an int, or an int array for an array of x)."""
+    if not np.all(np.greater(x, 0)):
         raise DomainError("scale parameter must be positive")
-    return max(1, math.floor(x + 4 * x ** (1 / 3) + 2))
+    n = np.maximum(np.floor(x + 4 * x ** (1 / 3) + 2), 1).astype(int)
+    return n if n.ndim else int(n)
 
 
 def _normalize_m(m: complex) -> complex:
@@ -158,30 +170,155 @@ def _normalize_m(m: complex) -> complex:
     return complex(m.real, abs(m.imag))
 
 
-def _coefficient_arrays(nmax: int, x: float, m: complex,
-                        g_e: complex) -> list[tuple[complex, complex]]:
-    """Charged scattering coefficients (a_n, b_n) for n = 1..nmax."""
-    mx = m * x
-    psi_x, dpsi_x = riccati_psi_arrays(nmax, complex(x))
-    xi_x, dxi_x = riccati_xi_arrays(nmax, complex(x))
-    psi_m, dpsi_m = riccati_psi_arrays(nmax, mx)
+def _coefficients(x: np.ndarray, m: complex, g_e: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Charged (a_n, b_n) for n = 1..max(rows) over a batch of sizes.
 
-    out = []
-    for n in range(1, nmax + 1):
-        num_a = (dpsi_m[n] * psi_x[n] - m * psi_m[n] * dpsi_x[n]
-                 - g_e * dpsi_x[n] * dpsi_m[n])
-        den_a = (dpsi_m[n] * xi_x[n] - m * psi_m[n] * dxi_x[n]
-                 - g_e * dxi_x[n] * dpsi_m[n])
-        num_b = (dpsi_x[n] * psi_m[n] - m * psi_x[n] * dpsi_m[n]
-                 + g_e * psi_x[n] * psi_m[n])
-        den_b = (dxi_x[n] * psi_m[n] - m * xi_x[n] * dpsi_m[n]
-                 + g_e * xi_x[n] * psi_m[n])
-        if abs(den_a) < _DENOM_FLOOR or abs(den_b) < _DENOM_FLOOR:
-            raise SingularDenominatorError(
-                f"singular Mie denominator at order {n} (x={x}, m={m})"
-            )
-        out.append((num_a / den_a, num_b / den_b))
-    return out
+    Returns two (max(rows), x.size) arrays; column i holds orders 1..rows[i]
+    and zeros above. With every term of the charged numerators and
+    denominators divided by psi_n(mx), and xi_n(x) = psi_n(x) + i eta_n(x)
+    (eta_n = x y_n), both coefficients take the form
+
+        a_n = A(psi) / (A(psi) + i A(eta)),  A(f) = D_n(mx) (f - g_e f') - m f'
+        b_n = B(psi) / (B(psi) + i B(eta)),  B(f) = f' + (g_e - m D_n(mx)) f
+    """
+    k, top = x.size, int(rows.max())
+    n = np.arange(1, top + 1)[:, None]
+
+    # D_n(z) for z = m x and z = x in one downward recurrence, started far
+    # enough above both |z| and the top order for its error to die out.
+    # Sharing it makes an index-matched sphere (m = 1, g_e = 0) give exactly
+    # zero coefficients.
+    z = np.concatenate((m * x, x.astype(complex)))
+    start = max(top, float(np.abs(z).max()))
+    start = math.ceil(start + 16 + 4 * math.sqrt(start))
+    inv_z = 1 / z
+    nz, t, spare = (np.empty(2 * k, complex) for _ in range(3))
+    d = np.zeros(2 * k, complex)
+    dn = np.empty((top, 2 * k), complex)
+    for order in range(start, 1, -1):
+        np.multiply(inv_z, order, out=nz)
+        np.add(d, nz, out=t)
+        np.reciprocal(t, out=t)
+        d = dn[order - 2] if order <= top + 1 else spare
+        np.subtract(nz, t, out=d)              # D_{order-1}
+    d_mx, d_x = dn[:, :k], dn[:, k:].real
+
+    with np.errstate(all="ignore"):
+        # psi_n(x) from the ratios psi_n / psi_{n-1} = 1 / (D_n(x) + n / x),
+        # anchored to the closed form of psi_0 or psi_1, whichever is
+        # farther from a zero; psi_n' = D_n(x) psi_n.
+        sin_x, cos_x = np.sin(x), np.cos(x)
+        psi = n / x
+        psi += d_x
+        np.reciprocal(psi, out=psi)
+        psi1 = sin_x / x - cos_x
+        psi[0] = np.where(np.abs(sin_x) >= np.abs(psi1), psi[0] * sin_x, psi1)
+        np.cumprod(psi, axis=0, out=psi)
+        dpsi = psi * d_x
+
+        # eta_n(x) by upward recurrence, stable for the dominant solution
+        eta = np.empty((top + 1, k))
+        eta[0] = -cos_x
+        eta[1] = -cos_x / x - sin_x
+        step = (2 * n[:-1] + 1) / x
+        for i in range(1, top):
+            np.multiply(step[i - 1], eta[i], out=eta[i + 1])
+            eta[i + 1] -= eta[i - 1]
+        del step
+        deta = n / x * eta[1:]
+        np.subtract(eta[:-1], deta, out=deta)
+        eta = eta[1:]
+
+        g = g_e[None, :]
+        shift = g - m * d_mx
+
+        def a_part(f, df):
+            out = g * df
+            np.subtract(f, out, out=out)
+            out *= d_mx
+            out -= m * df
+            return out
+
+        def b_part(f, df):
+            out = shift * f
+            out += df
+            return out
+
+        used = n <= rows
+
+        def ratio(num, other):
+            """num / (num + i other), checked and zeroed above each column's
+            own orders."""
+            den = other
+            den *= 1j
+            den += num
+            if np.any(used & (np.abs(den) < _DENOM_FLOOR)):
+                raise SingularDenominatorError(
+                    f"singular Mie denominator (x in [{x.min():g}, {x.max():g}], m={m})")
+            num /= den
+            if not np.isfinite(num[used]).all():
+                raise RecurrenceOverflowError(
+                    f"overflow in the Mie series (x in [{x.min():g}, {x.max():g}], m={m})")
+            num[~used] = 0
+            return num
+
+        return (ratio(a_part(psi, dpsi), a_part(eta, deta)),
+                ratio(b_part(psi, dpsi), b_part(eta, deta)))
+
+
+def _series(x: np.ndarray, a: np.ndarray, b: np.ndarray,
+            nmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q_ext summed to nmax, and whether the next orders leave it unchanged."""
+    n = np.arange(1, a.shape[0] + 1)[:, None]
+    terms = (2 * n + 1) * (a + b).real
+    q = 2 / x**2 * np.where(n <= nmax, terms, 0).sum(axis=0)
+    q_extra = 2 / x**2 * terms.sum(axis=0)
+    scale = np.maximum(np.maximum(np.abs(q), np.abs(q_extra)), 1e-300)
+    return q, np.abs(q_extra - q) <= _CONVERGENCE_RTOL * scale
+
+
+def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
+    """Q_ext over 1-D arrays of x and g_e, evaluated in chunks of similar
+    truncation order."""
+    m = _normalize_m(m)
+    nmax = truncation_order(x)
+    rows = nmax + _CONVERGENCE_EXTRA
+    q = np.empty(x.size)
+    order = np.argsort(x, kind="stable")
+    begin = 0
+    for end in range(1, x.size + 1):
+        if end < x.size and rows[order[end]] * (end + 1 - begin) <= _CHUNK_TERMS:
+            continue
+        idx = order[begin:end]
+        a, b = _coefficients(x[idx], m, g_e[idx], rows[idx])
+        q[idx] = _series(x[idx], a, b, nmax[idx])[0]
+        begin = end
+    return q
+
+
+def _size_and_charge(radius, frequency, electrons, temperature, mode):
+    """Size parameter and charge coefficient g_e of spheres in a wave."""
+    if np.any(np.less_equal(frequency, 0)):
+        raise DomainError("frequency must be positive")
+    x = scale_parameter(radius, CONSTANTS.c / frequency)
+    omega_s = surface_plasma_frequency(electrons, radius)
+    g_e = charged_coefficient(x, 2 * math.pi * frequency, omega_s,
+                              collision_frequency(temperature), mode=mode)
+    return x, g_e
+
+
+def extinction_efficiency_array(radius, frequency, electrons, temperature: float,
+                                m: complex, mode: str = "full") -> np.ndarray:
+    """Extinction efficiencies of charged spheres, evaluated as one batch.
+
+    radius (m), frequency (Hz) and electrons broadcast against each other;
+    the result has their broadcast shape.
+    """
+    radius, frequency, electrons = np.broadcast_arrays(
+        np.asarray(radius, float), np.asarray(frequency, float), np.asarray(electrons))
+    x, g_e = _size_and_charge(radius, frequency, electrons, temperature, mode)
+    return _qext(x.ravel(), m, g_e.ravel()).reshape(x.shape)
 
 
 def mie_ab(n: int, x: float, m: complex, g_e: complex = 0j) -> tuple[complex, complex]:
@@ -190,7 +327,9 @@ def mie_ab(n: int, x: float, m: complex, g_e: complex = 0j) -> tuple[complex, co
         raise DomainError("order must be >= 1")
     if x <= 0:
         raise DomainError("scale parameter must be positive")
-    return _coefficient_arrays(n, x, _normalize_m(m), g_e)[n - 1]
+    a, b = _coefficients(np.array([float(x)]), _normalize_m(m),
+                         np.array([g_e], complex), np.array([n]))
+    return complex(a[n - 1, 0]), complex(b[n - 1, 0])
 
 
 def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> MieResult:
@@ -198,33 +337,19 @@ def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> MieResul
 
     c_ext is left at 0 here; callers holding a physical radius fill it in.
     """
-    if x <= 0:
-        raise DomainError("scale parameter must be positive")
-    m = _normalize_m(m)
     nmax = truncation_order(x)
-    terms = _coefficient_arrays(nmax + _CONVERGENCE_EXTRA, x, m, g_e)
-
-    def partial(upto: int) -> float:
-        acc = 0.0
-        for n in range(1, upto + 1):
-            a, b = terms[n - 1]
-            acc += (2 * n + 1) * (a + b).real
-        return 2 / x**2 * acc
-
-    q = partial(nmax)
-    q_ext5 = partial(nmax + _CONVERGENCE_EXTRA)
-    scale = max(abs(q), abs(q_ext5), 1e-300)
-    converged = abs(q_ext5 - q) <= _CONVERGENCE_RTOL * scale
-    return MieResult(q, 0.0, nmax, terms[:nmax], converged)
+    xs = np.array([float(x)])
+    a, b = _coefficients(xs, _normalize_m(m), np.array([g_e], complex),
+                         np.array([nmax + _CONVERGENCE_EXTRA]))
+    q, converged = _series(xs, a, b, np.array([nmax]))
+    terms = [(complex(a[i, 0]), complex(b[i, 0])) for i in range(nmax)]
+    return MieResult(float(q[0]), 0.0, nmax, terms, bool(converged[0]))
 
 
 def extinction_efficiency(p: ParticleState, w: WaveSpec,
                           mode: str = "full") -> MieResult:
     """Extinction efficiency and cross-section of one charged dust sphere."""
-    x = scale_parameter(p.radius, w.wavelength)
-    omega_s = surface_plasma_frequency(p.electrons, p.radius)
-    gamma_s = collision_frequency(p.temperature)
-    g_e = charged_coefficient(x, w.omega, omega_s, gamma_s, mode=mode)
-    res = extinction_efficiency_x(x, p.refractive_index, g_e)
+    x, g_e = _size_and_charge(p.radius, w.frequency, p.electrons, p.temperature, mode)
+    res = extinction_efficiency_x(float(x), p.refractive_index, complex(g_e))
     res.c_ext = res.q_ext * math.pi * p.radius**2
     return res

@@ -15,11 +15,8 @@ from dustmie.errors import ConfigError
 from dustmie.mie import (
     ParticleState,
     WaveSpec,
-    charged_coefficient,
-    collision_frequency,
-    extinction_efficiency_x,
-    scale_parameter,
-    surface_plasma_frequency,
+    extinction_efficiency,
+    extinction_efficiency_array,
 )
 from dustmie.quadrature import adaptive_simpson
 
@@ -28,22 +25,38 @@ PARTICLE = ParticleState(20e-6, 0, 300.0, M_DEFAULT)
 
 
 def trapezoid_k_dust(h, w, layer, particle, points=100001):
-    """Brute-force fixed-grid trapezoid oracle for the size integral."""
-    gamma_s = collision_frequency(particle.temperature)
-
-    def integrand(r_mm):
-        nd = layer.number_density(r_mm, h)
-        r_m = r_mm * 1e-3
-        x = scale_parameter(r_m, w.wavelength)
-        omega_s = surface_plasma_frequency(particle.electrons, r_m)
-        g_e = charged_coefficient(x, w.omega, omega_s, gamma_s)
-        q = extinction_efficiency_x(x, particle.refractive_index, g_e).q_ext
-        return nd * q * math.pi * r_m**2
-
+    """Brute-force fixed-grid trapezoid oracle for the size integral, linear
+    in r; the extinction of the whole grid is one batch evaluation."""
     lo, hi = size_support(h)
     grid = np.linspace(lo, hi, points)
-    vals = [integrand(float(r)) for r in grid]
-    return 4.343e3 * float(np.trapezoid(vals, grid))
+    nd = np.array([layer.number_density(float(r), h) for r in grid])
+    r_m = grid * 1e-3
+    q = extinction_efficiency_array(r_m, w.frequency, particle.electrons,
+                                    particle.temperature, particle.refractive_index)
+    vals = nd * q * math.pi * r_m**2
+    # trapezoid weights by hand: np.trapezoid is missing in numpy < 2
+    return 4.343e3 * float(np.sum(np.diff(grid) * (vals[1:] + vals[:-1])) / 2)
+
+
+# Segment boundaries, in sigma around the log-radius mean, that keep an
+# adaptive rule from stepping over the narrow log-normal peak.
+SEGMENT_SIGMAS = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
+
+
+def adaptive_k_dust(h, w, layer, particle, rel_tol):
+    """Adaptive-Simpson reference for the size integral in r, one sphere at
+    a time, on segments cut at fixed multiples of sigma."""
+    def integrand(r_mm):
+        r_m = r_mm * 1e-3
+        q = extinction_efficiency(particle.with_radius(r_m), w).q_ext
+        return layer.number_density(r_mm, h) * q * math.pi * r_m**2
+
+    mu, sigma = layer.params(h)
+    lo, hi = layer.support(h)
+    cuts = sorted({min(max(math.exp(mu + k * sigma), lo), hi)
+                   for k in SEGMENT_SIGMAS} | {lo, hi})
+    return 4.343e3 * sum(adaptive_simpson(integrand, a, b, rel_tol=rel_tol)
+                         for a, b in zip(cuts[:-1], cuts[1:]) if b > a)
 
 
 class TestDustAttenuationCoefficient:
@@ -69,6 +82,22 @@ class TestDustAttenuationCoefficient:
         k = dust_attenuation_coefficient(100.0, w, layer, PARTICLE)
         ref = trapezoid_k_dust(100.0, w, layer, PARTICLE)
         assert k == pytest.approx(ref, rel=1e-4)
+
+    @pytest.mark.parametrize("f,h,ne", [(0.3e12, 150.0, 1000), (1.2e12, 120.0, 0)])
+    def test_fixed_grid_matches_adaptive_reference(self, f, h, ne):
+        w = WaveSpec.from_frequency(f)
+        layer = DustLayerModel(n0=1e3)
+        particle = ParticleState(20e-6, ne, 300.0, M_DEFAULT)
+        k = dust_attenuation_coefficient(h, w, layer, particle)
+        ref = adaptive_k_dust(h, w, layer, particle, rel_tol=1e-9)
+        assert k == pytest.approx(ref, rel=1e-6)
+
+    def test_known_adaptive_miss(self):
+        # here a default-tolerance adaptive size integral returned 0.43063;
+        # rel_tol 1e-8 and an 80k-point trapezoid both give this value
+        w = WaveSpec.from_frequency(2.79598e12)
+        k = dust_attenuation_coefficient(175.546, w, DustLayerModel(n0=1e3), PARTICLE)
+        assert k == pytest.approx(0.431349324234458, rel=1e-6)
 
     def test_altitude_trend(self):
         # holds at 1 THz; at 0.3 THz the heavier 200 m large-particle tail
@@ -133,6 +162,22 @@ class TestSlantDustLoss:
         mids = (edges[:-1] + edges[1:]) / 2
         ref = float(np.sum([profile(h) / 1000.0 for h in mids]) * (g.d / n))
         assert loss == pytest.approx(ref, rel=1e-4)
+
+    def test_shared_table_matches_per_altitude_k_dust(self):
+        # one kernel table for the whole path against an outer integral
+        # that builds k_dust afresh at every altitude it visits; the size
+        # support at 200 m reaches well past the one at 100 m
+        g = LinkGeometry(h0=100.0, theta=math.pi / 2, d=100.0, d0=10.0)
+        w = WaveSpec.from_frequency(0.3e12)
+        layer = DustLayerModel(n0=1e3)
+        particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
+        loss = slant_dust_loss(g, w, layer, particle)
+        sin_theta = math.sin(g.theta)
+        ref = adaptive_simpson(
+            lambda s: dust_attenuation_coefficient(
+                g.h0 + s * sin_theta, w, layer, particle) / 1000.0,
+            0.0, g.d, rel_tol=1e-9)
+        assert loss == pytest.approx(ref, rel=1e-6)
 
     def test_slant_with_dust_matches_slab_oracle(self):
         g = LinkGeometry(h0=100.0, theta=math.pi / 2, d=50.0, d0=10.0)

@@ -111,3 +111,15 @@ class TestDustLayerModel:
         mu, sigma = lognormal_params(100.0)
         assert lo == pytest.approx(math.exp(mu - 8 * sigma))
         assert hi <= 10.0
+
+    def test_support_clamped_to_radius_cap(self):
+        lo, hi = size_support(200.0)
+        assert hi == 10.0
+        assert 0.0 < lo < hi
+
+    def test_unrepresentable_support_rejected(self):
+        # sigma_d(10 km) ~ 1.5e20: exp(mu +/- 8 sigma) leaves the float range
+        with pytest.warns(UserWarning), pytest.raises(DomainError):
+            size_support(10000.0)
+        with pytest.warns(UserWarning), pytest.raises(DomainError):
+            lognormal_params(1e6)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from dustmie.mie import (
     charged_coefficient,
     collision_frequency,
     extinction_efficiency,
+    extinction_efficiency_array,
     extinction_efficiency_x,
     mie_ab,
     scale_parameter,
@@ -136,7 +138,8 @@ class TestNeutralLimit:
         assert abs(a) > 0 and abs(b) > 0
 
     @pytest.mark.parametrize("m", [1.33 + 0j, 1.5 - 0.1j, M_DEFAULT])
-    @pytest.mark.parametrize("x", [0.02, 0.1, 0.5, 2.0, 10.0])
+    # x = pi puts psi_0(x) = sin x at a zero
+    @pytest.mark.parametrize("x", [0.02, 0.1, 0.5, 2.0, 10.0, math.pi])
     def test_qext_matches_independent_oracle(self, x, m):
         ours = extinction_efficiency_x(x, m).q_ext
         ref = neutral_mie_qext(x, m)
@@ -216,10 +219,12 @@ class TestMieResult:
         # at x=50 with an absorbing index the 5-extra-order tail measures
         # ~2e-10 relative, just past the strict 1e-10 convergence flag; the
         # flag honestly reports that, and the tail stays under 1e-9
-        from dustmie.mie import _coefficient_arrays, _normalize_m
+        from dustmie.mie import _coefficients, _normalize_m
         x = 50.0
         nmax = truncation_order(x)
-        terms = _coefficient_arrays(nmax + 5, x, _normalize_m(1.5 - 0.1j), 0j)
+        a, b = _coefficients(np.array([x]), _normalize_m(1.5 - 0.1j),
+                             np.array([0j]), np.array([nmax + 5]))
+        terms = list(zip(a[:, 0], b[:, 0]))
 
         def partial(upto):
             return 2 / x**2 * sum((2 * n + 1) * (terms[n - 1][0] + terms[n - 1][1]).real
@@ -229,3 +234,54 @@ class TestMieResult:
         res = extinction_efficiency_x(x, 1.5 - 0.1j)
         assert res.converged == (tail <= 1e-10)
         assert tail < 1e-9
+
+
+class TestStronglyAbsorbing:
+    # Im(m) x > ~710: psi_n(mx) itself overflows a double, so the series must
+    # not need it; only the log-derivative D_n(mx) enters the coefficients
+    @pytest.mark.parametrize("x,m", [(800.0, 1.5 + 1j), (400.0, 1.5 + 2j),
+                                     (300.0, 1.5 + 3j)])
+    def test_finite_qext(self, x, m):
+        q = extinction_efficiency_x(x, m).q_ext
+        assert math.isfinite(q)
+        assert q == pytest.approx(2.0, rel=0.05)   # extinction paradox
+
+    def test_matches_oracle(self):
+        ours = extinction_efficiency_x(300.0, 1.5 + 3j).q_ext
+        assert ours == pytest.approx(neutral_mie_qext(300.0, 1.5 + 3j), rel=1e-8)
+
+
+class TestBatchKernel:
+    def test_batch_matches_single_sphere_entry(self):
+        # radius x frequency x charge broadcast, across chunks of different
+        # truncation order, against the one-sphere entry point
+        radius = np.geomspace(1e-7, 5e-3, 40)
+        freq = np.array([0.3e12, 2e12])[:, None, None]
+        ne = np.array([0, 1000, 10**6])[:, None]
+        q = extinction_efficiency_array(radius, freq, ne, 300.0, M_DEFAULT)
+        assert q.shape == (2, 3, 40)
+        for i, f in enumerate((0.3e12, 2e12)):
+            w = WaveSpec.from_frequency(f)
+            for j, n_e in enumerate((0, 1000, 10**6)):
+                for k in range(0, 40, 7):
+                    p = ParticleState(float(radius[k]), n_e, 300.0, M_DEFAULT)
+                    ref = extinction_efficiency(p, w).q_ext
+                    assert q[i, j, k] == pytest.approx(ref, rel=1e-12)
+
+    def test_single_order_entry_matches_series_terms(self):
+        g = 1e-4 + 2e-4j
+        res = extinction_efficiency_x(3.0, M_DEFAULT, g)
+        for n in (1, 4, res.n_max):
+            a, b = mie_ab(n, 3.0, M_DEFAULT, g)
+            assert a == pytest.approx(res.terms[n - 1][0], rel=1e-12)
+            assert b == pytest.approx(res.terms[n - 1][1], rel=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            extinction_efficiency_array([1e-6, 0.0], 3e11, 0, 300.0, M_DEFAULT)
+        with pytest.raises(DomainError):
+            extinction_efficiency_array(1e-6, [3e11, -1.0], 0, 300.0, M_DEFAULT)
+        with pytest.raises(DomainError):
+            extinction_efficiency_array(1e-6, 3e11, -1, 300.0, M_DEFAULT)
+        with pytest.raises(DomainError):
+            extinction_efficiency_array(1e-6, 3e11, 0, 300.0, -1.5 + 0j)
