@@ -44,13 +44,7 @@ from .mie import (
     truncation_order,
 )
 from .quadrature import adaptive_simpson
-from .specfun import (
-    RiccatiPair,
-    riccati_psi,
-    riccati_xi,
-    sph_bessel_j,
-    sph_hankel1,
-)
+from .specfun import sph_bessel_j, sph_hankel1
 
 __version__ = "0.1.0"
 
@@ -68,7 +62,6 @@ __all__ = [
     "PhysicalConstants",
     "QuadratureError",
     "RecurrenceOverflowError",
-    "RiccatiPair",
     "SingularDenominatorError",
     "WaveSpec",
     "adaptive_simpson",
@@ -82,8 +75,6 @@ __all__ = [
     "mie_ab",
     "number_density",
     "path_loss",
-    "riccati_psi",
-    "riccati_xi",
     "scale_parameter",
     "size_pdf",
     "size_support",

@@ -91,13 +91,16 @@ class PathLossResult:
     shadow_db: float
     dust_loss_db: float
     total_db: float
-    rng_seed: int | None = None
 
 
-def _kernel_table(lo: float, hi: float, w: WaveSpec, particle: ParticleState,
-                  units_mode: str, ge_mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice nodes u = ln r (r in mm) covering [lo, hi] mm, and the
-    per-particle extinction at each: C_ext in m^2 (physical) or Q_ext (paper)."""
+def _kernel_table(heights, layer: DustLayerModel, w: WaveSpec,
+                  particle: ParticleState, units_mode: str,
+                  ge_mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice nodes u = ln r (r in mm) covering the size supports at the
+    given altitudes, and the per-particle extinction at each: C_ext in m^2
+    (physical) or Q_ext (paper)."""
+    lo, hi = zip(*(layer.support(h) for h in heights))
+    lo, hi = min(lo), max(hi)
     first = math.floor((math.log(lo) - _LN_R_TOP) / _LN_R_STEP)
     last = min(math.ceil((math.log(hi) - _LN_R_TOP) / _LN_R_STEP), 0)
     u = _LN_R_TOP + _LN_R_STEP * np.arange(first, last + 1)
@@ -130,16 +133,21 @@ def _check_units(units_mode: str) -> None:
         raise ConfigError(f"unknown units mode {units_mode!r}")
 
 
-def dust_attenuation_coefficient(h: float, w: WaveSpec, layer: DustLayerModel,
+def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
+                                 layer: DustLayerModel,
                                  particle_template: ParticleState,
                                  units_mode: str = "physical",
-                                 ge_mode: str = "full") -> float:
+                                 ge_mode: str = "full") -> float | np.ndarray:
     """Dust attenuation coefficient k_dust(h) in dB/km.
 
     Integrates the per-particle extinction against the size spectrum. The
     template particle supplies charge, temperature, and refractive index;
     its radius is ignored and swept by the integral, a trapezoid sum on a
     fixed ln r spacing over the support of the spectrum at h.
+
+    h is one altitude (m), giving a float, or an array of them, giving an
+    array of the same shape; the extinction kernel does not depend on
+    altitude, so one table over the union of their supports serves them all.
 
     units_mode="physical" (default) integrates the cross-section C_ext in
     m^2, making the dB/km prefactor an exact Np/m conversion;
@@ -149,11 +157,13 @@ def dust_attenuation_coefficient(h: float, w: WaveSpec, layer: DustLayerModel,
     _check_units(units_mode)
     if layer.n0 is None:
         raise ConfigError("layer n0 is required for absolute attenuation")
-    if layer.n0 == 0:
-        return 0.0
-    u, kernel = _kernel_table(*layer.support(h), w, particle_template,
+    heights = np.asarray(h, dtype=float)
+    k = np.zeros(heights.shape)
+    if layer.n0 != 0 and k.size:
+        table = _kernel_table(heights.flat, layer, w, particle_template,
                               units_mode, ge_mode)
-    return _k_dust(h, layer, u, kernel)
+        k.flat = [_k_dust(float(x), layer, *table) for x in heights.flat]
+    return float(k) if k.ndim == 0 else k
 
 
 def slant_dust_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
@@ -176,10 +186,8 @@ def slant_dust_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
         _check_units(units_mode)
         # both ends of the support move monotonically with altitude, so the
         # supports at the path's two ends bound all the others
-        (lo0, hi0), (lo1, hi1) = (layer.support(g.h0),
-                                  layer.support(g.h0 + g.d * sin_theta))
-        table = _kernel_table(min(lo0, lo1), max(hi0, hi1), w, particle_template,
-                              units_mode, ge_mode)
+        table = _kernel_table((g.h0, g.h0 + g.d * sin_theta), layer, w,
+                              particle_template, units_mode, ge_mode)
 
     def per_m(s: float) -> float:
         h = g.h0 + s * sin_theta
@@ -215,4 +223,4 @@ def path_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     dust = slant_dust_loss(g, w, layer, particle_template, k_abs=k_abs,
                            units_mode=units_mode, ge_mode=ge_mode)
     total = fspl + dist + chi + dust
-    return PathLossResult(fspl, dist, chi, dust, total, shadow_seed)
+    return PathLossResult(fspl, dist, chi, dust, total)

@@ -26,8 +26,7 @@ from .channel import (
     dust_attenuation_coefficient,
     path_loss,
 )
-from .constants import CONSTANTS
-from .dustfield import DustLayerModel, lognormal_params, size_pdf
+from .dustfield import DustLayerModel, size_pdf
 from .errors import ConfigError, DustmieError, QuadratureError, \
     RecurrenceOverflowError, SingularDenominatorError
 from .mie import ParticleState, WaveSpec, extinction_efficiency_array
@@ -209,22 +208,20 @@ def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
     ne_list = _electron_counts(args.group_ne, [0, 1000, 1000000])
     unit_modes = ["physical", "paper"] if args.units == "both" else [args.units]
 
-    def k_at(point: float, ne: int, units_mode: str) -> float:
-        if args.sweep == "h":
-            w = WaveSpec.from_frequency(cfg.f)
-            h = point
-        else:
-            w = WaveSpec.from_frequency(point)
-            h = cfg.h0
+    def column(ne: int, units_mode: str):
         particle = _particle_template(cfg, ne)
-        return dust_attenuation_coefficient(
-            h, w, layer, particle, units_mode=units_mode, ge_mode=args.mode)
+        if args.sweep == "h":
+            # one kernel table serves every altitude of the column
+            return dust_attenuation_coefficient(
+                grid, WaveSpec.from_frequency(cfg.f), layer, particle,
+                units_mode=units_mode, ge_mode=args.mode)
+        # the kernel depends on f: one table per point
+        return [dust_attenuation_coefficient(
+                    cfg.h0, WaveSpec.from_frequency(f), layer, particle,
+                    units_mode=units_mode, ge_mode=args.mode) for f in grid]
 
-    def row(point: float) -> list[float]:
-        return [point] + [k_at(point, ne, um)
-                          for um in unit_modes for ne in ne_list]
-
-    rows = [row(point) for point in grid]
+    columns = [column(ne, um) for um in unit_modes for ne in ne_list]
+    rows = [[point] + list(values) for point, values in zip(grid, zip(*columns))]
     names = [args.sweep]
     units = ["m" if args.sweep == "h" else "Hz"]
     for um in unit_modes:
@@ -239,6 +236,9 @@ def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
 
 
 def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
+    if args.units == "both":
+        raise ConfigError("--units both applies to attenuation only; "
+                          "pathloss takes physical or paper")
     if cfg.n_i is None or cfg.sigma_i is None:
         raise ConfigError("path loss requires n_i and sigma_i (no defaults exist)")
     geometry = LinkGeometry(
@@ -253,16 +253,14 @@ def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
     meta = _base_metadata(cfg, args)
     meta["trials"] = args.trials
 
-    base = path_loss(geometry, w, layer, particle, shadow_seed=None,
+    single = args.trials <= 1
+    base = path_loss(geometry, w, layer, particle,
+                     shadow_seed=args.seed if single else None,
                      k_abs=k_abs, units_mode=args.units, ge_mode=args.mode)
-    if args.trials <= 1:
-        if args.seed is None:
-            chi = 0.0
-        else:
-            chi = float(np.random.default_rng(args.seed).normal(0.0, cfg.sigma_i))
+    if single:
         names = ["fspl", "distance_term", "shadow", "dust_loss", "total"]
-        rows = [[base.fspl_db, base.distance_term_db, chi, base.dust_loss_db,
-                 base.total_db + chi]]
+        rows = [[base.fspl_db, base.distance_term_db, base.shadow_db,
+                 base.dust_loss_db, base.total_db]]
         return SweepTable(names, ["dB"] * 5, rows, meta)
 
     rng = np.random.default_rng(args.seed)
@@ -290,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=["full", "approx"], default="full",
                         help="charge-coefficient evaluation mode")
     common.add_argument("--units", choices=["physical", "paper", "both"],
-                        default="physical")
+                        default="physical",
+                        help="kernel units; both (attenuation only) emits "
+                             "physical and paper columns side by side")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--kabs-profile", dest="kabs_profile", default=None,

@@ -97,12 +97,12 @@ class WaveSpec:
 
 @dataclass
 class MieResult:
-    """Extinction efficiency plus the per-order coefficients behind it."""
+    """Extinction efficiency, its truncation order, and whether the orders
+    past it leave the sum unchanged."""
 
     q_ext: float
     c_ext: float                       # m^2; q_ext * pi * r^2
     n_max: int
-    terms: list[tuple[complex, complex]]
     converged: bool
 
 
@@ -342,8 +342,7 @@ def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> MieResul
     a, b = _coefficients(xs, _normalize_m(m), np.array([g_e], complex),
                          np.array([nmax + _CONVERGENCE_EXTRA]))
     q, converged = _series(xs, a, b, np.array([nmax]))
-    terms = [(complex(a[i, 0]), complex(b[i, 0])) for i in range(nmax)]
-    return MieResult(float(q[0]), 0.0, nmax, terms, bool(converged[0]))
+    return MieResult(float(q[0]), 0.0, nmax, bool(converged[0]))
 
 
 def extinction_efficiency(p: ParticleState, w: WaveSpec,

@@ -1,4 +1,4 @@
-"""Spherical Bessel, spherical Hankel, and Riccati-Bessel functions.
+"""Spherical Bessel and spherical Hankel functions.
 
 All functions accept complex arguments. j_n is evaluated by downward
 (backward) recurrence normalized against the closed-form j_0/j_1, which is
@@ -13,19 +13,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from .errors import DomainError, RecurrenceOverflowError
 
 _RESCALE_LIMIT = 1e250
 _TINY_SEED = 1e-30
-
-
-class RiccatiPair(NamedTuple):
-    """Value and first derivative of a Riccati-Bessel function."""
-
-    value: complex
-    derivative: complex
 
 
 def _check_order(n: int) -> None:
@@ -109,55 +101,3 @@ def sph_hankel1(n: int, z: complex) -> complex:
     """Spherical Hankel function of the first kind h_n^(1)(z) = j_n + i y_n."""
     _check_order(n)
     return sph_hankel1_array(n, z)[n]
-
-
-def _riccati_from_base(n: int, z: complex, base: list[complex]) -> RiccatiPair:
-    # psi_n = z b_n; psi_n' = psi_{n-1} - (n/z) psi_n for n >= 1
-    values = [z * b for b in base]
-    if n == 0:
-        raise AssertionError("handled by callers")
-    deriv = values[n - 1] - (n / z) * values[n]
-    return RiccatiPair(values[n], deriv)
-
-
-def riccati_psi(n: int, z: complex) -> RiccatiPair:
-    """Riccati-Bessel psi_n(z) = z j_n(z) and its derivative."""
-    _check_order(n)
-    z = complex(z)
-    if z == 0:
-        return RiccatiPair(complex(0.0), complex(1.0 if n == 0 else 0.0))
-    if n == 0:
-        return RiccatiPair(cmath.sin(z), cmath.cos(z))
-    return _riccati_from_base(n, z, sph_bessel_j_array(n, z))
-
-
-def riccati_xi(n: int, z: complex) -> RiccatiPair:
-    """Riccati-Bessel xi_n(z) = z h_n^(1)(z) and its derivative."""
-    _check_order(n)
-    z = complex(z)
-    if z == 0:
-        raise DomainError("xi_n is singular at z = 0")
-    if n == 0:
-        eiz = cmath.exp(1j * z)
-        return RiccatiPair(-1j * eiz, eiz)
-    return _riccati_from_base(n, z, sph_hankel1_array(n, z))
-
-
-def riccati_psi_arrays(nmax: int, z: complex) -> tuple[list[complex], list[complex]]:
-    """Arrays (psi_0..psi_nmax, psi_0'..psi_nmax') for a fixed argument."""
-    base = sph_bessel_j_array(nmax, z)
-    values = [z * b for b in base]
-    derivs = [cmath.cos(z)] + [
-        values[k - 1] - (k / z) * values[k] for k in range(1, nmax + 1)
-    ]
-    return values, derivs
-
-
-def riccati_xi_arrays(nmax: int, z: complex) -> tuple[list[complex], list[complex]]:
-    """Arrays (xi_0..xi_nmax, xi_0'..xi_nmax') for a fixed argument."""
-    base = sph_hankel1_array(nmax, z)
-    values = [z * b for b in base]
-    derivs = [cmath.exp(1j * z)] + [
-        values[k - 1] - (k / z) * values[k] for k in range(1, nmax + 1)
-    ]
-    return values, derivs

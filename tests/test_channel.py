@@ -134,6 +134,22 @@ class TestDustAttenuationCoefficient:
                 100.0, WaveSpec.from_frequency(300e9),
                 DustLayerModel(n0=1.0), PARTICLE, units_mode="bogus")
 
+    def test_altitude_array_matches_scalar_calls(self):
+        # one table over the union of the supports, then a sum per altitude
+        w = WaveSpec.from_frequency(300e9)
+        layer = DustLayerModel(n0=1e3)
+        particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
+        heights = np.array([[100.0, 140.0], [170.0, 200.0]])
+        column = dust_attenuation_coefficient(heights, w, layer, particle)
+        assert column.shape == heights.shape
+        for h, k in zip(heights.flat, column.flat):
+            assert k == pytest.approx(
+                dust_attenuation_coefficient(float(h), w, layer, particle), rel=1e-12)
+        assert isinstance(dust_attenuation_coefficient(np.float64(100.0), w, layer,
+                                                       particle), float)
+        zero = dust_attenuation_coefficient(heights, w, DustLayerModel(n0=0.0), particle)
+        assert zero.shape == heights.shape and not zero.any()
+
 
 class TestSlantDustLoss:
     def test_horizontal_path_is_constant_altitude(self):

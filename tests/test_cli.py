@@ -157,6 +157,23 @@ class TestAttenuation:
         _, names, _, _ = parse_csv(out)
         assert len(names) == 3
 
+    def test_one_kernel_table_per_altitude_column(self, capsys, monkeypatch):
+        import dustmie.channel
+        calls = []
+        kernel = dustmie.channel.extinction_efficiency_array
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(dustmie.channel, "extinction_efficiency_array", counted)
+        code, out = run_cli(capsys, "attenuation", "--sweep", "h", "--count", "5",
+                            "--start", "100", "--stop", "200", "--n0", "1e3",
+                            "--group-ne", "0,1000", "--units", "both")
+        assert code == 0
+        assert len(parse_csv(out)[3]) == 5
+        assert len(calls) == 4          # 2 charges x 2 unit modes
+
 
 class TestPathloss:
     ARGS = ["pathloss", "--n-i", "2", "--sigma-i", "2", "--n0", "0",
@@ -176,6 +193,13 @@ class TestPathloss:
                             "--n0", "1e3", "--d", "100")
         assert code == 2
         assert out == ""
+
+    def test_units_both_is_attenuation_only(self, capsys):
+        code = run([*self.ARGS, "--units", "both"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "both applies to attenuation only" in captured.err
 
     def test_missing_scenario_params(self, capsys):
         code, _ = run_cli(capsys, "pathloss", "--n0", "0")

@@ -207,7 +207,6 @@ class TestMieResult:
         res = extinction_efficiency(p, w)
         x = scale_parameter(p.radius, w.wavelength)
         assert res.n_max == truncation_order(x)
-        assert len(res.terms) == res.n_max
         assert res.converged
         assert res.c_ext == pytest.approx(res.q_ext * math.pi * p.radius**2)
 
@@ -269,12 +268,15 @@ class TestBatchKernel:
                     assert q[i, j, k] == pytest.approx(ref, rel=1e-12)
 
     def test_single_order_entry_matches_series_terms(self):
+        from dustmie.mie import _coefficients, _normalize_m
         g = 1e-4 + 2e-4j
-        res = extinction_efficiency_x(3.0, M_DEFAULT, g)
-        for n in (1, 4, res.n_max):
+        nmax = truncation_order(3.0)
+        a_all, b_all = _coefficients(np.array([3.0]), _normalize_m(M_DEFAULT),
+                                     np.array([g]), np.array([nmax]))
+        for n in (1, 4, nmax):
             a, b = mie_ab(n, 3.0, M_DEFAULT, g)
-            assert a == pytest.approx(res.terms[n - 1][0], rel=1e-12)
-            assert b == pytest.approx(res.terms[n - 1][1], rel=1e-12)
+            assert a == pytest.approx(a_all[n - 1, 0], rel=1e-12)
+            assert b == pytest.approx(b_all[n - 1, 0], rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dustmie.errors import DomainError
-from dustmie.specfun import (
-    riccati_psi,
-    riccati_xi,
-    sph_bessel_j,
-    sph_bessel_j_array,
-    sph_hankel1,
-)
+from dustmie.specfun import sph_bessel_j, sph_bessel_j_array, sph_hankel1
 
 from oracles import mp_sph_h1, mp_sph_j, series_sph_j
 
@@ -97,49 +91,3 @@ class TestSphHankel1:
         from dustmie.errors import RecurrenceOverflowError
         with pytest.raises(RecurrenceOverflowError):
             sph_hankel1(120, 0.1 + 0j)
-
-
-class TestRiccati:
-    def test_psi0(self):
-        pair = riccati_psi(0, 0.5 + 0j)
-        assert rel_err(pair.value, math.sin(0.5)) < 1e-14
-        assert rel_err(pair.derivative, math.cos(0.5)) < 1e-14
-
-    def test_psi1_from_bessel(self):
-        pair = riccati_psi(1, 0.5 + 0j)
-        assert rel_err(pair.value, 0.5 * 0.16253703063606657) < 1e-12
-
-    def test_psi_small_argument_asymptotic(self):
-        # psi_5(z) ~ z^6 / 10395 for small z
-        pair = riccati_psi(5, 0.1 + 0j)
-        assert abs(pair.value) < 1e-7
-        assert rel_err(pair.value, 0.1**6 / 10395) < 1e-3
-
-    def test_xi0(self):
-        pair = riccati_xi(0, 1 + 0j)
-        want = complex(math.sin(1), -math.cos(1))
-        assert rel_err(pair.value, want) < 1e-14
-        assert rel_err(pair.derivative, cmath.exp(1j)) < 1e-14
-
-    def test_xi_singular_at_zero(self):
-        with pytest.raises(DomainError):
-            riccati_xi(0, 0j)
-
-    @given(
-        n=st.integers(0, 60),
-        z=st.builds(complex, st.floats(0.02, 50.0), st.floats(-3.0, 3.0)),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_wronskian(self, n, z):
-        psi = riccati_psi(n, z)
-        xi = riccati_xi(n, z)
-        w = psi.value * xi.derivative - psi.derivative * xi.value
-        assert abs(w - 1j) < 1e-9
-
-    def test_derivative_matches_finite_difference(self):
-        # independent check of the shifted derivative recurrence
-        z, h = 2.3 + 0.4j, 1e-6
-        for n in (1, 4, 9):
-            pair = riccati_psi(n, z)
-            fd = (riccati_psi(n, z + h).value - riccati_psi(n, z - h).value) / (2 * h)
-            assert rel_err(pair.derivative, fd) < 1e-8
