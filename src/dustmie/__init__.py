@@ -44,7 +44,6 @@ from .mie import (
     truncation_order,
 )
 from .quadrature import adaptive_simpson
-from .specfun import sph_bessel_j, sph_hankel1
 
 __version__ = "0.1.0"
 
@@ -79,8 +78,6 @@ __all__ = [
     "size_pdf",
     "size_support",
     "slant_dust_loss",
-    "sph_bessel_j",
-    "sph_hankel1",
     "surface_plasma_frequency",
     "surface_potential",
     "truncation_order",

@@ -37,6 +37,8 @@ class AltitudeProfile:
         self._v = np.asarray(db_per_km, dtype=float)
         if self._h.ndim != 1 or self._h.shape != self._v.shape or self._h.size == 0:
             raise ConfigError("profile needs matching 1-D altitude/value arrays")
+        if not (np.isfinite(self._h).all() and np.isfinite(self._v).all()):
+            raise ConfigError("profile altitudes and values must be finite")
         if np.any(np.diff(self._h) <= 0):
             raise ConfigError("profile altitudes must be strictly increasing")
         if np.any(self._v < 0):
@@ -48,7 +50,10 @@ class AltitudeProfile:
 
     @classmethod
     def from_file(cls, path) -> "AltitudeProfile":
-        data = np.loadtxt(path, ndmin=2)
+        try:
+            data = np.loadtxt(path, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read profile {path}: {exc}") from exc
         if data.shape[1] != 2:
             raise ConfigError(f"{path}: expected two columns (altitude_m, dB_per_km)")
         return cls(data[:, 0], data[:, 1])
@@ -65,21 +70,20 @@ class LinkGeometry:
     theta: float                # elevation angle, rad
     d: float                    # path length, m
     d0: float                   # reference distance, m
-    scenario: str = "LoS"
     n_i: float = 2.0            # path-loss exponent
     sigma_i: float = 0.0        # shadow-fading std dev, dB
 
     def __post_init__(self):
+        if not 0 <= self.h0 < math.inf:
+            raise ConfigError("transmitter altitude must be non-negative and finite")
         if not (0 <= self.theta <= math.pi / 2):
             raise ConfigError("elevation angle must lie in [0, pi/2]")
-        if not (self.d >= self.d0 > 0):
-            raise ConfigError("distances must satisfy d >= d0 > 0")
-        if self.scenario not in ("LoS", "NLoS"):
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.n_i <= 0:
-            raise ConfigError("path-loss exponent must be positive")
-        if self.sigma_i < 0:
-            raise ConfigError("shadow-fading std dev must be non-negative")
+        if not (math.inf > self.d >= self.d0 > 0):
+            raise ConfigError("distances must satisfy inf > d >= d0 > 0")
+        if not 0 < self.n_i < math.inf:
+            raise ConfigError("path-loss exponent must be positive and finite")
+        if not 0 <= self.sigma_i < math.inf:
+            raise ConfigError("shadow-fading std dev must be non-negative and finite")
 
 
 @dataclass
@@ -178,12 +182,12 @@ def slant_dust_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     union of the size supports along the path serves every altitude the
     outer integral visits.
     """
+    _check_units(units_mode)
     if k_abs is None:
         k_abs = AltitudeProfile.zero()
     sin_theta = math.sin(g.theta)
     table = None
     if layer.n0 not in (None, 0):
-        _check_units(units_mode)
         # both ends of the support move monotonically with altitude, so the
         # supports at the path's two ends bound all the others
         table = _kernel_table((g.h0, g.h0 + g.d * sin_theta), layer, w,

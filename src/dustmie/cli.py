@@ -51,7 +51,6 @@ class RunConfig:
     d0: float = 10.0            # m
     h0: float = 10000.0         # m
     theta_deg: float = 90.0
-    scenario: str = "LoS"
     n_i: float | None = None
     sigma_i: float | None = None
 
@@ -64,7 +63,7 @@ _SECTIONS = {
     "particle": {"r": float, "ne": int, "t": float, "m": complex},
     "dust": {"n0": float},
     "link": {"d": float, "d0": float, "h0": float, "theta_deg": float,
-             "scenario": str, "n_i": float, "sigma_i": float},
+             "n_i": float, "sigma_i": float},
 }
 _KEY_ALIASES = {"t": "T"}
 
@@ -114,17 +113,18 @@ def _base_metadata(cfg: RunConfig, args) -> dict:
     meta.update({
         "command": args.command,
         "format": args.format,
-        "ge_mode": args.mode,
-        "units_mode": args.units,
-        "seed": args.seed,
         "config_hash": config_hash(cfg.items()),
     })
+    # only the flags this subcommand takes
+    for key, attr in (("ge_mode", "mode"), ("units_mode", "units"), ("seed", "seed")):
+        if hasattr(args, attr):
+            meta[key] = getattr(args, attr)
     return meta
 
 
 def _apply_overrides(cfg: RunConfig, args) -> None:
     for attr in ("f", "r", "ne", "T", "n0", "d", "d0", "h0", "theta_deg",
-                 "scenario", "n_i", "sigma_i"):
+                 "n_i", "sigma_i"):
         value = getattr(args, attr, None)
         if value is not None:
             setattr(cfg, attr, value)
@@ -173,13 +173,14 @@ def cmd_qext(cfg: RunConfig, args) -> SweepTable:
 def cmd_spectrum(cfg: RunConfig, args) -> SweepTable:
     heights = _float_list(args.heights)
     grid = sweep_grid(args.start, args.stop, args.count, args.spacing)
+    layer = DustLayerModel(n0=cfg.n0)
     meta = _base_metadata(cfg, args)
     meta.update(sweep="r", start=args.start, stop=args.stop,
                 count=args.count, spacing=args.spacing)
 
     names = ["r"] + [f"pdf[h={h:g}m]" for h in heights]
     units = ["mm"] + ["1/mm"] * len(heights)
-    with_nd = cfg.n0 is not None
+    with_nd = layer.n0 is not None
     if with_nd:
         names += [f"n_d[h={h:g}m]" for h in heights]
         units += ["1/(m^3 mm)"] * len(heights)
@@ -191,7 +192,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> SweepTable:
         pdf = [size_pdf(float(r), h) for h in heights]
         row = [float(r)] + pdf
         if with_nd:
-            row += [cfg.n0 * v for v in pdf]
+            row += [layer.n0 * v for v in pdf]
         rows.append(row)
     return SweepTable(names, units, rows, meta)
 
@@ -241,9 +242,11 @@ def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
                           "pathloss takes physical or paper")
     if cfg.n_i is None or cfg.sigma_i is None:
         raise ConfigError("path loss requires n_i and sigma_i (no defaults exist)")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     geometry = LinkGeometry(
         h0=cfg.h0, theta=math.radians(cfg.theta_deg), d=cfg.d, d0=cfg.d0,
-        scenario=cfg.scenario, n_i=cfg.n_i, sigma_i=cfg.sigma_i,
+        n_i=cfg.n_i, sigma_i=cfg.sigma_i,
     )
     w = WaveSpec.from_frequency(cfg.f)
     layer = DustLayerModel(n0=cfg.n0 if cfg.n0 is not None else 0.0)
@@ -281,52 +284,66 @@ def _add_sweep_args(sub, default_start, default_stop):
     sub.add_argument("--spacing", choices=["linear", "log"], default="linear")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help=f"config file (or ${ENV_CONFIG})")
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--mode", choices=["full", "approx"], default="full",
-                        help="charge-coefficient evaluation mode")
-    common.add_argument("--units", choices=["physical", "paper", "both"],
-                        default="physical",
-                        help="kernel units; both (attenuation only) emits "
-                             "physical and paper columns side by side")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--kabs-profile", dest="kabs_profile", default=None,
-                        help="two-column text profile: altitude_m dB_per_km")
-    for name, conv in [("--f", float), ("--r", float), ("--ne", int),
-                       ("--T", float), ("--m", str), ("--n0", float),
-                       ("--d", float), ("--d0", float), ("--h0", float),
-                       ("--theta-deg", float), ("--scenario", str),
-                       ("--n-i", float), ("--sigma-i", float)]:
-        common.add_argument(name, type=conv, default=None,
-                            dest=name.lstrip("-").replace("-", "_"))
+# Flags beyond --config, --format and --out; each subcommand takes only the
+# ones it reads.
+_FLAGS = {
+    "--mode": dict(choices=["full", "approx"], default="full",
+                   help="charge-coefficient evaluation mode"),
+    "--units": dict(choices=["physical", "paper", "both"], default="physical",
+                    help="kernel units; both (attenuation only) emits "
+                         "physical and paper columns side by side"),
+    "--seed": dict(type=int, default=None),
+    "--kabs-profile": dict(dest="kabs_profile", default=None,
+                           help="two-column text profile: altitude_m dB_per_km"),
+    **{name: dict(type=conv, default=None,
+                  dest=name.lstrip("-").replace("-", "_"))
+       for name, conv in [("--f", float), ("--r", float), ("--ne", int),
+                          ("--T", float), ("--m", str), ("--n0", float),
+                          ("--d", float), ("--d0", float), ("--h0", float),
+                          ("--theta-deg", float), ("--n-i", float),
+                          ("--sigma-i", float)]},
+}
 
+
+def _add_flags(sub, names: str) -> None:
+    sub.add_argument("--config", help=f"config file (or ${ENV_CONFIG})")
+    sub.add_argument("--format", choices=["csv", "json"], default="csv")
+    sub.add_argument("--out", default=None, help="output path (default stdout)")
+    for name in names.split():
+        sub.add_argument(name, **_FLAGS[name])
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dustmie",
         description="THz attenuation by charged dust: Mie sweeps and link budgets",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    q = subs.add_parser("qext", parents=[common], help="extinction efficiency sweep")
+    q = subs.add_parser("qext", help="extinction efficiency sweep")
+    _add_flags(q, "--mode --f --r --ne --T --m")
     q.add_argument("--sweep", choices=["x", "f"], default="x")
     _add_sweep_args(q, 0.02, 2.0)
     q.add_argument("--group-ne", default=None, help="comma list of electron counts")
     q.add_argument("--group-r", default=None, help="comma list of radii in m")
 
-    s = subs.add_parser("spectrum", parents=[common], help="size PDF / number density sweep")
+    s = subs.add_parser("spectrum", help="size PDF / number density sweep")
+    _add_flags(s, "--n0")
     _add_sweep_args(s, 0.005, 1.0)
     s.add_argument("--heights", default="100,150,200", help="comma list, m")
 
-    a = subs.add_parser("attenuation", parents=[common], help="dust attenuation coefficient sweep")
+    a = subs.add_parser("attenuation", help="dust attenuation coefficient sweep")
+    _add_flags(a, "--mode --units --f --T --m --n0 --h0")
     a.add_argument("--sweep", choices=["h", "f"], default="h")
     _add_sweep_args(a, 100.0, 200.0)
     a.add_argument("--group-ne", default=None, help="comma list of electron counts")
     a.add_argument("--normalized", action="store_true",
                    help="emit per-(N0) attenuation when n0 is unknown")
 
-    p = subs.add_parser("pathloss", parents=[common], help="link budget evaluation")
+    # the size integral sweeps the radius, so --r has no reader here
+    p = subs.add_parser("pathloss", help="link budget evaluation")
+    _add_flags(p, "--mode --units --seed --kabs-profile --f --ne --T --m --n0 "
+                  "--d --d0 --h0 --theta-deg --n-i --sigma-i")
     p.add_argument("--trials", type=int, default=1,
                    help=">1 runs a Monte-Carlo shadow-fading summary")
 

@@ -24,8 +24,8 @@ MAX_RADIUS_MM = 10.0              # mm; matches the Mie kernel radius cap
 
 def lognormal_params(h: float) -> tuple[float, float]:
     """Log-normal fit parameters (mu_d, sigma_d) at altitude h (m)."""
-    if h < 0:
-        raise DomainError("altitude must be non-negative")
+    if not h >= 0:
+        raise DomainError(f"altitude must be non-negative, got {h}")
     if h > _EXTRAPOLATION_LIMIT:
         warnings.warn(
             f"size-spectrum fit extrapolated to h={h} m, far above the "
@@ -52,7 +52,7 @@ def size_pdf(r: float, h: float) -> float:
 
 def number_density(r: float, h: float, n0: float) -> float:
     """Particle number density spectrum N0 * p(r, h), per m^3 per mm."""
-    if n0 < 0:
+    if not n0 >= 0:
         raise DomainError("total number density must be non-negative")
     return n0 * size_pdf(r, h)
 
@@ -86,8 +86,8 @@ class DustLayerModel:
     n0: float | None = None
 
     def __post_init__(self):
-        if self.n0 is not None and self.n0 < 0:
-            raise DomainError("n0 must be non-negative")
+        if self.n0 is not None and not 0 <= self.n0 < math.inf:
+            raise DomainError(f"n0 must be non-negative and finite, got {self.n0}")
 
     def params(self, h: float) -> tuple[float, float]:
         return lognormal_params(h)

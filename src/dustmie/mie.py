@@ -22,6 +22,7 @@ across the batch.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -56,8 +57,8 @@ class ParticleState:
             )
         if self.electrons < 0:
             raise DomainError("electron count must be non-negative")
-        if self.temperature <= 0:
-            raise DomainError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise DomainError("temperature must be positive and finite")
 
     def with_radius(self, radius: float) -> "ParticleState":
         return ParticleState(
@@ -74,8 +75,8 @@ class WaveSpec:
     omega: float        # rad/s
 
     def __post_init__(self):
-        if self.frequency <= 0:
-            raise DomainError("frequency must be positive")
+        if not 0 < self.frequency < math.inf:
+            raise DomainError("frequency must be positive and finite")
         c = CONSTANTS.c
         if abs(self.wavelength - c / self.frequency) > 1e-12 * self.wavelength:
             raise DomainError("wavelength inconsistent with frequency")
@@ -84,8 +85,8 @@ class WaveSpec:
 
     @classmethod
     def from_frequency(cls, f: float) -> "WaveSpec":
-        if f <= 0:
-            raise DomainError("frequency must be positive")
+        if not 0 < f < math.inf:
+            raise DomainError(f"frequency must be positive and finite, got {f}")
         return cls(f, CONSTANTS.c / f, 2 * math.pi * f)
 
     @classmethod
@@ -132,8 +133,8 @@ def surface_plasma_frequency(electrons, radius,
 def collision_frequency(temperature: float,
                         constants: PhysicalConstants = CONSTANTS) -> float:
     """Thermal collision frequency (rad/s), 2 pi k_B T / h_P."""
-    if temperature <= 0:
-        raise DomainError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise DomainError(f"temperature must be positive and finite, got {temperature}")
     return 2 * math.pi * constants.k_B * temperature / constants.h_P
 
 
@@ -165,8 +166,8 @@ def truncation_order(x):
 
 def _normalize_m(m: complex) -> complex:
     m = complex(m)
-    if m.real <= 0:
-        raise DomainError("Re(m) must be positive")
+    if not (cmath.isfinite(m) and m.real > 0):
+        raise DomainError(f"refractive index must be finite with Re(m) > 0, got {m}")
     return complex(m.real, abs(m.imag))
 
 
@@ -278,13 +279,16 @@ def _series(x: np.ndarray, a: np.ndarray, b: np.ndarray,
     return q, np.abs(q_extra - q) <= _CONVERGENCE_RTOL * scale
 
 
-def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
+def _qext(x: np.ndarray, m: complex,
+          g_e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q_ext over 1-D arrays of x and g_e, evaluated in chunks of similar
-    truncation order."""
+    truncation order; also the truncation orders and whether each series
+    converged."""
     m = _normalize_m(m)
     nmax = truncation_order(x)
     rows = nmax + _CONVERGENCE_EXTRA
     q = np.empty(x.size)
+    converged = np.empty(x.size, bool)
     order = np.argsort(x, kind="stable")
     begin = 0
     for end in range(1, x.size + 1):
@@ -292,9 +296,9 @@ def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
             continue
         idx = order[begin:end]
         a, b = _coefficients(x[idx], m, g_e[idx], rows[idx])
-        q[idx] = _series(x[idx], a, b, nmax[idx])[0]
+        q[idx], converged[idx] = _series(x[idx], a, b, nmax[idx])
         begin = end
-    return q
+    return q, nmax, converged
 
 
 def _size_and_charge(radius, frequency, electrons, temperature, mode):
@@ -318,7 +322,7 @@ def extinction_efficiency_array(radius, frequency, electrons, temperature: float
     radius, frequency, electrons = np.broadcast_arrays(
         np.asarray(radius, float), np.asarray(frequency, float), np.asarray(electrons))
     x, g_e = _size_and_charge(radius, frequency, electrons, temperature, mode)
-    return _qext(x.ravel(), m, g_e.ravel()).reshape(x.shape)
+    return _qext(x.ravel(), m, g_e.ravel())[0].reshape(x.shape)
 
 
 def mie_ab(n: int, x: float, m: complex, g_e: complex = 0j) -> tuple[complex, complex]:
@@ -337,12 +341,8 @@ def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> MieResul
 
     c_ext is left at 0 here; callers holding a physical radius fill it in.
     """
-    nmax = truncation_order(x)
-    xs = np.array([float(x)])
-    a, b = _coefficients(xs, _normalize_m(m), np.array([g_e], complex),
-                         np.array([nmax + _CONVERGENCE_EXTRA]))
-    q, converged = _series(xs, a, b, np.array([nmax]))
-    return MieResult(float(q[0]), 0.0, nmax, bool(converged[0]))
+    q, nmax, converged = _qext(np.array([float(x)]), m, np.array([g_e], complex))
+    return MieResult(float(q[0]), 0.0, int(nmax[0]), bool(converged[0]))
 
 
 def extinction_efficiency(p: ParticleState, w: WaveSpec,

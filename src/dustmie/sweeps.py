@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -15,6 +16,8 @@ def sweep_grid(start: float, stop: float, count: int, spacing: str = "linear") -
     """Sweep grid of `count` points from start to stop, linear or log spaced."""
     if count < 2 or count > 10**6:
         raise ConfigError(f"sweep count must be in [2, 1e6], got {count}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"sweep endpoints must be finite, got {start} and {stop}")
     if spacing == "linear":
         return np.linspace(start, stop, count)
     if spacing == "log":

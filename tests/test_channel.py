@@ -160,6 +160,16 @@ class TestSlantDustLoss:
         k = dust_attenuation_coefficient(100.0, w, layer, PARTICLE)
         assert loss == pytest.approx(g.d * k / 1000.0, rel=1e-9)
 
+    def test_bad_units_mode_rejected_for_every_n0(self):
+        g = LinkGeometry(h0=100.0, theta=0.3, d=100.0, d0=10.0)
+        w = WaveSpec.from_frequency(300e9)
+        for n0 in (0.0, None, 1e3):
+            with pytest.raises(ConfigError):
+                slant_dust_loss(g, w, DustLayerModel(n0=n0), PARTICLE,
+                                units_mode="bogus")
+        with pytest.raises(ConfigError):
+            path_loss(g, w, DustLayerModel(n0=0.0), PARTICLE, units_mode="bogus")
+
     def test_no_attenuation_no_loss(self):
         g = LinkGeometry(h0=100.0, theta=0.3, d=500.0, d0=10.0)
         w = WaveSpec.from_frequency(300e9)
@@ -229,6 +239,8 @@ class TestAltitudeProfile:
             AltitudeProfile([0, 0], [1, 1])
         with pytest.raises(ConfigError):
             AltitudeProfile([0, 1], [1, -1])
+        with pytest.raises(ConfigError):
+            AltitudeProfile([0, 1], [1, math.nan])
 
 
 class TestPathLoss:
@@ -280,6 +292,14 @@ class TestPathLoss:
         with pytest.raises(ConfigError):
             LinkGeometry(h0=0.0, theta=-0.1, d=100.0, d0=10.0)
         with pytest.raises(ConfigError):
-            LinkGeometry(h0=0.0, theta=0.0, d=100.0, d0=10.0, scenario="indoor")
-        with pytest.raises(ConfigError):
             LinkGeometry(h0=0.0, theta=0.0, d=100.0, d0=10.0, n_i=0.0)
+
+    def test_non_finite_geometry_rejected(self):
+        for field, value in [("h0", math.nan), ("h0", -1.0), ("h0", math.inf),
+                             ("n_i", math.nan), ("n_i", math.inf),
+                             ("sigma_i", math.nan), ("sigma_i", math.inf),
+                             ("d", math.inf)]:
+            kwargs = dict(h0=100.0, theta=0.1, d=100.0, d0=10.0, n_i=2.0, sigma_i=1.0)
+            kwargs[field] = value
+            with pytest.raises(ConfigError):
+                LinkGeometry(**kwargs)

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from dustmie.cli import DEFAULT_M, RunConfig, load_config, run
+from dustmie.cli import DEFAULT_M, RunConfig, build_parser, load_config, run
 from dustmie.errors import ConfigError
 
 
@@ -216,6 +217,24 @@ class TestPathloss:
         std = rows[0][names.index("std_shadow")]
         assert abs(std - 2.0) / 2.0 < 0.15
 
+    @pytest.mark.parametrize("text", [None, "0 1.0\nhigh 2.0\n"],
+                             ids=["missing", "non-numeric"])
+    def test_unreadable_kabs_profile_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "kabs.txt"
+        if text is not None:
+            path.write_text(text)
+        code = run([*self.ARGS, "--kabs-profile", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(path) in captured.err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trial_count_below_one_rejected(self, capsys, trials):
+        code, out = run_cli(capsys, *self.ARGS, "--trials", trials)
+        assert code == 2
+        assert out == ""
+
     def test_seed_reproducibility(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = self.ARGS + ["--trials", "200", "--seed", "9"]
@@ -277,3 +296,72 @@ class TestConfigAndOutput:
 
     def test_default_m_is_documented_assumption(self):
         assert RunConfig().m == DEFAULT_M
+
+
+# Every subcommand takes --config, --format and --out, and beyond them only
+# the flags it reads.
+FLAGS = {
+    "qext": "--mode --f --r --ne --T --m "
+            "--sweep --start --stop --count --spacing --group-ne --group-r",
+    "spectrum": "--n0 --start --stop --count --spacing --heights",
+    "attenuation": "--mode --units --f --T --m --n0 --h0 "
+                   "--sweep --start --stop --count --spacing --group-ne --normalized",
+    "pathloss": "--mode --units --seed --kabs-profile --f --ne --T --m --n0 "
+                "--d --d0 --h0 --theta-deg --n-i --sigma-i --trials",
+}
+
+
+def subcommand_flags():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in sub._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help")}
+            for name, sub in subs.choices.items()}
+
+
+class TestFlagSurface:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        got = subcommand_flags()
+        assert got == {name: {"--config", "--format", "--out", *flags.split()}
+                       for name, flags in FLAGS.items()}
+        assert sum(len(flags) for flags in got.values()) == 61
+
+    @pytest.mark.parametrize("argv", [
+        ["qext", "--count", "3", "--units", "paper"],
+        ["spectrum", "--count", "3", "--mode", "approx"],
+        ["pathloss", "--n-i", "2", "--sigma-i", "1", "--scenario", "NLoS"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_scenario_config_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[link]\nscenario = LoS\n")
+        with pytest.raises(ConfigError):
+            load_config(str(cfg))
+
+
+@pytest.mark.parametrize("argv", [
+    ["attenuation", "--sweep", "f", "--start", "1e11", "--stop", "2e11",
+     "--count", "2", "--h0", "nan", "--n0", "1"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "nan",
+     "--d", "100"],
+    ["spectrum", "--count", "2", "--heights", "nan"],
+    ["spectrum", "--count", "2", "--n0", "-5"],
+    ["attenuation", "--count", "2", "--n0", "inf"],
+    ["pathloss", "--n-i", "nan", "--sigma-i", "1", "--n0", "0", "--h0", "100",
+     "--d", "100"],
+    ["qext", "--count", "2", "--T", "nan"],
+    ["qext", "--count", "2", "--m", "nan+0j"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "1", "--n0", "0", "--h0", "100",
+     "--d", "100", "--f", "nan"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "1", "--n0", "0", "--h0", "100",
+     "--d", "inf"],
+    ["spectrum", "--count", "2", "--start", "nan"],
+])
+def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""

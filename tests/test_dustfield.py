@@ -31,8 +31,9 @@ class TestLognormalParams:
         assert abs(sigma - sigma_ref) < 0.01
 
     def test_negative_altitude_rejected(self):
-        with pytest.raises(DomainError):
-            lognormal_params(-1.0)
+        for h in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                lognormal_params(h)
 
     def test_extrapolation_warns(self):
         with pytest.warns(UserWarning):
@@ -103,8 +104,9 @@ class TestDustLayerModel:
         assert layer.pdf(0.08, 100.0) > 0
 
     def test_negative_n0_rejected(self):
-        with pytest.raises(DomainError):
-            DustLayerModel(n0=-1.0)
+        for n0 in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                DustLayerModel(n0=n0)
 
     def test_support_mass(self):
         lo, hi = DustLayerModel(n0=1.0).support(100.0)

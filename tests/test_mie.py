@@ -115,8 +115,11 @@ class TestParticleState:
             ParticleState(radius=0.5)          # above 1 cm cap
         with pytest.raises(DomainError):
             ParticleState(radius=20e-6, electrons=-1)
-        with pytest.raises(DomainError):
-            ParticleState(radius=20e-6, temperature=0.0)
+        for t in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ParticleState(radius=20e-6, temperature=t)
+            with pytest.raises(DomainError):
+                collision_frequency(t)
 
 
 class TestNeutralLimit:
@@ -285,5 +288,6 @@ class TestBatchKernel:
             extinction_efficiency_array(1e-6, [3e11, -1.0], 0, 300.0, M_DEFAULT)
         with pytest.raises(DomainError):
             extinction_efficiency_array(1e-6, 3e11, -1, 300.0, M_DEFAULT)
-        with pytest.raises(DomainError):
-            extinction_efficiency_array(1e-6, 3e11, 0, 300.0, -1.5 + 0j)
+        for m in (-1.5 + 0j, complex(math.nan, 0), complex(2, math.inf)):
+            with pytest.raises(DomainError):
+                extinction_efficiency_array(1e-6, 3e11, 0, 300.0, m)
