@@ -16,9 +16,8 @@ algorithms"; the BHMIE code of Bohren & Huffman 1983). Dividing the charged
 coefficients through by psi_n(mx) leaves psi_n(mx) only in the logarithmic
 derivative D_n(mx) = psi_n'(mx)/psi_n(mx), which a downward recurrence gives
 without overflow however strongly the sphere absorbs. The Riccati-Bessel
-functions of the real argument x come from the same recurrence (psi_n) and
-an upward one (chi_n). Every recurrence steps over n with numpy vectors
-across the batch.
+functions of x come from the same recurrence (psi_n) and an upward one
+(eta_n), each stepping over n with numpy vectors across the batch.
 """
 from __future__ import annotations
 
@@ -171,6 +170,55 @@ def _normalize_m(m: complex) -> complex:
     return complex(m.real, abs(m.imag))
 
 
+def _log_derivative(z: np.ndarray, top: int) -> np.ndarray:
+    """D_n(z) = psi_n'(z) / psi_n(z) for n = 1..top, a (top, z.size) array, by
+    a downward recurrence started far enough above |z| and top to forget its seed."""
+    start = max(top, float(np.abs(z).max()))
+    start = math.ceil(start + 16 + 4 * math.sqrt(start))
+    inv_z = 1 / z
+    nz, t, spare = (np.empty(z.size, complex) for _ in range(3))
+    d = np.zeros(z.size, complex)
+    dn = np.empty((top, z.size), complex)
+    for order in range(start, 1, -1):
+        np.multiply(inv_z, order, out=nz)
+        np.add(d, nz, out=t)
+        np.reciprocal(t, out=t)
+        d = dn[order - 2] if order <= top + 1 else spare
+        np.subtract(nz, t, out=d)              # D_{order-1}
+    return dn
+
+
+def _riccati_psi(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """psi_n(z) = z j_n(z) for n = 0..len(d), given D_n(z) = d[n - 1]: the
+    ratios psi_n / psi_{n-1} = 1 / (D_n + n / z), anchored to the closed
+    form of psi_0 or psi_1, whichever is farther from a zero."""
+    sin_z = np.sin(z)
+    psi = np.empty((d.shape[0] + 1, z.size), np.result_type(z, d))
+    psi[0] = sin_z
+    ratio = psi[1:]
+    np.divide(np.arange(1, d.shape[0] + 1)[:, None], z, out=ratio)
+    ratio += d
+    np.reciprocal(ratio, out=ratio)
+    psi1 = sin_z / z - np.cos(z)
+    ratio[0] = np.where(np.abs(sin_z) >= np.abs(psi1), ratio[0] * sin_z, psi1)
+    np.cumprod(ratio, axis=0, out=ratio)
+    return psi
+
+
+def _riccati_eta(z: np.ndarray, top: int) -> np.ndarray:
+    """eta_n(z) = z y_n(z) for n = 0..top (top >= 1), by upward recurrence,
+    stable for the dominant solution."""
+    sin_z, cos_z = np.sin(z), np.cos(z)
+    eta = np.empty((top + 1, z.size), np.result_type(z))
+    eta[0] = -cos_z
+    eta[1] = -cos_z / z - sin_z
+    step = (2 * np.arange(1, top)[:, None] + 1) / z
+    for i in range(1, top):
+        np.multiply(step[i - 1], eta[i], out=eta[i + 1])
+        eta[i + 1] -= eta[i - 1]
+    return eta
+
+
 def _coefficients(x: np.ndarray, m: complex, g_e: np.ndarray,
                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Charged (a_n, b_n) for n = 1..max(rows) over a batch of sizes.
@@ -186,47 +234,15 @@ def _coefficients(x: np.ndarray, m: complex, g_e: np.ndarray,
     k, top = x.size, int(rows.max())
     n = np.arange(1, top + 1)[:, None]
 
-    # D_n(z) for z = m x and z = x in one downward recurrence, started far
-    # enough above both |z| and the top order for its error to die out.
-    # Sharing it makes an index-matched sphere (m = 1, g_e = 0) give exactly
-    # zero coefficients.
-    z = np.concatenate((m * x, x.astype(complex)))
-    start = max(top, float(np.abs(z).max()))
-    start = math.ceil(start + 16 + 4 * math.sqrt(start))
-    inv_z = 1 / z
-    nz, t, spare = (np.empty(2 * k, complex) for _ in range(3))
-    d = np.zeros(2 * k, complex)
-    dn = np.empty((top, 2 * k), complex)
-    for order in range(start, 1, -1):
-        np.multiply(inv_z, order, out=nz)
-        np.add(d, nz, out=t)
-        np.reciprocal(t, out=t)
-        d = dn[order - 2] if order <= top + 1 else spare
-        np.subtract(nz, t, out=d)              # D_{order-1}
+    # D_n for z = m x and z = x in one recurrence. Sharing it makes an
+    # index-matched sphere (m = 1, g_e = 0) give exactly zero coefficients.
+    dn = _log_derivative(np.concatenate((m * x, x.astype(complex))), top)
     d_mx, d_x = dn[:, :k], dn[:, k:].real
 
     with np.errstate(all="ignore"):
-        # psi_n(x) from the ratios psi_n / psi_{n-1} = 1 / (D_n(x) + n / x),
-        # anchored to the closed form of psi_0 or psi_1, whichever is
-        # farther from a zero; psi_n' = D_n(x) psi_n.
-        sin_x, cos_x = np.sin(x), np.cos(x)
-        psi = n / x
-        psi += d_x
-        np.reciprocal(psi, out=psi)
-        psi1 = sin_x / x - cos_x
-        psi[0] = np.where(np.abs(sin_x) >= np.abs(psi1), psi[0] * sin_x, psi1)
-        np.cumprod(psi, axis=0, out=psi)
-        dpsi = psi * d_x
-
-        # eta_n(x) by upward recurrence, stable for the dominant solution
-        eta = np.empty((top + 1, k))
-        eta[0] = -cos_x
-        eta[1] = -cos_x / x - sin_x
-        step = (2 * n[:-1] + 1) / x
-        for i in range(1, top):
-            np.multiply(step[i - 1], eta[i], out=eta[i + 1])
-            eta[i + 1] -= eta[i - 1]
-        del step
+        psi = _riccati_psi(x, d_x)[1:]
+        dpsi = psi * d_x                       # psi_n' = D_n(x) psi_n
+        eta = _riccati_eta(x, top)
         deta = n / x * eta[1:]
         np.subtract(eta[:-1], deta, out=deta)
         eta = eta[1:]

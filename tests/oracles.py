@@ -63,3 +63,17 @@ def neutral_mie_qext(x, m, extra_orders=15, series_tol=mp.mpf("1e-30")):
             break
     return float(2 / x**2 * acc)
 
+
+def series_sph_j(n, z, terms=60):
+    """Power-series evaluation of j_n(z), independent of any recurrence."""
+    z = mp.mpc(z)
+    half_z2 = -(z * z) / 2
+    coeff = z**n / mp.fac2(2 * n + 1)
+    acc = mp.mpc(0)
+    term = mp.mpc(1)
+    k = 0
+    while k < terms:
+        acc += term * coeff
+        k += 1
+        term *= half_z2 / (k * (2 * n + 2 * k + 1))
+    return acc
