@@ -1,0 +1,5 @@
+"""`python -m dustmie`: the command-line interface."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

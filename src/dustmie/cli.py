@@ -157,6 +157,9 @@ def cmd_qext(cfg: RunConfig, args) -> SweepTable:
         radius = grid * WaveSpec.from_frequency(cfg.f).wavelength / (2 * math.pi)
     else:
         frequency = grid
+        # an f-sweep takes its radii as given, so they must be valid spheres
+        for _, r, ne in groups:
+            ParticleState(r, ne, cfg.T, cfg.m)
         radius = np.array([r for _, r, _ in groups])[:, None]
     electrons = np.array([ne for _, _, ne in groups])[:, None]
     q = extinction_efficiency_array(radius, frequency, electrons, cfg.T, cfg.m,

@@ -17,7 +17,15 @@ coefficients through by psi_n(mx) leaves psi_n(mx) only in the logarithmic
 derivative D_n(mx) = psi_n'(mx)/psi_n(mx), which a downward recurrence gives
 without overflow however strongly the sphere absorbs. The Riccati-Bessel
 functions of x come from the same recurrence (psi_n) and an upward one
-(eta_n), each stepping over n with numpy vectors across the batch.
+(eta_n).
+
+The sizes of a batch, in descending order of x, go through the recurrences
+in lockstep passes. Each recurrence makes one loop over the orders of a
+pass, stepping the sizes still running at each order (a prefix of the pass)
+as one numpy vector, and stores its values ragged and order-major: order n
+holds only the sizes whose series reach n. The series are then summed in
+chunks of similar truncation order, each gathered from that store into a
+dense block.
 """
 from __future__ import annotations
 
@@ -35,8 +43,12 @@ _MAX_RADIUS = 1e-2
 _DENOM_FLOOR = 1e-300
 _CONVERGENCE_EXTRA = 5
 _CONVERGENCE_RTOL = 1e-10
-# Orders x sizes evaluated together: each chunk's working arrays stay near
-# 2 MB, while a chunk of large spheres still spans several sizes.
+# Ragged terms (orders x sizes) of one lockstep pass: its store takes 1 MB
+# at 32 B a term. Larger passes take fewer loop steps but more memory; at
+# 3 THz, 2^15 takes 3,404 downward steps a table and 2^16 takes 2,095.
+_PASS_TERMS = 2**15
+# Dense orders x sizes of one chunk of the series sum: its working arrays
+# stay near 1 MB, while a chunk of large spheres still spans several sizes.
 _CHUNK_TERMS = 8192
 
 
@@ -170,22 +182,56 @@ def _normalize_m(m: complex) -> complex:
     return complex(m.real, abs(m.imag))
 
 
-def _log_derivative(z: np.ndarray, top: int) -> np.ndarray:
-    """D_n(z) = psi_n'(z) / psi_n(z) for n = 1..top, a (top, z.size) array, by
-    a downward recurrence started far enough above |z| and top to forget its seed."""
-    start = max(top, float(np.abs(z).max()))
-    start = math.ceil(start + 16 + 4 * math.sqrt(start))
-    inv_z = 1 / z
-    nz, t, spare = (np.empty(z.size, complex) for _ in range(3))
-    d = np.zeros(z.size, complex)
-    dn = np.empty((top, z.size), complex)
-    for order in range(start, 1, -1):
-        np.multiply(inv_z, order, out=nz)
-        np.add(d, nz, out=t)
-        np.reciprocal(t, out=t)
-        d = dn[order - 2] if order <= top + 1 else spare
-        np.subtract(nz, t, out=d)              # D_{order-1}
-    return dn
+def _order_counts(rows: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Layout of an order-major ragged array over sizes whose rows are in
+    descending order: order n = first..rows[0] holds the counts[n - first]
+    sizes that reach it (a prefix of the batch), from offsets[n - first]."""
+    counts = np.searchsorted(-rows, -np.arange(first, rows[0] + 1), side="right")
+    return counts, np.cumsum(counts) - counts
+
+
+def _dense_index(layout: tuple[np.ndarray, np.ndarray], top: int, begin: int,
+                 end: int) -> np.ndarray:
+    """Where sizes begin..end of an order-major ragged array sit, as a dense
+    (top, end - begin) index block over the first top orders. Where a size
+    stops short of an order, the block repeats the last size that reaches
+    it; callers mask those entries."""
+    counts, offsets = (a[:top, None] for a in layout)
+    return offsets + np.minimum(np.arange(begin, end), counts - 1)
+
+
+def _log_derivative(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """D_n(z) = psi_n'(z) / psi_n(z) for each row of z, a (k, w) array, at
+    orders n = 1..rows[i], with rows and |z| in descending order.
+
+    One downward recurrence runs over the batch in lockstep. Row i starts far
+    enough above max(rows[i], |z[i]|) to forget its seed, so the rows running
+    at an order are a prefix of the batch, and the w values of a row take the
+    same steps. The result is ragged and order-major, (sum(rows), w)."""
+    k, w = z.shape
+    start = np.maximum(rows, np.abs(z).max(axis=1))
+    start = np.ceil(start + 16 + 4 * np.sqrt(start)).astype(int)
+    running = (np.searchsorted(-start, -np.arange(start[0] + 1), side="right")
+               * w).tolist()
+    counts, offsets = _order_counts(rows, 1)
+    stored, offsets = (counts * w).tolist(), (offsets * w).tolist()
+    inv_z = (1 / z).ravel()
+    d = np.zeros(k * w, complex)
+    nz, t = np.empty((2, k * w), complex)
+    dn = np.empty(sum(stored), complex)
+    p, top = 0, len(stored)
+    for order in range(start[0], 1, -1):
+        if running[order] != p:                # views of the rows now running
+            p = running[order]
+            inv_zp, dp, nzp, tp = inv_z[:p], d[:p], nz[:p], t[:p]
+        np.multiply(inv_zp, order, out=nzp)
+        np.add(dp, nzp, out=tp)
+        np.reciprocal(tp, out=tp)
+        np.subtract(nzp, tp, out=dp)           # D_{order-1}
+        if order <= top + 1:
+            s, o = stored[order - 2], offsets[order - 2]
+            dn[o:o + s] = d[:s]
+    return dn.reshape(-1, w)
 
 
 def _riccati_psi(z: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -205,23 +251,132 @@ def _riccati_psi(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _riccati_eta(z: np.ndarray, top: int) -> np.ndarray:
-    """eta_n(z) = z y_n(z) for n = 0..top (top >= 1), by upward recurrence,
-    stable for the dominant solution."""
+def _riccati_eta(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """eta_n(z) = z y_n(z) for n = 0..rows[i] (rows >= 1, in descending
+    order) by one upward recurrence over the batch in lockstep, stable for
+    the dominant solution; ragged and order-major, (sum(rows + 1),)."""
+    counts, offsets = (a.tolist() for a in _order_counts(rows, 0))
+    eta = np.empty(sum(counts), np.result_type(z))
     sin_z, cos_z = np.sin(z), np.cos(z)
-    eta = np.empty((top + 1, z.size), np.result_type(z))
-    eta[0] = -cos_z
-    eta[1] = -cos_z / z - sin_z
-    step = (2 * np.arange(1, top)[:, None] + 1) / z
-    for i in range(1, top):
-        np.multiply(step[i - 1], eta[i], out=eta[i + 1])
-        eta[i + 1] -= eta[i - 1]
+    eta[:counts[0]] = -cos_z
+    c = counts[1]
+    zc, prev, this = z[:c], eta[:c], eta[offsets[1]:offsets[1] + c]
+    np.subtract(-cos_z[:c] / zc, sin_z[:c], out=this)
+    for n in range(1, len(counts) - 1):
+        if counts[n + 1] != c:                 # the sizes still running
+            c = counts[n + 1]
+            zc, prev, this = z[:c], prev[:c], this[:c]
+        step = eta[offsets[n + 1]:offsets[n + 1] + c]
+        np.divide(2 * n + 1, zc, out=step)
+        step *= this
+        step -= prev
+        prev, this = this, step
     return eta
+
+
+@dataclass(frozen=True)
+class _Recurrences:
+    """The Bessel recurrences of a batch of sizes in descending order of x:
+    D_n(mx) and the real D_n(x) for n = 1..rows, and eta_n(x) for
+    n = 0..rows, each stored ragged and order-major (32 B a term)."""
+
+    x: np.ndarray
+    rows: np.ndarray
+    d_mx: np.ndarray
+    d_x: np.ndarray
+    eta: np.ndarray
+    dn_layout: tuple[np.ndarray, np.ndarray]
+    eta_layout: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def run(cls, x: np.ndarray, m: complex, rows: np.ndarray) -> "_Recurrences":
+        # D_n for z = m x and z = x as one pair per size. Sharing the steps
+        # makes an index-matched sphere (m = 1, g_e = 0) give exactly zero
+        # coefficients.
+        dn = _log_derivative(np.stack((m * x, x.astype(complex)), axis=1), rows)
+        d_mx, d_x = dn[:, 0].copy(), dn[:, 1].real.copy()
+        del dn                                 # before eta_n's store
+        return cls(x, rows, d_mx, d_x, _riccati_eta(x, rows),
+                   _order_counts(rows, 1), _order_counts(rows, 0))
+
+    def series(self, m: complex, g_e: np.ndarray,
+               nmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Q_ext of every size and whether its series converged, summed in
+        chunks of at most _CHUNK_TERMS dense terms."""
+        q = np.empty(self.x.size)
+        converged = np.empty(self.x.size, bool)
+        begin = 0
+        while begin < self.x.size:
+            end = min(self.x.size,
+                      begin + max(1, _CHUNK_TERMS // int(self.rows[begin])))
+            # no names hold a chunk's (a_n, b_n) while the next is built
+            q[begin:end], converged[begin:end] = _series(
+                self.x[begin:end], *self.coefficients(m, g_e, begin, end),
+                nmax[begin:end])
+            begin = end
+        return q, converged
+
+    def coefficients(self, m: complex, g_e: np.ndarray, begin: int,
+                     end: int) -> tuple[np.ndarray, np.ndarray]:
+        """Charged (a_n, b_n) for sizes begin..end; see `_coefficients`."""
+        x, rows, g_e = self.x[begin:end], self.rows[begin:end], g_e[begin:end]
+        top = int(rows[0])
+        n = np.arange(1, top + 1)[:, None]
+        at = _dense_index(self.dn_layout, top, begin, end)
+        d_mx = np.take(self.d_mx, at)
+        eta = np.take(self.eta, _dense_index(self.eta_layout, top + 1, begin, end))
+
+        with np.errstate(all="ignore"):
+            dpsi = np.take(self.d_x, at)           # D_n(x)
+            psi = _riccati_psi(x, dpsi)[1:]
+            dpsi *= psi                            # psi_n' = D_n(x) psi_n
+            deta = n / x * eta[1:]
+            np.subtract(eta[:-1], deta, out=deta)
+            eta = eta[1:]
+
+            g = g_e[None, :]
+
+            def a_part(f, df):
+                out = g * df
+                np.subtract(f, out, out=out)
+                out *= d_mx
+                out -= m * df
+                return out
+
+            def b_part(f, df):
+                out = shift * f
+                out += df
+                return out
+
+            used = n <= rows
+
+            def ratio(num, other):
+                """num / (num + i other), checked and zeroed above each
+                column's own orders."""
+                den = other
+                den *= 1j
+                den += num
+                if np.any(used & (np.abs(den) < _DENOM_FLOOR)):
+                    raise SingularDenominatorError(
+                        f"singular Mie denominator (x in [{x.min():g}, {x.max():g}], m={m})")
+                num /= den
+                if not np.isfinite(num[used]).all():
+                    raise RecurrenceOverflowError(
+                        f"overflow in the Mie series (x in [{x.min():g}, {x.max():g}], m={m})")
+                num[~used] = 0
+                return num
+
+            a = ratio(a_part(psi, dpsi), a_part(eta, deta))
+            shift = d_mx                           # g_e - m D_n(mx), in place
+            shift *= -m
+            shift += g
+            return a, ratio(b_part(psi, dpsi), b_part(eta, deta))
 
 
 def _coefficients(x: np.ndarray, m: complex, g_e: np.ndarray,
                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Charged (a_n, b_n) for n = 1..max(rows) over a batch of sizes.
+    """Charged (a_n, b_n) for n = 1..max(rows) over a batch of sizes in
+    descending order of x.
 
     Returns two (max(rows), x.size) arrays; column i holds orders 1..rows[i]
     and zeros above. With every term of the charged numerators and
@@ -231,57 +386,7 @@ def _coefficients(x: np.ndarray, m: complex, g_e: np.ndarray,
         a_n = A(psi) / (A(psi) + i A(eta)),  A(f) = D_n(mx) (f - g_e f') - m f'
         b_n = B(psi) / (B(psi) + i B(eta)),  B(f) = f' + (g_e - m D_n(mx)) f
     """
-    k, top = x.size, int(rows.max())
-    n = np.arange(1, top + 1)[:, None]
-
-    # D_n for z = m x and z = x in one recurrence. Sharing it makes an
-    # index-matched sphere (m = 1, g_e = 0) give exactly zero coefficients.
-    dn = _log_derivative(np.concatenate((m * x, x.astype(complex))), top)
-    d_mx, d_x = dn[:, :k], dn[:, k:].real
-
-    with np.errstate(all="ignore"):
-        psi = _riccati_psi(x, d_x)[1:]
-        dpsi = psi * d_x                       # psi_n' = D_n(x) psi_n
-        eta = _riccati_eta(x, top)
-        deta = n / x * eta[1:]
-        np.subtract(eta[:-1], deta, out=deta)
-        eta = eta[1:]
-
-        g = g_e[None, :]
-        shift = g - m * d_mx
-
-        def a_part(f, df):
-            out = g * df
-            np.subtract(f, out, out=out)
-            out *= d_mx
-            out -= m * df
-            return out
-
-        def b_part(f, df):
-            out = shift * f
-            out += df
-            return out
-
-        used = n <= rows
-
-        def ratio(num, other):
-            """num / (num + i other), checked and zeroed above each column's
-            own orders."""
-            den = other
-            den *= 1j
-            den += num
-            if np.any(used & (np.abs(den) < _DENOM_FLOOR)):
-                raise SingularDenominatorError(
-                    f"singular Mie denominator (x in [{x.min():g}, {x.max():g}], m={m})")
-            num /= den
-            if not np.isfinite(num[used]).all():
-                raise RecurrenceOverflowError(
-                    f"overflow in the Mie series (x in [{x.min():g}, {x.max():g}], m={m})")
-            num[~used] = 0
-            return num
-
-        return (ratio(a_part(psi, dpsi), a_part(eta, deta)),
-                ratio(b_part(psi, dpsi), b_part(eta, deta)))
+    return _Recurrences.run(x, m, rows).coefficients(m, g_e, 0, x.size)
 
 
 def _series(x: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -297,22 +402,28 @@ def _series(x: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 def _qext(x: np.ndarray, m: complex,
           g_e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q_ext over 1-D arrays of x and g_e, evaluated in chunks of similar
-    truncation order; also the truncation orders and whether each series
-    converged."""
+    """Q_ext over 1-D arrays of x and g_e; also the truncation orders and
+    whether each series converged.
+
+    The sizes, in descending order of x, go in lockstep passes of at most
+    _PASS_TERMS ragged terms, each running the recurrences once; a pass
+    sums its series in chunks of at most _CHUNK_TERMS dense terms."""
     m = _normalize_m(m)
     nmax = truncation_order(x)
     rows = nmax + _CONVERGENCE_EXTRA
     q = np.empty(x.size)
     converged = np.empty(x.size, bool)
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(-x, kind="stable")
+    x, g_e, nmax, rows = x[order], g_e[order], nmax[order], rows[order]
+    total = np.concatenate(([0], np.cumsum(rows)))
     begin = 0
-    for end in range(1, x.size + 1):
-        if end < x.size and rows[order[end]] * (end + 1 - begin) <= _CHUNK_TERMS:
-            continue
+    while begin < x.size:
+        end = max(begin + 1, int(np.searchsorted(
+            total, total[begin] + _PASS_TERMS, side="right")) - 1)
         idx = order[begin:end]
-        a, b = _coefficients(x[idx], m, g_e[idx], rows[idx])
-        q[idx], converged[idx] = _series(x[idx], a, b, nmax[idx])
+        rec = _Recurrences.run(x[begin:end], m, rows[begin:end])
+        q[idx], converged[idx] = rec.series(m, g_e[begin:end], nmax[begin:end])
+        del rec                                # before the next pass's store
         begin = end
     return q, nmax, converged
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ class TestDustAttenuationCoefficient:
         layer = DustLayerModel(n0=0.0)
         w = WaveSpec.from_frequency(300e9)
         assert dust_attenuation_coefficient(100.0, w, layer, PARTICLE) == 0.0
+
+    def test_memory_budget(self):
+        # the largest kernel table of the band: the recurrences' ragged store
+        # of one lockstep pass plus one chunk's dense arrays stay bounded
+        w = WaveSpec.from_frequency(3e12)
+        layer = DustLayerModel(n0=1e3)
+        particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
+        dust_attenuation_coefficient(200.0, w, layer, particle)
+        tracemalloc.start()
+        try:
+            dust_attenuation_coefficient(200.0, w, layer, particle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_unset_n0_rejected(self):
         with pytest.raises(ConfigError):

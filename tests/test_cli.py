@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +80,31 @@ class TestQext:
         _, names, units, rows = parse_csv(out)
         assert units[0] == "Hz"
         assert len(names) == 3
+
+
+    @pytest.mark.parametrize("flag,value,bad", [
+        ("--group-r", "1e-12,0.5", "1e-12"), ("--group-r", "20e-6,0.5", "0.5"),
+        ("--r", "1e-12", "1e-12")])
+    def test_f_sweep_radius_outside_particle_domain_rejected(self, capsys, flag,
+                                                             value, bad):
+        # x-sweeps derive their radii from x and may pass 1 cm; f-sweeps
+        # take them as given
+        code = run(["qext", "--sweep", "f", "--start", "1e11", "--stop", "2e11",
+                    "--count", "2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"radius {bad} m" in captured.err
+
+
+def test_module_entry_point_runs_from_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dustmie", "qext", "--count", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "q_ext[Ne=0]" in proc.stdout
 
 
 class TestSpectrum:

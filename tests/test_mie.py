@@ -270,6 +270,46 @@ class TestBatchKernel:
                     ref = extinction_efficiency(p, w).q_ext
                     assert q[i, j, k] == pytest.approx(ref, rel=1e-12)
 
+    @pytest.fixture
+    def pass_and_chunk_counts(self, monkeypatch):
+        """Lockstep passes and series chunks the kernel makes: one eta_n
+        recurrence per pass, one series sum per chunk."""
+        from dustmie import mie
+        counts = {"passes": 0, "chunks": 0}
+
+        def counted(name, key):
+            fn = getattr(mie, name)
+
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            monkeypatch.setattr(mie, name, wrapper)
+
+        counted("_riccati_eta", "passes")
+        counted("_series", "chunks")
+        return counts
+
+    # 1,200 radii at 3 THz, x from 0.006 to 630: three lockstep passes, the
+    # large-x ones each cut into several chunks
+    PASS_GRID = np.geomspace(1e-7, 1e-2, 1200)
+
+    @pytest.mark.parametrize("ne", [0, 10**6])
+    def test_batch_across_passes_matches_single_sphere_entry(
+            self, ne, pass_and_chunk_counts):
+        w = WaveSpec.from_frequency(3e12)
+        q = extinction_efficiency_array(self.PASS_GRID, w.frequency, ne, 300.0,
+                                        M_DEFAULT)
+        assert pass_and_chunk_counts["passes"] >= 3
+        assert pass_and_chunk_counts["chunks"] >= 2 * pass_and_chunk_counts["passes"]
+        for k, r in enumerate(self.PASS_GRID):
+            ref = extinction_efficiency(ParticleState(float(r), ne, 300.0, M_DEFAULT), w)
+            assert q[k] == pytest.approx(ref.q_ext, rel=1e-12)
+
+    def test_index_matched_batch_across_passes_vanishes(self, pass_and_chunk_counts):
+        q = extinction_efficiency_array(self.PASS_GRID, 3e12, 0, 300.0, 1.0 + 0j)
+        assert pass_and_chunk_counts["passes"] >= 3
+        assert np.all(q == 0.0)
+
     def test_single_order_entry_matches_series_terms(self):
         from dustmie.mie import _coefficients, _normalize_m
         g = 1e-4 + 2e-4j

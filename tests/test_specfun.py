@@ -19,9 +19,11 @@ from oracles import mp_sph_h1, series_sph_j
 
 
 def sph_bessel_j_array(nmax, z):
-    """[j_0(z), ..., j_nmax(z)] as psi_n(z) / z."""
+    """[j_0(z), ..., j_nmax(z)] as psi_n(z) / z. For one argument the
+    recurrences' ragged order-major store is a dense column."""
     z = np.array([complex(z)])
-    return _riccati_psi(z, _log_derivative(z, max(nmax, 1)))[: nmax + 1, 0] / z[0]
+    d = _log_derivative(z[:, None], np.array([max(nmax, 1)]))
+    return _riccati_psi(z, d)[: nmax + 1, 0] / z[0]
 
 
 def sph_bessel_j(n, z):
@@ -31,7 +33,7 @@ def sph_bessel_j(n, z):
 def sph_hankel1(n, z):
     """h_n^(1)(z) = j_n(z) + i y_n(z) as (psi_n(z) + i eta_n(z)) / z."""
     zs = np.array([complex(z)])
-    eta = _riccati_eta(zs, max(n, 1))[n, 0]
+    eta = _riccati_eta(zs, np.array([max(n, 1)]))[n]
     return sph_bessel_j(n, z) + 1j * eta / zs[0]
 
 
