@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -20,12 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (
-    AltitudeProfile,
-    LinkGeometry,
-    dust_attenuation_coefficient,
-    path_loss,
-)
+from .channel import AltitudeProfile, LinkGeometry, _k_dust_grid, path_loss
 from .dustfield import DustLayerModel, size_pdf
 from .errors import ConfigError, DustmieError, QuadratureError, \
     RecurrenceOverflowError, SingularDenominatorError
@@ -190,13 +186,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> SweepTable:
     else:
         meta["warning"] = "n0 unset; number-density columns omitted"
 
-    rows = []
-    for r in grid:
-        pdf = [size_pdf(float(r), h) for h in heights]
-        row = [float(r)] + pdf
-        if with_nd:
-            row += [layer.n0 * v for v in pdf]
-        rows.append(row)
+    columns = [size_pdf(grid, h) for h in heights]
+    if with_nd:
+        columns += [layer.n0 * pdf for pdf in columns]
+    rows = [[r] + list(values) for r, values in zip(grid, zip(*columns))]
     return SweepTable(names, units, rows, meta)
 
 
@@ -212,19 +205,19 @@ def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
     ne_list = _electron_counts(args.group_ne, [0, 1000, 1000000])
     unit_modes = ["physical", "paper"] if args.units == "both" else [args.units]
 
-    def column(ne: int, units_mode: str):
-        particle = _particle_template(cfg, ne)
-        if args.sweep == "h":
-            # one kernel table serves every altitude of the column
-            return dust_attenuation_coefficient(
-                grid, WaveSpec.from_frequency(cfg.f), layer, particle,
-                units_mode=units_mode, ge_mode=args.mode)
-        # the kernel depends on f: one table per point
-        return [dust_attenuation_coefficient(
-                    cfg.h0, WaveSpec.from_frequency(f), layer, particle,
-                    units_mode=units_mode, ge_mode=args.mode) for f in grid]
-
-    columns = [column(ne, um) for um in unit_modes for ne in ne_list]
+    if args.sweep == "h":
+        heights, frequencies = grid, [cfg.f]
+    else:
+        heights, frequencies = [cfg.h0], grid
+    # the grid is monotone, so its smallest point checks every frequency,
+    # also when n0 = 0 and no table is made
+    WaveSpec.from_frequency(float(np.min(frequencies)))
+    # per charge, one Q_ext table serves every point and units mode; an
+    # f-sweep makes it in one kernel call per slice of its frequencies
+    k = [_k_dust_grid(heights, frequencies, layer, _particle_template(cfg, ne),
+                      unit_modes, args.mode).reshape(len(unit_modes), -1)
+         for ne in ne_list]
+    columns = [k_ne[i] for i in range(len(unit_modes)) for k_ne in k]
     rows = [[point] + list(values) for point, values in zip(grid, zip(*columns))]
     names = [args.sweep]
     units = ["m" if args.sweep == "h" else "Hz"]
@@ -361,9 +354,15 @@ _COMMANDS = {
 }
 
 
+# Building the parser makes some 60 add_argument calls, each constructing a
+# help formatter, at about the cost of a small sweep's physics: build it on
+# the first run and share it. parse_args leaves the parser unchanged and
+# returns a fresh namespace.
+_shared_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         config_path = args.config or os.environ.get(ENV_CONFIG)
         cfg = load_config(config_path) if config_path else RunConfig()

@@ -13,6 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 _MU_COEFF = (-2.061, 0.00159)     # mu_d(h) = a * exp(b h), h in m
@@ -40,14 +42,17 @@ def lognormal_params(h: float) -> tuple[float, float]:
     return mu, sigma
 
 
-def size_pdf(r: float, h: float) -> float:
-    """Log-normal PDF of particle radius (1/mm) at altitude h (m), r in mm."""
-    if r <= 0:
+def size_pdf(r, h: float):
+    """Log-normal PDF of particle radius (1/mm) at altitude h (m), r in mm:
+    a float for one radius, an array for an array of them."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
         raise DomainError("radius must be positive")
     mu, sigma = lognormal_params(h)
-    return math.exp(-((math.log(r) - mu) ** 2) / (2 * sigma**2)) / (
+    pdf = np.exp(-((np.log(r) - mu) ** 2) / (2 * sigma**2)) / (
         math.sqrt(2 * math.pi) * sigma * r
     )
+    return float(pdf) if pdf.ndim == 0 else pdf
 
 
 def number_density(r: float, h: float, n0: float) -> float:

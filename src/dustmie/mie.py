@@ -360,10 +360,10 @@ class _Recurrences:
                     raise SingularDenominatorError(
                         f"singular Mie denominator (x in [{x.min():g}, {x.max():g}], m={m})")
                 num /= den
-                if not np.isfinite(num[used]).all():
+                num[~used] = 0
+                if not np.isfinite(num).all():
                     raise RecurrenceOverflowError(
                         f"overflow in the Mie series (x in [{x.min():g}, {x.max():g}], m={m})")
-                num[~used] = 0
                 return num
 
             a = ratio(a_part(psi, dpsi), a_part(eta, deta))

@@ -1,10 +1,13 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is computed with mpmath arbitrary precision (50 digits) or
-brute-force fixed grids, deliberately avoiding the package's own recurrence
-and quadrature code paths.
+Everything here is computed with mpmath arbitrary precision (50 digits),
+brute-force fixed grids or an adaptive rule of its own, deliberately
+avoiding the package's own recurrence and quadrature code paths.
 """
 import mpmath as mp
+import numpy as np
+
+from dustmie.errors import QuadratureError
 
 mp.mp.dps = 50
 
@@ -77,3 +80,51 @@ def series_sph_j(n, z, terms=60):
         k += 1
         term *= half_z2 / (k * (2 * n + 2 * k + 1))
     return acc
+
+
+def level_simpson(f, a, b, rel_tol, max_depth=40):
+    """Adaptive Simpson over [a, b], refined one level at a time.
+
+    The rules are those of the package's recursive rule: an interval is
+    accepted when |left + right - whole| <= 15 rel_tol |left + right|,
+    corrected by err / 15, and QuadratureError is raised past max_depth
+    bisections. Here f takes an array of abscissae and is called once per
+    level, on the midpoints of every interval still open. The accepted
+    intervals, and the partial sums added in tree order, are the recursive
+    rule's, so a pure integrand gives its result bit for bit.
+    """
+    if b == a:
+        return 0.0
+    if b < a:
+        return -level_simpson(f, b, a, rel_tol, max_depth)
+    fa, fm, fb = f(np.array([a, (a + b) / 2, b]))
+    lo, hi = np.array([a], float), np.array([b], float)
+    f_lo, f_mid, f_hi = np.array([fa]), np.array([fm]), np.array([fb])
+    whole = (hi - lo) / 6 * (f_lo + 4 * f_mid + f_hi)
+    levels = []
+    for depth in range(max_depth, -1, -1):
+        mid = (lo + hi) / 2
+        f_left, f_right = np.split(f(np.concatenate(((lo + mid) / 2, (mid + hi) / 2))), 2)
+        left = (mid - lo) / 6 * (f_lo + 4 * f_left + f_mid)
+        right = (hi - mid) / 6 * (f_mid + 4 * f_right + f_hi)
+        err = left + right - whole
+        done = np.abs(err) <= 15 * rel_tol * np.maximum(np.abs(left + right), 1e-300)
+        levels.append((left + right + err / 15, done))
+        if done.all():
+            break
+        if depth == 0:
+            raise QuadratureError(f"level Simpson did not converge on [{a}, {b}]")
+        # each open interval becomes its left and right halves, in that order
+        keep = ~done
+        lo, mid, hi = lo[keep], mid[keep], hi[keep]
+        lo, hi = np.stack((lo, mid), 1).ravel(), np.stack((mid, hi), 1).ravel()
+        f_lo, f_mid, f_hi = (np.stack(pair, 1).ravel() for pair in (
+            (f_lo[keep], f_mid[keep]), (f_left[keep], f_right[keep]),
+            (f_mid[keep], f_hi[keep])))
+        whole = np.stack((left[keep], right[keep]), 1).ravel()
+    # an open interval's value is the sum of its two halves' values
+    values = levels[-1][0]
+    for level, done in reversed(levels[:-1]):
+        level[~done] = values[0::2] + values[1::2]
+        values = level
+    return float(values[0])

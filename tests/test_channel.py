@@ -12,14 +12,14 @@ from dustmie.channel import (
     slant_dust_loss,
 )
 from dustmie.dustfield import DustLayerModel, size_support
-from dustmie.errors import ConfigError
+from dustmie.errors import ConfigError, QuadratureError
 from dustmie.mie import (
     ParticleState,
     WaveSpec,
-    extinction_efficiency,
     extinction_efficiency_array,
 )
 from dustmie.quadrature import adaptive_simpson
+from oracles import level_simpson
 
 M_DEFAULT = 2.0 - 0.025j
 PARTICLE = ParticleState(20e-6, 0, 300.0, M_DEFAULT)
@@ -27,10 +27,11 @@ PARTICLE = ParticleState(20e-6, 0, 300.0, M_DEFAULT)
 
 def trapezoid_k_dust(h, w, layer, particle, points=100001):
     """Brute-force fixed-grid trapezoid oracle for the size integral, linear
-    in r; the extinction of the whole grid is one batch evaluation."""
+    in r; the density and the extinction of the whole grid are one batch
+    evaluation each."""
     lo, hi = size_support(h)
     grid = np.linspace(lo, hi, points)
-    nd = np.array([layer.number_density(float(r), h) for r in grid])
+    nd = layer.number_density(grid, h)
     r_m = grid * 1e-3
     q = extinction_efficiency_array(r_m, w.frequency, particle.electrons,
                                     particle.temperature, particle.refractive_index)
@@ -45,19 +46,50 @@ SEGMENT_SIGMAS = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
 
 
 def adaptive_k_dust(h, w, layer, particle, rel_tol):
-    """Adaptive-Simpson reference for the size integral in r, one sphere at
-    a time, on segments cut at fixed multiples of sigma."""
+    """Adaptive-Simpson reference for the size integral in r, on segments cut
+    at fixed multiples of sigma; each refinement level's midpoints are one
+    batch evaluation."""
     def integrand(r_mm):
         r_m = r_mm * 1e-3
-        q = extinction_efficiency(particle.with_radius(r_m), w).q_ext
+        q = extinction_efficiency_array(r_m, w.frequency, particle.electrons,
+                                        particle.temperature,
+                                        particle.refractive_index)
         return layer.number_density(r_mm, h) * q * math.pi * r_m**2
 
     mu, sigma = layer.params(h)
     lo, hi = layer.support(h)
     cuts = sorted({min(max(math.exp(mu + k * sigma), lo), hi)
                    for k in SEGMENT_SIGMAS} | {lo, hi})
-    return 4.343e3 * sum(adaptive_simpson(integrand, a, b, rel_tol=rel_tol)
+    return 4.343e3 * sum(level_simpson(integrand, a, b, rel_tol=rel_tol)
                          for a, b in zip(cuts[:-1], cuts[1:]) if b > a)
+
+
+def test_level_simpson_matches_recursive_rule():
+    def g(x):
+        return math.exp(-x * x) * math.cos(3 * x) + 0.1 / (1 + (x - 2) ** 2)
+
+    seen = {"recursive": [], "level": []}
+
+    def scalar(x):
+        seen["recursive"].append(x)
+        return g(x)
+
+    def batch(xs):
+        seen["level"].extend(xs.tolist())
+        return np.array([g(float(x)) for x in xs])
+
+    evaluations = []
+    for a, b in [(-4.0, 5.0), (5.0, -4.0), (0.0, 1e-3)]:
+        for key in seen:
+            seen[key].clear()
+        ref = adaptive_simpson(scalar, a, b, rel_tol=1e-9)
+        assert level_simpson(batch, a, b, rel_tol=1e-9) == ref
+        # the same intervals: every abscissa the recursive rule visits
+        assert sorted(seen["level"]) == sorted(seen["recursive"])
+        evaluations.append(len(seen["level"]))
+    assert evaluations[0] > 100          # many levels deep
+    with pytest.raises(QuadratureError):
+        level_simpson(batch, -4.0, 5.0, rel_tol=1e-9, max_depth=3)
 
 
 class TestDustAttenuationCoefficient:
@@ -165,6 +197,33 @@ class TestDustAttenuationCoefficient:
                                                        particle), float)
         zero = dust_attenuation_coefficient(heights, w, DustLayerModel(n0=0.0), particle)
         assert zero.shape == heights.shape and not zero.any()
+
+    def test_frequency_slices_match_per_frequency_calls(self, monkeypatch):
+        # a table over many frequencies is one kernel call per slice of
+        # them, and gives the per-frequency values exactly
+        import dustmie.channel as channel
+        layer = DustLayerModel(n0=1e3)
+        particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
+        nodes = channel._lattice([150.0], layer).size
+        monkeypatch.setattr(channel, "_TABLE_SIZES", 2 * nodes)
+        calls = []
+        kernel = channel.extinction_efficiency_array
+
+        def counted(radius, frequency, *args, **kwargs):
+            calls.append(np.size(frequency))
+            return kernel(radius, frequency, *args, **kwargs)
+
+        monkeypatch.setattr(channel, "extinction_efficiency_array", counted)
+        freqs = np.geomspace(1e11, 3e12, 5)
+        k = channel._k_dust_grid([150.0], freqs, layer, particle,
+                                 ("physical", "paper"), "full")
+        assert calls == [2, 2, 1]
+        assert k.shape == (2, 5, 1)
+        for k_mode, units_mode in zip(k, ("physical", "paper")):
+            for f, k_f in zip(freqs, k_mode):
+                assert k_f[0] == dust_attenuation_coefficient(
+                    150.0, WaveSpec.from_frequency(f), layer, particle,
+                    units_mode=units_mode)
 
 
 class TestSlantDustLoss:

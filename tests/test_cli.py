@@ -187,7 +187,8 @@ class TestAttenuation:
         _, names, _, _ = parse_csv(out)
         assert len(names) == 3
 
-    def test_one_kernel_table_per_altitude_column(self, capsys, monkeypatch):
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
         import dustmie.channel
         calls = []
         kernel = dustmie.channel.extinction_efficiency_array
@@ -197,12 +198,25 @@ class TestAttenuation:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(dustmie.channel, "extinction_efficiency_array", counted)
+        return calls
+
+    def test_one_kernel_table_per_altitude_column(self, capsys, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
         code, out = run_cli(capsys, "attenuation", "--sweep", "h", "--count", "5",
                             "--start", "100", "--stop", "200", "--n0", "1e3",
                             "--group-ne", "0,1000", "--units", "both")
         assert code == 0
         assert len(parse_csv(out)[3]) == 5
-        assert len(calls) == 4          # 2 charges x 2 unit modes
+        assert len(calls) == 2          # 2 charges; both unit modes weight one table
+
+    def test_one_kernel_call_per_frequency_column(self, capsys, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        code, out = run_cli(capsys, "attenuation", "--sweep", "f", "--count", "5",
+                            "--start", "1e11", "--stop", "1e12", "--h0", "150",
+                            "--n0", "1e3", "--group-ne", "0,1000")
+        assert code == 0
+        assert len(parse_csv(out)[3]) == 5
+        assert len(calls) == 2          # 2 charges, each over all 5 frequencies
 
 
 class TestPathloss:
@@ -288,6 +302,16 @@ class TestConfigAndOutput:
         assert code == 0
         meta, _, _, _ = parse_csv(out)
         assert meta["config.n0"] == "700.0"     # flag overrides file
+
+    def test_flag_does_not_outlive_its_run(self, capsys):
+        # the parser is shared by every run in a process
+        code, out = run_cli(capsys, "qext", "--count", "3", "--group-ne", "5")
+        assert code == 0
+        assert parse_csv(out)[1] == ["x", "q_ext[Ne=5]"]
+        code, out = run_cli(capsys, "qext", "--count", "3")
+        assert code == 0
+        assert parse_csv(out)[1] == ["x", "q_ext[Ne=0]", "q_ext[Ne=10]",
+                                     "q_ext[Ne=100]"]
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +76,16 @@ class TestSizePdf:
             size_pdf(0.0, 100.0)
         with pytest.raises(DomainError):
             size_pdf(-0.1, 100.0)
+        with pytest.raises(DomainError):
+            size_pdf(np.array([0.1, 0.0, 0.2]), 100.0)
+
+    def test_array_matches_scalar_calls(self):
+        r = np.geomspace(1e-3, 3.0, 40).reshape(4, 10)
+        pdf = size_pdf(r, 150.0)
+        assert pdf.shape == r.shape
+        for r_i, p_i in zip(r.flat, pdf.flat):
+            assert p_i == pytest.approx(size_pdf(float(r_i), 150.0), rel=1e-15)
+        assert isinstance(size_pdf(0.08, 100.0), float)
 
 
 class TestNumberDensity:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from dustmie.cli import run
+from dustmie.cli import _shared_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
@@ -72,6 +72,15 @@ def test_cli_matches_golden(name):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert math.isclose(g, w, rel_tol=RTOL, abs_tol=0.0), (name, got, want)
+
+
+def test_shared_parser_keeps_no_state():
+    # every run of a process parses with one parser; running the commands
+    # again, in reverse order, must give the same bytes
+    first = {name: cli_output(argv) for name, argv in COMMANDS.items()}
+    for name in reversed(list(COMMANDS)):
+        assert cli_output(COMMANDS[name]) == first[name], name
+    assert _shared_parser.cache_info().misses == 1
 
 
 if __name__ == "__main__":
