@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     DomainError,
     DustmieError,
-    QuadratureError,
     RecurrenceOverflowError,
     SingularDenominatorError,
 )
@@ -43,7 +42,6 @@ from .mie import (
     surface_potential,
     truncation_order,
 )
-from .quadrature import adaptive_simpson
 
 __version__ = "0.1.0"
 
@@ -59,11 +57,9 @@ __all__ = [
     "ParticleState",
     "PathLossResult",
     "PhysicalConstants",
-    "QuadratureError",
     "RecurrenceOverflowError",
     "SingularDenominatorError",
     "WaveSpec",
-    "adaptive_simpson",
     "charged_coefficient",
     "collision_frequency",
     "dust_attenuation_coefficient",

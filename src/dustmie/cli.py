@@ -23,8 +23,8 @@ import numpy as np
 
 from .channel import AltitudeProfile, LinkGeometry, _k_dust_grid, path_loss
 from .dustfield import DustLayerModel, size_pdf
-from .errors import ConfigError, DustmieError, QuadratureError, \
-    RecurrenceOverflowError, SingularDenominatorError
+from .errors import ConfigError, DustmieError, RecurrenceOverflowError, \
+    SingularDenominatorError
 from .mie import ParticleState, WaveSpec, extinction_efficiency_array
 from .sweeps import SweepTable, config_hash, sweep_grid
 
@@ -245,7 +245,7 @@ def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
         n_i=cfg.n_i, sigma_i=cfg.sigma_i,
     )
     w = WaveSpec.from_frequency(cfg.f)
-    layer = DustLayerModel(n0=cfg.n0 if cfg.n0 is not None else 0.0)
+    layer = DustLayerModel(n0=cfg.n0)
     particle = _particle_template(cfg)
     k_abs = (AltitudeProfile.from_file(args.kabs_profile)
              if args.kabs_profile else None)
@@ -371,8 +371,7 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"dustmie: config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, RecurrenceOverflowError,
-            SingularDenominatorError) as exc:
+    except (RecurrenceOverflowError, SingularDenominatorError) as exc:
         print(f"dustmie: numerical failure: {exc}", file=sys.stderr)
         return 3
     except DustmieError as exc:

@@ -17,9 +17,5 @@ class SingularDenominatorError(DustmieError, ArithmeticError):
     """A Mie coefficient denominator is numerically singular (resonance)."""
 
 
-class QuadratureError(DustmieError, ArithmeticError):
-    """Adaptive quadrature failed to converge within the depth limit."""
-
-
 class ConfigError(DustmieError, ValueError):
     """Invalid or incomplete run configuration."""

@@ -7,11 +7,13 @@ avoiding the package's own recurrence and quadrature code paths.
 import mpmath as mp
 import numpy as np
 
-from dustmie.errors import QuadratureError
-
 mp.mp.dps = 50
 
 _HALF = mp.mpf(1) / 2
+
+
+class OracleDepthError(ArithmeticError):
+    """An adaptive reference rule reached its bisection depth limit."""
 
 
 def mp_sph_j(n, z):
@@ -29,15 +31,10 @@ def mp_sph_h1(n, z):
     return mp_sph_j(n, z) + 1j * mp_sph_y(n, z)
 
 
-def _mp_riccati(n, z, kind):
-    fn = mp_sph_j if kind == "psi" else mp_sph_h1
+def _mp_riccati(n, z, f_n, f_prev):
+    """(z f_n(z), d/dz [z f_n(z)]) from f_n(z) and f_{n-1}(z), n >= 1."""
     z = mp.mpc(z)
-    value = z * fn(n, z)
-    if n == 0:
-        deriv = mp.cos(z) if kind == "psi" else mp.exp(1j * z)
-    else:
-        deriv = z * fn(n - 1, z) - n * fn(n, z)
-    return value, deriv
+    return z * f_n, z * f_prev - n * f_n
 
 
 def neutral_mie_qext(x, m, extra_orders=15, series_tol=mp.mpf("1e-30")):
@@ -45,7 +42,8 @@ def neutral_mie_qext(x, m, extra_orders=15, series_tol=mp.mpf("1e-30")):
 
     Sums a_n and b_n built directly from arbitrary-precision Riccati-Bessel
     values until the partial sums stop moving. Uses the package's documented
-    convention Im(m) >= 0.
+    convention Im(m) >= 0. Each order's j_n(x), y_n(x) and j_n(mx) serve
+    the derivatives of the next.
     """
     x = mp.mpf(x)
     m = mp.mpc(m)
@@ -54,10 +52,13 @@ def neutral_mie_qext(x, m, extra_orders=15, series_tol=mp.mpf("1e-30")):
     nmax = int(mp.floor(x + 4 * x ** (mp.mpf(1) / 3) + 2)) + extra_orders
 
     acc = mp.mpf(0)
+    prev = (mp_sph_j(0, x), mp_sph_y(0, x), mp_sph_j(0, mx))
     for n in range(1, nmax + 1):
-        psi_x, dpsi_x = _mp_riccati(n, x, "psi")
-        xi_x, dxi_x = _mp_riccati(n, x, "xi")
-        psi_m, dpsi_m = _mp_riccati(n, mx, "psi")
+        j_x, y_x, j_mx = cur = (mp_sph_j(n, x), mp_sph_y(n, x), mp_sph_j(n, mx))
+        psi_x, dpsi_x = _mp_riccati(n, x, j_x, prev[0])
+        xi_x, dxi_x = _mp_riccati(n, x, j_x + 1j * y_x, prev[0] + 1j * prev[1])
+        psi_m, dpsi_m = _mp_riccati(n, mx, j_mx, prev[2])
+        prev = cur
         a_n = (m * psi_m * dpsi_x - psi_x * dpsi_m) / (m * psi_m * dxi_x - xi_x * dpsi_m)
         b_n = (psi_m * dpsi_x - m * psi_x * dpsi_m) / (psi_m * dxi_x - m * xi_x * dpsi_m)
         term = (2 * n + 1) * mp.re(a_n + b_n)
@@ -82,12 +83,50 @@ def series_sph_j(n, z, terms=60):
     return acc
 
 
+def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
+    return h / 6 * (fa + 4 * fm + fb)
+
+
+def adaptive_simpson(f, a, b, rel_tol=1e-6, max_depth=40):
+    """Integrate f over [a, b] to the given relative tolerance.
+
+    Smooth integrands only; raises OracleDepthError if the bisection depth
+    limit is reached before the local error estimate falls under tolerance.
+    """
+    if b == a:
+        return 0.0
+    if b < a:
+        return -adaptive_simpson(f, b, a, rel_tol, max_depth)
+
+    fa, fm, fb = f(a), f((a + b) / 2), f(b)
+    whole = _simpson(fa, fm, fb, b - a)
+    return _refine(f, a, b, fa, fm, fb, whole, rel_tol, max_depth)
+
+
+def _refine(f, a, b, fa, fm, fb, whole, rel_tol, depth):
+    m = (a + b) / 2
+    flm = f((a + m) / 2)
+    frm = f((m + b) / 2)
+    left = _simpson(fa, flm, fm, m - a)
+    right = _simpson(fm, frm, fb, b - m)
+    err = left + right - whole
+    # 1e-300 floor keeps identically-zero integrands from recursing forever
+    if abs(err) <= 15 * rel_tol * max(abs(left + right), 1e-300):
+        return left + right + err / 15
+    if depth <= 0:
+        raise OracleDepthError(
+            f"adaptive Simpson did not converge on [{a}, {b}]"
+        )
+    return (_refine(f, a, m, fa, flm, fm, left, rel_tol, depth - 1)
+            + _refine(f, m, b, fm, frm, fb, right, rel_tol, depth - 1))
+
+
 def level_simpson(f, a, b, rel_tol, max_depth=40):
     """Adaptive Simpson over [a, b], refined one level at a time.
 
-    The rules are those of the package's recursive rule: an interval is
+    The rules are those of adaptive_simpson: an interval is
     accepted when |left + right - whole| <= 15 rel_tol |left + right|,
-    corrected by err / 15, and QuadratureError is raised past max_depth
+    corrected by err / 15, and OracleDepthError is raised past max_depth
     bisections. Here f takes an array of abscissae and is called once per
     level, on the midpoints of every interval still open. The accepted
     intervals, and the partial sums added in tree order, are the recursive
@@ -113,7 +152,7 @@ def level_simpson(f, a, b, rel_tol, max_depth=40):
         if done.all():
             break
         if depth == 0:
-            raise QuadratureError(f"level Simpson did not converge on [{a}, {b}]")
+            raise OracleDepthError(f"level Simpson did not converge on [{a}, {b}]")
         # each open interval becomes its left and right halves, in that order
         keep = ~done
         lo, mid, hi = lo[keep], mid[keep], hi[keep]

@@ -23,9 +23,8 @@ from dustmie.mie import (
     scale_parameter,
     surface_plasma_frequency,
 )
-from dustmie.quadrature import adaptive_simpson
 
-from oracles import neutral_mie_qext
+from oracles import adaptive_simpson, neutral_mie_qext
 from test_channel import trapezoid_k_dust
 
 M_DEFAULT = 2.0 - 0.025j

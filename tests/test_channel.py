@@ -12,14 +12,13 @@ from dustmie.channel import (
     slant_dust_loss,
 )
 from dustmie.dustfield import DustLayerModel, size_support
-from dustmie.errors import ConfigError, QuadratureError
+from dustmie.errors import ConfigError
 from dustmie.mie import (
     ParticleState,
     WaveSpec,
     extinction_efficiency_array,
 )
-from dustmie.quadrature import adaptive_simpson
-from oracles import level_simpson
+from oracles import OracleDepthError, adaptive_simpson, level_simpson
 
 M_DEFAULT = 2.0 - 0.025j
 PARTICLE = ParticleState(20e-6, 0, 300.0, M_DEFAULT)
@@ -79,6 +78,8 @@ def test_level_simpson_matches_recursive_rule():
         return np.array([g(float(x)) for x in xs])
 
     evaluations = []
+    with pytest.raises(OracleDepthError):
+        adaptive_simpson(scalar, -4.0, 5.0, rel_tol=1e-9, max_depth=3)
     for a, b in [(-4.0, 5.0), (5.0, -4.0), (0.0, 1e-3)]:
         for key in seen:
             seen[key].clear()
@@ -88,7 +89,7 @@ def test_level_simpson_matches_recursive_rule():
         assert sorted(seen["level"]) == sorted(seen["recursive"])
         evaluations.append(len(seen["level"]))
     assert evaluations[0] > 100          # many levels deep
-    with pytest.raises(QuadratureError):
+    with pytest.raises(OracleDepthError):
         level_simpson(batch, -4.0, 5.0, rel_tol=1e-9, max_depth=3)
 
 
@@ -226,7 +227,72 @@ class TestDustAttenuationCoefficient:
                     units_mode=units_mode)
 
 
+def one_table_slant_loss(g, w, layer, particle, rel_tol):
+    """Level-Simpson reference for the slant-path integral, with k_dust at
+    every altitude summed over one kernel table built for the whole path."""
+    import dustmie.channel as channel
+    sin_theta = math.sin(g.theta)
+    u = channel._lattice((g.h0, g.h0 + g.d * sin_theta), layer)
+    q = channel._q_table(u, [w.frequency], particle, "full")
+    kernel = channel._per_particle(u, q, "physical")[:, 0]
+
+    def per_m(s):
+        return np.array([channel._k_dust(g.h0 + x * sin_theta, layer, u, kernel)
+                         for x in s]) / 1000.0
+    return level_simpson(per_m, 0.0, g.d, rel_tol=rel_tol)
+
+
 class TestSlantDustLoss:
+    def test_gauss_legendre_literals(self):
+        import dustmie.channel as channel
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert np.abs(channel._GL_NODES - nodes).max() <= 1e-15
+        assert np.abs(channel._GL_WEIGHTS - weights).max() <= 1e-15
+
+    @pytest.mark.parametrize("f", [0.3e12, 1e12, 3e12])
+    @pytest.mark.parametrize("h0,theta_deg,d", [
+        (100.0, 90.0, 400.0), (10.0, 90.0, 640.0), (50.0, 45.0, 600.0),
+        (120.0, 12.0, 100.0)])
+    def test_fixed_rule_matches_adaptive_reference(self, f, h0, theta_deg, d):
+        theta = math.pi / 2 if theta_deg == 90.0 else math.radians(theta_deg)
+        g = LinkGeometry(h0=h0, theta=theta, d=d, d0=10.0)
+        w = WaveSpec.from_frequency(f)
+        layer = DustLayerModel(n0=1e3)
+        particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
+        loss = slant_dust_loss(g, w, layer, particle)
+        ref = one_table_slant_loss(g, w, layer, particle, rel_tol=1e-12)
+        assert loss == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("h0,theta_deg,d", [
+        (20.0, 30.0, 900.0), (0.0, 90.0, 900.0), (130.0, 0.0, 250.0)])
+    def test_rule_is_exact_for_piecewise_linear_k_abs(self, h0, theta_deg, d):
+        # knots inside the path, and flat extrapolation past the last one
+        alt, db_per_km = [0, 35, 100, 150, 300], [5.0, 4.2, 4.0, 2.5, 1.0]
+        profile = AltitudeProfile(alt, db_per_km)
+        theta = math.pi / 2 if theta_deg == 90.0 else math.radians(theta_deg)
+        g = LinkGeometry(h0=h0, theta=theta, d=d, d0=10.0)
+        loss = slant_dust_loss(g, WaveSpec.from_frequency(300e9),
+                               DustLayerModel(n0=0.0), PARTICLE, k_abs=profile)
+        # the exact integral: trapezoids between the knots, in altitude
+        top = h0 + d * math.sin(theta)
+        if top == h0:
+            exact = d * profile(h0) / 1000.0
+        else:
+            h = np.array([h0, top] + [a for a in alt if h0 < a < top], float)
+            h.sort()
+            k = profile(h)
+            exact = float(np.sum(np.diff(h) * (k[1:] + k[:-1]) / 2)) / 1000.0
+            exact /= math.sin(theta)
+        assert loss == pytest.approx(exact, rel=1e-13)
+
+    def test_unset_n0_rejected(self):
+        g = LinkGeometry(h0=100.0, theta=0.2, d=100.0, d0=10.0)
+        w = WaveSpec.from_frequency(300e9)
+        with pytest.raises(ConfigError):
+            slant_dust_loss(g, w, DustLayerModel(), PARTICLE)
+        with pytest.raises(ConfigError):
+            path_loss(g, w, DustLayerModel(), PARTICLE)
+
     def test_horizontal_path_is_constant_altitude(self):
         g = LinkGeometry(h0=100.0, theta=0.0, d=500.0, d0=10.0)
         w = WaveSpec.from_frequency(300e9)

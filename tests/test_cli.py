@@ -245,6 +245,12 @@ class TestPathloss:
         assert captured.out == ""
         assert "both applies to attenuation only" in captured.err
 
+    def test_requires_n0(self, capsys):
+        code, out = run_cli(capsys, "pathloss", "--n-i", "2", "--sigma-i", "3",
+                            "--h0", "100", "--d", "100", "--theta-deg", "12")
+        assert code == 2
+        assert out == ""
+
     def test_missing_scenario_params(self, capsys):
         code, _ = run_cli(capsys, "pathloss", "--n0", "0")
         assert code == 2
@@ -394,6 +400,23 @@ class TestFlagSurface:
         cfg.write_text("[link]\nscenario = LoS\n")
         with pytest.raises(ConfigError):
             load_config(str(cfg))
+
+
+@pytest.mark.parametrize("argv", [
+    # above about 700 m the size support reaches radii where the series
+    # overflows, though their weight is 0
+    ["attenuation", "--sweep", "h", "--start", "700", "--stop", "900",
+     "--count", "3", "--n0", "1"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "10",
+     "--theta-deg", "90", "--d", "700"],
+])
+def test_numerical_failure_exits_3(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("dustmie: numerical failure:")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from dustmie.dustfield import (
     size_support,
 )
 from dustmie.errors import DomainError
-from dustmie.quadrature import adaptive_simpson
+from oracles import adaptive_simpson
 
 
 class TestLognormalParams:

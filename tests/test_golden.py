@@ -5,10 +5,14 @@ tests/golden/: metadata and header lines exactly, numeric cells to 1e-12
 relative (numpy >= 1.24 is allowed, so the last bits of a value may move
 between installs).
 
-Regenerate the expected files, after checking that a change in them is
+Regenerate expected files, after checking that a change in them is
 intended, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which rewrites the named files (for example pathloss_single), or all of
+them when no name is given, and prints for each the largest relative change
+of a numeric cell and whether a metadata or header line changed.
 """
 import contextlib
 import io
@@ -83,8 +87,30 @@ def test_shared_parser_keeps_no_state():
     assert _shared_parser.cache_info().misses == 1
 
 
+def describe_change(old, new):
+    """One line on how a golden table moved from old to new text."""
+    old_head, old_rows = split(old)
+    head, rows = split(new)
+    worst = max((0.0 if g == w else abs(g - w) / abs(w) if w else math.inf
+                 for got, want in zip(rows, old_rows) for g, w in zip(got, want)),
+                default=0.0)
+    line = (f"largest relative change {worst:.2g}, header lines "
+            f"{'changed' if head != old_head else 'unchanged'}")
+    if [len(r) for r in rows] != [len(r) for r in old_rows]:
+        line += ", row or column count changed"
+    return line
+
+
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(COMMANDS)
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        sys.exit(f"unknown golden table(s) {', '.join(unknown)}; "
+                 f"known: {', '.join(COMMANDS)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
-        (GOLDEN / f"{name}.csv").write_text(cli_output(argv))
-        print(f"wrote {name}.csv", file=sys.stderr)
+    for name in names:
+        path = GOLDEN / f"{name}.csv"
+        text = cli_output(COMMANDS[name])
+        change = describe_change(path.read_text(), text) if path.exists() else "new file"
+        path.write_text(text)
+        print(f"{name}.csv: {change}")
