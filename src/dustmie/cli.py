@@ -86,16 +86,21 @@ def load_config(path: str) -> RunConfig:
 
 
 def _float_list(text: str) -> list[float]:
+    """A comma list of numbers; each list names table columns, so an empty
+    one is an error, not a table without data columns."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"empty numeric list {text!r}")
+    return values
 
 
 def _electron_counts(text: str | None, default: list[int]) -> list[int]:
     """--group-ne as whole electron counts; a fractional count is an error,
     not something to truncate under a label that shows the fraction."""
-    if not text:
+    if text is None:
         return default
     counts = _float_list(text)
     for ne in counts:
@@ -138,9 +143,12 @@ def _particle_template(cfg: RunConfig, ne: int | None = None) -> ParticleState:
 def cmd_qext(cfg: RunConfig, args) -> SweepTable:
     grid = sweep_grid(args.start, args.stop, args.count, args.spacing)
 
-    if args.sweep == "x" and args.group_r:
+    if args.sweep == "x" and args.group_r is not None:
         raise ConfigError("grouping by radius only applies to frequency sweeps")
-    if args.group_r:
+    if args.ne is not None and args.group_r is None:
+        raise ConfigError("--ne applies to --group-r columns only; "
+                          "set the electron counts with --group-ne")
+    if args.group_r is not None:
         groups = [("r=%g_m" % r, r, cfg.ne) for r in _float_list(args.group_r)]
     else:
         groups = [("Ne=%g" % ne, cfg.r, ne)

@@ -15,9 +15,12 @@ The series is evaluated in batches (Wiscombe 1980, "Improved Mie scattering
 algorithms"; the BHMIE code of Bohren & Huffman 1983). Dividing the charged
 coefficients through by psi_n(mx) leaves psi_n(mx) only in the logarithmic
 derivative D_n(mx) = psi_n'(mx)/psi_n(mx), which a downward recurrence gives
-without overflow however strongly the sphere absorbs. The Riccati-Bessel
-functions of x come from the same recurrence (psi_n) and an upward one
-(eta_n).
+without overflow however strongly the sphere absorbs. The recurrence runs in
+scaled-ratio form, s_{n-1} = (2n - 1) - z^2 / s_n for
+s_n = z psi_{n-1}(z)/psi_n(z) = z D_n(z) + n, at one complex divide and one
+subtract an order; D_n = (s_n - n)/z is formed only when the series is
+summed. The Riccati-Bessel functions of x come from the same recurrence
+(psi_n/psi_{n-1} = x/s_n) and an upward one (eta_n).
 
 The sizes of a batch, in descending order of x, go through the recurrences
 in lockstep passes. Each recurrence makes one loop over the orders of a
@@ -43,9 +46,10 @@ _MAX_RADIUS = 1e-2
 _DENOM_FLOOR = 1e-300
 _CONVERGENCE_EXTRA = 5
 _CONVERGENCE_RTOL = 1e-10
-# Ragged terms (orders x sizes) of one lockstep pass: its store takes 1 MB
-# at 32 B a term. Larger passes take fewer loop steps but more memory; at
-# 3 THz, 2^15 takes 3,404 downward steps a table and 2^16 takes 2,095.
+# Ragged terms (orders x sizes) of one lockstep pass: its store of s_n(mx),
+# the real s_n(x) and eta_n(x) takes 1 MB at 32 B a term. Larger passes take
+# fewer loop steps but more memory; at 3 THz, 2^15 takes 3,404 downward steps
+# a table and 2^16 takes 2,095.
 _PASS_TERMS = 2**15
 # Dense orders x sizes of one chunk of the series sum: its working arrays
 # stay near 1 MB, while a chunk of large spheres still spans several sizes.
@@ -200,14 +204,16 @@ def _dense_index(layout: tuple[np.ndarray, np.ndarray], top: int, begin: int,
     return offsets + np.minimum(np.arange(begin, end), counts - 1)
 
 
-def _log_derivative(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """D_n(z) = psi_n'(z) / psi_n(z) for each row of z, a (k, w) array, at
-    orders n = 1..rows[i], with rows and |z| in descending order.
+def _scaled_ratio(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """s_n(z) = z psi_{n-1}(z) / psi_n(z) = z D_n(z) + n for each row of z,
+    a (k, w) array, at orders n = 1..rows[i], with rows and |z| in
+    descending order; D_n = psi_n' / psi_n is the log-derivative.
 
-    One downward recurrence runs over the batch in lockstep. Row i starts far
-    enough above max(rows[i], |z[i]|) to forget its seed, so the rows running
-    at an order are a prefix of the batch, and the w values of a row take the
-    same steps. The result is ragged and order-major, (sum(rows), w)."""
+    One downward recurrence, s_{n-1} = (2n - 1) - z^2 / s_n, runs over the
+    batch in lockstep. Row i starts from D = 0 far enough above
+    max(rows[i], |z[i]|) to forget that seed, so the rows running at an
+    order are a prefix of the batch, and the w values of a row take the same
+    steps. The result is ragged and order-major, (sum(rows), w)."""
     k, w = z.shape
     start = np.maximum(rows, np.abs(z).max(axis=1))
     start = np.ceil(start + 16 + 4 * np.sqrt(start)).astype(int)
@@ -215,36 +221,34 @@ def _log_derivative(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
                * w).tolist()
     counts, offsets = _order_counts(rows, 1)
     stored, offsets = (counts * w).tolist(), (offsets * w).tolist()
-    inv_z = (1 / z).ravel()
-    d = np.zeros(k * w, complex)
-    nz, t = np.empty((2, k * w), complex)
-    dn = np.empty(sum(stored), complex)
+    z2 = (z * z).ravel()
+    s = np.repeat(start, w).astype(complex)    # s_start = start: D_start = 0
+    t = np.empty(k * w, complex)
+    sn = np.empty(sum(stored), complex)
+    # 2 order - 1 as numpy scalars, which a ufunc takes faster than an int
+    odd = np.arange(2 * start[0] - 1, 2, -2, dtype=complex)
     p, top = 0, len(stored)
-    for order in range(start[0], 1, -1):
+    for order, c in zip(range(start[0], 1, -1), odd):
         if running[order] != p:                # views of the rows now running
             p = running[order]
-            inv_zp, dp, nzp, tp = inv_z[:p], d[:p], nz[:p], t[:p]
-        np.multiply(inv_zp, order, out=nzp)
-        np.add(dp, nzp, out=tp)
-        np.reciprocal(tp, out=tp)
-        np.subtract(nzp, tp, out=dp)           # D_{order-1}
+            z2p, sp, tp = z2[:p], s[:p], t[:p]
+        np.divide(z2p, sp, tp)
+        np.subtract(c, tp, sp)                 # s_{order-1}
         if order <= top + 1:
-            s, o = stored[order - 2], offsets[order - 2]
-            dn[o:o + s] = d[:s]
-    return dn.reshape(-1, w)
+            st, o = stored[order - 2], offsets[order - 2]
+            sn[o:o + st] = s[:st]
+    return sn.reshape(-1, w)
 
 
-def _riccati_psi(z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """psi_n(z) = z j_n(z) for n = 0..len(d), given D_n(z) = d[n - 1]: the
-    ratios psi_n / psi_{n-1} = 1 / (D_n + n / z), anchored to the closed
-    form of psi_0 or psi_1, whichever is farther from a zero."""
+def _riccati_psi(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """psi_n(z) = z j_n(z) for n = 0..len(s), given s_n(z) = s[n - 1]: the
+    ratios psi_n / psi_{n-1} = z / s_n, anchored to the closed form of psi_0
+    or psi_1, whichever is farther from a zero."""
     sin_z = np.sin(z)
-    psi = np.empty((d.shape[0] + 1, z.size), np.result_type(z, d))
+    psi = np.empty((s.shape[0] + 1, z.size), np.result_type(z, s))
     psi[0] = sin_z
     ratio = psi[1:]
-    np.divide(np.arange(1, d.shape[0] + 1)[:, None], z, out=ratio)
-    ratio += d
-    np.reciprocal(ratio, out=ratio)
+    np.divide(z, s, out=ratio)
     psi1 = sin_z / z - np.cos(z)
     ratio[0] = np.where(np.abs(sin_z) >= np.abs(psi1), ratio[0] * sin_z, psi1)
     np.cumprod(ratio, axis=0, out=ratio)
@@ -262,14 +266,15 @@ def _riccati_eta(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     c = counts[1]
     zc, prev, this = z[:c], eta[:c], eta[offsets[1]:offsets[1] + c]
     np.subtract(-cos_z[:c] / zc, sin_z[:c], out=this)
-    for n in range(1, len(counts) - 1):
+    odd = np.arange(3, 2 * len(counts) - 2, 2.0)  # 2n + 1 as numpy scalars
+    for n, k in zip(range(1, len(counts) - 1), odd):
         if counts[n + 1] != c:                 # the sizes still running
             c = counts[n + 1]
             zc, prev, this = z[:c], prev[:c], this[:c]
         step = eta[offsets[n + 1]:offsets[n + 1] + c]
-        np.divide(2 * n + 1, zc, out=step)
-        step *= this
-        step -= prev
+        np.divide(k, zc, step)
+        np.multiply(step, this, step)
+        np.subtract(step, prev, step)
         prev, this = this, step
     return eta
 
@@ -277,26 +282,27 @@ def _riccati_eta(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Recurrences:
     """The Bessel recurrences of a batch of sizes in descending order of x:
-    D_n(mx) and the real D_n(x) for n = 1..rows, and eta_n(x) for
-    n = 0..rows, each stored ragged and order-major (32 B a term)."""
+    s_n(mx) and the real s_n(x) for n = 1..rows (see `_scaled_ratio`), and
+    eta_n(x) for n = 0..rows, each stored ragged and order-major (32 B a
+    term)."""
 
     x: np.ndarray
     rows: np.ndarray
-    d_mx: np.ndarray
-    d_x: np.ndarray
+    s_mx: np.ndarray
+    s_x: np.ndarray
     eta: np.ndarray
-    dn_layout: tuple[np.ndarray, np.ndarray]
+    s_layout: tuple[np.ndarray, np.ndarray]
     eta_layout: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def run(cls, x: np.ndarray, m: complex, rows: np.ndarray) -> "_Recurrences":
-        # D_n for z = m x and z = x as one pair per size. Sharing the steps
+        # s_n for z = m x and z = x as one pair per size. Sharing the steps
         # makes an index-matched sphere (m = 1, g_e = 0) give exactly zero
         # coefficients.
-        dn = _log_derivative(np.stack((m * x, x.astype(complex)), axis=1), rows)
-        d_mx, d_x = dn[:, 0].copy(), dn[:, 1].real.copy()
-        del dn                                 # before eta_n's store
-        return cls(x, rows, d_mx, d_x, _riccati_eta(x, rows),
+        sn = _scaled_ratio(np.stack((m * x, x.astype(complex)), axis=1), rows)
+        s_mx, s_x = sn[:, 0].copy(), sn[:, 1].real.copy()
+        del sn                                 # before eta_n's store
+        return cls(x, rows, s_mx, s_x, _riccati_eta(x, rows),
                    _order_counts(rows, 1), _order_counts(rows, 0))
 
     def series(self, m: complex, g_e: np.ndarray,
@@ -322,14 +328,22 @@ class _Recurrences:
         x, rows, g_e = self.x[begin:end], self.rows[begin:end], g_e[begin:end]
         top = int(rows[0])
         n = np.arange(1, top + 1)[:, None]
-        at = _dense_index(self.dn_layout, top, begin, end)
-        d_mx = np.take(self.d_mx, at)
+        at = _dense_index(self.s_layout, top, begin, end)
         eta = np.take(self.eta, _dense_index(self.eta_layout, top + 1, begin, end))
 
         with np.errstate(all="ignore"):
-            dpsi = np.take(self.d_x, at)           # D_n(x)
+            dpsi = np.take(self.s_x, at)           # s_n(x), made psi_n' in place
             psi = _riccati_psi(x, dpsi)[1:]
+            # D_n = (s_n - n) / z. Both halves multiply by the one 1 / x, so
+            # an index-matched sphere gets D_n(mx) == D_n(x) bit for bit.
+            inv_x = 1 / x
+            dpsi -= n
+            dpsi *= inv_x                          # D_n(x)
             dpsi *= psi                            # psi_n' = D_n(x) psi_n
+            d_mx = np.take(self.s_mx, at)
+            d_mx -= n
+            d_mx *= inv_x
+            d_mx /= m                              # D_n(mx)
             deta = n / x * eta[1:]
             np.subtract(eta[:-1], deta, out=deta)
             eta = eta[1:]

@@ -64,6 +64,26 @@ class TestQext:
         assert code == 2
         assert out == ""
 
+    def test_ne_without_group_r_rejected(self, capsys):
+        # --ne sets the electron count of the --group-r columns; an x-sweep's
+        # columns come from --group-ne
+        code = run(["qext", "--count", "3", "--ne", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--group-ne" in captured.err
+
+    def test_ne_config_key_still_sets_group_r_columns(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[particle]\nne = 1000\n")
+        argv = ["qext", "--sweep", "f", "--start", "1e11", "--stop", "2e11",
+                "--count", "2", "--group-r", "1e-6"]
+        code, out = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert parse_csv(out)[0]["config.ne"] == "1000"
+        _, flag_out = run_cli(capsys, *argv, "--ne", "1000")
+        assert parse_csv(out)[3] == parse_csv(flag_out)[3]
+
     def test_strongly_absorbing_sweep_to_large_x(self, capsys):
         code, out = run_cli(capsys, "qext", "--sweep", "x", "--start", "0.05",
                             "--stop", "800", "--count", "4", "--m", "1.5+3j")
@@ -233,8 +253,9 @@ class TestPathloss:
 
     def test_default_h0_far_above_fit_is_domain_error(self, capsys):
         # at the default h0 = 10 km the log-normal width overflows a float
-        code, out = run_cli(capsys, "pathloss", "--n-i", "2", "--sigma-i", "3",
-                            "--n0", "1e3", "--d", "100")
+        with pytest.warns(UserWarning, match="extrapolated"):
+            code, out = run_cli(capsys, "pathloss", "--n-i", "2", "--sigma-i", "3",
+                                "--n0", "1e3", "--d", "100")
         assert code == 2
         assert out == ""
 
@@ -436,6 +457,13 @@ def test_numerical_failure_exits_3(capsys, argv):
     ["pathloss", "--n-i", "2", "--sigma-i", "1", "--n0", "0", "--h0", "100",
      "--d", "inf"],
     ["spectrum", "--count", "2", "--start", "nan"],
+    # an empty column list, which would give a table without data columns
+    ["qext", "--count", "2", "--group-ne", ","],
+    ["qext", "--count", "2", "--group-ne", ""],
+    ["qext", "--sweep", "f", "--start", "1e11", "--stop", "2e11", "--count", "2",
+     "--group-r", ","],
+    ["spectrum", "--count", "2", "--heights", ","],
+    ["attenuation", "--count", "2", "--n0", "1e3", "--group-ne", ",", "--h0", "150"],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)

@@ -310,6 +310,17 @@ class TestBatchKernel:
         assert pass_and_chunk_counts["passes"] >= 3
         assert np.all(q == 0.0)
 
+    def test_3thz_table_runs_a_known_number_of_passes(self, pass_and_chunk_counts):
+        # the largest kernel table of the band (see test_memory_budget): a
+        # change that trades the store's memory for recurrence steps, or back,
+        # moves these counts
+        from dustmie.channel import dust_attenuation_coefficient
+        from dustmie.dustfield import DustLayerModel
+        dust_attenuation_coefficient(200.0, WaveSpec.from_frequency(3e12),
+                                     DustLayerModel(n0=1e3),
+                                     ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
+        assert pass_and_chunk_counts == {"passes": 5, "chunks": 22}
+
     def test_single_order_entry_matches_series_terms(self):
         from dustmie.mie import _coefficients, _normalize_m
         g = 1e-4 + 2e-4j

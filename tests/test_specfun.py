@@ -1,29 +1,31 @@
 """Spherical Bessel and Hankel functions as the Mie kernel forms them.
 
 The kernel never calls j_n or h_n^(1) directly: it builds the Riccati-Bessel
-functions psi_n(z) = z j_n(z) from the log-derivative D_n(z), and
-eta_n(z) = z y_n(z) by upward recurrence (`dustmie.mie._log_derivative`,
-`_riccati_psi`, `_riccati_eta`). These tests divide them by z again and hold
+functions psi_n(z) = z j_n(z) from the ratios s_n(z) = z psi_{n-1}/psi_n of a
+downward recurrence, and eta_n(z) = z y_n(z) by upward recurrence
+(`dustmie.mie._scaled_ratio`, `_riccati_psi`, `_riccati_eta`). These tests divide them by z again and hold
 them against arbitrary-precision references, for complex arguments too.
 """
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dustmie.mie import _log_derivative, _riccati_eta, _riccati_psi
+from dustmie.mie import (
+    _normalize_m, _riccati_eta, _riccati_psi, _scaled_ratio, truncation_order)
 
-from oracles import mp_sph_h1, series_sph_j
+from oracles import mp_sph_h1, mp_sph_j, series_sph_j
 
 
 def sph_bessel_j_array(nmax, z):
     """[j_0(z), ..., j_nmax(z)] as psi_n(z) / z. For one argument the
     recurrences' ragged order-major store is a dense column."""
     z = np.array([complex(z)])
-    d = _log_derivative(z[:, None], np.array([max(nmax, 1)]))
-    return _riccati_psi(z, d)[: nmax + 1, 0] / z[0]
+    s = _scaled_ratio(z[:, None], np.array([max(nmax, 1)]))
+    return _riccati_psi(z, s)[: nmax + 1, 0] / z[0]
 
 
 def sph_bessel_j(n, z):
@@ -99,3 +101,40 @@ class TestSphHankel1:
     def test_against_mpmath(self, n, z):
         ref = complex(mp_sph_h1(n, z))
         assert rel_err(sph_hankel1(n, z), ref) < 1e-10
+
+
+# x = 800 as the kernel runs it: z = m x and z = x as one pair over the
+# N + 5 = 844 orders of its series; |m x| reaches about 2,700 at m = 1.5+3j
+LARGE_X = 800.0
+LARGE_ROWS = truncation_order(LARGE_X) + 5
+
+
+@functools.cache
+def large_x_pair(m):
+    """(m, s_n, D_n) at orders 1..LARGE_ROWS for z = m x (column 0) and z = x
+    (column 1), with D_n = (s_n - n) / z formed as the kernel forms it."""
+    m = _normalize_m(m)
+    s = _scaled_ratio(np.array([[m * LARGE_X, LARGE_X]]), np.array([LARGE_ROWS]))
+    d = (s - np.arange(1, LARGE_ROWS + 1)[:, None]) * (1 / LARGE_X)
+    d[:, 0] /= m
+    return m, s, d
+
+
+class TestScaledRatioLargeArgument:
+    @pytest.mark.parametrize("m,n,near_zero", [
+        *[(m, n, None) for m in (2 - 0.025j, 1.5 + 3j)
+          for n in (1, LARGE_ROWS // 2, LARGE_ROWS)],
+        # a lossless sphere: D_n(m x) crosses 0 below |m x| = 1,064
+        (1.33 + 0j, 464, 0),
+        # D_n(x) at the real argument crosses 0 below x
+        (2 - 0.025j, 792, 1),
+    ])
+    def test_against_mpmath(self, m, n, near_zero):
+        m, s, d = large_x_pair(m)
+        for col, z in enumerate((m * LARGE_X, LARGE_X)):
+            s_ref = z * mp_sph_j(n - 1, z) / mp_sph_j(n, z)
+            d_ref = complex((s_ref - n) / z)
+            if col == near_zero:
+                assert abs(d_ref) < 1e-3
+            assert rel_err(s[n - 1, col], complex(s_ref)) < 1e-10
+            assert rel_err(d[n - 1, col], d_ref) < 1e-10
