@@ -254,13 +254,15 @@ def path_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     """Full link path loss in dB: FSPL reference + distance term + shadow
     fading + slant dust loss.
 
-    shadow_seed=None disables shadowing; an integer seed draws one
+    shadow_seed=None disables shadowing; a non-negative integer seed draws one
     reproducible Normal(0, sigma_i^2) shadow term.
     """
     fspl = 20 * math.log10(4 * math.pi * w.frequency * g.d0 / CONSTANTS.c)
     dist = 10 * g.n_i * math.log10(g.d / g.d0)
     if shadow_seed is None:
         chi = 0.0
+    elif shadow_seed < 0:
+        raise ConfigError(f"shadow seed must be non-negative, got {shadow_seed}")
     else:
         rng = np.random.default_rng(shadow_seed)
         chi = float(rng.normal(0.0, g.sigma_i))

@@ -248,6 +248,8 @@ def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
         raise ConfigError("path loss requires n_i and sigma_i (no defaults exist)")
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     geometry = LinkGeometry(
         h0=cfg.h0, theta=math.radians(cfg.theta_deg), d=cfg.d, d0=cfg.d0,
         n_i=cfg.n_i, sigma_i=cfg.sigma_i,
@@ -376,6 +378,10 @@ def run(argv=None) -> int:
         cfg = load_config(config_path) if config_path else RunConfig()
         _apply_overrides(cfg, args)
         table = _COMMANDS[args.command](cfg, args)
+        if args.out:
+            table.write(args.out, fmt=args.format)
+        else:
+            sys.stdout.write(table.to_csv() if args.format == "csv" else table.to_json())
     except ConfigError as exc:
         print(f"dustmie: config error: {exc}", file=sys.stderr)
         return 2
@@ -385,11 +391,6 @@ def run(argv=None) -> int:
     except DustmieError as exc:
         print(f"dustmie: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.out:
-        table.write(args.out, fmt=args.format)
-    else:
-        sys.stdout.write(table.to_csv() if args.format == "csv" else table.to_json())
     return 0
 
 

@@ -97,13 +97,5 @@ class DustLayerModel:
     def params(self, h: float) -> tuple[float, float]:
         return lognormal_params(h)
 
-    def pdf(self, r: float, h: float) -> float:
-        return size_pdf(r, h)
-
-    def number_density(self, r: float, h: float) -> float:
-        if self.n0 is None:
-            raise DomainError("n0 is not set; only normalized output available")
-        return number_density(r, h, self.n0)
-
     def support(self, h: float) -> tuple[float, float]:
         return size_support(h)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import DomainError, RecurrenceOverflowError, SingularDenominatorError
 
 _MIN_RADIUS = 1e-9
@@ -75,49 +75,33 @@ class ParticleState:
         if not 0 < self.temperature < math.inf:
             raise DomainError("temperature must be positive and finite")
 
-    def with_radius(self, radius: float) -> "ParticleState":
-        return ParticleState(
-            radius, self.electrons, self.temperature, self.refractive_index
-        )
-
 
 @dataclass(frozen=True)
 class WaveSpec:
-    """Probing wave: frequency, wavelength, and angular frequency (all consistent)."""
+    """Probing wave, given by its frequency."""
 
     frequency: float    # Hz
-    wavelength: float   # m
-    omega: float        # rad/s
 
     def __post_init__(self):
         if not 0 < self.frequency < math.inf:
-            raise DomainError("frequency must be positive and finite")
-        c = CONSTANTS.c
-        if abs(self.wavelength - c / self.frequency) > 1e-12 * self.wavelength:
-            raise DomainError("wavelength inconsistent with frequency")
-        if abs(self.omega - 2 * math.pi * self.frequency) > 1e-12 * self.omega:
-            raise DomainError("angular frequency inconsistent with frequency")
+            raise DomainError(
+                f"frequency must be positive and finite, got {self.frequency}")
+
+    @property
+    def wavelength(self) -> float:
+        return CONSTANTS.c / self.frequency     # m
 
     @classmethod
     def from_frequency(cls, f: float) -> "WaveSpec":
-        if not 0 < f < math.inf:
-            raise DomainError(f"frequency must be positive and finite, got {f}")
-        return cls(f, CONSTANTS.c / f, 2 * math.pi * f)
-
-    @classmethod
-    def from_wavelength(cls, lam: float) -> "WaveSpec":
-        if lam <= 0:
-            raise DomainError("wavelength must be positive")
-        return cls.from_frequency(CONSTANTS.c / lam)
+        return cls(f)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MieResult:
     """Extinction efficiency, its truncation order, and whether the orders
     past it leave the sum unchanged."""
 
     q_ext: float
-    c_ext: float                       # m^2; q_ext * pi * r^2
     n_max: int
     converged: bool
 
@@ -129,28 +113,26 @@ def scale_parameter(radius, wavelength):
     return 2 * math.pi * radius / wavelength
 
 
-def surface_potential(electrons, radius, constants: PhysicalConstants = CONSTANTS):
+def surface_potential(electrons, radius):
     """Electrostatic potential (V) at the surface of a charged sphere."""
     if np.any(np.less_equal(radius, 0)):
         raise DomainError("radius must be positive")
     if np.any(np.less(electrons, 0)):
         raise DomainError("electron count must be non-negative")
-    return constants.k_e * electrons * constants.e / radius
+    return CONSTANTS.k_e * electrons * CONSTANTS.e / radius
 
 
-def surface_plasma_frequency(electrons, radius,
-                             constants: PhysicalConstants = CONSTANTS):
+def surface_plasma_frequency(electrons, radius):
     """Surface plasma frequency (rad/s) of the charged sphere; 0 when neutral."""
-    phi = surface_potential(electrons, radius, constants)
-    return np.sqrt(2 * constants.e * phi / (constants.m_e * radius**2))
+    phi = surface_potential(electrons, radius)
+    return np.sqrt(2 * CONSTANTS.e * phi / (CONSTANTS.m_e * radius**2))
 
 
-def collision_frequency(temperature: float,
-                        constants: PhysicalConstants = CONSTANTS) -> float:
+def collision_frequency(temperature: float) -> float:
     """Thermal collision frequency (rad/s), 2 pi k_B T / h_P."""
     if not 0 < temperature < math.inf:
         raise DomainError(f"temperature must be positive and finite, got {temperature}")
-    return 2 * math.pi * constants.k_B * temperature / constants.h_P
+    return 2 * math.pi * CONSTANTS.k_B * temperature / CONSTANTS.h_P
 
 
 def charged_coefficient(x, omega, omega_s, gamma_s, mode: str = "full"):
@@ -461,7 +443,7 @@ def extinction_efficiency_array(radius, frequency, electrons, temperature: float
     the result has their broadcast shape.
     """
     radius, frequency, electrons = np.broadcast_arrays(
-        np.asarray(radius, float), np.asarray(frequency, float), np.asarray(electrons))
+        *(np.asarray(a, float) for a in (radius, frequency, electrons)))
     x, g_e = _size_and_charge(radius, frequency, electrons, temperature, mode)
     return _qext(x.ravel(), m, g_e.ravel())[0].reshape(x.shape)
 
@@ -478,18 +460,13 @@ def mie_ab(n: int, x: float, m: complex, g_e: complex = 0j) -> tuple[complex, co
 
 
 def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> MieResult:
-    """Extinction efficiency from the size parameter and charge coefficient.
-
-    c_ext is left at 0 here; callers holding a physical radius fill it in.
-    """
+    """Extinction efficiency from the size parameter and charge coefficient."""
     q, nmax, converged = _qext(np.array([float(x)]), m, np.array([g_e], complex))
-    return MieResult(float(q[0]), 0.0, int(nmax[0]), bool(converged[0]))
+    return MieResult(float(q[0]), int(nmax[0]), bool(converged[0]))
 
 
 def extinction_efficiency(p: ParticleState, w: WaveSpec,
                           mode: str = "full") -> MieResult:
-    """Extinction efficiency and cross-section of one charged dust sphere."""
+    """Extinction efficiency of one charged dust sphere."""
     x, g_e = _size_and_charge(p.radius, w.frequency, p.electrons, p.temperature, mode)
-    res = extinction_efficiency_x(float(x), p.refractive_index, complex(g_e))
-    res.c_ext = res.q_ext * math.pi * p.radius**2
-    return res
+    return extinction_efficiency_x(float(x), p.refractive_index, complex(g_e))

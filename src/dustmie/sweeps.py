@@ -66,8 +66,11 @@ class SweepTable:
 
     def write(self, path, fmt: str = "csv") -> None:
         text = self.to_csv() if fmt == "csv" else self.to_json()
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def config_hash(items: Iterable[tuple[str, object]]) -> str:

@@ -12,6 +12,7 @@ from dustmie.channel import (
     path_loss,
     slant_dust_loss,
 )
+from dustmie.constants import CONSTANTS
 from dustmie.dustfield import DustLayerModel, lognormal_params, size_pdf, size_support
 from dustmie.mie import (
     ParticleState,
@@ -65,12 +66,13 @@ def test_c03_neutral_limit_oracle():
 def test_c05_charge_trends():
     x = 0.02
     lam = 1e-3
-    w = WaveSpec.from_wavelength(lam)
+    w = WaveSpec.from_frequency(CONSTANTS.c / lam)
     r = x * lam / (2 * math.pi)
     gamma = collision_frequency(300.0)
     q = []
     for ne in (0, 10, 100, 1000):
-        ge = charged_coefficient(x, w.omega, surface_plasma_frequency(ne, r), gamma)
+        ge = charged_coefficient(x, 2 * math.pi * w.frequency,
+                                 surface_plasma_frequency(ne, r), gamma)
         q.append(extinction_efficiency_x(x, M_DEFAULT, ge).q_ext)
     increasing = all(b > a for a, b in zip(q, q[1:]))
 

@@ -11,7 +11,7 @@ from dustmie.channel import (
     path_loss,
     slant_dust_loss,
 )
-from dustmie.dustfield import DustLayerModel, size_support
+from dustmie.dustfield import DustLayerModel, number_density, size_support
 from dustmie.errors import ConfigError
 from dustmie.mie import (
     ParticleState,
@@ -30,7 +30,7 @@ def trapezoid_k_dust(h, w, layer, particle, points=100001):
     evaluation each."""
     lo, hi = size_support(h)
     grid = np.linspace(lo, hi, points)
-    nd = layer.number_density(grid, h)
+    nd = number_density(grid, h, layer.n0)
     r_m = grid * 1e-3
     q = extinction_efficiency_array(r_m, w.frequency, particle.electrons,
                                     particle.temperature, particle.refractive_index)
@@ -53,7 +53,7 @@ def adaptive_k_dust(h, w, layer, particle, rel_tol):
         q = extinction_efficiency_array(r_m, w.frequency, particle.electrons,
                                         particle.temperature,
                                         particle.refractive_index)
-        return layer.number_density(r_mm, h) * q * math.pi * r_m**2
+        return number_density(r_mm, h, layer.n0) * q * math.pi * r_m**2
 
     mu, sigma = layer.params(h)
     lo, hi = layer.support(h)
@@ -417,6 +417,11 @@ class TestPathLoss:
         assert a == b
         c = path_loss(self.GEOM, w, DustLayerModel(n0=0.0), PARTICLE, shadow_seed=12)
         assert c.shadow_db != a.shadow_db
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            path_loss(self.GEOM, WaveSpec.from_frequency(300e9),
+                      DustLayerModel(n0=0.0), PARTICLE, shadow_seed=-1)
 
     def test_monotone_in_distance(self):
         w = WaveSpec.from_frequency(300e9)

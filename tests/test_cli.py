@@ -464,8 +464,41 @@ def test_numerical_failure_exits_3(capsys, argv):
      "--group-r", ","],
     ["spectrum", "--count", "2", "--heights", ","],
     ["attenuation", "--count", "2", "--n0", "1e3", "--group-ne", ",", "--h0", "150"],
+    # a seed that numpy's generator cannot take
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
+     "--d", "100", "--theta-deg", "12", "--seed", "-1"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
+     "--d", "100", "--theta-deg", "12", "--seed", "-1", "--trials", "5"],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unwritable_out_path_is_config_error(tmp_path, capsys, fmt):
+    path = tmp_path / "missing" / "out.csv"
+    code = run(["spectrum", "--count", "3", "--format", fmt, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"dustmie: config error: cannot write {path}")
+    assert not path.exists()
+
+
+# electron counts of 2^64 and more, which no int64 holds
+@pytest.mark.parametrize("argv", [
+    ["qext", "--count", "3", "--group-ne", "1e30"],
+    ["qext", "--sweep", "f", "--start", "1e11", "--stop", "2e11", "--count", "3",
+     "--group-r", "1e-6", "--ne", "100000000000000000000"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
+     "--d", "100", "--theta-deg", "12", "--ne", "100000000000000000000"],
+])
+def test_electron_count_beyond_int64(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    rows = parse_csv(captured.out)[3]
+    assert rows and all(np.isfinite(row).all() for row in rows)

@@ -108,12 +108,6 @@ class TestNumberDensity:
 
 
 class TestDustLayerModel:
-    def test_requires_n0_for_density(self):
-        layer = DustLayerModel()
-        with pytest.raises(DomainError):
-            layer.number_density(0.08, 100.0)
-        assert layer.pdf(0.08, 100.0) > 0
-
     def test_negative_n0_rejected(self):
         for n0 in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError):

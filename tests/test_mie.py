@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dustmie.constants import CONSTANTS
 from dustmie.errors import DomainError
 from dustmie.mie import (
     ParticleState,
@@ -102,11 +103,6 @@ class TestWaveSpec:
     def test_from_frequency_consistent(self):
         w = WaveSpec.from_frequency(300e9)
         assert w.wavelength == pytest.approx(1e-3, rel=1e-3)
-        assert w.omega == pytest.approx(2 * math.pi * 300e9)
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(DomainError):
-            WaveSpec(300e9, 2e-3, 2 * math.pi * 300e9)
 
 
 class TestParticleState:
@@ -162,10 +158,11 @@ class TestNeutralLimit:
 
 class TestChargedBehavior:
     def _ge(self, x, ne, wavelength=1e-3, temp=300.0):
-        w = WaveSpec.from_wavelength(wavelength)
+        w = WaveSpec.from_frequency(CONSTANTS.c / wavelength)
         r = x * wavelength / (2 * math.pi)
         omega_s = surface_plasma_frequency(ne, r)
-        return charged_coefficient(x, w.omega, omega_s, collision_frequency(temp))
+        return charged_coefficient(x, 2 * math.pi * w.frequency, omega_s,
+                                   collision_frequency(temp))
 
     def test_charge_increases_small_x_extinction(self):
         x = 0.02
@@ -195,7 +192,7 @@ class TestChargedBehavior:
         q2 = extinction_efficiency_x(0.5, M_DEFAULT, g)
         assert q1.q_ext == q2.q_ext
         for lam in (1e-3, 0.3e-3):
-            w = WaveSpec.from_wavelength(lam)
+            w = WaveSpec.from_frequency(CONSTANTS.c / lam)
             r = 0.5 * lam / (2 * math.pi)
             x = scale_parameter(r, lam)
             assert x == pytest.approx(0.5)
@@ -211,7 +208,6 @@ class TestMieResult:
         x = scale_parameter(p.radius, w.wavelength)
         assert res.n_max == truncation_order(x)
         assert res.converged
-        assert res.c_ext == pytest.approx(res.q_ext * math.pi * p.radius**2)
 
     def test_truncation_adequacy(self):
         for x in (0.02, 1.0, 10.0):
@@ -269,6 +265,13 @@ class TestBatchKernel:
                     p = ParticleState(float(radius[k]), n_e, 300.0, M_DEFAULT)
                     ref = extinction_efficiency(p, w).q_ext
                     assert q[i, j, k] == pytest.approx(ref, rel=1e-12)
+
+    def test_electron_count_beyond_int64(self):
+        # a Python int of 2^64 or more is read as the float it equals
+        radius = np.geomspace(1e-7, 1e-4, 5)
+        q_int = extinction_efficiency_array(radius, 0.3e12, 10**30, 300.0, M_DEFAULT)
+        q_float = extinction_efficiency_array(radius, 0.3e12, 1e30, 300.0, M_DEFAULT)
+        assert np.array_equal(q_int, q_float)
 
     @pytest.fixture
     def pass_and_chunk_counts(self, monkeypatch):
