@@ -55,10 +55,14 @@ def size_pdf(r, h: float):
     return float(pdf) if pdf.ndim == 0 else pdf
 
 
+def _check_n0(n0: float) -> None:
+    if n0 is None or not 0 <= n0 < math.inf:
+        raise DomainError(f"n0 must be non-negative and finite, got {n0}")
+
+
 def number_density(r: float, h: float, n0: float) -> float:
     """Particle number density spectrum N0 * p(r, h), per m^3 per mm."""
-    if not n0 >= 0:
-        raise DomainError("total number density must be non-negative")
+    _check_n0(n0)
     return n0 * size_pdf(r, h)
 
 
@@ -91,8 +95,8 @@ class DustLayerModel:
     n0: float | None = None
 
     def __post_init__(self):
-        if self.n0 is not None and not 0 <= self.n0 < math.inf:
-            raise DomainError(f"n0 must be non-negative and finite, got {self.n0}")
+        if self.n0 is not None:
+            _check_n0(self.n0)
 
     def params(self, h: float) -> tuple[float, float]:
         return lognormal_params(h)

@@ -19,8 +19,11 @@ without overflow however strongly the sphere absorbs. The recurrence runs in
 scaled-ratio form, s_{n-1} = (2n - 1) - z^2 / s_n for
 s_n = z psi_{n-1}(z)/psi_n(z) = z D_n(z) + n, at one complex divide and one
 subtract an order; D_n = (s_n - n)/z is formed only when the series is
-summed. The Riccati-Bessel functions of x come from the same recurrence
-(psi_n/psi_{n-1} = x/s_n) and an upward one (eta_n).
+summed. Each size starts the recurrence where the contraction of its steps
+has erased the seed, and no higher than Wiscombe's start. The
+Riccati-Bessel functions of x come from the same recurrence
+(psi_n/psi_{n-1} = x/s_n) and from an upward one in the same ratio form,
+t_{n+1} = x^2 / ((2n + 1) - t_n) for t_n = x eta_{n-1}(x)/eta_n(x).
 
 The sizes of a batch, in descending order of x, go through the recurrences
 in lockstep passes. Each recurrence makes one loop over the orders of a
@@ -28,11 +31,13 @@ pass, stepping the sizes still running at each order (a prefix of the pass)
 as one numpy vector, and stores its values ragged and order-major: order n
 holds only the sizes whose series reach n. The series are then summed in
 chunks of similar truncation order, each gathered from that store into a
-dense block.
+dense block, where psi_n and eta_n are formed from their ratios by a
+cumulative product.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,13 +52,27 @@ _DENOM_FLOOR = 1e-300
 _CONVERGENCE_EXTRA = 5
 _CONVERGENCE_RTOL = 1e-10
 # Ragged terms (orders x sizes) of one lockstep pass: its store of s_n(mx),
-# the real s_n(x) and eta_n(x) takes 1 MB at 32 B a term. Larger passes take
-# fewer loop steps but more memory; at 3 THz, 2^15 takes 3,404 downward steps
-# a table and 2^16 takes 2,095.
+# the real s_n(x) and the eta ratios takes 1 MB at 32 B a term. Larger
+# passes take fewer loop steps but more memory: a 3 THz table takes 3,391
+# downward steps at 2^15 and 2,081 at 2^16 (3,404 and 2,095 with every size
+# started at Wiscombe's order). The 108 one-column k_dust tables of the
+# benchmark's kdust-fscan pool took 1.11 s at 2^15 and 1.01 s at 2^16 on a
+# 2-core host, and a peak RSS of 32.6 and 33.9 MB.
 _PASS_TERMS = 2**15
 # Dense orders x sizes of one chunk of the series sum: its working arrays
 # stay near 1 MB, while a chunk of large spheres still spans several sizes.
 _CHUNK_TERMS = 8192
+# A downward step multiplies the seed's error by about
+# exp(-2 Re arccosh((n - 1/2)/z)). A size starts where e^-45 (3e-20, below
+# an ulp) of the seed's error is left when the steps reach its top stored
+# order, plus 8 orders for where that asymptotic rate runs ahead of the true
+# one (see `_start_orders`). Chosen on the grids of
+# tests/test_specfun.py::TestStartOrders (12 indices from 1 to 1.2+10j,
+# x from 1e-3 to 1e3), where every stored s_n must equal, bit for bit, its
+# value from Wiscombe's start: 40 and 8, or 45 and 4, still pass there, while
+# 36 and 8, or 45 and 0, do not.
+_SEED_DECAY = 45.0
+_SEED_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -157,7 +176,13 @@ def truncation_order(x):
     (an int, or an int array for an array of x)."""
     if not np.all(np.greater(x, 0)):
         raise DomainError("scale parameter must be positive")
-    n = np.maximum(np.floor(x + 4 * x ** (1 / 3) + 2), 1).astype(int)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("scale parameter must be finite")
+    n = np.maximum(np.floor(x + 4 * x ** (1 / 3) + 2), 1)
+    if np.any(n >= 2.0**63):
+        raise DomainError(f"scale parameter up to {np.max(x):g} needs more "
+                          "series orders than an int64 holds")
+    n = n.astype(int)
     return n if n.ndim else int(n)
 
 
@@ -168,11 +193,11 @@ def _normalize_m(m: complex) -> complex:
     return complex(m.real, abs(m.imag))
 
 
-def _order_counts(rows: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+def _order_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Layout of an order-major ragged array over sizes whose rows are in
-    descending order: order n = first..rows[0] holds the counts[n - first]
-    sizes that reach it (a prefix of the batch), from offsets[n - first]."""
-    counts = np.searchsorted(-rows, -np.arange(first, rows[0] + 1), side="right")
+    descending order: order n = 1..rows[0] holds the counts[n - 1] sizes
+    that reach it (a prefix of the batch), from offsets[n - 1]."""
+    counts = np.searchsorted(-rows, -np.arange(1, rows[0] + 1), side="right")
     return counts, np.cumsum(counts) - counts
 
 
@@ -186,29 +211,58 @@ def _dense_index(layout: tuple[np.ndarray, np.ndarray], top: int, begin: int,
     return offsets + np.minimum(np.arange(begin, end), counts - 1)
 
 
+def _start_orders(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Order at which each row of z, a (k, w) array, starts the downward
+    recurrence of `_scaled_ratio` to reach orders 1..rows[i], with rows and
+    |z| in descending order.
+
+    Wiscombe's (1980) start, M + 16 + 4 sqrt(M) for M = max(rows, |z|),
+    serves weak absorption. A step above n = rows multiplies the seed's
+    error by at most exp(-rate), rate = 2 Re arccosh((rows + 1/2)/z), since
+    Re arccosh((n + 1/2)/z) never falls as n grows; so the seed is gone
+    _SEED_DECAY / rate steps above rows, for the slower of the row's w
+    values. A row starts at the lower of the two (Wiscombe's where the rate
+    is 0), raised to the starts of the rows after it, so that the rows
+    running at an order stay a prefix of the batch."""
+    # numpy reduces a (k, w) array along its short axis slowly, so the
+    # largest and smallest over a row are taken column by column
+    cols = z.T
+    wiscombe = np.maximum(rows, functools.reduce(np.maximum, np.abs(cols)))
+    wiscombe = np.ceil(wiscombe + 16 + 4 * np.sqrt(wiscombe))
+    w = (rows + 0.5) / cols
+    # Re arccosh(w) = arccosh((|w + 1| + |w - 1|) / 2); the sum is 2 or more
+    # but for rounding
+    sums = functools.reduce(np.minimum, np.abs(w + 1) + np.abs(w - 1))
+    rate = 2 * np.arccosh(np.maximum(sums / 2, 1))
+    steps = np.divide(_SEED_DECAY, rate, out=np.full(rate.shape, np.inf),
+                      where=rate > 0)
+    start = np.minimum(wiscombe, rows + 1 + np.ceil(steps) + _SEED_MARGIN)
+    return np.maximum.accumulate(start[::-1])[::-1].astype(int)
+
+
 def _scaled_ratio(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """s_n(z) = z psi_{n-1}(z) / psi_n(z) = z D_n(z) + n for each row of z,
     a (k, w) array, at orders n = 1..rows[i], with rows and |z| in
     descending order; D_n = psi_n' / psi_n is the log-derivative.
 
     One downward recurrence, s_{n-1} = (2n - 1) - z^2 / s_n, runs over the
-    batch in lockstep. Row i starts from D = 0 far enough above
-    max(rows[i], |z[i]|) to forget that seed, so the rows running at an
-    order are a prefix of the batch, and the w values of a row take the same
-    steps. The result is ragged and order-major, (sum(rows), w)."""
+    batch in lockstep. Row i starts from D = 0 at `_start_orders`, where
+    that seed is forgotten; the rows running at an order are a prefix of
+    the batch, and the w values of a row take the same steps. The result is
+    ragged and order-major, (sum(rows), w)."""
     k, w = z.shape
-    start = np.maximum(rows, np.abs(z).max(axis=1))
-    start = np.ceil(start + 16 + 4 * np.sqrt(start)).astype(int)
+    start = _start_orders(z, rows)
     running = (np.searchsorted(-start, -np.arange(start[0] + 1), side="right")
                * w).tolist()
-    counts, offsets = _order_counts(rows, 1)
+    counts, offsets = _order_counts(rows)
     stored, offsets = (counts * w).tolist(), (offsets * w).tolist()
     z2 = (z * z).ravel()
     s = np.repeat(start, w).astype(complex)    # s_start = start: D_start = 0
     t = np.empty(k * w, complex)
     sn = np.empty(sum(stored), complex)
-    # 2 order - 1 as numpy scalars, which a ufunc takes faster than an int
-    odd = np.arange(2 * start[0] - 1, 2, -2, dtype=complex)
+    # 2 order - 1 as 0-d arrays, which a ufunc takes faster than an int or a
+    # numpy scalar
+    odd = np.nditer(np.arange(2 * start[0] - 1, 2, -2, dtype=complex))
     p, top = 0, len(stored)
     for order, c in zip(range(start[0], 1, -1), odd):
         if running[order] != p:                # views of the rows now running
@@ -237,44 +291,60 @@ def _riccati_psi(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _riccati_eta(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """eta_n(z) = z y_n(z) for n = 0..rows[i] (rows >= 1, in descending
-    order) by one upward recurrence over the batch in lockstep, stable for
-    the dominant solution; ragged and order-major, (sum(rows + 1),)."""
-    counts, offsets = (a.tolist() for a in _order_counts(rows, 0))
-    eta = np.empty(sum(counts), np.result_type(z))
-    sin_z, cos_z = np.sin(z), np.cos(z)
-    eta[:counts[0]] = -cos_z
-    c = counts[1]
-    zc, prev, this = z[:c], eta[:c], eta[offsets[1]:offsets[1] + c]
-    np.subtract(-cos_z[:c] / zc, sin_z[:c], out=this)
-    odd = np.arange(3, 2 * len(counts) - 2, 2.0)  # 2n + 1 as numpy scalars
-    for n, k in zip(range(1, len(counts) - 1), odd):
-        if counts[n + 1] != c:                 # the sizes still running
-            c = counts[n + 1]
-            zc, prev, this = z[:c], prev[:c], this[:c]
-        step = eta[offsets[n + 1]:offsets[n + 1] + c]
-        np.divide(k, zc, step)
-        np.multiply(step, this, step)
-        np.subtract(step, prev, step)
-        prev, this = this, step
+def _eta_ratio(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """eta_1(z) and t_n(z) = z eta_{n-1}(z) / eta_n(z) for n = 2..rows[i]
+    (rows >= 1, in descending order), with eta_n = z y_n, stored like
+    `_scaled_ratio`'s values: ragged and order-major, (sum(rows),), with
+    eta_1 in the slot of n = 1.
+
+    One upward recurrence, t_{n+1} = z^2 / ((2n + 1) - t_n), runs over the
+    batch in lockstep, stable for the dominant solution."""
+    counts, offsets = (a.tolist() for a in _order_counts(rows))
+    t = np.empty(sum(counts), np.result_type(z))
+    cos_z = np.cos(z)
+    eta1 = t[:counts[0]]
+    np.subtract(-cos_z / z, np.sin(z), out=eta1)
+    prev = -z * cos_z / eta1                   # t_1 = z eta_0 / eta_1, not stored
+    z2 = z2c = z * z
+    c = counts[0]
+    # 2n + 1 as 0-d arrays (see `_scaled_ratio`)
+    odd = np.nditer(np.arange(3, 2 * len(counts), 2.0), ["zerosize_ok"])
+    for n, k in zip(range(1, len(counts)), odd):
+        if counts[n] != c:                     # the sizes still running
+            c = counts[n]
+            z2c, prev = z2[:c], prev[:c]
+        step = t[offsets[n]:offsets[n] + c]
+        np.subtract(k, prev, step)
+        np.divide(z2c, step, step)             # t_{n+1}
+        prev = step
+    return t
+
+
+def _riccati_eta(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """eta_n(z) = z y_n(z) for n = 0..len(t), given eta_1(z) = t[0] and
+    t_n(z) = t[n - 1] for n >= 2 (see `_eta_ratio`): eta_0 = -cos z, and
+    eta_n = eta_1 times the ratios eta_k / eta_{k-1} = z / t_k."""
+    eta = np.empty((t.shape[0] + 1, z.size), np.result_type(z, t))
+    eta[0] = -np.cos(z)
+    eta[1] = t[0]
+    np.divide(z, t[1:], out=eta[2:])
+    np.cumprod(eta[1:], axis=0, out=eta[1:])
     return eta
 
 
 @dataclass(frozen=True)
 class _Recurrences:
     """The Bessel recurrences of a batch of sizes in descending order of x:
-    s_n(mx) and the real s_n(x) for n = 1..rows (see `_scaled_ratio`), and
-    eta_n(x) for n = 0..rows, each stored ragged and order-major (32 B a
-    term)."""
+    s_n(mx) and the real s_n(x) (see `_scaled_ratio`), and eta_1(x) and the
+    ratios t_n(x) (see `_eta_ratio`), each for n = 1..rows and stored ragged
+    and order-major in one layout (32 B a term)."""
 
     x: np.ndarray
     rows: np.ndarray
     s_mx: np.ndarray
     s_x: np.ndarray
     eta: np.ndarray
-    s_layout: tuple[np.ndarray, np.ndarray]
-    eta_layout: tuple[np.ndarray, np.ndarray]
+    layout: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def run(cls, x: np.ndarray, m: complex, rows: np.ndarray) -> "_Recurrences":
@@ -283,9 +353,9 @@ class _Recurrences:
         # coefficients.
         sn = _scaled_ratio(np.stack((m * x, x.astype(complex)), axis=1), rows)
         s_mx, s_x = sn[:, 0].copy(), sn[:, 1].real.copy()
-        del sn                                 # before eta_n's store
-        return cls(x, rows, s_mx, s_x, _riccati_eta(x, rows),
-                   _order_counts(rows, 1), _order_counts(rows, 0))
+        del sn                                 # before the eta store
+        return cls(x, rows, s_mx, s_x, _eta_ratio(x, rows),
+                   _order_counts(rows))
 
     def series(self, m: complex, g_e: np.ndarray,
                nmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,10 +380,10 @@ class _Recurrences:
         x, rows, g_e = self.x[begin:end], self.rows[begin:end], g_e[begin:end]
         top = int(rows[0])
         n = np.arange(1, top + 1)[:, None]
-        at = _dense_index(self.s_layout, top, begin, end)
-        eta = np.take(self.eta, _dense_index(self.eta_layout, top + 1, begin, end))
+        at = _dense_index(self.layout, top, begin, end)
 
         with np.errstate(all="ignore"):
+            eta = _riccati_eta(x, np.take(self.eta, at))
             dpsi = np.take(self.s_x, at)           # s_n(x), made psi_n' in place
             psi = _riccati_psi(x, dpsi)[1:]
             # D_n = (s_n - n) / z. Both halves multiply by the one 1 / x, so
@@ -429,6 +499,7 @@ def _size_and_charge(radius, frequency, electrons, temperature, mode):
     if np.any(np.less_equal(frequency, 0)):
         raise DomainError("frequency must be positive")
     x = scale_parameter(radius, CONSTANTS.c / frequency)
+    truncation_order(x)    # rejects an x beyond the series before r^2 overflows
     omega_s = surface_plasma_frequency(electrons, radius)
     g_e = charged_coefficient(x, 2 * math.pi * frequency, omega_s,
                               collision_frequency(temperature), mode=mode)

@@ -476,6 +476,16 @@ def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     assert out == ""
 
 
+def test_x_sweep_beyond_int64_orders_is_config_error(capsys):
+    code = run(["qext", "--sweep", "x", "--start", "1", "--stop", "1e300",
+                "--count", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("dustmie: error:")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_unwritable_out_path_is_config_error(tmp_path, capsys, fmt):
     path = tmp_path / "missing" / "out.csv"

@@ -92,6 +92,12 @@ class TestNumberDensity:
     def test_zero_n0(self):
         assert number_density(0.08, 100.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("n0", [None, math.inf, math.nan, -1.0])
+    def test_bad_n0_rejected(self, n0):
+        # the same n0 check as DustLayerModel's
+        with pytest.raises(DomainError):
+            number_density(0.1, 150.0, n0)
+
     @given(n0=st.floats(1e-3, 1e9), r=st.floats(1e-3, 1.0))
     @settings(max_examples=50)
     def test_linearity_in_n0(self, n0, r):

@@ -74,6 +74,16 @@ class TestScalarHelpers:
     def test_truncation_order_at_least_one(self, x):
         assert truncation_order(x) >= 1
 
+    @pytest.mark.parametrize("x", [math.inf, 1e300, 1e19])
+    def test_order_beyond_int64_rejected(self, x):
+        # floor(x + 4 x^(1/3) + 2) above 2^63 would wrap to a negative int64
+        with pytest.raises(DomainError):
+            truncation_order(x)
+        with pytest.raises(DomainError):
+            truncation_order(np.array([1.0, x]))
+        with pytest.raises(DomainError):
+            extinction_efficiency_x(x, M_DEFAULT)
+
 
 class TestChargedCoefficient:
     def test_neutral_is_zero(self):
@@ -275,8 +285,8 @@ class TestBatchKernel:
 
     @pytest.fixture
     def pass_and_chunk_counts(self, monkeypatch):
-        """Lockstep passes and series chunks the kernel makes: one eta_n
-        recurrence per pass, one series sum per chunk."""
+        """Lockstep passes and series chunks the kernel makes: one upward
+        eta_n recurrence per pass, one series sum per chunk."""
         from dustmie import mie
         counts = {"passes": 0, "chunks": 0}
 
@@ -288,7 +298,7 @@ class TestBatchKernel:
                 return fn(*args)
             monkeypatch.setattr(mie, name, wrapper)
 
-        counted("_riccati_eta", "passes")
+        counted("_eta_ratio", "passes")
         counted("_series", "chunks")
         return counts
 

@@ -2,20 +2,25 @@
 
 The kernel never calls j_n or h_n^(1) directly: it builds the Riccati-Bessel
 functions psi_n(z) = z j_n(z) from the ratios s_n(z) = z psi_{n-1}/psi_n of a
-downward recurrence, and eta_n(z) = z y_n(z) by upward recurrence
-(`dustmie.mie._scaled_ratio`, `_riccati_psi`, `_riccati_eta`). These tests divide them by z again and hold
-them against arbitrary-precision references, for complex arguments too.
+downward recurrence, and eta_n(z) = z y_n(z) from the ratios
+t_n(z) = z eta_{n-1}/eta_n of an upward one (`dustmie.mie._scaled_ratio`,
+`_riccati_psi`, `_eta_ratio`, `_riccati_eta`). These tests divide them by z
+again and hold them against arbitrary-precision references, for complex
+arguments too.
 """
 import cmath
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dustmie import mie
 from dustmie.mie import (
-    _normalize_m, _riccati_eta, _riccati_psi, _scaled_ratio, truncation_order)
+    _CONVERGENCE_EXTRA, _eta_ratio, _normalize_m, _riccati_eta, _riccati_psi,
+    _scaled_ratio, truncation_order)
 
 from oracles import mp_sph_h1, mp_sph_j, series_sph_j
 
@@ -33,9 +38,11 @@ def sph_bessel_j(n, z):
 
 
 def sph_hankel1(n, z):
-    """h_n^(1)(z) = j_n(z) + i y_n(z) as (psi_n(z) + i eta_n(z)) / z."""
+    """h_n^(1)(z) = j_n(z) + i y_n(z) as (psi_n(z) + i eta_n(z)) / z, with
+    eta_n formed from the upward recurrence's store as the kernel forms it."""
     zs = np.array([complex(z)])
-    eta = _riccati_eta(zs, np.array([max(n, 1)]))[n]
+    t = _eta_ratio(zs, np.array([max(n, 1)]))
+    eta = _riccati_eta(zs, t[:, None])[n, 0]
     return sph_bessel_j(n, z) + 1j * eta / zs[0]
 
 
@@ -138,3 +145,69 @@ class TestScaledRatioLargeArgument:
                 assert abs(d_ref) < 1e-3
             assert rel_err(s[n - 1, col], complex(s_ref)) < 1e-10
             assert rel_err(d[n - 1, col], d_ref) < 1e-10
+
+
+def wiscombe_start(z, rows):
+    """Where every size started the downward recurrence before the start
+    rule: m + 16 + 4 sqrt(m) for m = max(rows, |z|) (Wiscombe 1980)."""
+    start = np.maximum(rows, np.abs(z).max(axis=1))
+    return np.ceil(start + 16 + 4 * np.sqrt(start)).astype(int)
+
+
+START_INDICES = [2 - 0.025j, 2, 1.5 + 0.1j, 1.5 + 1j, 1.5 + 2j, 1.5 + 3j,
+                 1.33, 1.01, 1, 3 + 0.5j, 5 + 5j, 1.2 + 10j]
+START_RANGES = [(1e-3, 1e3), (0.01, 30.0), (100.0, 1000.0)]
+
+
+def kernel_pair(m, x):
+    """(z, rows) of the (m x, x) pairs that the kernel runs for sizes x in
+    descending order."""
+    m = _normalize_m(m)
+    return (np.stack((m * x, x.astype(complex)), axis=1),
+            truncation_order(x) + _CONVERGENCE_EXTRA)
+
+
+class TestStartOrders:
+    @pytest.mark.parametrize("lo,hi", START_RANGES)
+    @pytest.mark.parametrize("m", START_INDICES)
+    def test_stored_values_match_wiscombe_start(self, m, lo, hi, monkeypatch):
+        z, rows = kernel_pair(m, np.geomspace(hi, lo, 120))
+        s = _scaled_ratio(z, rows)
+        start = mie._start_orders(z, rows)
+        assert np.all(start <= wiscombe_start(z, rows))
+        assert np.all(np.diff(start) <= 0)
+        monkeypatch.setattr(mie, "_start_orders", wiscombe_start)
+        assert np.array_equal(s, _scaled_ratio(z, rows))
+
+    def test_absorbing_sphere_starts_near_its_orders(self):
+        z, rows = kernel_pair(1.5 + 3j, np.array([780.9]))
+        assert wiscombe_start(z, rows)[0] == 2840
+        assert mie._start_orders(z, rows)[0] <= 1000
+
+    def test_weak_absorption_keeps_wiscombe_start(self):
+        # the seed must cross the oscillatory zone n < |m x|
+        z, rows = kernel_pair(2 - 0.025j, np.array([791.2]))
+        assert mie._start_orders(z, rows)[0] == wiscombe_start(z, rows)[0] == 1758
+
+    @given(re=st.floats(1e-3, 3000.0),
+           im=st.one_of(st.just(0.0), st.floats(0.0, 3000.0)),
+           n=st.integers(0, 20000), dn=st.integers(1, 20000))
+    @settings(max_examples=200, deadline=None)
+    def test_decay_rate_never_falls_with_order(self, re, im, n, dn):
+        # the rate at the first order above rows bounds every step above it
+        z = mpmath.mpc(re, im)
+        with mpmath.workdps(30):
+            low = mpmath.re(mpmath.acosh((n + 0.5) / z))
+            high = mpmath.re(mpmath.acosh((n + dn + 0.5) / z))
+            assert high >= low - mpmath.mpf(10) ** -25
+
+    @given(w=st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_real_part_of_arccosh(self, w):
+        # the form the rule computes; near the cut [-1, 1] the rounding of
+        # the sum is magnified by arccosh's square-root slope at 1
+        got = np.arccosh(max((abs(w + 1) + abs(w - 1)) / 2, 1.0))
+        with mpmath.workdps(30):
+            ref = float(mpmath.re(mpmath.acosh(mpmath.mpc(w.real, w.imag))))
+        assert math.isclose(got, ref, rel_tol=1e-12, abs_tol=1e-7)
