@@ -33,10 +33,8 @@ from .mie import (
     WaveSpec,
     charged_coefficient,
     collision_frequency,
-    extinction_efficiency,
     extinction_efficiency_array,
     extinction_efficiency_x,
-    mie_ab,
     scale_parameter,
     surface_plasma_frequency,
     surface_potential,
@@ -63,11 +61,9 @@ __all__ = [
     "charged_coefficient",
     "collision_frequency",
     "dust_attenuation_coefficient",
-    "extinction_efficiency",
     "extinction_efficiency_array",
     "extinction_efficiency_x",
     "lognormal_params",
-    "mie_ab",
     "number_density",
     "path_loss",
     "scale_parameter",

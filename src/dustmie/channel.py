@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .dustfield import MAX_RADIUS_MM, DustLayerModel
+from .dustfield import MAX_RADIUS_MM, DustLayerModel, _support, lognormal_params
 from .errors import ConfigError
 from .mie import ParticleState, WaveSpec, extinction_efficiency_array
 
@@ -110,13 +110,11 @@ class PathLossResult:
     total_db: float
 
 
-def _lattice(heights, layer: DustLayerModel) -> np.ndarray:
-    """Lattice nodes u = ln r (r in mm) covering the size supports at the
-    given altitudes."""
-    lo, hi = zip(*(layer.support(h) for h in heights))
-    lo, hi = min(lo), max(hi)
-    first = math.floor((math.log(lo) - _LN_R_TOP) / _LN_R_STEP)
-    last = min(math.ceil((math.log(hi) - _LN_R_TOP) / _LN_R_STEP), 0)
+def _lattice(lo, hi) -> np.ndarray:
+    """Lattice nodes u = ln r (r in mm) covering the radius intervals
+    [lo, hi] (mm), floats or arrays."""
+    first = math.floor((math.log(np.min(lo)) - _LN_R_TOP) / _LN_R_STEP)
+    last = min(math.ceil((math.log(np.max(hi)) - _LN_R_TOP) / _LN_R_STEP), 0)
     return _LN_R_TOP + _LN_R_STEP * np.arange(first, last + 1)
 
 
@@ -139,20 +137,24 @@ def _per_particle(u: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray:
     return q * math.pi * r_m**2
 
 
-def _k_dust(h: float, layer: DustLayerModel, u: np.ndarray,
-            kernel: np.ndarray) -> float:
-    """k_dust(h) in dB/km: the trapezoid sum over the table's nodes inside
-    the support of the size spectrum at h.
+def _size_weights(u: np.ndarray, mu: np.ndarray, sigma: np.ndarray, n0: float):
+    """For each log-normal (mu, sigma), arrays of them, the slice of the
+    sorted lattice u inside its support and n0 * phi(u) on it: in u = ln r
+    the log-normal density is the normal density phi. At a support end that
+    falls between nodes, the sliver left out carries phi below e^-32 of its
+    peak."""
+    lo, hi = _support(mu, sigma)
+    begin = np.searchsorted(u, np.log(lo)).tolist()
+    end = np.searchsorted(u, np.log(hi), "right").tolist()
+    for m, s, a, b in zip(mu.tolist(), sigma.tolist(), begin, end):
+        yield slice(a, b), (n0 / (math.sqrt(2 * math.pi) * s)
+                            * np.exp(-0.5 * ((u[a:b] - m) / s) ** 2))
 
-    In u = ln r the log-normal density is the normal density, so the
-    integrand is n0 * phi(u) * kernel(u). At a support end that falls
-    between nodes, the sliver left out carries phi below e^-32 of its peak.
-    """
-    mu, sigma = layer.params(h)
-    lo, hi = layer.support(h)
-    inside = (u >= math.log(lo)) & (u <= math.log(hi))
-    f = (layer.n0 / (math.sqrt(2 * math.pi) * sigma)
-         * np.exp(-0.5 * ((u[inside] - mu) / sigma) ** 2) * kernel[inside])
+
+def _k_dust(weights: np.ndarray, kernel: np.ndarray) -> float:
+    """k_dust in dB/km: the trapezoid sum of an altitude's weights against
+    the kernel at the same nodes."""
+    f = weights * kernel
     return NP_PER_M_TO_DB_PER_KM * _LN_R_STEP * float(f.sum() - (f[0] + f[-1]) / 2)
 
 
@@ -170,6 +172,8 @@ def _k_dust_grid(heights, frequencies, layer: DustLayerModel,
     One lattice covers the supports at every altitude, and one Q_ext table
     on it serves every units mode. The table of a run of frequencies is one
     kernel call: up to _TABLE_SIZES sizes (nodes x frequencies) per call.
+    Each altitude's weights are formed once per kernel call and summed
+    against every (units mode, frequency) column of its table.
     """
     for units_mode in units_modes:
         _check_units(units_mode)
@@ -178,14 +182,17 @@ def _k_dust_grid(heights, frequencies, layer: DustLayerModel,
     k = np.zeros((len(units_modes), len(frequencies), len(heights)))
     if layer.n0 == 0 or not k.size:
         return k
-    u = _lattice(heights, layer)
+    mu, sigma = lognormal_params(heights)
+    u = _lattice(*_support(mu, sigma))
     step = max(1, _TABLE_SIZES // u.size)
     for s in range(0, len(frequencies), step):
         q = _q_table(u, frequencies[s:s + step], particle_template, ge_mode)
-        for k_mode, units_mode in zip(k, units_modes):
-            kernel = _per_particle(u, q, units_mode)
-            for k_f, column in zip(k_mode[s:], kernel.T):
-                k_f[:] = [_k_dust(h, layer, u, column) for h in heights]
+        block = k[:, s:s + q.shape[1]]
+        # one row per (units mode, frequency) column of the block
+        columns = np.concatenate([_per_particle(u, q, units_mode)
+                                  for units_mode in units_modes], axis=1).T
+        for i, (part, w) in enumerate(_size_weights(u, mu, sigma, layer.n0)):
+            block[..., i].flat = [_k_dust(w, column[part]) for column in columns]
     return k
 
 
@@ -199,11 +206,12 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     Integrates the per-particle extinction against the size spectrum. The
     template particle supplies charge, temperature, and refractive index;
     its radius is ignored and swept by the integral, a trapezoid sum on a
-    fixed ln r spacing over the support of the spectrum at h.
+    fixed ln r lattice over the support of the spectrum at h.
 
     h is one altitude (m), giving a float, or an array of them, giving an
     array of the same shape; the extinction kernel does not depend on
-    altitude, so one table over the union of their supports serves them all.
+    altitude, so one table over the union of their supports serves them all,
+    and each altitude weights its own slice of that lattice once.
 
     units_mode="physical" (default) integrates the cross-section C_ext in
     m^2, making the dB/km prefactor an exact Np/m conversion;

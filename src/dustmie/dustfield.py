@@ -24,22 +24,24 @@ _SUPPORT_SIGMAS = 8.0
 MAX_RADIUS_MM = 10.0              # mm; matches the Mie kernel radius cap
 
 
-def lognormal_params(h: float) -> tuple[float, float]:
-    """Log-normal fit parameters (mu_d, sigma_d) at altitude h (m)."""
-    if not h >= 0:
-        raise DomainError(f"altitude must be non-negative, got {h}")
-    if h > _EXTRAPOLATION_LIMIT:
+def lognormal_params(h):
+    """Log-normal fit parameters (mu_d, sigma_d) at altitude h (m): floats
+    for one altitude, arrays of h's shape for an array of them."""
+    h = np.asarray(h, dtype=float)
+    if not np.all(h >= 0):
+        raise DomainError(f"altitude must be non-negative, got {h[~(h >= 0)][0]}")
+    if np.any(h > _EXTRAPOLATION_LIMIT):
         warnings.warn(
-            f"size-spectrum fit extrapolated to h={h} m, far above the "
+            f"size-spectrum fit extrapolated to h={h.max()} m, far above the "
             "measured range (~200 m)",
             stacklevel=2,
         )
-    try:
-        mu = _MU_COEFF[0] * math.exp(_MU_COEFF[1] * h)
-        sigma = _SIGMA_COEFF[0] * math.exp(_SIGMA_COEFF[1] * h)
-    except OverflowError as exc:
-        raise DomainError(f"size-spectrum fit overflows at h={h} m") from exc
-    return mu, sigma
+    with np.errstate(over="ignore"):
+        mu = _MU_COEFF[0] * np.exp(_MU_COEFF[1] * h)
+        sigma = _SIGMA_COEFF[0] * np.exp(_SIGMA_COEFF[1] * h)
+    if not np.isfinite(sigma).all():      # sigma grows the faster of the two
+        raise DomainError(f"size-spectrum fit overflows at h={h.max()} m")
+    return (float(mu), float(sigma)) if h.ndim == 0 else (mu, sigma)
 
 
 def size_pdf(r, h: float):
@@ -66,22 +68,27 @@ def number_density(r: float, h: float, n0: float) -> float:
     return n0 * size_pdf(r, h)
 
 
-def size_support(h: float) -> tuple[float, float]:
-    """Radius interval (mm) carrying essentially all log-normal mass at h.
+def _support(mu, sigma):
+    """`size_support` of the log-normal (mu, sigma), as arrays like them."""
+    lo = np.exp(mu - _SUPPORT_SIGMAS * sigma)
+    if np.any(lo == 0.0):
+        raise DomainError(
+            f"size spectrum of sigma_d={np.max(sigma):.3g} spans more radii "
+            "than a float can hold")
+    top = np.minimum(mu + _SUPPORT_SIGMAS * sigma, math.log(MAX_RADIUS_MM))
+    return lo, np.minimum(np.exp(top), MAX_RADIUS_MM)
+
+
+def size_support(h):
+    """Radius interval (lo, hi) in mm carrying essentially all log-normal
+    mass at altitude h (m): floats, or arrays of h's shape.
 
     +/- 8 sigma in log-radius, upper end clamped to the kernel's radius cap.
     Far above the fitted range sigma grows until the lower end underflows;
     there the spectrum has no usable support and a DomainError is raised.
     """
-    mu, sigma = lognormal_params(h)
-    lo = math.exp(mu - _SUPPORT_SIGMAS * sigma)
-    if lo == 0.0:
-        raise DomainError(
-            f"size spectrum at h={h} m (sigma_d={sigma:.3g}) spans more radii "
-            "than a float can hold")
-    top = min(mu + _SUPPORT_SIGMAS * sigma, math.log(MAX_RADIUS_MM))
-    hi = min(math.exp(top), MAX_RADIUS_MM)
-    return lo, hi
+    lo, hi = _support(*lognormal_params(h))
+    return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,3 @@ class DustLayerModel:
     def __post_init__(self):
         if self.n0 is not None:
             _check_n0(self.n0)
-
-    def params(self, h: float) -> tuple[float, float]:
-        return lognormal_params(h)
-
-    def support(self, h: float) -> tuple[float, float]:
-        return size_support(h)

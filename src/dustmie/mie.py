@@ -89,8 +89,7 @@ class ParticleState:
             raise DomainError(
                 f"radius {self.radius} m outside [{_MIN_RADIUS}, {_MAX_RADIUS}]"
             )
-        if self.electrons < 0:
-            raise DomainError("electron count must be non-negative")
+        _electron_count(self.electrons)
         if not 0 < self.temperature < math.inf:
             raise DomainError("temperature must be positive and finite")
 
@@ -132,12 +131,22 @@ def scale_parameter(radius, wavelength):
     return 2 * math.pi * radius / wavelength
 
 
+def _electron_count(electrons) -> np.ndarray:
+    """Electron counts as a float array, checked non-negative and finite."""
+    try:
+        ne = np.asarray(electrons, dtype=float)
+    except OverflowError as exc:
+        raise DomainError("electron count exceeds the float range") from exc
+    if not np.all((ne >= 0) & (ne < math.inf)):
+        raise DomainError("electron count must be non-negative and finite")
+    return ne
+
+
 def surface_potential(electrons, radius):
     """Electrostatic potential (V) at the surface of a charged sphere."""
     if np.any(np.less_equal(radius, 0)):
         raise DomainError("radius must be positive")
-    if np.any(np.less(electrons, 0)):
-        raise DomainError("electron count must be non-negative")
+    electrons = _electron_count(electrons)
     return CONSTANTS.k_e * electrons * CONSTANTS.e / radius
 
 
@@ -376,7 +385,15 @@ class _Recurrences:
 
     def coefficients(self, m: complex, g_e: np.ndarray, begin: int,
                      end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Charged (a_n, b_n) for sizes begin..end; see `_coefficients`."""
+        """Charged (a_n, b_n) for sizes begin..end: two (rows[begin],
+        end - begin) arrays, whose column i holds orders 1..rows[i] and zeros
+        above. With every term of the charged numerators and denominators
+        divided by psi_n(mx), and xi_n(x) = psi_n(x) + i eta_n(x)
+        (eta_n = x y_n), both coefficients take the form
+
+            a_n = A(psi) / (A(psi) + i A(eta)),  A(f) = D_n(mx) (f - g_e f') - m f'
+            b_n = B(psi) / (B(psi) + i B(eta)),  B(f) = f' + (g_e - m D_n(mx)) f
+        """
         x, rows, g_e = self.x[begin:end], self.rows[begin:end], g_e[begin:end]
         top = int(rows[0])
         n = np.arange(1, top + 1)[:, None]
@@ -439,22 +456,6 @@ class _Recurrences:
             return a, ratio(b_part(psi, dpsi), b_part(eta, deta))
 
 
-def _coefficients(x: np.ndarray, m: complex, g_e: np.ndarray,
-                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Charged (a_n, b_n) for n = 1..max(rows) over a batch of sizes in
-    descending order of x.
-
-    Returns two (max(rows), x.size) arrays; column i holds orders 1..rows[i]
-    and zeros above. With every term of the charged numerators and
-    denominators divided by psi_n(mx), and xi_n(x) = psi_n(x) + i eta_n(x)
-    (eta_n = x y_n), both coefficients take the form
-
-        a_n = A(psi) / (A(psi) + i A(eta)),  A(f) = D_n(mx) (f - g_e f') - m f'
-        b_n = B(psi) / (B(psi) + i B(eta)),  B(f) = f' + (g_e - m D_n(mx)) f
-    """
-    return _Recurrences.run(x, m, rows).coefficients(m, g_e, 0, x.size)
-
-
 def _series(x: np.ndarray, a: np.ndarray, b: np.ndarray,
             nmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q_ext summed to nmax, and whether the next orders leave it unchanged."""
@@ -514,30 +515,14 @@ def extinction_efficiency_array(radius, frequency, electrons, temperature: float
     the result has their broadcast shape.
     """
     radius, frequency, electrons = np.broadcast_arrays(
-        *(np.asarray(a, float) for a in (radius, frequency, electrons)))
+        np.asarray(radius, float), np.asarray(frequency, float),
+        _electron_count(electrons))
     x, g_e = _size_and_charge(radius, frequency, electrons, temperature, mode)
-    return _qext(x.ravel(), m, g_e.ravel())[0].reshape(x.shape)
-
-
-def mie_ab(n: int, x: float, m: complex, g_e: complex = 0j) -> tuple[complex, complex]:
-    """Charged scattering coefficient pair (a_n, b_n) for a single order."""
-    if n < 1:
-        raise DomainError("order must be >= 1")
-    if x <= 0:
-        raise DomainError("scale parameter must be positive")
-    a, b = _coefficients(np.array([float(x)]), _normalize_m(m),
-                         np.array([g_e], complex), np.array([n]))
-    return complex(a[n - 1, 0]), complex(b[n - 1, 0])
+    # approx mode gives a Python complex g_e for one sphere
+    return _qext(x.ravel(), m, np.ravel(g_e))[0].reshape(x.shape)
 
 
 def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> MieResult:
     """Extinction efficiency from the size parameter and charge coefficient."""
     q, nmax, converged = _qext(np.array([float(x)]), m, np.array([g_e], complex))
     return MieResult(float(q[0]), int(nmax[0]), bool(converged[0]))
-
-
-def extinction_efficiency(p: ParticleState, w: WaveSpec,
-                          mode: str = "full") -> MieResult:
-    """Extinction efficiency of one charged dust sphere."""
-    x, g_e = _size_and_charge(p.radius, w.frequency, p.electrons, p.temperature, mode)
-    return extinction_efficiency_x(float(x), p.refractive_index, complex(g_e))

@@ -11,7 +11,12 @@ from dustmie.channel import (
     path_loss,
     slant_dust_loss,
 )
-from dustmie.dustfield import DustLayerModel, number_density, size_support
+from dustmie.dustfield import (
+    DustLayerModel,
+    lognormal_params,
+    number_density,
+    size_support,
+)
 from dustmie.errors import ConfigError
 from dustmie.mie import (
     ParticleState,
@@ -55,8 +60,8 @@ def adaptive_k_dust(h, w, layer, particle, rel_tol):
                                         particle.refractive_index)
         return number_density(r_mm, h, layer.n0) * q * math.pi * r_m**2
 
-    mu, sigma = layer.params(h)
-    lo, hi = layer.support(h)
+    mu, sigma = lognormal_params(h)
+    lo, hi = size_support(h)
     cuts = sorted({min(max(math.exp(mu + k * sigma), lo), hi)
                    for k in SEGMENT_SIGMAS} | {lo, hi})
     return 4.343e3 * sum(level_simpson(integrand, a, b, rel_tol=rel_tol)
@@ -205,7 +210,7 @@ class TestDustAttenuationCoefficient:
         import dustmie.channel as channel
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
-        nodes = channel._lattice([150.0], layer).size
+        nodes = channel._lattice(*size_support(150.0)).size
         monkeypatch.setattr(channel, "_TABLE_SIZES", 2 * nodes)
         calls = []
         kernel = channel.extinction_efficiency_array
@@ -232,13 +237,14 @@ def one_table_slant_loss(g, w, layer, particle, rel_tol):
     every altitude summed over one kernel table built for the whole path."""
     import dustmie.channel as channel
     sin_theta = math.sin(g.theta)
-    u = channel._lattice((g.h0, g.h0 + g.d * sin_theta), layer)
+    u = channel._lattice(*size_support(np.array([g.h0, g.h0 + g.d * sin_theta])))
     q = channel._q_table(u, [w.frequency], particle, "full")
     kernel = channel._per_particle(u, q, "physical")[:, 0]
 
     def per_m(s):
-        return np.array([channel._k_dust(g.h0 + x * sin_theta, layer, u, kernel)
-                         for x in s]) / 1000.0
+        mu, sigma = lognormal_params(g.h0 + s * sin_theta)
+        return np.array([channel._k_dust(weights, kernel[part]) for part, weights
+                         in channel._size_weights(u, mu, sigma, layer.n0)]) / 1000.0
     return level_simpson(per_m, 0.0, g.d, rel_tol=rel_tol)
 
 

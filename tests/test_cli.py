@@ -469,6 +469,10 @@ def test_numerical_failure_exits_3(capsys, argv):
      "--d", "100", "--theta-deg", "12", "--seed", "-1"],
     ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
      "--d", "100", "--theta-deg", "12", "--seed", "-1", "--trials", "5"],
+    # an electron count beyond the float range
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
+     "--d", "50", "--ne", "1" + "0" * 400],
+    ["qext", "--sweep", "f", "--group-r", "1e-6", "--ne", "1" + "0" * 400],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)

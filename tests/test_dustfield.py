@@ -32,13 +32,35 @@ class TestLognormalParams:
         assert abs(sigma - sigma_ref) < 0.01
 
     def test_negative_altitude_rejected(self):
-        for h in (-1.0, math.nan):
-            with pytest.raises(DomainError):
-                lognormal_params(h)
+        # also one bad element of an array
+        for h in (-1.0, math.nan, [[100.0, 150.0], [-1.0, 200.0]],
+                  [[100.0, 150.0], [math.nan, 200.0]]):
+            for fn in (lognormal_params, size_support):
+                with pytest.raises(DomainError):
+                    fn(h)
 
     def test_extrapolation_warns(self):
         with pytest.warns(UserWarning):
             lognormal_params(5000.0)
+
+    def test_extrapolation_warns_once_per_call(self):
+        h = np.array([[100.0, 1020.0], [1050.0, 1100.0]])
+        for fn in (lognormal_params, size_support):
+            with pytest.warns(UserWarning) as record:
+                fn(h)
+            assert len(record) == 1
+
+    def test_array_matches_scalar_calls(self):
+        h = np.linspace(0.0, 600.0, 12).reshape(3, 4)
+        for fn in (lognormal_params, size_support):
+            pair = fn(h)
+            for got in pair:
+                assert got.shape == h.shape
+            for i, h_i in enumerate(h.flat):
+                one = fn(float(h_i))
+                assert all(isinstance(v, float) for v in one)
+                assert one == pytest.approx((pair[0].flat[i], pair[1].flat[i]),
+                                            rel=1e-15)
 
     @given(h1=st.floats(0, 500), h2=st.floats(0, 500))
     @settings(max_examples=50)
@@ -120,7 +142,7 @@ class TestDustLayerModel:
                 DustLayerModel(n0=n0)
 
     def test_support_mass(self):
-        lo, hi = DustLayerModel(n0=1.0).support(100.0)
+        lo, hi = size_support(100.0)
         mu, sigma = lognormal_params(100.0)
         assert lo == pytest.approx(math.exp(mu - 8 * sigma))
         assert hi <= 10.0

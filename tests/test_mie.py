@@ -11,10 +11,10 @@ from dustmie.mie import (
     WaveSpec,
     charged_coefficient,
     collision_frequency,
-    extinction_efficiency,
+    _normalize_m,
+    _Recurrences,
     extinction_efficiency_array,
     extinction_efficiency_x,
-    mie_ab,
     scale_parameter,
     surface_plasma_frequency,
     surface_potential,
@@ -24,6 +24,15 @@ from dustmie.mie import (
 from oracles import neutral_mie_qext
 
 M_DEFAULT = 2.0 - 0.025j
+
+
+def series_coefficients(x, m, rows):
+    """Neutral (a_n, b_n) of one sphere for n = 1..rows, from the kernel's
+    own recurrences and coefficient step."""
+    m = _normalize_m(m)
+    rec = _Recurrences.run(np.array([float(x)]), m, np.array([rows]))
+    a, b = rec.coefficients(m, np.zeros(1, complex), 0, 1)
+    return a[:, 0], b[:, 0]
 
 
 class TestScalarHelpers:
@@ -131,17 +140,17 @@ class TestParticleState:
 class TestNeutralLimit:
     def test_index_matched_sphere_vanishes(self):
         for n in (1, 2, 5):
-            a, b = mie_ab(n, 0.8, 1.0 + 0j, 0j)
-            assert abs(a) < 1e-14
-            assert abs(b) < 1e-14
+            a, b = series_coefficients(0.8, 1.0 + 0j, n)
+            assert abs(a[n - 1]) < 1e-14
+            assert abs(b[n - 1]) < 1e-14
         assert extinction_efficiency_x(1.0, 1.0 + 0j).q_ext == 0.0
 
     def test_single_order_matches_oracle_sum(self):
         # neutral a_1 + b_1 checked against the frozen arbitrary-precision
         # standard-Mie value at the small-x working point
-        a, b = mie_ab(1, 0.12566, M_DEFAULT, 0j)
+        (a,), (b,) = series_coefficients(0.12566, M_DEFAULT, 1)
         # frozen regression value, first computed with the mpmath oracle
-        a0, b0 = mie_ab(1, 0.02, M_DEFAULT, 0j)
+        (a0,), (b0,) = series_coefficients(0.02, M_DEFAULT, 1)
         frozen = 4.446625167041425e-08 - 2.6675559942765058e-06j
         assert abs((a0 + b0) - frozen) / abs(frozen) < 1e-10
         assert abs(a) > 0 and abs(b) > 0
@@ -191,8 +200,9 @@ class TestChargedBehavior:
         for f in (0.3e12, 1e12, 10e12):
             w = WaveSpec.from_frequency(f)
             p = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
-            qf = extinction_efficiency(p, w, mode="full").q_ext
-            qa = extinction_efficiency(p, w, mode="approx").q_ext
+            qf, qa = (extinction_efficiency_array(
+                p.radius, w.frequency, p.electrons, p.temperature,
+                p.refractive_index, mode=mode) for mode in ("full", "approx"))
             assert abs(qf - qa) / abs(qf) < 0.01
 
     def test_scale_invariance(self):
@@ -214,8 +224,11 @@ class TestMieResult:
     def test_structure_and_convergence(self):
         p = ParticleState(20e-6, 10, 300.0, M_DEFAULT)
         w = WaveSpec.from_frequency(300e9)
-        res = extinction_efficiency(p, w)
         x = scale_parameter(p.radius, w.wavelength)
+        g = charged_coefficient(x, 2 * math.pi * w.frequency,
+                                surface_plasma_frequency(p.electrons, p.radius),
+                                collision_frequency(p.temperature))
+        res = extinction_efficiency_x(x, p.refractive_index, g)
         assert res.n_max == truncation_order(x)
         assert res.converged
 
@@ -227,12 +240,9 @@ class TestMieResult:
         # at x=50 with an absorbing index the 5-extra-order tail measures
         # ~2e-10 relative, just past the strict 1e-10 convergence flag; the
         # flag honestly reports that, and the tail stays under 1e-9
-        from dustmie.mie import _coefficients, _normalize_m
         x = 50.0
         nmax = truncation_order(x)
-        a, b = _coefficients(np.array([x]), _normalize_m(1.5 - 0.1j),
-                             np.array([0j]), np.array([nmax + 5]))
-        terms = list(zip(a[:, 0], b[:, 0]))
+        terms = list(zip(*series_coefficients(x, 1.5 - 0.1j, nmax + 5)))
 
         def partial(upto):
             return 2 / x**2 * sum((2 * n + 1) * (terms[n - 1][0] + terms[n - 1][1]).real
@@ -262,19 +272,38 @@ class TestStronglyAbsorbing:
 class TestBatchKernel:
     def test_batch_matches_single_sphere_entry(self):
         # radius x frequency x charge broadcast, across chunks of different
-        # truncation order, against the one-sphere entry point
+        # truncation order, against one-sphere calls
         radius = np.geomspace(1e-7, 5e-3, 40)
         freq = np.array([0.3e12, 2e12])[:, None, None]
         ne = np.array([0, 1000, 10**6])[:, None]
         q = extinction_efficiency_array(radius, freq, ne, 300.0, M_DEFAULT)
         assert q.shape == (2, 3, 40)
         for i, f in enumerate((0.3e12, 2e12)):
-            w = WaveSpec.from_frequency(f)
             for j, n_e in enumerate((0, 1000, 10**6)):
                 for k in range(0, 40, 7):
-                    p = ParticleState(float(radius[k]), n_e, 300.0, M_DEFAULT)
-                    ref = extinction_efficiency(p, w).q_ext
+                    ref = float(extinction_efficiency_array(
+                        float(radius[k]), f, n_e, 300.0, M_DEFAULT))
                     assert q[i, j, k] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["full", "approx"])
+    def test_one_sphere_call_matches_one_element_batch(self, mode):
+        # a scalar call gets approx mode's g_e as a Python complex
+        args = (3e11, 1000, 300.0, M_DEFAULT)
+        q = extinction_efficiency_array(20e-6, *args, mode=mode)
+        batch = extinction_efficiency_array([20e-6], *args, mode=mode)
+        assert q.shape == () and batch.shape == (1,)
+        assert q == batch[0]
+
+    # NaN, inf, and an int beyond the float range
+    @pytest.mark.parametrize("ne", [math.nan, math.inf, 10**400])
+    def test_electron_count_not_a_finite_float_rejected(self, ne):
+        with pytest.raises(DomainError):
+            ParticleState(20e-6, ne)
+        with pytest.raises(DomainError):
+            surface_potential(ne, 20e-6)
+        for electrons in (ne, [0, ne]):
+            with pytest.raises(DomainError):
+                extinction_efficiency_array(1e-6, 3e11, electrons, 300.0, M_DEFAULT)
 
     def test_electron_count_beyond_int64(self):
         # a Python int of 2^64 or more is read as the float it equals
@@ -315,8 +344,9 @@ class TestBatchKernel:
         assert pass_and_chunk_counts["passes"] >= 3
         assert pass_and_chunk_counts["chunks"] >= 2 * pass_and_chunk_counts["passes"]
         for k, r in enumerate(self.PASS_GRID):
-            ref = extinction_efficiency(ParticleState(float(r), ne, 300.0, M_DEFAULT), w)
-            assert q[k] == pytest.approx(ref.q_ext, rel=1e-12)
+            ref = float(extinction_efficiency_array(float(r), w.frequency, ne, 300.0,
+                                                    M_DEFAULT))
+            assert q[k] == pytest.approx(ref, rel=1e-12)
 
     def test_index_matched_batch_across_passes_vanishes(self, pass_and_chunk_counts):
         q = extinction_efficiency_array(self.PASS_GRID, 3e12, 0, 300.0, 1.0 + 0j)
@@ -333,17 +363,6 @@ class TestBatchKernel:
                                      DustLayerModel(n0=1e3),
                                      ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
         assert pass_and_chunk_counts == {"passes": 5, "chunks": 22}
-
-    def test_single_order_entry_matches_series_terms(self):
-        from dustmie.mie import _coefficients, _normalize_m
-        g = 1e-4 + 2e-4j
-        nmax = truncation_order(3.0)
-        a_all, b_all = _coefficients(np.array([3.0]), _normalize_m(M_DEFAULT),
-                                     np.array([g]), np.array([nmax]))
-        for n in (1, 4, nmax):
-            a, b = mie_ab(n, 3.0, M_DEFAULT, g)
-            assert a == pytest.approx(a_all[n - 1, 0], rel=1e-12)
-            assert b == pytest.approx(b_all[n - 1, 0], rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
