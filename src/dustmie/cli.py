@@ -17,7 +17,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -50,38 +50,37 @@ class RunConfig:
     n_i: float | None = None
     sigma_i: float | None = None
 
-    def items(self):
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
-
+# The RunConfig fields each config section holds. A config key is spelled
+# like its field, and so is its flag: "--" + the field, "-" for "_".
 _SECTIONS = {
-    "wave": {"f": float},
-    "particle": {"r": float, "ne": int, "t": float, "m": complex},
-    "dust": {"n0": float},
-    "link": {"d": float, "d0": float, "h0": float, "theta_deg": float,
-             "n_i": float, "sigma_i": float},
+    "wave": ("f",),
+    "particle": ("r", "ne", "T", "m"),
+    "dust": ("n0",),
+    "link": ("d", "d0", "h0", "theta_deg", "n_i", "sigma_i"),
 }
-_KEY_ALIASES = {"t": "T"}
+# every other field is a float
+_CONVERTERS = {"ne": int, "m": complex}
 
 
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     cfg = RunConfig()
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
+        # configparser hands over the keys in lower case
+        names = {name.lower(): name for name in _SECTIONS[section]}
         for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
+            if key not in names:
                 raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            conv = _SECTIONS[section][key]
             try:
-                value = conv(raw)
+                value = _CONVERTERS.get(names[key], float)(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-            setattr(cfg, _KEY_ALIASES.get(key, key), value)
+            setattr(cfg, names[key], value)
     return cfg
 
 
@@ -110,34 +109,33 @@ def _electron_counts(text: str | None, default: list[int]) -> list[int]:
 
 
 def _base_metadata(cfg: RunConfig, args) -> dict:
-    meta = {f"config.{k}": v for k, v in cfg.items()}
+    meta = {f"config.{k}": v for k, v in asdict(cfg).items()}
     meta.update({
         "command": args.command,
         "format": args.format,
-        "config_hash": config_hash(cfg.items()),
+        "config_hash": config_hash(asdict(cfg).items()),
     })
-    # only the flags this subcommand takes
-    for key, attr in (("ge_mode", "mode"), ("units_mode", "units"), ("seed", "seed")):
+    # only the flags this subcommand takes, three of them under another name
+    renamed = {"mode": "ge_mode", "units": "units_mode",
+               "normalized": "normalized_per_n0"}
+    for attr in ("mode", "units", "normalized", "seed", "trials",
+                 "sweep", "start", "stop", "count", "spacing"):
         if hasattr(args, attr):
-            meta[key] = getattr(args, attr)
+            meta[renamed.get(attr, attr)] = getattr(args, attr)
     return meta
 
 
 def _apply_overrides(cfg: RunConfig, args) -> None:
-    for attr in ("f", "r", "ne", "T", "n0", "d", "d0", "h0", "theta_deg",
-                 "n_i", "sigma_i"):
-        value = getattr(args, attr, None)
+    for fld in fields(cfg):
+        value = getattr(args, fld.name, None)
         if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "m", None) is not None:
-        try:
-            cfg.m = complex(args.m)
-        except ValueError as exc:
-            raise ConfigError(f"bad refractive index {args.m!r}") from exc
+            setattr(cfg, fld.name, value)
 
 
 def _particle_template(cfg: RunConfig, ne: int | None = None) -> ParticleState:
-    return ParticleState(cfg.r, cfg.ne if ne is None else ne, cfg.T, cfg.m)
+    # attenuation and pathloss integrate over the radius, so their template
+    # takes the default radius, never the config's unread one
+    return ParticleState(RunConfig.r, cfg.ne if ne is None else ne, cfg.T, cfg.m)
 
 
 def cmd_qext(cfg: RunConfig, args) -> SweepTable:
@@ -168,13 +166,10 @@ def cmd_qext(cfg: RunConfig, args) -> SweepTable:
     electrons = np.array([ne for _, _, ne in groups])[:, None]
     q = extinction_efficiency_array(radius, frequency, electrons, cfg.T, cfg.m,
                                     mode=args.mode)
-    rows = [[point] + list(col) for point, col in zip(grid, q.T)]
-    names = [args.sweep] + [f"q_ext[{label}]" for label, _, _ in groups]
-    units = ["1" if args.sweep == "x" else "Hz"] + ["1"] * len(groups)
-    table = SweepTable(names, units, rows, _base_metadata(cfg, args))
-    table.metadata.update(sweep=args.sweep, start=args.start, stop=args.stop,
-                          count=args.count, spacing=args.spacing)
-    return table
+    columns = [(args.sweep, "1" if args.sweep == "x" else "Hz", grid)]
+    columns += [(f"q_ext[{label}]", "1", values)
+                for (label, _, _), values in zip(groups, q)]
+    return SweepTable(columns, _base_metadata(cfg, args))
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> SweepTable:
@@ -182,23 +177,16 @@ def cmd_spectrum(cfg: RunConfig, args) -> SweepTable:
     grid = sweep_grid(args.start, args.stop, args.count, args.spacing)
     layer = DustLayerModel(n0=cfg.n0)
     meta = _base_metadata(cfg, args)
-    meta.update(sweep="r", start=args.start, stop=args.stop,
-                count=args.count, spacing=args.spacing)
 
-    names = ["r"] + [f"pdf[h={h:g}m]" for h in heights]
-    units = ["mm"] + ["1/mm"] * len(heights)
-    with_nd = layer.n0 is not None
-    if with_nd:
-        names += [f"n_d[h={h:g}m]" for h in heights]
-        units += ["1/(m^3 mm)"] * len(heights)
-    else:
+    pdfs = [size_pdf(grid, h) for h in heights]
+    columns = [("r", "mm", grid)]
+    columns += [(f"pdf[h={h:g}m]", "1/mm", pdf) for h, pdf in zip(heights, pdfs)]
+    if layer.n0 is None:
         meta["warning"] = "n0 unset; number-density columns omitted"
-
-    columns = [size_pdf(grid, h) for h in heights]
-    if with_nd:
-        columns += [layer.n0 * pdf for pdf in columns]
-    rows = [[r] + list(values) for r, values in zip(grid, zip(*columns))]
-    return SweepTable(names, units, rows, meta)
+    else:
+        columns += [(f"n_d[h={h:g}m]", "1/(m^3 mm)", layer.n0 * pdf)
+                    for h, pdf in zip(heights, pdfs)]
+    return SweepTable(columns, meta)
 
 
 def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
@@ -225,19 +213,12 @@ def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
     k = [_k_dust_grid(heights, frequencies, layer, _particle_template(cfg, ne),
                       unit_modes, args.mode).reshape(len(unit_modes), -1)
          for ne in ne_list]
-    columns = [k_ne[i] for i in range(len(unit_modes)) for k_ne in k]
-    rows = [[point] + list(values) for point, values in zip(grid, zip(*columns))]
-    names = [args.sweep]
-    units = ["m" if args.sweep == "h" else "Hz"]
-    for um in unit_modes:
+    columns = [(args.sweep, "m" if args.sweep == "h" else "Hz", grid)]
+    for i, um in enumerate(unit_modes):
         suffix = "" if len(unit_modes) == 1 else f";{um}"
-        names += [f"k_dust[Ne={ne:g}{suffix}]" for ne in ne_list]
-        units += ["dB/km"] * len(ne_list)
-    meta = _base_metadata(cfg, args)
-    meta.update(sweep=args.sweep, start=args.start, stop=args.stop,
-                count=args.count, spacing=args.spacing,
-                normalized_per_n0=bool(args.normalized))
-    return SweepTable(names, units, rows, meta)
+        columns += [(f"k_dust[Ne={ne:g}{suffix}]", "dB/km", k_ne[i])
+                    for ne, k_ne in zip(ne_list, k)]
+    return SweepTable(columns, _base_metadata(cfg, args))
 
 
 def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
@@ -259,28 +240,28 @@ def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
     particle = _particle_template(cfg)
     k_abs = (AltitudeProfile.from_file(args.kabs_profile)
              if args.kabs_profile else None)
-    meta = _base_metadata(cfg, args)
-    meta["trials"] = args.trials
 
     single = args.trials <= 1
     base = path_loss(geometry, w, layer, particle,
                      shadow_seed=args.seed if single else None,
                      k_abs=k_abs, units_mode=args.units, ge_mode=args.mode)
     if single:
-        names = ["fspl", "distance_term", "shadow", "dust_loss", "total"]
-        rows = [[base.fspl_db, base.distance_term_db, base.shadow_db,
-                 base.dust_loss_db, base.total_db]]
-        return SweepTable(names, ["dB"] * 5, rows, meta)
-
-    rng = np.random.default_rng(args.seed)
-    chi = rng.normal(0.0, cfg.sigma_i, size=args.trials)
-    totals = base.total_db + chi
-    names = ["trials", "mean_total", "std_total", "mean_shadow", "std_shadow"]
-    units = ["1", "dB", "dB", "dB", "dB"]
-    rows = [[float(args.trials), float(np.mean(totals)),
-             float(np.std(totals, ddof=1)), float(np.mean(chi)),
-             float(np.std(chi, ddof=1))]]
-    return SweepTable(names, units, rows, meta)
+        summary = [("fspl", "dB", base.fspl_db),
+                   ("distance_term", "dB", base.distance_term_db),
+                   ("shadow", "dB", base.shadow_db),
+                   ("dust_loss", "dB", base.dust_loss_db),
+                   ("total", "dB", base.total_db)]
+    else:
+        rng = np.random.default_rng(args.seed)
+        chi = rng.normal(0.0, cfg.sigma_i, size=args.trials)
+        totals = base.total_db + chi
+        summary = [("trials", "1", float(args.trials)),
+                   ("mean_total", "dB", float(np.mean(totals))),
+                   ("std_total", "dB", float(np.std(totals, ddof=1))),
+                   ("mean_shadow", "dB", float(np.mean(chi))),
+                   ("std_shadow", "dB", float(np.std(chi, ddof=1)))]
+    return SweepTable([(name, unit, [value]) for name, unit, value in summary],
+                      _base_metadata(cfg, args))
 
 
 def _add_sweep_args(sub, default_start, default_stop):
@@ -298,16 +279,10 @@ _FLAGS = {
     "--units": dict(choices=["physical", "paper", "both"], default="physical",
                     help="kernel units; both (attenuation only) emits "
                          "physical and paper columns side by side"),
-    "--seed": dict(type=int, default=None),
-    "--kabs-profile": dict(dest="kabs_profile", default=None,
-                           help="two-column text profile: altitude_m dB_per_km"),
-    **{name: dict(type=conv, default=None,
-                  dest=name.lstrip("-").replace("-", "_"))
-       for name, conv in [("--f", float), ("--r", float), ("--ne", int),
-                          ("--T", float), ("--m", str), ("--n0", float),
-                          ("--d", float), ("--d0", float), ("--h0", float),
-                          ("--theta-deg", float), ("--n-i", float),
-                          ("--sigma-i", float)]},
+    "--seed": dict(type=int),
+    "--kabs-profile": dict(help="two-column text profile: altitude_m dB_per_km"),
+    **{"--" + fld.name.replace("_", "-"): dict(type=_CONVERTERS.get(fld.name, float))
+       for fld in fields(RunConfig)},
 }
 
 
@@ -337,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(s, "--n0")
     _add_sweep_args(s, 0.005, 1.0)
     s.add_argument("--heights", default="100,150,200", help="comma list, m")
+    s.set_defaults(sweep="r")
 
     a = subs.add_parser("attenuation", help="dust attenuation coefficient sweep")
     _add_flags(a, "--mode --units --f --T --m --n0 --h0")

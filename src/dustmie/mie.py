@@ -92,6 +92,7 @@ class ParticleState:
         _electron_count(self.electrons)
         if not 0 < self.temperature < math.inf:
             raise DomainError("temperature must be positive and finite")
+        _normalize_m(self.refractive_index)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
-"""Sweep grids and the table format emitted by the CLI."""
+"""Sweep grids and the labelled-column tables the CLI emits."""
 from __future__ import annotations
 
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,19 +29,20 @@ def sweep_grid(start: float, stop: float, count: int, spacing: str = "linear") -
 
 @dataclass
 class SweepTable:
-    """Rectangular result table with units and reproducibility metadata."""
+    """Result table of (name, unit, values) columns of one length, the sweep
+    grid first, with reproducibility metadata."""
 
-    names: list[str]
-    units: list[str]
-    rows: list[list[float]]
+    columns: list[tuple[str, str, Sequence[float]]]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.names) != len(self.units):
-            raise ConfigError("column names and units differ in length")
-        for row in self.rows:
-            if len(row) != len(self.names):
-                raise ConfigError("ragged sweep table row")
+        if len({len(values) for _, _, values in self.columns}) > 1:
+            raise ConfigError("sweep table columns differ in length")
+
+    @property
+    def rows(self) -> list[tuple[float, ...]]:
+        """The values, one tuple per grid point."""
+        return list(zip(*(values for _, _, values in self.columns)))
 
     @staticmethod
     def _fmt(v: float) -> str:
@@ -49,17 +50,19 @@ class SweepTable:
 
     def to_csv(self) -> str:
         lines = [f"# {k} = {self.metadata[k]}" for k in sorted(self.metadata)]
-        lines.append(",".join(self.names))
-        lines.append(",".join(self.units))
+        names, units, _ = zip(*self.columns)
+        lines.append(",".join(names))
+        lines.append(",".join(units))
         for row in self.rows:
             lines.append(",".join(self._fmt(v) for v in row))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        names, units, _ = zip(*self.columns)
         payload = {
             "metadata": {k: str(v) for k, v in self.metadata.items()},
-            "columns": self.names,
-            "units": self.units,
+            "columns": names,
+            "units": units,
             "rows": [[self._fmt(v) for v in row] for row in self.rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from dustmie.cli import DEFAULT_M, RunConfig, build_parser, load_config, run
 from dustmie.errors import ConfigError
+from dustmie.sweeps import SweepTable
 
 
 def run_cli(capsys, *argv):
@@ -313,6 +315,35 @@ class TestPathloss:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+# Each RunConfig field: its config section, a config value, the value its flag
+# overrides that with, and a subcommand that takes the flag.
+FIELD_CASES = {
+    "f": ("wave", 1e12, 2e12, "qext"),
+    "r": ("particle", 1e-5, 3e-5, "qext"),
+    "ne": ("particle", 5, 7, "pathloss"),
+    "T": ("particle", 250.0, 350.0, "qext"),
+    "m": ("particle", 1.5 - 0.1j, 1.6 + 0.2j, "qext"),
+    "n0": ("dust", 500.0, 700.0, "spectrum"),
+    "d": ("link", 200.0, 100.0, "pathloss"),
+    "d0": ("link", 5.0, 10.0, "pathloss"),
+    "h0": ("link", 150.0, 120.0, "pathloss"),
+    "theta_deg": ("link", 30.0, 12.0, "pathloss"),
+    "n_i": ("link", 2.5, 2.0, "pathloss"),
+    "sigma_i": ("link", 4.0, 3.0, "pathloss"),
+}
+# what each subcommand needs besides the field under test to run
+FIELD_RUN_ARGS = {
+    "qext": {"count": 2},
+    "spectrum": {"count": 2},
+    "pathloss": {"n_i": 2.0, "sigma_i": 3.0, "n0": 1e3, "h0": 120.0, "d": 100.0,
+                 "theta_deg": 12.0},
+}
+
+
 class TestConfigAndOutput:
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -376,6 +407,49 @@ class TestConfigAndOutput:
 
     def test_default_m_is_documented_assumption(self):
         assert RunConfig().m == DEFAULT_M
+
+    @pytest.mark.parametrize("name", [fld.name for fld in fields(RunConfig)])
+    def test_config_key_and_flag_share_the_field_name(self, tmp_path, capsys, name):
+        section, file_value, flag_value, command = FIELD_CASES[name]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{name} = {file_value}\n")
+        assert getattr(load_config(str(cfg)), name) == file_value
+        argv = [command, "--config", str(cfg), flag(name), str(flag_value)]
+        argv += [arg for key, value in FIELD_RUN_ARGS[command].items()
+                 if key != name for arg in (flag(key), str(value))]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert parse_csv(out)[0][f"config.{name}"] == str(flag_value)
+
+    def test_malformed_index_is_usage_or_config_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["qext", "--m", "foo", "--count", "2"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[particle]\nm = foo\n")
+        code, out = run_cli(capsys, "qext", "--count", "2", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+
+    # neither command reads the template radius: the size integral sweeps it
+    @pytest.mark.parametrize("argv", [
+        ["attenuation", "--n0", "1e3", "--count", "2"],
+        ["pathloss", "--seed", "7", "--h0", "120", "--theta-deg", "12", "--d", "100",
+         "--n-i", "2", "--sigma-i", "3", "--n0", "1e3"],
+    ])
+    def test_unread_config_radius_is_not_checked(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[particle]\nr = 0.5\n")
+        code, plain = run_cli(capsys, *argv)
+        assert code == 0
+        code, out = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert parse_csv(out)[1:] == parse_csv(plain)[1:]
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ConfigError):
+            SweepTable([("x", "1", [1.0, 2.0]), ("y", "1", [3.0])])
 
 
 # Every subcommand takes --config, --format and --out, and beyond them only
@@ -473,6 +547,12 @@ def test_numerical_failure_exits_3(capsys, argv):
     ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
      "--d", "50", "--ne", "1" + "0" * 400],
     ["qext", "--sweep", "f", "--group-r", "1e-6", "--ne", "1" + "0" * 400],
+    # a refractive index outside its domain, also where n0 = 0 runs no kernel
+    ["pathloss", "--n0", "0", "--m", "nan+0j", "--h0", "120", "--d", "100",
+     "--n-i", "2", "--sigma-i", "3"],
+    ["pathloss", "--n0", "0", "--m=-1+0j", "--h0", "120", "--d", "100",
+     "--n-i", "2", "--sigma-i", "3"],
+    ["attenuation", "--n0", "0", "--m", "nan+0j", "--count", "2"],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)

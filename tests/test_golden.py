@@ -16,6 +16,7 @@ of a numeric cell and whether a metadata or header line changed.
 """
 import contextlib
 import io
+import json
 import math
 import sys
 from pathlib import Path
@@ -40,6 +41,8 @@ COMMANDS = {
     "qext_absorbing": ["qext", "--sweep", "x", "--start", "0.05", "--stop", "800",
                        "--count", "6", "--m", "1.5+3j"],
     "spectrum": ["spectrum", "--n0", "1e3", "--count", "20"],
+    # without n0 the table carries a warning and no number-density columns
+    "spectrum_no_n0": ["spectrum", "--count", "20"],
     "attenuation_h": ["attenuation", "--sweep", "h", "--count", "8", "--n0", "1e3",
                       "--units", "both"],
     "attenuation_f": ["attenuation", "--sweep", "f", "--start", "1e11",
@@ -76,6 +79,24 @@ def test_cli_matches_golden(name):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert math.isclose(g, w, rel_tol=RTOL, abs_tol=0.0), (name, got, want)
+
+
+def cells(text):
+    """(metadata, names, units, rows) of a CSV table, each cell as written."""
+    lines = text.splitlines()
+    meta = dict(ln[2:].split(" = ", 1) for ln in lines if ln.startswith("# "))
+    names, units, *rows = lines[len(meta):]
+    return meta, names.split(","), units.split(","), [r.split(",") for r in rows]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_json_matches_csv(name):
+    # the JSON table of a golden command holds the CSV's cells, so the golden
+    # files pin both writers
+    meta, names, units, rows = cells(cli_output(COMMANDS[name]))
+    payload = json.loads(cli_output(COMMANDS[name] + ["--format", "json"]))
+    assert payload == {"metadata": {**meta, "format": "json"},
+                       "columns": names, "units": units, "rows": rows}
 
 
 def test_shared_parser_keeps_no_state():

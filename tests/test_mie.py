@@ -136,6 +136,13 @@ class TestParticleState:
             with pytest.raises(DomainError):
                 collision_frequency(t)
 
+    # checked where the sphere is made, so also where no kernel runs (n0 = 0)
+    @pytest.mark.parametrize("m", [complex(math.nan, 0), complex(math.inf, 0),
+                                   -1 + 0j, 0j])
+    def test_refractive_index_outside_domain_rejected(self, m):
+        with pytest.raises(DomainError):
+            ParticleState(radius=20e-6, refractive_index=m)
+
 
 class TestNeutralLimit:
     def test_index_matched_sphere_vanishes(self):
