@@ -10,8 +10,8 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .dustfield import MAX_RADIUS_MM, DustLayerModel, _support, lognormal_params
-from .errors import ConfigError
-from .mie import ParticleState, WaveSpec, extinction_efficiency_array
+from .errors import ConfigError, DomainError
+from .mie import ParticleState, WaveSpec, _electron_count, extinction_efficiency_array
 
 NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 
@@ -118,16 +118,6 @@ def _lattice(lo, hi) -> np.ndarray:
     return _LN_R_TOP + _LN_R_STEP * np.arange(first, last + 1)
 
 
-def _q_table(u: np.ndarray, frequencies, particle: ParticleState,
-             ge_mode: str) -> np.ndarray:
-    """Q_ext at the lattice nodes and frequencies, a (nodes, frequencies)
-    array, as one kernel call."""
-    r_m = np.exp(u)[:, None] * 1e-3
-    return extinction_efficiency_array(r_m, np.asarray(frequencies, dtype=float),
-                                       particle.electrons, particle.temperature,
-                                       particle.refractive_index, mode=ge_mode)
-
-
 def _per_particle(u: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray:
     """The per-particle extinction a Q_ext table weights: C_ext in m^2
     (physical) or Q_ext itself (paper)."""
@@ -163,32 +153,44 @@ def _check_units(units_mode: str) -> None:
         raise ConfigError(f"unknown units mode {units_mode!r}")
 
 
-def _k_dust_grid(heights, frequencies, layer: DustLayerModel,
+def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
                  particle_template: ParticleState, units_modes,
                  ge_mode: str) -> np.ndarray:
-    """k_dust in dB/km at every frequency and altitude, in each units mode:
-    a (len(units_modes), len(frequencies), len(heights)) array.
+    """k_dust in dB/km, a (units modes, electron counts, frequencies,
+    heights) array; the template supplies only temperature and index.
 
     One lattice covers the supports at every altitude, and one Q_ext table
-    on it serves every units mode. The table of a run of frequencies is one
-    kernel call: up to _TABLE_SIZES sizes (nodes x frequencies) per call.
-    Each altitude's weights are formed once per kernel call and summed
-    against every (units mode, frequency) column of its table.
+    on it serves every units mode. The table's columns are its (count,
+    frequency) pairs, taken up to _TABLE_SIZES sizes (nodes x columns) per
+    kernel call. Each altitude's weights are formed once per kernel call and
+    summed against every (units mode, column) of its table.
     """
     for units_mode in units_modes:
         _check_units(units_mode)
     if layer.n0 is None:
         raise ConfigError("layer n0 is required for absolute attenuation")
-    k = np.zeros((len(units_modes), len(frequencies), len(heights)))
+    electrons = _electron_count(electrons)
+    frequencies = np.asarray(frequencies, dtype=float)
+    bad = frequencies[~((frequencies > 0) & (frequencies < math.inf))]
+    if bad.size:
+        raise DomainError(f"frequency must be positive and finite, got {bad[0]}")
+    k = np.zeros((len(units_modes), electrons.size, frequencies.size, len(heights)))
     if layer.n0 == 0 or not k.size:
         return k
     mu, sigma = lognormal_params(heights)
     u = _lattice(*_support(mu, sigma))
+    r_m = np.exp(u)[:, None] * 1e-3
+    ne_column = np.repeat(electrons, frequencies.size)
+    f_column = np.tile(frequencies, electrons.size)
+    k_column = k.reshape(len(units_modes), f_column.size, len(heights))
     step = max(1, _TABLE_SIZES // u.size)
-    for s in range(0, len(frequencies), step):
-        q = _q_table(u, frequencies[s:s + step], particle_template, ge_mode)
-        block = k[:, s:s + q.shape[1]]
-        # one row per (units mode, frequency) column of the block
+    for s in range(0, f_column.size, step):
+        q = extinction_efficiency_array(
+            r_m, f_column[s:s + step], ne_column[s:s + step],
+            particle_template.temperature, particle_template.refractive_index,
+            mode=ge_mode)
+        block = k_column[:, s:s + q.shape[1]]
+        # one row per (units mode, column) of the block
         columns = np.concatenate([_per_particle(u, q, units_mode)
                                   for units_mode in units_modes], axis=1).T
         for i, (part, w) in enumerate(_size_weights(u, mu, sigma, layer.n0)):
@@ -219,8 +221,9 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     in mm, reproducing the source formula literally.
     """
     heights = np.asarray(h, dtype=float)
-    k = _k_dust_grid(heights.ravel(), [w.frequency], layer, particle_template,
-                     (units_mode,), ge_mode)[0, 0].reshape(heights.shape)
+    k = _k_dust_grid(heights.ravel(), [w.frequency], [particle_template.electrons],
+                     layer, particle_template, (units_mode,),
+                     ge_mode)[0, 0, 0].reshape(heights.shape)
     return float(k) if k.ndim == 0 else k
 
 
@@ -246,8 +249,8 @@ def slant_dust_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     half = np.diff(cuts)[:, None] / 2
     s = (cuts[:-1, None] + cuts[1:, None]) / 2 + half * _GL_NODES
     heights = (g.h0 + s * sin_theta).ravel()
-    k = _k_dust_grid(heights, [w.frequency], layer, particle_template,
-                     (units_mode,), ge_mode)[0, 0]
+    k = _k_dust_grid(heights, [w.frequency], [particle_template.electrons], layer,
+                     particle_template, (units_mode,), ge_mode)[0, 0, 0]
     if k_abs is not None:
         k += k_abs(heights)
     return float(((half * _GL_WEIGHTS).ravel() * k).sum()) / 1000.0   # dB/km -> dB/m

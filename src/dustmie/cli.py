@@ -17,7 +17,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -65,15 +65,20 @@ _CONVERTERS = {"ne": int, "m": complex}
 
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        # interpolation runs as the items are read
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     cfg = RunConfig()
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         # configparser hands over the keys in lower case
         names = {name.lower(): name for name in _SECTIONS[section]}
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in names:
                 raise ConfigError(f"unknown config key {key!r} in [{section}]")
             try:
@@ -132,10 +137,10 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
             setattr(cfg, fld.name, value)
 
 
-def _particle_template(cfg: RunConfig, ne: int | None = None) -> ParticleState:
+def _particle_template(cfg: RunConfig) -> ParticleState:
     # attenuation and pathloss integrate over the radius, so their template
     # takes the default radius, never the config's unread one
-    return ParticleState(RunConfig.r, cfg.ne if ne is None else ne, cfg.T, cfg.m)
+    return ParticleState(RunConfig.r, cfg.ne, cfg.T, cfg.m)
 
 
 def cmd_qext(cfg: RunConfig, args) -> SweepTable:
@@ -178,7 +183,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> SweepTable:
     layer = DustLayerModel(n0=cfg.n0)
     meta = _base_metadata(cfg, args)
 
-    pdfs = [size_pdf(grid, h) for h in heights]
+    pdfs = size_pdf(grid, np.array(heights)[:, None])
     columns = [("r", "mm", grid)]
     columns += [(f"pdf[h={h:g}m]", "1/mm", pdf) for h, pdf in zip(heights, pdfs)]
     if layer.n0 is None:
@@ -205,19 +210,15 @@ def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
         heights, frequencies = grid, [cfg.f]
     else:
         heights, frequencies = [cfg.h0], grid
-    # the grid is monotone, so its smallest point checks every frequency,
-    # also when n0 = 0 and no table is made
-    WaveSpec.from_frequency(float(np.min(frequencies)))
-    # per charge, one Q_ext table serves every point and units mode; an
-    # f-sweep makes it in one kernel call per slice of its frequencies
-    k = [_k_dust_grid(heights, frequencies, layer, _particle_template(cfg, ne),
-                      unit_modes, args.mode).reshape(len(unit_modes), -1)
-         for ne in ne_list]
+    # one Q_ext table serves every point, --group-ne charge and units mode
+    k = _k_dust_grid(heights, frequencies, ne_list, layer,
+                     _particle_template(replace(cfg, ne=0)), unit_modes,
+                     args.mode).reshape(len(unit_modes), len(ne_list), -1)
     columns = [(args.sweep, "m" if args.sweep == "h" else "Hz", grid)]
-    for i, um in enumerate(unit_modes):
+    for um, k_um in zip(unit_modes, k):
         suffix = "" if len(unit_modes) == 1 else f";{um}"
-        columns += [(f"k_dust[Ne={ne:g}{suffix}]", "dB/km", k_ne[i])
-                    for ne, k_ne in zip(ne_list, k)]
+        columns += [(f"k_dust[Ne={ne:g}{suffix}]", "dB/km", k_ne)
+                    for ne, k_ne in zip(ne_list, k_um)]
     return SweepTable(columns, _base_metadata(cfg, args))
 
 
@@ -357,7 +358,7 @@ def run(argv=None) -> int:
         if args.out:
             table.write(args.out, fmt=args.format)
         else:
-            sys.stdout.write(table.to_csv() if args.format == "csv" else table.to_json())
+            sys.stdout.write(table.render(args.format))
     except ConfigError as exc:
         print(f"dustmie: config error: {exc}", file=sys.stderr)
         return 2

@@ -44,9 +44,9 @@ def lognormal_params(h):
     return (float(mu), float(sigma)) if h.ndim == 0 else (mu, sigma)
 
 
-def size_pdf(r, h: float):
+def size_pdf(r, h):
     """Log-normal PDF of particle radius (1/mm) at altitude h (m), r in mm:
-    a float for one radius, an array for an array of them."""
+    a float for one r and h, else an array of their broadcast shape."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("radius must be positive")

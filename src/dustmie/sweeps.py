@@ -67,8 +67,14 @@ class SweepTable:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+    def render(self, fmt: str) -> str:
+        """The table as "csv" or "json" text."""
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"unknown table format {fmt!r}")
+        return self.to_csv() if fmt == "csv" else self.to_json()
+
     def write(self, path, fmt: str = "csv") -> None:
-        text = self.to_csv() if fmt == "csv" else self.to_json()
+        text = self.render(fmt)
         try:
             with open(path, "w", newline="") as fh:
                 fh.write(text)

@@ -221,15 +221,43 @@ class TestDustAttenuationCoefficient:
 
         monkeypatch.setattr(channel, "extinction_efficiency_array", counted)
         freqs = np.geomspace(1e11, 3e12, 5)
-        k = channel._k_dust_grid([150.0], freqs, layer, particle,
-                                 ("physical", "paper"), "full")
+        k = channel._k_dust_grid([150.0], freqs, [particle.electrons], layer,
+                                 particle, ("physical", "paper"), "full")
         assert calls == [2, 2, 1]
-        assert k.shape == (2, 5, 1)
-        for k_mode, units_mode in zip(k, ("physical", "paper")):
+        assert k.shape == (2, 1, 5, 1)
+        for k_mode, units_mode in zip(k[:, 0], ("physical", "paper")):
             for f, k_f in zip(freqs, k_mode):
                 assert k_f[0] == dust_attenuation_coefficient(
                     150.0, WaveSpec.from_frequency(f), layer, particle,
                     units_mode=units_mode)
+
+    def test_count_columns_match_per_count_calls(self, monkeypatch):
+        # a table's columns are its (count, frequency) pairs; kernel slices
+        # that straddle two counts give each count's own values exactly
+        import dustmie.channel as channel
+        layer = DustLayerModel(n0=1e3)
+        heights = [100.0, 150.0, 200.0]
+        nodes = channel._lattice(*size_support(np.array(heights))).size
+        monkeypatch.setattr(channel, "_TABLE_SIZES", 4 * nodes)
+        calls = []
+        kernel = channel.extinction_efficiency_array
+
+        def counted(radius, frequency, *args, **kwargs):
+            calls.append(np.size(frequency))
+            return kernel(radius, frequency, *args, **kwargs)
+
+        monkeypatch.setattr(channel, "extinction_efficiency_array", counted)
+        freqs = np.geomspace(1e11, 3e12, 5)
+        counts = [0, 1000, 10**12]
+        units = ("physical", "paper")
+        k = channel._k_dust_grid(heights, freqs, counts, layer, PARTICLE, units,
+                                 "full")
+        assert calls == [4, 4, 4, 3]
+        assert k.shape == (2, 3, 5, 3)
+        for i, ne in enumerate(counts):
+            one = channel._k_dust_grid(heights, freqs, [ne], layer, PARTICLE, units,
+                                       "full")
+            assert np.array_equal(k[:, i:i + 1], one)
 
 
 def one_table_slant_loss(g, w, layer, particle, rel_tol):
@@ -238,7 +266,9 @@ def one_table_slant_loss(g, w, layer, particle, rel_tol):
     import dustmie.channel as channel
     sin_theta = math.sin(g.theta)
     u = channel._lattice(*size_support(np.array([g.h0, g.h0 + g.d * sin_theta])))
-    q = channel._q_table(u, [w.frequency], particle, "full")
+    q = extinction_efficiency_array(np.exp(u)[:, None] * 1e-3, [w.frequency],
+                                    particle.electrons, particle.temperature,
+                                    particle.refractive_index)
     kernel = channel._per_particle(u, q, "physical")[:, 0]
 
     def per_m(s):

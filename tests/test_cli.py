@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -162,6 +163,15 @@ class TestSpectrum:
         data = np.array(rows)
         assert np.allclose(data[:, 4:], 100 * data[:, 1:4])
 
+    def test_extrapolation_warns_once_per_table(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(capsys, "spectrum", "--count", "3",
+                              "--heights", "1100,1200")
+        assert code == 0
+        assert [str(w.message).split(",")[0] for w in caught] == [
+            "size-spectrum fit extrapolated to h=1200.0 m"]
+
 
 class TestAttenuation:
     def test_requires_n0(self, capsys):
@@ -229,7 +239,7 @@ class TestAttenuation:
                             "--group-ne", "0,1000", "--units", "both")
         assert code == 0
         assert len(parse_csv(out)[3]) == 5
-        assert len(calls) == 2          # 2 charges; both unit modes weight one table
+        assert len(calls) == 1          # both charges and unit modes share one table
 
     def test_one_kernel_call_per_frequency_column(self, capsys, monkeypatch):
         calls = self.count_kernel_calls(monkeypatch)
@@ -238,7 +248,26 @@ class TestAttenuation:
                             "--n0", "1e3", "--group-ne", "0,1000")
         assert code == 0
         assert len(parse_csv(out)[3]) == 5
-        assert len(calls) == 2          # 2 charges, each over all 5 frequencies
+        assert len(calls) == 1          # 2 charges x 5 frequencies in one table
+
+    def test_kernel_calls_stay_within_table_sizes(self, capsys, monkeypatch):
+        # 40 charge columns are sliced, not broadcast against the nodes at once
+        import dustmie.channel
+        sizes = []
+        kernel = dustmie.channel.extinction_efficiency_array
+
+        def counted(radius, frequency, electrons, *args, **kwargs):
+            sizes.append(np.broadcast(radius, frequency, electrons).size)
+            return kernel(radius, frequency, electrons, *args, **kwargs)
+
+        monkeypatch.setattr(dustmie.channel, "extinction_efficiency_array", counted)
+        code, out = run_cli(capsys, "attenuation", "--sweep", "h", "--count", "3",
+                            "--n0", "1e3", "--group-ne",
+                            ",".join(str(10 * ne) for ne in range(40)))
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 41
+        assert len(sizes) > 1
+        assert max(sizes) <= dustmie.channel._TABLE_SIZES
 
 
 class TestPathloss:
@@ -447,6 +476,46 @@ class TestConfigAndOutput:
         assert code == 0
         assert parse_csv(out)[1:] == parse_csv(plain)[1:]
 
+    def test_unread_config_electron_count_is_not_checked(self, tmp_path, capsys):
+        # attenuation takes its counts from --group-ne
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[particle]\nne = -5\n")
+        argv = ["attenuation", "--n0", "1e3", "--count", "2", "--group-ne", "0,10"]
+        code, plain = run_cli(capsys, *argv)
+        assert code == 0
+        code, out = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert parse_csv(out)[1:] == parse_csv(plain)[1:]
+
+    @pytest.mark.parametrize("content", [
+        b"f = 1\n",                                # a key before any section
+        b"[wave]\nf = 1e12\nf = 2e12\n",           # a key given twice
+        b"[particle]\nT = 300\nt = 310\n",         # keys are case-insensitive
+        b"[wave]\nf = 1e12 \xff\n",                # not UTF-8
+        b"[wave]\nf = %(x)s\n",                    # interpolation of no key
+    ])
+    def test_malformed_config_file_is_config_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(content)
+        with pytest.raises(ConfigError):
+            load_config(str(cfg))
+        code = run(["spectrum", "--count", "2", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("dustmie: config error: malformed config")
+
+    def test_unknown_table_format_is_config_error(self, tmp_path):
+        table = SweepTable([("x", "1", [1.0, 2.0])])
+        path = tmp_path / "out.csv"
+        with pytest.raises(ConfigError, match="cvs"):
+            table.write(path, fmt="cvs")
+        assert not path.exists()
+        with pytest.raises(ConfigError):
+            table.render("cvs")
+        assert table.render("csv") == table.to_csv()
+        assert table.render("json") == table.to_json()
+
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ConfigError):
             SweepTable([("x", "1", [1.0, 2.0]), ("y", "1", [3.0])])
@@ -553,6 +622,11 @@ def test_numerical_failure_exits_3(capsys, argv):
     ["pathloss", "--n0", "0", "--m=-1+0j", "--h0", "120", "--d", "100",
      "--n-i", "2", "--sigma-i", "3"],
     ["attenuation", "--n0", "0", "--m", "nan+0j", "--count", "2"],
+    # a count or frequency outside its domain where n0 = 0 runs no kernel
+    ["attenuation", "--n0", "0", "--group-ne=-5", "--count", "2"],
+    ["attenuation", "--n0", "0", "--f", "nan", "--count", "2"],
+    ["attenuation", "--n0", "0", "--sweep", "f", "--start=-1e11", "--stop", "1e11",
+     "--count", "2"],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
