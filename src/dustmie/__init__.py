@@ -28,7 +28,6 @@ from .errors import (
     SingularDenominatorError,
 )
 from .mie import (
-    MieResult,
     ParticleState,
     WaveSpec,
     charged_coefficient,
@@ -51,7 +50,6 @@ __all__ = [
     "DustLayerModel",
     "DustmieError",
     "LinkGeometry",
-    "MieResult",
     "ParticleState",
     "PathLossResult",
     "PhysicalConstants",

@@ -49,15 +49,18 @@ from .errors import DomainError, RecurrenceOverflowError, SingularDenominatorErr
 _MIN_RADIUS = 1e-9
 _MAX_RADIUS = 1e-2
 _DENOM_FLOOR = 1e-300
-_CONVERGENCE_EXTRA = 5
-_CONVERGENCE_RTOL = 1e-10
+# Largest size parameter taken: up to here the series summed to
+# `truncation_order` is pinned within 1e-8 of a longer sum (see
+# tests/test_mie.py::TestTruncation), and a size's store stays near 1 MB.
+_MAX_X = 2e4
 # Ragged terms (orders x sizes) of one lockstep pass: its store of s_n(mx),
 # the real s_n(x) and the eta ratios takes 1 MB at 32 B a term. Larger
-# passes take fewer loop steps but more memory: a 3 THz table takes 3,391
-# downward steps at 2^15 and 2,081 at 2^16 (3,404 and 2,095 with every size
-# started at Wiscombe's order). The 108 one-column k_dust tables of the
-# benchmark's kdust-fscan pool took 1.11 s at 2^15 and 1.01 s at 2^16 on a
-# 2-core host, and a peak RSS of 32.6 and 33.9 MB.
+# passes take fewer loop steps but more memory: a 3 THz table takes 3,345
+# downward steps at 2^15 and 2,053 at 2^16 (the same with every size started
+# at Wiscombe's order). The 108 one-column k_dust tables of the benchmark's
+# kdust-fscan pool took 1.23 s and 1.21 s of CPU time at 2^15 and 2^16 on a
+# 2-core host (best of 3, with runs spreading by 10 %), and a peak RSS of
+# 32.2 and 33.7 MB.
 _PASS_TERMS = 2**15
 # Dense orders x sizes of one chunk of the series sum: its working arrays
 # stay near 1 MB, while a chunk of large spheres still spans several sizes.
@@ -113,16 +116,6 @@ class WaveSpec:
     @classmethod
     def from_frequency(cls, f: float) -> "WaveSpec":
         return cls(f)
-
-
-@dataclass(frozen=True)
-class MieResult:
-    """Extinction efficiency, its truncation order, and whether the orders
-    past it leave the sum unchanged."""
-
-    q_ext: float
-    n_max: int
-    converged: bool
 
 
 def scale_parameter(radius, wavelength):
@@ -182,17 +175,15 @@ def charged_coefficient(x, omega, omega_s, gamma_s, mode: str = "full"):
 
 
 def truncation_order(x):
-    """Series cutoff floor(x + 4 x^(1/3) + 2), clamped to at least 1
-    (an int, or an int array for an array of x)."""
+    """Series cutoff floor(x + 4 x^(1/3) + 2) (Wiscombe 1980), clamped to
+    at least 1, for 0 < x <= _MAX_X (an int, or an int array for an array
+    of x)."""
     if not np.all(np.greater(x, 0)):
         raise DomainError("scale parameter must be positive")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("scale parameter must be finite")
-    n = np.maximum(np.floor(x + 4 * x ** (1 / 3) + 2), 1)
-    if np.any(n >= 2.0**63):
-        raise DomainError(f"scale parameter up to {np.max(x):g} needs more "
-                          "series orders than an int64 holds")
-    n = n.astype(int)
+    if not np.all(np.less_equal(x, _MAX_X)):
+        raise DomainError(f"scale parameter up to {np.max(x):g} above the "
+                          f"series' domain (x <= {_MAX_X:g})")
+    n = np.maximum(np.floor(x + 4 * x ** (1 / 3) + 2), 1).astype(int)
     return n if n.ndim else int(n)
 
 
@@ -367,22 +358,19 @@ class _Recurrences:
         return cls(x, rows, s_mx, s_x, _eta_ratio(x, rows),
                    _order_counts(rows))
 
-    def series(self, m: complex, g_e: np.ndarray,
-               nmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Q_ext of every size and whether its series converged, summed in
+    def series(self, m: complex, g_e: np.ndarray) -> np.ndarray:
+        """Q_ext of every size, each series summed over its rows orders in
         chunks of at most _CHUNK_TERMS dense terms."""
         q = np.empty(self.x.size)
-        converged = np.empty(self.x.size, bool)
         begin = 0
         while begin < self.x.size:
             end = min(self.x.size,
                       begin + max(1, _CHUNK_TERMS // int(self.rows[begin])))
             # no names hold a chunk's (a_n, b_n) while the next is built
-            q[begin:end], converged[begin:end] = _series(
-                self.x[begin:end], *self.coefficients(m, g_e, begin, end),
-                nmax[begin:end])
+            q[begin:end] = _series(self.x[begin:end],
+                                   *self.coefficients(m, g_e, begin, end))
             begin = end
-        return q, converged
+        return q
 
     def coefficients(self, m: complex, g_e: np.ndarray, begin: int,
                      end: int) -> tuple[np.ndarray, np.ndarray]:
@@ -457,32 +445,25 @@ class _Recurrences:
             return a, ratio(b_part(psi, dpsi), b_part(eta, deta))
 
 
-def _series(x: np.ndarray, a: np.ndarray, b: np.ndarray,
-            nmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q_ext summed to nmax, and whether the next orders leave it unchanged."""
+def _series(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q_ext = 2/x^2 sum (2n + 1) Re(a_n + b_n) over the rows of a and b."""
     n = np.arange(1, a.shape[0] + 1)[:, None]
-    terms = (2 * n + 1) * (a + b).real
-    q = 2 / x**2 * np.where(n <= nmax, terms, 0).sum(axis=0)
-    q_extra = 2 / x**2 * terms.sum(axis=0)
-    scale = np.maximum(np.maximum(np.abs(q), np.abs(q_extra)), 1e-300)
-    return q, np.abs(q_extra - q) <= _CONVERGENCE_RTOL * scale
+    return 2 / x**2 * ((2 * n + 1) * (a + b).real).sum(axis=0)
 
 
-def _qext(x: np.ndarray, m: complex,
-          g_e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q_ext over 1-D arrays of x and g_e; also the truncation orders and
-    whether each series converged.
+def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
+    """Q_ext over 1-D arrays of x and g_e, each series summed to its
+    `truncation_order` and no further (the error this leaves is pinned by
+    tests/test_mie.py::TestTruncation).
 
     The sizes, in descending order of x, go in lockstep passes of at most
     _PASS_TERMS ragged terms, each running the recurrences once; a pass
     sums its series in chunks of at most _CHUNK_TERMS dense terms."""
     m = _normalize_m(m)
-    nmax = truncation_order(x)
-    rows = nmax + _CONVERGENCE_EXTRA
+    rows = truncation_order(x)
     q = np.empty(x.size)
-    converged = np.empty(x.size, bool)
     order = np.argsort(-x, kind="stable")
-    x, g_e, nmax, rows = x[order], g_e[order], nmax[order], rows[order]
+    x, g_e, rows = x[order], g_e[order], rows[order]
     total = np.concatenate(([0], np.cumsum(rows)))
     begin = 0
     while begin < x.size:
@@ -490,21 +471,26 @@ def _qext(x: np.ndarray, m: complex,
             total, total[begin] + _PASS_TERMS, side="right")) - 1)
         idx = order[begin:end]
         rec = _Recurrences.run(x[begin:end], m, rows[begin:end])
-        q[idx], converged[idx] = rec.series(m, g_e[begin:end], nmax[begin:end])
+        q[idx] = rec.series(m, g_e[begin:end])
         del rec                                # before the next pass's store
         begin = end
-    return q, nmax, converged
+    return q
 
 
 def _size_and_charge(radius, frequency, electrons, temperature, mode):
-    """Size parameter and charge coefficient g_e of spheres in a wave."""
+    """Size parameter and charge coefficient g_e of spheres in a wave. A g_e
+    beyond the float range (from radii near 1e-60 m) is a numerical failure."""
     if np.any(np.less_equal(frequency, 0)):
         raise DomainError("frequency must be positive")
     x = scale_parameter(radius, CONSTANTS.c / frequency)
     truncation_order(x)    # rejects an x beyond the series before r^2 overflows
-    omega_s = surface_plasma_frequency(electrons, radius)
-    g_e = charged_coefficient(x, 2 * math.pi * frequency, omega_s,
-                              collision_frequency(temperature), mode=mode)
+    with np.errstate(all="ignore"):
+        omega_s = surface_plasma_frequency(electrons, radius)
+        g_e = charged_coefficient(x, 2 * math.pi * frequency, omega_s,
+                                  collision_frequency(temperature), mode=mode)
+    if not np.all(np.isfinite(g_e)):
+        raise RecurrenceOverflowError(
+            f"charge coefficient overflow (radius down to {np.min(radius):g} m)")
     return x, g_e
 
 
@@ -520,10 +506,9 @@ def extinction_efficiency_array(radius, frequency, electrons, temperature: float
         _electron_count(electrons))
     x, g_e = _size_and_charge(radius, frequency, electrons, temperature, mode)
     # approx mode gives a Python complex g_e for one sphere
-    return _qext(x.ravel(), m, np.ravel(g_e))[0].reshape(x.shape)
+    return _qext(x.ravel(), m, np.ravel(g_e)).reshape(x.shape)
 
 
-def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> MieResult:
+def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> float:
     """Extinction efficiency from the size parameter and charge coefficient."""
-    q, nmax, converged = _qext(np.array([float(x)]), m, np.array([g_e], complex))
-    return MieResult(float(q[0]), int(nmax[0]), bool(converged[0]))
+    return float(_qext(np.array([float(x)]), m, np.array([g_e], complex))[0])

@@ -567,12 +567,16 @@ class TestFlagSurface:
 
 
 @pytest.mark.parametrize("argv", [
-    # above about 700 m the size support reaches radii where the series
-    # overflows, though their weight is 0
+    # from about 800 m (charged columns) or 950 m (Ne = 0) at 0.3 THz, the
+    # size support reaches radii where the series overflows, though their
+    # weight is 0
     ["attenuation", "--sweep", "h", "--start", "700", "--stop", "900",
      "--count", "3", "--n0", "1"],
     ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "10",
-     "--theta-deg", "90", "--d", "700"],
+     "--theta-deg", "90", "--d", "800"],
+    # radii near 1e-60 m, where g_e itself overflows: no numpy warning either
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "10",
+     "--theta-deg", "90", "--d", "950"],
 ])
 def test_numerical_failure_exits_3(capsys, argv):
     code = run(argv)
@@ -627,6 +631,8 @@ def test_numerical_failure_exits_3(capsys, argv):
     ["attenuation", "--n0", "0", "--f", "nan", "--count", "2"],
     ["attenuation", "--n0", "0", "--sweep", "f", "--start=-1e11", "--stop", "1e11",
      "--count", "2"],
+    # a size parameter above the series' domain, x <= 2e4
+    ["qext", "--sweep", "x", "--start", "1e-3", "--stop", "1e6", "--count", "3"],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)

@@ -4,7 +4,7 @@ is a deliberate edit here."""
 import dataclasses
 
 import dustmie
-from dustmie import DustLayerModel, MieResult, WaveSpec
+from dustmie import DustLayerModel, WaveSpec
 
 PUBLIC_NAMES = [
     "AltitudeProfile",
@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "DustLayerModel",
     "DustmieError",
     "LinkGeometry",
-    "MieResult",
     "ParticleState",
     "PathLossResult",
     "PhysicalConstants",
@@ -51,7 +50,6 @@ def field_names(cls):
 
 def test_value_type_fields():
     assert field_names(WaveSpec) == ["frequency"]
-    assert field_names(MieResult) == ["q_ext", "n_max", "converged"]
     assert field_names(DustLayerModel) == ["n0"]
     # the size spectrum is the module functions', not forwarded by the layer
     assert [a for a in dir(DustLayerModel) if not a.startswith("_")] == ["n0"]

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from dustmie import mie
 from dustmie.mie import (
-    _CONVERGENCE_EXTRA, _eta_ratio, _normalize_m, _riccati_eta, _riccati_psi,
-    _scaled_ratio, truncation_order)
+    _eta_ratio, _normalize_m, _riccati_eta, _riccati_psi, _scaled_ratio,
+    truncation_order)
 
 from oracles import mp_sph_h1, mp_sph_j, series_sph_j
 
@@ -110,8 +110,9 @@ class TestSphHankel1:
         assert rel_err(sph_hankel1(n, z), ref) < 1e-10
 
 
-# x = 800 as the kernel runs it: z = m x and z = x as one pair over the
-# N + 5 = 844 orders of its series; |m x| reaches about 2,700 at m = 1.5+3j
+# x = 800 as the kernel runs it, z = m x and z = x as one pair, over the
+# N = 839 orders of its series and 5 more; |m x| reaches about 2,700 at
+# m = 1.5+3j
 LARGE_X = 800.0
 LARGE_ROWS = truncation_order(LARGE_X) + 5
 
@@ -164,7 +165,7 @@ def kernel_pair(m, x):
     descending order."""
     m = _normalize_m(m)
     return (np.stack((m * x, x.astype(complex)), axis=1),
-            truncation_order(x) + _CONVERGENCE_EXTRA)
+            truncation_order(x))
 
 
 class TestStartOrders:
