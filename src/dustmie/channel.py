@@ -4,6 +4,7 @@ dust loss, and the full path-loss model with shadow fading.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,12 @@ _LN_R_TOP = math.log(MAX_RADIUS_MM)
 # many frequencies: 19 frequencies of a 1,701-node lattice near 3 THz trace
 # a 5.0 MB peak, and a 400-frequency table in such slices 5.3 MB.
 _TABLE_SIZES = 2**15
+# Q_ext kept from call to call, least recently used first: per kernel key
+# (f, Ne, T, m, g_e mode), (j, Q_ext at nodes j, j + 1, ...). Node j is always
+# u_j and a size's Q_ext does not depend on the batch that computes it, so a
+# kept value serves any later lattice. At most _STORED_NODES nodes (256 KB).
+_STORED_NODES = 2**15
+_tables: OrderedDict = OrderedDict()
 
 # The slant-path rule: 8 Gauss-Legendre nodes (on [-1, 1]; leggauss(8),
 # written out to keep numpy.polynomial out of the import) in panels of at
@@ -110,11 +117,17 @@ class PathLossResult:
     total_db: float
 
 
+def _lattice_span(lo, hi) -> tuple[int, int]:
+    """Indices j of the first and last lattice nodes covering the radius
+    intervals [lo, hi] (mm), floats or arrays."""
+    first = math.floor((math.log(np.min(lo)) - _LN_R_TOP) / _LN_R_STEP)
+    return first, min(math.ceil((math.log(np.max(hi)) - _LN_R_TOP) / _LN_R_STEP), 0)
+
+
 def _lattice(lo, hi) -> np.ndarray:
     """Lattice nodes u = ln r (r in mm) covering the radius intervals
     [lo, hi] (mm), floats or arrays."""
-    first = math.floor((math.log(np.min(lo)) - _LN_R_TOP) / _LN_R_STEP)
-    last = min(math.ceil((math.log(np.max(hi)) - _LN_R_TOP) / _LN_R_STEP), 0)
+    first, last = _lattice_span(lo, hi)
     return _LN_R_TOP + _LN_R_STEP * np.arange(first, last + 1)
 
 
@@ -153,6 +166,50 @@ def _check_units(units_mode: str) -> None:
         raise ConfigError(f"unknown units mode {units_mode!r}")
 
 
+def _q_blocks(keys: list, first: int, r_m: np.ndarray, kernel):
+    """Yield (columns, Q_ext) blocks on the lattice nodes r_m (m) from index
+    first, for the columns' kernel keys, then keep their runs in _tables.
+
+    A key whose run meets the lattice reuses it, and kernel(radius, columns)
+    computes only the nodes it lacks at either end. Other keys go to the
+    kernel in (nodes, columns) batches of at most _TABLE_SIZES sizes. Only
+    the last columns that fit in _STORED_NODES are kept, so that no copy is
+    held through the batches before them."""
+    last, step = first + len(r_m) - 1, max(1, _TABLE_SIZES // len(r_m))
+    runs = {c: _tables[key] for c, key in enumerate(keys) if key in _tables}
+    runs = {c: (j, q) for c, (j, q) in runs.items() if j <= last and j + q.size > first}
+    spans = [(first, last)] * len(keys)
+    for c, (j, q) in runs.items():
+        spans[c] = min(first, j), max(last, j + q.size - 1)
+    keep = np.cumsum([b - a + 1 for a, b in spans][::-1])[::-1] <= _STORED_NODES
+    stored = {}
+    fresh = [c for c in range(len(keys)) if c not in runs]
+    for s in range(0, len(fresh), step):
+        q = kernel(r_m, fresh[s:s + step])
+        stored.update((c, (first, q[:, i].copy()))
+                      for i, c in enumerate(fresh[s:s + step]) if keep[c])
+        yield fresh[s:s + step], q
+    warm = list(runs)
+    for s in range(0, len(warm), step):
+        tables = []
+        for c in warm[s:s + step]:
+            j, q = runs[c]
+            low, high = max(j - first, 0), j + q.size - first
+            if low or high < len(r_m):
+                ends = kernel(np.concatenate((r_m[:low, 0], r_m[high:, 0])), [c])
+                q = np.concatenate((ends[:low], q, ends[low:]))
+            stored[c] = spans[c][0], q
+            tables.append(q[max(first - j, 0):][:len(r_m)])
+        yield warm[s:s + step], np.stack(tables, axis=1)
+    for c, key in enumerate(keys):
+        if keep[c] and c in stored:
+            _tables[key] = stored[c]
+        if key in _tables:
+            _tables.move_to_end(key)
+    while sum(q.size for _, q in _tables.values()) > _STORED_NODES:
+        _tables.popitem(last=False)
+
+
 def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
                  particle_template: ParticleState, units_modes,
                  ge_mode: str) -> np.ndarray:
@@ -161,9 +218,9 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
 
     One lattice covers the supports at every altitude, and one Q_ext table
     on it serves every units mode. The table's columns are its (count,
-    frequency) pairs, taken up to _TABLE_SIZES sizes (nodes x columns) per
-    kernel call. Each altitude's weights are formed once per kernel call and
-    summed against every (units mode, column) of its table.
+    frequency) pairs; `_q_blocks` reuses what _tables keeps of each and
+    runs the kernel on the rest. Each altitude's weights are formed once per
+    block and summed against every (units mode, column) of it.
     """
     for units_mode in units_modes:
         _check_units(units_mode)
@@ -178,23 +235,27 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     if layer.n0 == 0 or not k.size:
         return k
     mu, sigma = lognormal_params(heights)
-    u = _lattice(*_support(mu, sigma))
-    r_m = np.exp(u)[:, None] * 1e-3
+    lo, hi = _support(mu, sigma)
+    u = _lattice(lo, hi)
     ne_column = np.repeat(electrons, frequencies.size)
     f_column = np.tile(frequencies, electrons.size)
     k_column = k.reshape(len(units_modes), f_column.size, len(heights))
-    step = max(1, _TABLE_SIZES // u.size)
-    for s in range(0, f_column.size, step):
-        q = extinction_efficiency_array(
-            r_m, f_column[s:s + step], ne_column[s:s + step],
-            particle_template.temperature, particle_template.refractive_index,
-            mode=ge_mode)
-        block = k_column[:, s:s + q.shape[1]]
+    t, m = particle_template.temperature, particle_template.refractive_index
+    keys = [(f, ne, t, m, ge_mode)
+            for f, ne in zip(f_column.tolist(), ne_column.tolist())]
+
+    def kernel(radius, columns):
+        return extinction_efficiency_array(radius, f_column[columns],
+                                           ne_column[columns], t, m, mode=ge_mode)
+
+    for columns, q in _q_blocks(keys, _lattice_span(lo, hi)[0],
+                                np.exp(u)[:, None] * 1e-3, kernel):
         # one row per (units mode, column) of the block
-        columns = np.concatenate([_per_particle(u, q, units_mode)
-                                  for units_mode in units_modes], axis=1).T
+        rows = np.concatenate([_per_particle(u, q, units_mode)
+                               for units_mode in units_modes], axis=1).T
         for i, (part, w) in enumerate(_size_weights(u, mu, sigma, layer.n0)):
-            block[..., i].flat = [_k_dust(w, column[part]) for column in columns]
+            k_column[:, columns, i] = np.reshape(
+                [_k_dust(w, row[part]) for row in rows], (len(units_modes), -1))
     return k
 
 
@@ -214,6 +275,13 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     array of the same shape; the extinction kernel does not depend on
     altitude, so one table over the union of their supports serves them all,
     and each altitude weights its own slice of that lattice once.
+
+    That table depends only on (f, Ne, T, m, ge_mode), never on h,
+    units_mode or n0, so the process keeps the last ones built, up to 2^15
+    lattice nodes (256 KB) in all, and a later call with the same key
+    computes only the nodes they lack. The result is bit-identical either
+    way. This pays when one process repeats a carrier and charge; a single
+    CLI run builds one table and gains nothing.
 
     units_mode="physical" (default) integrates the cross-section C_ext in
     m^2, making the dB/km prefactor an exact Np/m conversion;
@@ -238,7 +306,9 @@ def slant_dust_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     for a horizontal path), split at the k_abs knots the path crosses, so
     it is exact for the piecewise-linear k_abs. k_dust at every node comes
     from one _k_dust_grid call, so one kernel table serves the whole path,
-    and a layer without n0 raises ConfigError.
+    and a layer without n0 raises ConfigError. A path at a carrier and
+    charge the process has already seen reuses that table, kept across
+    calls as in `dust_attenuation_coefficient`, with bit-identical results.
     """
     sin_theta = math.sin(g.theta)
     panels = max(1, math.ceil(g.d * sin_theta / _PANEL_RISE_M))

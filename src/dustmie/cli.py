@@ -228,8 +228,8 @@ def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
                           "pathloss takes physical or paper")
     if cfg.n_i is None or cfg.sigma_i is None:
         raise ConfigError("path loss requires n_i and sigma_i (no defaults exist)")
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if not 1 <= args.trials <= 10**6:
+        raise ConfigError(f"--trials must be in [1, 1e6], got {args.trials}")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     geometry = LinkGeometry(
@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--mode --units --seed --kabs-profile --f --ne --T --m --n0 "
                   "--d --d0 --h0 --theta-deg --n-i --sigma-i")
     p.add_argument("--trials", type=int, default=1,
-                   help=">1 runs a Monte-Carlo shadow-fading summary")
+                   help=">1 runs a Monte-Carlo shadow-fading summary "
+                        "(at most 1e6 trials)")
 
     return parser
 

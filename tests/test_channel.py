@@ -17,7 +17,7 @@ from dustmie.dustfield import (
     number_density,
     size_support,
 )
-from dustmie.errors import ConfigError
+from dustmie.errors import ConfigError, DomainError, RecurrenceOverflowError
 from dustmie.mie import (
     ParticleState,
     WaveSpec,
@@ -104,13 +104,14 @@ class TestDustAttenuationCoefficient:
         w = WaveSpec.from_frequency(300e9)
         assert dust_attenuation_coefficient(100.0, w, layer, PARTICLE) == 0.0
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, kernel_tables):
         # the largest kernel table of the band: the recurrences' ragged store
         # of one lockstep pass plus one chunk's dense arrays stay bounded
         w = WaveSpec.from_frequency(3e12)
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
         dust_attenuation_coefficient(200.0, w, layer, particle)
+        kernel_tables.clear()           # trace the kernel, not a kept table
         tracemalloc.start()
         try:
             dust_attenuation_coefficient(200.0, w, layer, particle)
@@ -204,7 +205,8 @@ class TestDustAttenuationCoefficient:
         zero = dust_attenuation_coefficient(heights, w, DustLayerModel(n0=0.0), particle)
         assert zero.shape == heights.shape and not zero.any()
 
-    def test_frequency_slices_match_per_frequency_calls(self, monkeypatch):
+    def test_frequency_slices_match_per_frequency_calls(self, monkeypatch,
+                                                        kernel_tables):
         # a table over many frequencies is one kernel call per slice of
         # them, and gives the per-frequency values exactly
         import dustmie.channel as channel
@@ -227,11 +229,12 @@ class TestDustAttenuationCoefficient:
         assert k.shape == (2, 1, 5, 1)
         for k_mode, units_mode in zip(k[:, 0], ("physical", "paper")):
             for f, k_f in zip(freqs, k_mode):
+                kernel_tables.clear()
                 assert k_f[0] == dust_attenuation_coefficient(
                     150.0, WaveSpec.from_frequency(f), layer, particle,
                     units_mode=units_mode)
 
-    def test_count_columns_match_per_count_calls(self, monkeypatch):
+    def test_count_columns_match_per_count_calls(self, monkeypatch, kernel_tables):
         # a table's columns are its (count, frequency) pairs; kernel slices
         # that straddle two counts give each count's own values exactly
         import dustmie.channel as channel
@@ -255,6 +258,7 @@ class TestDustAttenuationCoefficient:
         assert calls == [4, 4, 4, 3]
         assert k.shape == (2, 3, 5, 3)
         for i, ne in enumerate(counts):
+            kernel_tables.clear()
             one = channel._k_dust_grid(heights, freqs, [ne], layer, PARTICLE, units,
                                        "full")
             assert np.array_equal(k[:, i:i + 1], one)
@@ -394,6 +398,104 @@ class TestSlantDustLoss:
             dust_attenuation_coefficient(100.0 + s, w, layer, PARTICLE) / 1000.0
             for s in mids) * (g.d / n)
         assert loss == pytest.approx(ref, rel=1e-4)
+
+
+
+class TestKeptTables:
+    """Q_ext tables kept across calls: a warm store gives the cold values
+    bit for bit, and only a call that returns adds to it."""
+
+    LAYER = DustLayerModel(n0=1e3)
+
+    @staticmethod
+    def particle(ne):
+        return ParticleState(20e-6, ne, 300.0, M_DEFAULT)
+
+    @pytest.mark.parametrize("f,ne", [(0.3e12, 0), (1e12, 1000), (3e12, 10**6)])
+    def test_warm_equals_cold_k_dust(self, kernel_tables, f, ne):
+        # 120 m first, then a lower altitude, whose lattice lies inside the
+        # kept run, then a higher one, whose lattice extends it at both
+        # ends (below the radius cap, the top node rises with h)
+        w, particle = WaveSpec.from_frequency(f), self.particle(ne)
+        heights = [120.0, 100.0, 140.0, 250.0]
+        cold = []
+        for h in heights:
+            kernel_tables.clear()
+            cold.append(dust_attenuation_coefficient(h, w, self.LAYER, particle))
+        kernel_tables.clear()
+        runs = []
+        for h, k in zip(heights, cold):
+            assert dust_attenuation_coefficient(h, w, self.LAYER, particle) == k
+            (first, q), = kernel_tables.values()
+            runs.append((first, first + q.size - 1))
+        assert runs[1] == runs[0]
+        assert runs[2][0] < runs[0][0] and runs[2][1] > runs[0][1]
+        assert runs[3][0] < runs[2][0] and runs[3][1] == 0
+        # an altitude array against a store warmed in reverse order
+        kernel_tables.clear()
+        for h in heights[::-1]:
+            dust_attenuation_coefficient(h, w, self.LAYER, particle)
+        assert dust_attenuation_coefficient(
+            np.array(heights), w, self.LAYER, particle).tolist() == cold
+
+    @pytest.mark.parametrize("f", [0.3e12, 1e12])
+    def test_warm_equals_cold_slant_loss(self, kernel_tables, f):
+        w, particle = WaveSpec.from_frequency(f), self.particle(1000)
+        paths = [LinkGeometry(h0=h0, theta=math.radians(deg), d=d, d0=10.0)
+                 for h0, deg, d in [(110.0, 12.0, 80.0), (140.0, 14.0, 90.0),
+                                    (100.0, 10.0, 50.0), (60.0, 40.0, 300.0)]]
+        cold = []
+        for g in paths:
+            kernel_tables.clear()
+            cold.append(slant_dust_loss(g, w, self.LAYER, particle))
+        kernel_tables.clear()
+        assert [slant_dust_loss(g, w, self.LAYER, particle) for g in paths] == cold
+        assert [slant_dust_loss(g, w, self.LAYER, particle)
+                for g in paths[::-1]] == cold[::-1]
+
+    def test_repeated_path_runs_no_kernel(self, kernel_calls):
+        g = LinkGeometry(h0=120.0, theta=math.radians(12.0), d=80.0, d0=10.0)
+        w = WaveSpec.from_frequency(1e12)
+        first = path_loss(g, w, self.LAYER, self.particle(0))
+        assert len(kernel_calls) == 1
+        assert path_loss(g, w, self.LAYER, self.particle(0)) == first
+        assert len(kernel_calls) == 1
+        path_loss(g, w, self.LAYER, self.particle(1000))     # a new charge
+        assert len(kernel_calls) == 2
+        # units mode and n0 only weight the table
+        slant_dust_loss(g, w, DustLayerModel(n0=5.0), self.particle(0),
+                        units_mode="paper")
+        assert len(kernel_calls) == 2
+
+    def test_failed_call_keeps_nothing(self, kernel_tables):
+        # the library form of the CLI's exit-3 path loss: from about 800 m
+        # the size support reaches radii where the series overflows
+        w = WaveSpec.from_frequency(300e9)
+        dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(10))
+        before = [(key, first, q.copy()) for key, (first, q) in kernel_tables.items()]
+        g = LinkGeometry(h0=10.0, theta=math.pi / 2, d=800.0, d0=10.0,
+                         n_i=2.0, sigma_i=3.0)
+        with pytest.raises(RecurrenceOverflowError):
+            path_loss(g, w, self.LAYER, self.particle(10), shadow_seed=1)
+        with pytest.raises(DomainError):
+            dust_attenuation_coefficient(120.0, w, self.LAYER, self.particle(10),
+                                         ge_mode="bogus")
+        after = list(kernel_tables.items())
+        assert [key for key, _ in after] == [key for key, _, _ in before]
+        for (_, (first, q)), (_, first_before, q_before) in zip(after, before):
+            assert first == first_before and np.array_equal(q, q_before)
+
+    def test_many_columns_stay_within_the_bound(self, kernel_tables):
+        # 60 frequency columns of a 1,701-node lattice: 102k nodes, of which
+        # only the last columns that fit are kept
+        import dustmie.channel as channel
+        freqs = np.geomspace(1e11, 3e11, 60)
+        channel._k_dust_grid([150.0], freqs, [0], self.LAYER, PARTICLE,
+                             ("physical",), "full")
+        nodes = [q.size for _, q in kernel_tables.values()]
+        assert sum(nodes) <= channel._STORED_NODES
+        assert len(nodes) == channel._STORED_NODES // nodes[0]
+        assert [key[0] for key in kernel_tables] == freqs[-len(nodes):].tolist()
 
 
 class TestAltitudeProfile:

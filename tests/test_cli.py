@@ -219,38 +219,24 @@ class TestAttenuation:
         _, names, _, _ = parse_csv(out)
         assert len(names) == 3
 
-    @staticmethod
-    def count_kernel_calls(monkeypatch):
-        import dustmie.channel
-        calls = []
-        kernel = dustmie.channel.extinction_efficiency_array
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(dustmie.channel, "extinction_efficiency_array", counted)
-        return calls
-
-    def test_one_kernel_table_per_altitude_column(self, capsys, monkeypatch):
-        calls = self.count_kernel_calls(monkeypatch)
+    def test_one_kernel_table_per_altitude_column(self, capsys, kernel_calls):
         code, out = run_cli(capsys, "attenuation", "--sweep", "h", "--count", "5",
                             "--start", "100", "--stop", "200", "--n0", "1e3",
                             "--group-ne", "0,1000", "--units", "both")
         assert code == 0
         assert len(parse_csv(out)[3]) == 5
-        assert len(calls) == 1          # both charges and unit modes share one table
+        assert len(kernel_calls) == 1   # both charges and unit modes share one table
 
-    def test_one_kernel_call_per_frequency_column(self, capsys, monkeypatch):
-        calls = self.count_kernel_calls(monkeypatch)
+    def test_one_kernel_call_per_frequency_column(self, capsys, kernel_calls):
         code, out = run_cli(capsys, "attenuation", "--sweep", "f", "--count", "5",
                             "--start", "1e11", "--stop", "1e12", "--h0", "150",
                             "--n0", "1e3", "--group-ne", "0,1000")
         assert code == 0
         assert len(parse_csv(out)[3]) == 5
-        assert len(calls) == 1          # 2 charges x 5 frequencies in one table
+        assert len(kernel_calls) == 1   # 2 charges x 5 frequencies in one table
 
-    def test_kernel_calls_stay_within_table_sizes(self, capsys, monkeypatch):
+    def test_kernel_calls_stay_within_table_sizes(self, capsys, monkeypatch,
+                                                  kernel_tables):
         # 40 charge columns are sliced, not broadcast against the nodes at once
         import dustmie.channel
         sizes = []
@@ -616,6 +602,10 @@ def test_numerical_failure_exits_3(capsys, argv):
      "--d", "100", "--theta-deg", "12", "--seed", "-1"],
     ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
      "--d", "100", "--theta-deg", "12", "--seed", "-1", "--trials", "5"],
+    # a Monte-Carlo count beyond the bound sweep counts have, checked before
+    # any draw
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
+     "--d", "100", "--theta-deg", "12", "--trials", "1000001"],
     # an electron count beyond the float range
     ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
      "--d", "50", "--ne", "1" + "0" * 400],

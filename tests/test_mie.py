@@ -328,7 +328,7 @@ class TestBatchKernel:
         assert np.array_equal(q_int, q_float)
 
     @pytest.fixture
-    def pass_and_chunk_counts(self, monkeypatch):
+    def pass_and_chunk_counts(self, monkeypatch, kernel_tables):
         """Lockstep passes and series chunks the kernel makes: one upward
         eta_n recurrence per pass, one series sum per chunk."""
         counts = {"passes": 0, "chunks": 0}
