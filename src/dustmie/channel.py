@@ -4,6 +4,7 @@ dust loss, and the full path-loss model with shadow fading.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -12,7 +13,8 @@ import numpy as np
 from .constants import CONSTANTS
 from .dustfield import MAX_RADIUS_MM, DustLayerModel, _support, lognormal_params
 from .errors import ConfigError, DomainError
-from .mie import ParticleState, WaveSpec, _electron_count, extinction_efficiency_array
+from .mie import (ParticleState, WaveSpec, _electron_count, _normalize_m,
+                  extinction_efficiency_array)
 
 NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 
@@ -32,8 +34,11 @@ _TABLE_SIZES = 2**15
 # (f, Ne, T, m, g_e mode), (j, Q_ext at nodes j, j + 1, ...). Node j is always
 # u_j and a size's Q_ext does not depend on the batch that computes it, so a
 # kept value serves any later lattice. At most _STORED_NODES nodes (256 KB).
+# Calls from several threads read and write it under _tables_lock, which is
+# not held while the kernel runs.
 _STORED_NODES = 2**15
 _tables: OrderedDict = OrderedDict()
+_tables_lock = threading.Lock()
 
 # The slant-path rule: 8 Gauss-Legendre nodes (on [-1, 1]; leggauss(8),
 # written out to keep numpy.polynomial out of the import) in panels of at
@@ -117,18 +122,13 @@ class PathLossResult:
     total_db: float
 
 
-def _lattice_span(lo, hi) -> tuple[int, int]:
-    """Indices j of the first and last lattice nodes covering the radius
-    intervals [lo, hi] (mm), floats or arrays."""
+def _lattice(lo, hi) -> tuple[int, np.ndarray]:
+    """Index j of the first lattice node covering the radius intervals
+    [lo, hi] (mm), floats or arrays, and the nodes u = ln r (r in mm) from
+    it to the last one covering them."""
     first = math.floor((math.log(np.min(lo)) - _LN_R_TOP) / _LN_R_STEP)
-    return first, min(math.ceil((math.log(np.max(hi)) - _LN_R_TOP) / _LN_R_STEP), 0)
-
-
-def _lattice(lo, hi) -> np.ndarray:
-    """Lattice nodes u = ln r (r in mm) covering the radius intervals
-    [lo, hi] (mm), floats or arrays."""
-    first, last = _lattice_span(lo, hi)
-    return _LN_R_TOP + _LN_R_STEP * np.arange(first, last + 1)
+    last = min(math.ceil((math.log(np.max(hi)) - _LN_R_TOP) / _LN_R_STEP), 0)
+    return first, _LN_R_TOP + _LN_R_STEP * np.arange(first, last + 1)
 
 
 def _per_particle(u: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray:
@@ -176,7 +176,8 @@ def _q_blocks(keys: list, first: int, r_m: np.ndarray, kernel):
     the last columns that fit in _STORED_NODES are kept, so that no copy is
     held through the batches before them."""
     last, step = first + len(r_m) - 1, max(1, _TABLE_SIZES // len(r_m))
-    runs = {c: _tables[key] for c, key in enumerate(keys) if key in _tables}
+    with _tables_lock:
+        runs = {c: _tables[key] for c, key in enumerate(keys) if key in _tables}
     runs = {c: (j, q) for c, (j, q) in runs.items() if j <= last and j + q.size > first}
     spans = [(first, last)] * len(keys)
     for c, (j, q) in runs.items():
@@ -201,13 +202,14 @@ def _q_blocks(keys: list, first: int, r_m: np.ndarray, kernel):
             stored[c] = spans[c][0], q
             tables.append(q[max(first - j, 0):][:len(r_m)])
         yield warm[s:s + step], np.stack(tables, axis=1)
-    for c, key in enumerate(keys):
-        if keep[c] and c in stored:
-            _tables[key] = stored[c]
-        if key in _tables:
-            _tables.move_to_end(key)
-    while sum(q.size for _, q in _tables.values()) > _STORED_NODES:
-        _tables.popitem(last=False)
+    with _tables_lock:
+        for c, key in enumerate(keys):
+            if keep[c] and c in stored:
+                _tables[key] = stored[c]
+            if key in _tables:
+                _tables.move_to_end(key)
+        while sum(q.size for _, q in _tables.values()) > _STORED_NODES:
+            _tables.popitem(last=False)
 
 
 def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
@@ -236,20 +238,19 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
         return k
     mu, sigma = lognormal_params(heights)
     lo, hi = _support(mu, sigma)
-    u = _lattice(lo, hi)
+    first, u = _lattice(lo, hi)
     ne_column = np.repeat(electrons, frequencies.size)
     f_column = np.tile(frequencies, electrons.size)
     k_column = k.reshape(len(units_modes), f_column.size, len(heights))
     t, m = particle_template.temperature, particle_template.refractive_index
-    keys = [(f, ne, t, m, ge_mode)
+    keys = [(f, ne, float(t), _normalize_m(m), ge_mode)
             for f, ne in zip(f_column.tolist(), ne_column.tolist())]
 
     def kernel(radius, columns):
         return extinction_efficiency_array(radius, f_column[columns],
                                            ne_column[columns], t, m, mode=ge_mode)
 
-    for columns, q in _q_blocks(keys, _lattice_span(lo, hi)[0],
-                                np.exp(u)[:, None] * 1e-3, kernel):
+    for columns, q in _q_blocks(keys, first, np.exp(u)[:, None] * 1e-3, kernel):
         # one row per (units mode, column) of the block
         rows = np.concatenate([_per_particle(u, q, units_mode)
                                for units_mode in units_modes], axis=1).T

@@ -446,9 +446,14 @@ class _Recurrences:
 
 
 def _series(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Q_ext = 2/x^2 sum (2n + 1) Re(a_n + b_n) over the rows of a and b."""
+    """Q_ext = 2/x^2 sum (2n + 1) Re(a_n + b_n) over the rows of a and b.
+
+    Each column is summed in order of n, whatever the chunk's width (numpy
+    would sum a lone column pairwise), and the zeros above its own orders
+    add exactly nothing, so a size's Q_ext does not depend on its chunk."""
     n = np.arange(1, a.shape[0] + 1)[:, None]
-    return 2 / x**2 * ((2 * n + 1) * (a + b).real).sum(axis=0)
+    terms = (2 * n + 1) * (a + b).real
+    return 2 / x**2 * terms.cumsum(axis=0, out=terms)[-1]
 
 
 def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:

@@ -5,21 +5,20 @@ import pytest
 import dustmie.channel
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def kernel_tables(monkeypatch):
-    """An empty store of kept Q_ext tables for the test, so that what it
-    counts or traces is the kernel's own work; the store the process had
-    comes back afterwards. Clearing the returned store mid-test makes the
-    next call cold again."""
+    """An empty store of kept Q_ext tables for every test, so that what it
+    counts or traces is the kernel's own work and no test passes on tables
+    an earlier one kept; the store the process had comes back afterwards.
+    Clearing the returned store mid-test makes the next call cold again."""
     tables = OrderedDict()
     monkeypatch.setattr(dustmie.channel, "_tables", tables)
     return tables
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch, kernel_tables):
-    """The kernel calls `channel` makes during the test, one entry each,
-    starting from an empty store."""
+def kernel_calls(monkeypatch):
+    """The kernel calls `channel` makes during the test, one entry each."""
     calls = []
     kernel = dustmie.channel.extinction_efficiency_array
 

@@ -1,5 +1,7 @@
 import math
+import time
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -212,7 +214,7 @@ class TestDustAttenuationCoefficient:
         import dustmie.channel as channel
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
-        nodes = channel._lattice(*size_support(150.0)).size
+        nodes = channel._lattice(*size_support(150.0))[1].size
         monkeypatch.setattr(channel, "_TABLE_SIZES", 2 * nodes)
         calls = []
         kernel = channel.extinction_efficiency_array
@@ -240,7 +242,7 @@ class TestDustAttenuationCoefficient:
         import dustmie.channel as channel
         layer = DustLayerModel(n0=1e3)
         heights = [100.0, 150.0, 200.0]
-        nodes = channel._lattice(*size_support(np.array(heights))).size
+        nodes = channel._lattice(*size_support(np.array(heights)))[1].size
         monkeypatch.setattr(channel, "_TABLE_SIZES", 4 * nodes)
         calls = []
         kernel = channel.extinction_efficiency_array
@@ -269,7 +271,7 @@ def one_table_slant_loss(g, w, layer, particle, rel_tol):
     every altitude summed over one kernel table built for the whole path."""
     import dustmie.channel as channel
     sin_theta = math.sin(g.theta)
-    u = channel._lattice(*size_support(np.array([g.h0, g.h0 + g.d * sin_theta])))
+    _, u = channel._lattice(*size_support(np.array([g.h0, g.h0 + g.d * sin_theta])))
     q = extinction_efficiency_array(np.exp(u)[:, None] * 1e-3, [w.frequency],
                                     particle.electrons, particle.temperature,
                                     particle.refractive_index)
@@ -466,6 +468,52 @@ class TestKeptTables:
         slant_dust_loss(g, w, DustLayerModel(n0=5.0), self.particle(0),
                         units_mode="paper")
         assert len(kernel_calls) == 2
+
+    def test_key_is_normalised(self, kernel_calls):
+        # a 0-d array index and the index with Im(m) > 0 are the same key
+        w = WaveSpec.from_frequency(1e12)
+        k = dust_attenuation_coefficient(120.0, w, self.LAYER, self.particle(0))
+        for m in (np.array(M_DEFAULT), M_DEFAULT.conjugate()):
+            particle = ParticleState(20e-6, 0, np.array(300.0), m)
+            assert dust_attenuation_coefficient(120.0, w, self.LAYER, particle) == k
+        assert len(kernel_calls) == 1
+
+    def test_threads_share_the_store(self, monkeypatch):
+        # 4 threads, 8 keys and a store that holds one path's lattice, so
+        # that each call evicts the keys others are reading; the store
+        # sleeps between finding a key and reading or moving it
+        from concurrent.futures import ThreadPoolExecutor
+        import dustmie.channel as channel
+
+        class SlowStore(OrderedDict):
+            def __getitem__(self, key):
+                time.sleep(1e-3)
+                return super().__getitem__(key)
+
+            def move_to_end(self, key):
+                time.sleep(1e-3)
+                super().move_to_end(key)
+
+        store = SlowStore()
+        monkeypatch.setattr(channel, "_tables", store)
+        monkeypatch.setattr(channel, "_STORED_NODES", 2000)
+        jobs = [(g, f, ne) for f in (0.3e12, 0.5e12, 1e12, 2e12) for ne in (0, 1000)
+                for g in (LinkGeometry(h0=110.0, theta=0.2, d=60.0, d0=10.0),
+                          LinkGeometry(h0=100.0, theta=0.3, d=90.0, d0=10.0))]
+
+        def loss(job):
+            g, f, ne = job
+            return slant_dust_loss(g, WaveSpec.from_frequency(f), self.LAYER,
+                                   self.particle(ne))
+
+        cold = []
+        for job in jobs:
+            store.clear()
+            cold.append(loss(job))
+        store.clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(loss, jobs * 3)) == cold * 3
+        assert 0 < sum(q.size for _, q in store.values()) <= 2000
 
     def test_failed_call_keeps_nothing(self, kernel_tables):
         # the library form of the CLI's exit-3 path loss: from about 800 m

@@ -235,8 +235,7 @@ class TestAttenuation:
         assert len(parse_csv(out)[3]) == 5
         assert len(kernel_calls) == 1   # 2 charges x 5 frequencies in one table
 
-    def test_kernel_calls_stay_within_table_sizes(self, capsys, monkeypatch,
-                                                  kernel_tables):
+    def test_kernel_calls_stay_within_table_sizes(self, capsys, monkeypatch):
         # 40 charge columns are sliced, not broadcast against the nodes at once
         import dustmie.channel
         sizes = []

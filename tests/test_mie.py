@@ -328,7 +328,7 @@ class TestBatchKernel:
         assert np.array_equal(q_int, q_float)
 
     @pytest.fixture
-    def pass_and_chunk_counts(self, monkeypatch, kernel_tables):
+    def pass_and_chunk_counts(self, monkeypatch):
         """Lockstep passes and series chunks the kernel makes: one upward
         eta_n recurrence per pass, one series sum per chunk."""
         counts = {"passes": 0, "chunks": 0}
@@ -361,6 +361,17 @@ class TestBatchKernel:
             ref = float(extinction_efficiency_array(float(r), w.frequency, ne, 300.0,
                                                     M_DEFAULT))
             assert q[k] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("m,g_e", [(M_DEFAULT, 0j), (3 + 0.001j, 1e-3 + 2e-3j)])
+    def test_qext_does_not_depend_on_the_batch(self, m, g_e):
+        # a size's Q_ext is the same bits alone, in a batch and in another
+        # batch, up to x = 6,000, where a chunk holds a single size (kept
+        # kernel tables rely on this)
+        x = np.geomspace(0.05, 6000.0, 24)
+        g = np.full(x.size, g_e)
+        batch = mie._qext(x, m, g)
+        assert mie._qext(x[1::2], m, g[1::2]).tolist() == batch[1::2].tolist()
+        assert [extinction_efficiency_x(xi, m, g_e) for xi in x] == batch.tolist()
 
     def test_index_matched_batch_across_passes_vanishes(self, pass_and_chunk_counts):
         q = extinction_efficiency_array(self.PASS_GRID, 3e12, 0, 300.0, 1.0 + 0j)
