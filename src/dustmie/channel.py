@@ -131,12 +131,11 @@ def _lattice(lo, hi) -> tuple[int, np.ndarray]:
     return first, _LN_R_TOP + _LN_R_STEP * np.arange(first, last + 1)
 
 
-def _per_particle(u: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray:
-    """The per-particle extinction a Q_ext table weights: C_ext in m^2
-    (physical) or Q_ext itself (paper)."""
+def _per_particle(r_m: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray:
+    """The per-particle extinction a Q_ext table weights at radii r_m (m,
+    a column): C_ext in m^2 (physical) or Q_ext itself (paper)."""
     if units_mode == "paper":
         return q
-    r_m = np.exp(u)[:, None] * 1e-3
     return q * math.pi * r_m**2
 
 
@@ -187,7 +186,8 @@ def _q_blocks(keys: list, first: int, r_m: np.ndarray, kernel):
     fresh = [c for c in range(len(keys)) if c not in runs]
     for s in range(0, len(fresh), step):
         q = kernel(r_m, fresh[s:s + step])
-        stored.update((c, (first, q[:, i].copy()))
+        # a copy only where the block has other columns to let go of
+        stored.update((c, (first, np.ascontiguousarray(q[:, i])))
                       for i, c in enumerate(fresh[s:s + step]) if keep[c])
         yield fresh[s:s + step], q
     warm = list(runs)
@@ -250,9 +250,10 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
         return extinction_efficiency_array(radius, f_column[columns],
                                            ne_column[columns], t, m, mode=ge_mode)
 
-    for columns, q in _q_blocks(keys, first, np.exp(u)[:, None] * 1e-3, kernel):
+    r_m = np.exp(u)[:, None] * 1e-3
+    for columns, q in _q_blocks(keys, first, r_m, kernel):
         # one row per (units mode, column) of the block
-        rows = np.concatenate([_per_particle(u, q, units_mode)
+        rows = np.concatenate([_per_particle(r_m, q, units_mode)
                                for units_mode in units_modes], axis=1).T
         for i, (part, w) in enumerate(_size_weights(u, mu, sigma, layer.n0)):
             k_column[:, columns, i] = np.reshape(

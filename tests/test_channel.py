@@ -272,10 +272,10 @@ def one_table_slant_loss(g, w, layer, particle, rel_tol):
     import dustmie.channel as channel
     sin_theta = math.sin(g.theta)
     _, u = channel._lattice(*size_support(np.array([g.h0, g.h0 + g.d * sin_theta])))
-    q = extinction_efficiency_array(np.exp(u)[:, None] * 1e-3, [w.frequency],
-                                    particle.electrons, particle.temperature,
-                                    particle.refractive_index)
-    kernel = channel._per_particle(u, q, "physical")[:, 0]
+    r_m = np.exp(u)[:, None] * 1e-3
+    q = extinction_efficiency_array(r_m, [w.frequency], particle.electrons,
+                                    particle.temperature, particle.refractive_index)
+    kernel = channel._per_particle(r_m, q, "physical")[:, 0]
 
     def per_m(s):
         mu, sigma = lognormal_params(g.h0 + s * sin_theta)

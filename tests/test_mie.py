@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dustmie import mie
 from dustmie.constants import CONSTANTS
-from dustmie.errors import DomainError
+from dustmie.errors import DomainError, DustmieError
 from dustmie.mie import (
     ParticleState,
     WaveSpec,
@@ -284,6 +284,69 @@ class TestStronglyAbsorbing:
         assert ours == pytest.approx(neutral_mie_qext(300.0, 1.5 + 3j), rel=1e-8)
 
 
+# Wiscombe's bound for stepping D_n(mx) upward, Im(m) x < 13.78 Re(m)^2 -
+# 10.8 Re(m) + 3.9, puts the upward route of this index at 1 <= x < 187.05
+ROUTE_M = 1.5 + 0.1j
+
+
+class TestRoutes:
+    def test_route_follows_x_and_m(self):
+        x = np.array([300.0, 187.1, 187.0, 10.0, 1.0, 0.999])
+        assert mie._steps_upward(x, _normalize_m(ROUTE_M)).tolist() == [
+            False, False, True, True, True, False]
+        # the bound is fitted for Re(m) >= 1; below it upward steps drift
+        assert not mie._steps_upward(np.array([10.0]), complex(0.95)).any()
+
+    # largest deviation measured between the routes on these grids: 3.8e-14
+    # (2-0.025j near its bound, x ~ 1,500), and 1.0e-11 at 1.0001, whose
+    # Q_ext near x = 1 is about 1e-8 and cancels in both
+    @pytest.mark.parametrize("m,rel", [(ROUTE_M, 1e-13), (M_DEFAULT, 1e-13),
+                                       (1.5 + 1j, 1e-13), (1.0001, 2e-11)])
+    def test_routes_agree_on_both_sides_of_each_boundary(self, m, rel):
+        m = _normalize_m(m)
+        grids = [np.geomspace(1.05, 0.95, 11)]
+        if m.imag:
+            bound = (13.78 * m.real**2 - 10.8 * m.real + 3.9) / m.imag
+            grids.append(np.geomspace(1.02 * bound, 0.98 * bound, 11))
+        for x in grids:
+            upward = mie._steps_upward(x, m)
+            assert upward.any() and not upward.all()
+            rows = truncation_order(x)
+            for g_e in (0j, 1j, -5 + 50j):
+                g = np.full(x.size, g_e)
+                up = _Recurrences.upward(x, m, rows).series(m, g)
+                down = _Recurrences.run(x, m, rows).series(m, g)
+                assert np.all(np.abs(up - down) <= rel * np.abs(down))
+
+    def test_upward_size_matches_oracle(self):
+        x = 30.0
+        assert mie._steps_upward(np.array([x]), _normalize_m(ROUTE_M))[0]
+        assert extinction_efficiency_x(x, ROUTE_M) == pytest.approx(
+            neutral_mie_qext(x, ROUTE_M), rel=1e-8)
+
+    # sizes of both routes at every index below (x < 1, the upward route,
+    # and above the bound where the index has one), a strongly absorbing
+    # index with a short upward route, and one with Re(m) < 1, all downward
+    MIXED = np.array([0.01, 0.7, 1.0, 3.0, 40.0, 150.0, 400.0])
+
+    @given(log_x=st.floats(-3.0, math.log10(mie._MAX_X)),
+           m=st.sampled_from([M_DEFAULT, ROUTE_M, 1.33, 1.5 + 1j, 5 + 5j,
+                              0.9 + 0.01j]),
+           g_e=st.sampled_from([0j, 1e-3j, 1j, -5 + 50j]))
+    @settings(max_examples=15, deadline=None)
+    def test_size_alone_equals_size_in_a_mixed_batch(self, log_x, m, g_e):
+        x = np.concatenate(([10.0**log_x], self.MIXED))
+        g = np.full(x.size, g_e, complex)
+        try:
+            batch = mie._qext(x, m, g)
+        except DustmieError:
+            with pytest.raises(DustmieError):
+                mie._qext(x[:1], m, g[:1])
+            return
+        assert np.all(np.isfinite(batch))
+        assert mie._qext(x[:1], m, g[:1])[0] == batch[0]
+
+
 class TestBatchKernel:
     def test_batch_matches_single_sphere_entry(self):
         # radius x frequency x charge broadcast, across chunks of different
@@ -329,8 +392,9 @@ class TestBatchKernel:
 
     @pytest.fixture
     def pass_and_chunk_counts(self, monkeypatch):
-        """Lockstep passes and series chunks the kernel makes: one upward
-        eta_n recurrence per pass, one series sum per chunk."""
+        """Lockstep passes and series chunks the kernel makes: one
+        `_eta_ratio` (downward route) or `_upward_ratios` (upward route)
+        per pass, one series sum per chunk."""
         counts = {"passes": 0, "chunks": 0}
 
         def counted(name, key):
@@ -342,6 +406,7 @@ class TestBatchKernel:
             monkeypatch.setattr(mie, name, wrapper)
 
         counted("_eta_ratio", "passes")
+        counted("_upward_ratios", "passes")
         counted("_series", "chunks")
         return counts
 
@@ -360,17 +425,20 @@ class TestBatchKernel:
         for k, r in enumerate(self.PASS_GRID):
             ref = float(extinction_efficiency_array(float(r), w.frequency, ne, 300.0,
                                                     M_DEFAULT))
-            assert q[k] == pytest.approx(ref, rel=1e-12)
+            assert q[k] == ref
 
-    @pytest.mark.parametrize("m,g_e", [(M_DEFAULT, 0j), (3 + 0.001j, 1e-3 + 2e-3j)])
+    @pytest.mark.parametrize("m,g_e", [(M_DEFAULT, 0j), (3 + 0.001j, 1e-3 + 2e-3j),
+                                       (ROUTE_M, -5 + 50j)])
     def test_qext_does_not_depend_on_the_batch(self, m, g_e):
         # a size's Q_ext is the same bits alone, in a batch and in another
         # batch, up to x = 6,000, where a chunk holds a single size (kept
-        # kernel tables rely on this)
+        # kernel tables rely on this); at ROUTE_M the grid crosses both ends
+        # of the upward route, x = 1 and Wiscombe's bound
         x = np.geomspace(0.05, 6000.0, 24)
         g = np.full(x.size, g_e)
         batch = mie._qext(x, m, g)
         assert mie._qext(x[1::2], m, g[1::2]).tolist() == batch[1::2].tolist()
+        assert mie._qext(x[5:20], m, g[5:20]).tolist() == batch[5:20].tolist()
         assert [extinction_efficiency_x(xi, m, g_e) for xi in x] == batch.tolist()
 
     def test_index_matched_batch_across_passes_vanishes(self, pass_and_chunk_counts):
@@ -387,7 +455,9 @@ class TestBatchKernel:
         dust_attenuation_coefficient(200.0, WaveSpec.from_frequency(3e12),
                                      DustLayerModel(n0=1e3),
                                      ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
-        assert pass_and_chunk_counts == {"passes": 4, "chunks": 20}
+        # 4 upward passes (x >= 1) and 1 downward (x < 1), cut where the
+        # route changes
+        assert pass_and_chunk_counts == {"passes": 5, "chunks": 22}
 
     def test_domain(self):
         with pytest.raises(DomainError):
