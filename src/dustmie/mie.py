@@ -646,7 +646,7 @@ def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
     order = np.argsort(-x, kind="stable")
     upward = _steps_upward(x[order], m)
     scratch = _Scratch(_Recurrences.ROLES,
-                       min(_CHUNK_TERMS, (int(rows.max()) + 1) * x.size),
+                       min(_CHUNK_TERMS, (int(rows.max(initial=0)) + 1) * x.size),
                        _Recurrences.ZEROED)
     for route in (True, False):
         sizes = order[upward == route]

@@ -459,6 +459,10 @@ class TestBatchKernel:
         # route changes
         assert pass_and_chunk_counts == {"passes": 5, "chunks": 22}
 
+    def test_empty_batch(self):
+        q = extinction_efficiency_array(np.array([]), 3e11, 0, 300.0, M_DEFAULT)
+        assert q.shape == (0,)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             extinction_efficiency_array([1e-6, 0.0], 3e11, 0, 300.0, M_DEFAULT)
