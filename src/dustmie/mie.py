@@ -36,11 +36,11 @@ routes agree within 6e-14 at 2-0.025j, 3+0.001j and 1.5+0.01j, 2.3e-13 at
 1e-8. Upward steps drift for Re(m) < 1 (5e-2 at 0.8), so those sizes go
 downward.
 
-The sizes of a batch, in descending order of x, go through the recurrences
-in lockstep passes, a pass ending where the route changes. Each loop steps
-the sizes still running at an order (a prefix of the pass) as one numpy
-vector and stores their values ragged and order-major: order n holds only
-the sizes whose series reach n. The series are then summed in chunks of
+The upward sizes of a batch, then the rest, each in descending order of x,
+go through the recurrences of their route in lockstep passes. Each loop
+steps the sizes still running at an order (a prefix of the pass) as one
+numpy vector and stores their values ragged and order-major: order n holds
+only the sizes whose series reach n. The series are then summed in chunks of
 similar truncation order, each gathered from that store into a dense
 block, where psi_n and eta_n are formed from their ratios by a cumulative
 product. The chunks of a call share one block of work arrays.

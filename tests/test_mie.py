@@ -455,8 +455,7 @@ class TestBatchKernel:
         dust_attenuation_coefficient(200.0, WaveSpec.from_frequency(3e12),
                                      DustLayerModel(n0=1e3),
                                      ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
-        # 4 upward passes (x >= 1) and 1 downward (x < 1), cut where the
-        # route changes
+        # 4 upward passes (x >= 1), then 1 downward (x < 1)
         assert pass_and_chunk_counts == {"passes": 5, "chunks": 22}
 
     def test_empty_batch(self):
