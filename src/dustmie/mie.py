@@ -37,16 +37,16 @@ routes agree within 6e-14 at 2-0.025j, 3+0.001j and 1.5+0.01j, 2.3e-13 at
 downward.
 
 The upward sizes of a batch, then the rest, each in descending order of x,
-go through the recurrences of their route in lockstep passes. Each loop
-steps the sizes still running at an order (a prefix of the pass) as one
-numpy vector and stores their values ragged and order-major: order n holds
-only the sizes whose series reach n. The series are then summed in chunks of
-similar truncation order, each gathered from that store into a dense
-block, where psi_n and eta_n are formed from their ratios by a cumulative
-product. The chunks of a call share one block of work arrays.
+run the recurrences of their route in lockstep, one numpy vector a step over
+the sizes still running. The series are summed in order blocks, dense
+(orders, sizes) arrays of the sizes running at a block's first order that
+carry psi_n, eta_n and each partial sum on to the next. The upward loop
+writes each order into its block; the downward recurrences reach order 1
+last, so they store their values ragged and order-major, in passes.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -62,19 +62,15 @@ _MAX_RADIUS = 1e-2
 _DENOM_FLOOR = 1e-300
 # Largest size parameter taken: up to here the series summed to
 # `truncation_order` is pinned within 1e-8 of a longer sum (see
-# tests/test_mie.py::TestTruncation), and a size's store stays near 1 MB.
+# tests/test_mie.py::TestTruncation), and a downward store stays near 1 MB.
 _MAX_X = 2e4
-# Ragged terms (orders x sizes) of one lockstep pass: its store of s_n(mx),
-# the real s_n(x) and the eta ratios takes 1 MB at 32 B a term. Larger
-# passes take fewer loop steps but more memory: a 3 THz table takes 1,549
-# upward steps (and 27 downward) at 2^15 and 955 at 2^16. The 108
-# one-column k_dust tables of the benchmark's kdust-fscan pool took 0.95 s
-# and 0.82 s of CPU time at 2^15 and 2^16 on a 2-core host (best of 3, with
-# runs spreading by 20 %), and a peak RSS of 32.8 and 35.5 MB.
+# Ragged terms (orders x sizes) of one downward pass: its store of s_n(mx),
+# the real s_n(x) and the eta ratios takes 1 MB at 32 B a term. The upward
+# route stores nothing and runs one loop a call.
 _PASS_TERMS = 2**15
-# Dense (orders + 1) x sizes of one chunk of the series sum: its work
-# arrays, 129 B a term (`_Recurrences.ROLES`), stay under 1 MB, while a
-# chunk of large spheres still spans several sizes.
+# Dense orders x sizes of one order block of the series sum: its work arrays,
+# 129 B a term (`_SeriesSum.ROLES`), stay near 1 MB, while a block of large
+# spheres still spans many orders.
 _CHUNK_TERMS = 7168
 # A downward step multiplies the seed's error by about
 # exp(-2 Re arccosh((n - 1/2)/z)). A size starts where e^-45 (3e-20, below
@@ -222,20 +218,27 @@ def _order_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.cumsum(counts) - counts
 
 
-def _dense_index(layout: tuple[np.ndarray, np.ndarray], top: int, begin: int,
-                 end: int, out: np.ndarray) -> np.ndarray:
-    """Where sizes begin..end of an order-major ragged array sit, as a dense
-    (top, end - begin) index block over the first top orders, written to
-    out. Where a size stops short of an order, its entry points at another
-    term (or past the end, which a take with mode="clip" reads as the last
-    term); callers mask those entries."""
-    return np.add(layout[1][:top, None], np.arange(begin, end), out=out)
+def _blocks(counts: list[int]):
+    """Order blocks [k, end) over orders 1..len(counts), counts[n - 1] sizes
+    running at order n. A block is as wide as the count at its first order
+    and holds at most _CHUNK_TERMS terms (one order at least). It ends early
+    where fewer than half its sizes still run, once it holds a quarter of
+    _CHUNK_TERMS: a block costs about 75 numpy calls, whatever its size."""
+    falling = [-c for c in counts]             # ascending, for bisect
+    k, top = 1, len(counts)
+    while k <= top:
+        w = counts[k - 1]
+        halved = bisect.bisect_left(falling, -((w - 1) // 2)) + 1
+        end = min(top + 1, k + max(1, _CHUNK_TERMS // w),
+                  max(halved, k - (-_CHUNK_TERMS // (4 * w))))
+        yield k, end
+        k = end
 
 
 class _Scratch:
-    """Work arrays that the chunks of a pass, or the passes of a call,
-    share by role, carved from one block (zero-filled for the roles in
-    `zeroed`). A fresh array's pages
+    """Work arrays that the order blocks of a call share by role, carved
+    from one block (zero-filled for the roles in `zeroed`). A fresh array's
+    pages
     fault on first touch, at about the cost of a numpy pass over them:
     three runs of the kdust-fscan pool made about 7 thousand page faults
     with one block per call, no more than the imports make, and 50 to 90
@@ -335,19 +338,23 @@ def _scaled_ratio(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sn.reshape(-1, w)
 
 
-def _riccati_psi(z: np.ndarray, s: np.ndarray, out: np.ndarray | None = None
-                 ) -> np.ndarray:
-    """psi_n(z) = z j_n(z) for n = 0..len(s), given s_n(z) = s[n - 1]: the
-    ratios psi_n / psi_{n-1} = z / s_n, anchored to the closed form of psi_0
-    or psi_1, whichever is farther from a zero. Written to out if given."""
-    sin_z = np.sin(z)
+def _riccati_psi(z: np.ndarray, s: np.ndarray, out: np.ndarray | None = None,
+                 prev: np.ndarray | None = None) -> np.ndarray:
+    """psi_n(z) = z j_n(z) for n = k - 1..k - 1 + len(s), given s_n(z) =
+    s[n - k] for the orders from k: the ratios psi_n / psi_{n-1} = z / s_n
+    times prev = psi_{k-1}(z) if given; otherwise k = 1, anchored to the
+    closed form of psi_0 or psi_1, whichever is farther from a zero.
+    Written to out if given."""
     psi = out if out is not None else np.empty((s.shape[0] + 1, z.size),
                                                np.result_type(z, s))
-    psi[0] = sin_z
-    ratio = psi[1:]
-    np.divide(z, s, out=ratio)
-    psi1 = sin_z / z - np.cos(z)
-    ratio[0] = np.where(np.abs(sin_z) >= np.abs(psi1), ratio[0] * sin_z, psi1)
+    # row 0 first: prev may lie in the memory of out's later rows
+    psi[0] = np.sin(z) if prev is None else prev
+    ratio = np.divide(z, s, out=psi[1:])
+    if prev is None:
+        psi1 = psi[0] / z - np.cos(z)
+        ratio[0] = np.where(np.abs(psi[0]) >= np.abs(psi1), ratio[0] * psi[0], psi1)
+    else:
+        ratio[0] *= psi[0]
     np.cumprod(ratio, axis=0, out=ratio)
     return psi
 
@@ -381,23 +388,24 @@ def _eta_ratio(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return t
 
 
-def _riccati_eta(z: np.ndarray, t: np.ndarray, out: np.ndarray | None = None
-                 ) -> np.ndarray:
-    """eta_n(z) = z y_n(z) for n = 0..len(t), given eta_1(z) = t[0] and
-    t_n(z) = t[n - 1] for n >= 2 (see `_eta_ratio`): eta_0 = -cos z, and
-    eta_n = eta_1 times the ratios eta_k / eta_{k-1} = z / t_k. Written to
-    out if given."""
+def _riccati_eta(z: np.ndarray, t: np.ndarray, out: np.ndarray | None = None,
+                 prev: np.ndarray | None = None) -> np.ndarray:
+    """eta_n(z) = z y_n(z) for n = k - 1..k - 1 + len(t), given t_n(z) =
+    t[n - k] for the orders from k (see `_eta_ratio`): eta_n = eta_{n-1}
+    times z / t_n, from prev = eta_{k-1}(z) if given; otherwise k = 1,
+    eta_0 = -cos z, and t[0] holds eta_1(z). Written to out if given."""
     eta = out if out is not None else np.empty((t.shape[0] + 1, z.size),
                                                np.result_type(z, t))
-    eta[0] = -np.cos(z)
-    eta[1] = t[0]
-    np.divide(z, t[1:], out=eta[2:])
+    eta[0] = -np.cos(z) if prev is None else prev   # first (see `_riccati_psi`)
+    k = 1 if prev is None else 0
+    np.divide(z, t[k:], out=eta[1 + k:])
+    eta[1] = t[0] if prev is None else eta[1] * eta[0]
     np.cumprod(eta[1:], axis=0, out=eta[1:])
     return eta
 
 
 def _steps_upward(x: np.ndarray, m: complex) -> np.ndarray:
-    """Which sizes run their recurrences upward (`_upward_ratios`): x >= 1,
+    """Which sizes run their recurrences upward (`_upward_series`): x >= 1,
     Re(m) >= 1, and Wiscombe's (1980) bound for stepping D_n(mx) upward,
     Im(m) x < 13.78 Re(m)^2 - 10.8 Re(m) + 3.9."""
     bound = 13.78 * m.real**2 - 10.8 * m.real + 3.9
@@ -410,128 +418,50 @@ def _first_ratio(z: np.ndarray) -> np.ndarray:
     return z / (1 / z - 1 / np.tan(z))
 
 
-def _upward_ratios(x: np.ndarray, m: complex, rows: np.ndarray,
-                   scratch: _Scratch | None = None):
-    """s_n(mx) (see `_scaled_ratio`), and pairs (s_n(x), eta_1(x) or t_n(x))
-    (see `_eta_ratio`), at orders n = 1..rows[i] for sizes x in descending
-    order, ragged and order-major, from upward recurrences: (sum(rows),) and
-    (sum(rows), 2) arrays.
-
-    s_n and t_n obey the same recurrence, f_n = z^2 / ((2n - 1) - f_{n-1}),
-    from s_1 (`_first_ratio`) and t_1 = -x cos x / eta_1. One loop steps the
-    batch in lockstep up to each size's own order, writing each order
-    straight into its slots with two ufunc calls for the pairs and two for
-    s_n(mx). For a real m, s_n(mx) is real and takes the same float steps as
-    s_n(x), so that an index-matched sphere gives exactly zero coefficients.
-    Stable for the sizes of `_steps_upward`."""
-    scratch = scratch or _Scratch({"stores": 8})
-    counts, offsets = (a.tolist() for a in _order_counts(rows))
-    k, total = x.size, sum(counts)
-    mx = m.real * x if m.imag == 0 else m * x
-    # both stores in one block
-    block = scratch("stores", (1, total * (2 + mx.itemsize // 8)))[0]
-    pairs = block[:2 * total].reshape(total, 2)
-    s_mx = block[2 * total:].view(mx.dtype)
-    cos_x = np.cos(x)
-    eta1 = -cos_x / x - np.sin(x)
-    prev = np.stack((_first_ratio(x), -x * cos_x / eta1), axis=1)  # s_1, t_1
-    pairs[:k, 0] = prev[:, 0]
-    pairs[:k, 1] = eta1                        # stored in t_1's slot
-    s_mx[:k] = prev_mx = _first_ratio(mx)
-    # the pairs are stepped as one flat vector, which a ufunc takes faster
-    flat, prev = pairs.reshape(-1), prev.reshape(-1)
-    x2, mx2 = np.repeat(x * x, 2), mx * mx
-    # 2n - 1 as 0-d arrays (see `_scaled_ratio`)
-    odd = np.arange(3, 2 * len(counts), 2.0)
-    subtract, divide = np.subtract, np.divide
-    c = k
-    for n, o, k_x, k_mx in zip(range(1, len(counts)), offsets[1:],
-                               np.nditer(odd, ["zerosize_ok"]),
-                               np.nditer(odd.astype(mx.dtype), ["zerosize_ok"])):
-        if counts[n] != c:                     # the sizes still running
-            c = counts[n]
-            x2, prev, mx2, prev_mx = x2[:2 * c], prev[:2 * c], mx2[:c], prev_mx[:c]
-        step = flat[2 * o:2 * (o + c)]
-        subtract(k_x, prev, step)
-        divide(x2, step, step)
-        prev = step
-        step = s_mx[o:o + c]
-        subtract(k_mx, prev_mx, step)
-        divide(mx2, step, step)
-        prev_mx = step
-    return s_mx, pairs
+def _downward_ratios(x: np.ndarray, m: complex, rows: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """s_n(mx) (see `_scaled_ratio`), and the real s_n(x) + i eta_1(x) or
+    t_n(x) (see `_eta_ratio`) as one complex number, of a pass of sizes in
+    descending order of x, each for n = 1..rows (any rows) from the downward
+    recurrences and stored ragged and order-major (32 B a term)."""
+    # s_n for z = m x and z = x as one pair per size: sharing the steps gives
+    # an index-matched sphere (m = 1, g_e = 0) exactly zero coefficients
+    sn = _scaled_ratio(np.stack((m * x, x.astype(complex)), axis=1), rows)
+    s_mx, pairs = sn[:, 0].copy(), np.empty((sn.shape[0], 2))
+    pairs[:, 0] = sn[:, 1].real
+    del sn                                     # before the eta store
+    pairs[:, 1] = _eta_ratio(x, rows)
+    return s_mx, pairs.view(complex).reshape(-1)
 
 
-@dataclass(frozen=True)
-class _Recurrences:
-    """The Bessel recurrences of a batch of sizes in descending order of x:
-    s_n(mx) (see `_scaled_ratio`), and the pairs of the real s_n(x) and of
-    eta_1(x) or t_n(x) (see `_eta_ratio`), each for n = 1..rows and stored
-    ragged and order-major in one layout (32 B a term, 24 B for a real m
-    upward). A pair is gathered as one complex number."""
+class _SeriesSum:
+    """The sums x^2 Q_ext / 2 = sum (2n + 1) Re(a_n + b_n) of sizes in
+    descending order of x, each over its rows orders in order of n, block by
+    block (see `_blocks`): psi_{n-1}(x), eta_{n-1}(x) and the partial sums
+    carry over, so a size's Q_ext depends on neither its batch nor its blocks."""
 
-    x: np.ndarray
-    rows: np.ndarray
-    s_mx: np.ndarray
-    pairs: np.ndarray
-    layout: tuple[np.ndarray, np.ndarray]
-
-    # The scratch roles of `coefficients`, in bytes per (order, size) cell,
-    # and those whose unwritten parts must read as zero
+    # The scratch roles of `add`, in bytes per (order, size) cell, and those
+    # whose unwritten parts must read as zero
     ROLES = {"num": 32, "f_part": 32, "pair": 16, "s_t": 16, "psi": 16,
              "eta": 16, "unused": 1}
     ZEROED = ("psi", "eta")
 
-    @classmethod
-    def run(cls, x: np.ndarray, m: complex, rows: np.ndarray) -> "_Recurrences":
-        """Downward, for any sizes and any rows."""
-        # s_n for z = m x and z = x as one pair per size. Sharing the steps
-        # makes an index-matched sphere (m = 1, g_e = 0) give exactly zero
-        # coefficients.
-        sn = _scaled_ratio(np.stack((m * x, x.astype(complex)), axis=1), rows)
-        s_mx, pairs = sn[:, 0].copy(), np.empty((sn.shape[0], 2))
-        pairs[:, 0] = sn[:, 1].real
-        del sn                                 # before the eta store
-        pairs[:, 1] = _eta_ratio(x, rows)
-        return cls(x, rows, s_mx, pairs, _order_counts(rows))
+    def __init__(self, x: np.ndarray, m: complex, g_e: np.ndarray,
+                 rows: np.ndarray, scratch: _Scratch | None = None):
+        self.x, self.m, self.g_e, self.rows = x, m, g_e, rows
+        self.scratch = scratch or _Scratch(self.ROLES, zeroed=self.ZEROED)
+        self.order = 1                         # of the next block's first row
+        self.psi = self.eta = None             # psi and eta at order - 1
+        # -0 + t is t for every t, so each sum starts exactly at its first term
+        self.total = np.full(x.size, -0.0)
 
-    @classmethod
-    def upward(cls, x: np.ndarray, m: complex, rows: np.ndarray,
-               scratch: _Scratch | None = None) -> "_Recurrences":
-        """Upward, for sizes where `_steps_upward` holds, to their
-        truncation orders, with the stores from scratch if given."""
-        return cls(x, rows, *_upward_ratios(x, m, rows, scratch),
-                   _order_counts(rows))
-
-    def series(self, m: complex, g_e: np.ndarray,
-               scratch: _Scratch | None = None) -> np.ndarray:
-        """Q_ext of every size, each series summed over its rows orders in
-        chunks of at most _CHUNK_TERMS dense terms (one more order than the
-        chunk's top, for psi_0 and eta_0). A sum that is not finite is an
-        overflow."""
-        scratch = scratch or _Scratch(self.ROLES, zeroed=self.ZEROED)
-        q = np.empty(self.x.size)
-        begin = 0
-        while begin < self.x.size:
-            end = min(self.x.size, begin + max(
-                1, _CHUNK_TERMS // (int(self.rows[begin]) + 1)))
-            q[begin:end] = _series(self.x[begin:end], self.rows[begin:end],
-                                   *self.coefficients(m, g_e, begin, end, scratch))
-            begin = end
-        if not np.isfinite(q).all():
-            raise RecurrenceOverflowError(
-                f"overflow in the Mie series (x in [{self.x.min():g}, "
-                f"{self.x.max():g}], m={m})")
-        return q
-
-    def coefficients(self, m: complex, g_e: np.ndarray, begin: int, end: int,
-                     scratch: _Scratch | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Charged (a_n, b_n) for sizes begin..end: two (rows[begin],
-        end - begin) arrays, whose column i holds orders 1..rows[i] (and
-        anything above them). With every term of the charged numerators and
-        denominators divided by psi_n(mx), and xi_n(x) = psi_n(x) + i eta_n(x)
-        (eta_n = x y_n), both coefficients take the form
+    def add(self, s_t: np.ndarray, m_d: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+        """Sums the next block, s_t = s_n(x) + i t_n(x) (eta_1(x) at n = 1)
+        and m_d = s_n(mx) over its orders and sizes, which it overwrites, and
+        returns their charged (a_n, b_n). With every term of the charged
+        numerators and denominators divided by psi_n(mx), and xi_n(x) =
+        psi_n(x) + i eta_n(x), both take the form
 
             a_n = A(psi) / (A(psi) + i A(eta)),  A(f) = D_n(mx) f - (g_e D_n(mx) + m) f'
             b_n = B(psi) / (B(psi) + i B(eta)),  B(f) = (g_e - m D_n(mx)) f + f'
@@ -540,35 +470,30 @@ class _Recurrences:
         two rows of one stacked array: on psi as (D_n(mx) - (g_e D_n(mx)
         + m) D_n(x)) psi and (g_e - m D_n(mx) + D_n(x)) psi, so that an
         index-matched sphere gets exactly zero, and on eta. The arrays come
-        from scratch (fresh ones without it) and hold until its next use.
+        from the scratch and hold until its next use.
         """
-        scratch = scratch or _Scratch(self.ROLES, zeroed=self.ZEROED)
-        x, rows, g_e = self.x[begin:end], self.rows[begin:end], g_e[begin:end]
-        top = int(rows[0])
-        shape, stacked = (top, x.size), (2, top, x.size)
-        n = np.arange(1, top + 1)[:, None]
+        scratch, m = self.scratch, self.m
+        top, w = s_t.shape
+        x, rows, g_e = self.x[:w], self.rows[:w], self.g_e[:w]
+        shape, stacked = (top, w), (2, top, w)
+        n = np.arange(self.order, self.order + top)[:, None]
+        self.order += top
         unused = np.greater(n, rows, out=scratch("unused", shape, bool))
         n = n.astype(float)
         # Each role's memory holds, in turn, the arrays named beside it
-        pair = scratch("pair", shape, complex)     # dense index; a_df
-        at = _dense_index(self.layout, top, begin, end,
-                          scratch("pair", shape, np.intp))
-        # s_n(x) + i t_n(x), made D_n(x) + i eta_n' in place
-        s_t = self.pairs.view(complex).reshape(-1).take(
-            at, out=scratch("s_t", shape, complex), mode="clip")
         num = scratch("num", stacked, complex)     # m_d; num
-        m_d = self.s_mx.take(at, out=scratch("num", shape, self.s_mx.dtype),
-                             mode="clip")
-        d_x, deta = s_t.real, s_t.imag
+        pair = scratch("pair", shape, complex)     # a_df
+        d_x, deta = s_t.real, s_t.imag             # made D_n(x) + i eta_n'
 
-        # psi_n + 0i and 0 + i eta_n: only these parts are ever written, so
-        # the others stay zero from the block's allocation (ZEROED)
-        psi = scratch("psi", (top + 1, x.size), complex)
-        eta = scratch("eta", (top + 1, x.size), complex)
-
+        # psi_n + 0i and 0 + i eta_n from order - 1: only these parts are
+        # ever written, so the others stay zero (ZEROED)
+        psi = scratch("psi", (top + 1, w), complex)
+        eta = scratch("eta", (top + 1, w), complex)
+        first = self.psi is None               # anchors psi and eta
         with np.errstate(all="ignore"):
-            _riccati_psi(x, d_x, psi.real)
-            _riccati_eta(x, deta, eta.imag)
+            _riccati_psi(x, d_x, psi.real, None if first else self.psi[:w])
+            _riccati_eta(x, deta, eta.imag, None if first else self.eta[:w])
+            self.psi, self.eta = psi.real[top], eta.imag[top]
             # D_n = (s_n - n) / z. Both halves multiply by the one 1 / x, so
             # an index-matched sphere gets D_n(mx) == D_n(x) bit for bit.
             inv_x = 1 / x
@@ -580,7 +505,7 @@ class _Recurrences:
             # f_part: the factors of f in A (row 0) and B (row 1); a_df:
             # that of f' in A, -(g_e D_n(mx) + m)
             g = g_e[None, :]
-            f_part = scratch("f_part", stacked, complex)   # f_part; den
+            f_part = scratch("f_part", stacked, complex)   # f_part; den; terms
             d_mx = np.multiply(m_d, 1 / m, out=f_part[0])
             np.subtract(g, m_d, out=f_part[1])
             a_df = np.multiply(-g, d_mx, out=pair)
@@ -609,60 +534,129 @@ class _Recurrences:
                 raise SingularDenominatorError(
                     f"singular Mie denominator (x in [{x.min():g}, {x.max():g}], m={m})")
             num /= den
-            return num[0], num[1]
+
+            # the partial sums, then (2n + 1) Re(a_n + b_n) zeroed above each
+            # size's orders (adding exactly nothing). numpy reduces a 2-D array
+            # along its rows in order, but a lone column pairwise: cumsum it.
+            terms = scratch("f_part", (top + 1, w))
+            np.add(num[0].real, num[1].real, out=terms[1:])
+            terms[1:] *= 2.0 * n + 1
+            np.copyto(terms[1:], 0.0, where=unused)
+            terms[0] = self.total[:w]
+            if w == 1:
+                self.total[:1] = terms.cumsum(axis=0, out=terms)[-1]
+            else:
+                np.add.reduce(terms, axis=0, out=self.total[:w])
+        return num[0], num[1]
 
 
-def _series(x: np.ndarray, rows: np.ndarray, a: np.ndarray,
-            b: np.ndarray) -> np.ndarray:
-    """Q_ext = 2/x^2 sum (2n + 1) Re(a_n + b_n) over orders n = 1..rows of
-    the columns of a and b.
+def _upward_series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
+                   scratch: _Scratch | None = None) -> np.ndarray:
+    """Q_ext of sizes x in descending order where `_steps_upward` holds, each
+    series summed to rows[i] orders. s_n(mx), s_n(x) and t_n(x) obey one
+    recurrence, f_n = z^2 / ((2n - 1) - f_{n-1}), from s_1 (`_first_ratio`)
+    and t_1 = -x cos x / eta_1. One loop steps them up to each size's own
+    order, writing each order into its row of the current block (eta_1 in
+    t_1's slot) with two ufunc calls for the pairs (s_n(x), t_n(x)) and two
+    for s_n(mx). For a real m, s_n(mx) is real and takes the same float steps
+    as s_n(x), so that an index-matched sphere gives exactly zero."""
+    series = _SeriesSum(x, m, g_e, rows, scratch)
+    counts = _order_counts(rows)[0].tolist()
+    mx = m.real * x if m.imag == 0 else m * x
+    cos_x, s1 = np.cos(x), _first_ratio(x)
+    eta1 = -cos_x / x - np.sin(x)
+    # the pairs are stepped as one flat vector, which a ufunc takes faster
+    prev = np.stack((s1, -x * cos_x / eta1), axis=1).reshape(-1)  # s_1, t_1
+    prev_mx = _first_ratio(mx)
+    x2, mx2 = np.repeat(x * x, 2), mx * mx
+    # 2n - 1 as 0-d arrays (see `_scaled_ratio`)
+    odd = np.arange(1, 2 * len(counts), 2.0)
+    odd_mx = odd.astype(mx.dtype)
+    subtract, divide = np.subtract, np.divide
+    c = x.size
+    for k, end in _blocks(counts):
+        w = counts[k - 1]
+        s_t = series.scratch("s_t", (end - k, w), complex)
+        m_d = series.scratch("num", (end - k, w), mx.dtype)
+        pairs, s_mx = s_t.view(float).reshape(-1), m_d.reshape(-1)
+        if k == 1:
+            s_t.real[0], s_t.imag[0], m_d[0] = s1, eta1, prev_mx
+        first = max(k, 2)
+        for n, k_x, k_mx in zip(range(first, end),
+                                np.nditer(odd[first - 1:end - 1], ["zerosize_ok"]),
+                                np.nditer(odd_mx[first - 1:end - 1], ["zerosize_ok"])):
+            if counts[n - 1] != c:             # the sizes still running
+                c = counts[n - 1]
+                x2, prev, mx2, prev_mx = x2[:2 * c], prev[:2 * c], mx2[:c], prev_mx[:c]
+            o = (n - k) * w
+            step = pairs[2 * o:2 * (o + c)]
+            subtract(k_x, prev, step)
+            divide(x2, step, step)
+            prev = step
+            step = s_mx[o:o + c]
+            subtract(k_mx, prev_mx, step)
+            divide(mx2, step, step)
+            prev_mx = step
+        # the sum works the block in place, so the loop goes on from copies
+        # (row 1 holds eta_1, not the t_1 the loop steps from)
+        prev, prev_mx = prev.copy(), prev_mx.copy()
+        series.add(s_t, m_d)
+    return 2 / x**2 * series.total
 
-    Each column is summed in order of n, whatever the chunk's width: numpy
-    reduces a 2-D array along its rows in order, but a lone column pairwise,
-    so that one is summed cumulatively. The terms above a column's own
-    orders are zeroed and add exactly nothing, so a size's Q_ext does not
-    depend on its chunk."""
-    n = np.arange(1, a.shape[0] + 1)[:, None]
-    terms = np.add(a.real, b.real)
-    terms *= 2.0 * n + 1
-    np.copyto(terms, 0.0, where=n > rows)
-    total = (terms.cumsum(axis=0, out=terms)[-1] if terms.shape[1] == 1
-             else np.add.reduce(terms, axis=0))
-    return 2 / x**2 * total
+
+def _downward_series(x: np.ndarray, m: complex, g_e: np.ndarray,
+                     rows: np.ndarray, scratch: _Scratch | None = None
+                     ) -> np.ndarray:
+    """Q_ext of sizes x in descending order, each series summed to rows[i]
+    orders, from the downward recurrences (`_downward_ratios`) in lockstep
+    passes of at most _PASS_TERMS ragged terms. Each order block is gathered
+    from the pass's store; where a size stops short of an order, its entry
+    holds another term (or the last, mode="clip"), which the sum masks."""
+    scratch = scratch or _Scratch(_SeriesSum.ROLES, zeroed=_SeriesSum.ZEROED)
+    q = np.empty(x.size)
+    total = np.concatenate(([0], np.cumsum(rows)))
+    begin = 0
+    while begin < x.size:
+        end = max(begin + 1, int(np.searchsorted(
+            total, total[begin] + _PASS_TERMS, side="right")) - 1)
+        run = slice(begin, end)
+        s_mx, s_t = _downward_ratios(x[run], m, rows[run])
+        series = _SeriesSum(x[run], m, g_e[run], rows[run], scratch)
+        counts, offsets = _order_counts(rows[run])
+        for k, stop in _blocks(counts.tolist()):
+            shape = (stop - k, int(counts[k - 1]))
+            at = np.add(offsets[k - 1:stop - 1, None], np.arange(shape[1]),
+                        out=scratch("pair", shape, np.intp))
+            series.add(s_t.take(at, out=scratch("s_t", shape, complex), mode="clip"),
+                       s_mx.take(at, out=scratch("num", shape, complex), mode="clip"))
+        q[run] = 2 / x[run]**2 * series.total
+        del s_mx, s_t                          # before the next pass's store
+        begin = end
+    return q
 
 
 def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
     """Q_ext over 1-D arrays of x and g_e, each series summed to its
     `truncation_order` and no further (the error this leaves is pinned by
-    tests/test_mie.py::TestTruncation).
-
-    The sizes of `_steps_upward`, then the rest, each in descending order
-    of x, go in lockstep passes of at most _PASS_TERMS ragged terms, each
-    running the recurrences of its route once; a pass sums its series in
-    chunks of at most _CHUNK_TERMS dense terms."""
+    tests/test_mie.py::TestTruncation): the sizes of `_steps_upward`, then
+    the rest, each in descending order of x and on their route's recurrences,
+    their order blocks sharing one block of work arrays."""
     m = _normalize_m(m)
     rows = truncation_order(x)
     q = np.empty(x.size)
     order = np.argsort(-x, kind="stable")
     upward = _steps_upward(x[order], m)
-    scratch = _Scratch(_Recurrences.ROLES,
-                       min(_CHUNK_TERMS, (int(rows.max(initial=0)) + 1) * x.size),
-                       _Recurrences.ZEROED)
-    for route in (True, False):
+    # a block's terms and its rows of psi_{k-1} and eta_{k-1}, for w <= _CHUNK_TERMS
+    scratch = _Scratch(_SeriesSum.ROLES,
+                       min(_CHUNK_TERMS + x.size, (int(rows.max(initial=0)) + 1) * x.size),
+                       _SeriesSum.ZEROED)
+    for route, series in ((True, _upward_series), (False, _downward_series)):
         sizes = order[upward == route]
-        # the upward passes share one store, freed before a downward pass
-        stores = _Scratch({"stores": 8}) if route else None
-        total = np.concatenate(([0], np.cumsum(rows[sizes])))
-        begin = 0
-        while begin < sizes.size:
-            end = max(begin + 1, int(np.searchsorted(
-                total, total[begin] + _PASS_TERMS, side="right")) - 1)
-            run = sizes[begin:end]
-            rec = (_Recurrences.upward(x[run], m, rows[run], stores) if route
-                   else _Recurrences.run(x[run], m, rows[run]))
-            q[run] = rec.series(m, g_e[run], scratch)
-            del rec                            # before the next pass's store
-            begin = end
+        if sizes.size:
+            q[sizes] = series(x[sizes], m, g_e[sizes], rows[sizes], scratch)
+    if not np.isfinite(q).all():               # an overflow
+        raise RecurrenceOverflowError(
+            f"overflow in the Mie series (x in [{x.min():g}, {x.max():g}], m={m})")
     return q
 
 

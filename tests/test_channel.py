@@ -120,7 +120,7 @@ class TestDustAttenuationCoefficient:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5e6
+        assert peak < 2.0e6
 
     def test_unset_n0_rejected(self):
         with pytest.raises(ConfigError):

@@ -13,7 +13,6 @@ from dustmie.mie import (
     charged_coefficient,
     collision_frequency,
     _normalize_m,
-    _Recurrences,
     extinction_efficiency_array,
     extinction_efficiency_x,
     scale_parameter,
@@ -27,12 +26,29 @@ from oracles import neutral_mie_qext
 M_DEFAULT = 2.0 - 0.025j
 
 
+def recorded_coefficients(route, x, m, g_e, rows):
+    """Charged (a_n, b_n) of sizes x at charges g_e for n = 1..rows, as the
+    kernel's block sums return them while the route (`mie._upward_series` or
+    `mie._downward_series`) runs; the sizes must share one x: two
+    (rows, len(x)) arrays."""
+    blocks, add = {}, mie._SeriesSum.add          # per downward pass
+
+    def recorded(series, *block):
+        a, b = add(series, *block)
+        blocks.setdefault(series, []).append((a.copy(), b.copy()))
+        return a, b
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mie._SeriesSum, "add", recorded)
+        route(x, m, g_e, np.full(x.size, rows))
+    passes = [[np.concatenate(c) for c in zip(*run)] for run in blocks.values()]
+    return tuple(np.concatenate(c, axis=1) for c in zip(*passes))
+
+
 def series_coefficients(x, m, rows):
     """Neutral (a_n, b_n) of one sphere for n = 1..rows, from the kernel's
-    own recurrences and coefficient step."""
-    m = _normalize_m(m)
-    rec = _Recurrences.run(np.array([float(x)]), m, np.array([rows]))
-    a, b = rec.coefficients(m, np.zeros(1, complex), 0, 1)
+    own recurrences and block sum."""
+    a, b = recorded_coefficients(mie._downward_series, np.array([float(x)]),
+                                 _normalize_m(m), np.zeros(1, complex), rows)
     return a[:, 0], b[:, 0]
 
 
@@ -242,16 +258,15 @@ TRUNCATION_X = np.geomspace(mie._MAX_X, 1e-3, 40)
 class TestTruncation:
     @pytest.mark.parametrize("m", TRUNCATION_INDICES)
     def test_sum_to_truncation_order_matches_40_more_orders(self, m, monkeypatch):
-        # g_e = 0 and 1j as one batch in one lockstep pass (the pass size
-        # bounds memory, and moves Q_ext by rounding only); the longer sums
-        # share one run of the recurrences, which g_e does not enter
+        # g_e = 0 and 1j as one batch in one lockstep downward pass (the
+        # pass size bounds memory, and moves Q_ext by rounding only)
         monkeypatch.setattr(mie, "_PASS_TERMS", 2**22)
         x, charges = TRUNCATION_X, (0j, 1j)
         q = mie._qext(np.tile(x, 2), m, np.repeat(charges, x.size))
         m = _normalize_m(m)
-        rec = _Recurrences.run(x, m, truncation_order(x) + 40)
-        longer = np.concatenate([rec.series(m, np.full(x.size, g_e))
-                                 for g_e in charges])
+        longer = np.concatenate([
+            mie._downward_series(x, m, np.full(x.size, g_e), truncation_order(x) + 40)
+            for g_e in charges])
         assert np.all(np.abs(q - longer) <= 1e-8 * np.abs(longer))
 
     def test_truncation_tail_at_large_x(self):
@@ -314,8 +329,8 @@ class TestRoutes:
             rows = truncation_order(x)
             for g_e in (0j, 1j, -5 + 50j):
                 g = np.full(x.size, g_e)
-                up = _Recurrences.upward(x, m, rows).series(m, g)
-                down = _Recurrences.run(x, m, rows).series(m, g)
+                up = mie._upward_series(x, m, g, rows)
+                down = mie._downward_series(x, m, g, rows)
                 assert np.all(np.abs(up - down) <= rel * np.abs(down))
 
     def test_upward_size_matches_oracle(self):
@@ -349,14 +364,11 @@ class TestRoutes:
 
 def route_coefficients(x, m, g_e, upward):
     """Charged (a_n, b_n) of one size x at each charge of g_e, on the route
-    given, from the kernel's own recurrences and coefficient step: two
-    (truncation_order(x), len(g_e)) arrays."""
+    given: two (truncation_order(x), len(g_e)) arrays."""
     g_e = np.asarray(g_e, complex)
-    xs = np.full(g_e.size, float(x))
-    rows = truncation_order(xs)
-    rec = (_Recurrences.upward if upward else _Recurrences.run)(xs, m, rows)
-    a, b = rec.coefficients(m, g_e, 0, g_e.size)
-    return a.copy(), b.copy()
+    route = mie._upward_series if upward else mie._downward_series
+    return recorded_coefficients(route, np.full(g_e.size, float(x)), m, g_e,
+                                 truncation_order(x))
 
 
 def cross_ratio(z):
@@ -470,37 +482,38 @@ class TestBatchKernel:
         assert np.array_equal(q_int, q_float)
 
     @pytest.fixture
-    def pass_and_chunk_counts(self, monkeypatch):
-        """Lockstep passes and series chunks the kernel makes: one
-        `_eta_ratio` (downward route) or `_upward_ratios` (upward route)
-        per pass, one series sum per chunk."""
-        counts = {"passes": 0, "chunks": 0}
+    def route_and_block_counts(self, monkeypatch):
+        """Upward loops, downward passes and summed order blocks the kernel
+        makes: one `_upward_series` per upward loop, one `_eta_ratio` per
+        downward pass, one `_SeriesSum.add` per block."""
+        counts = {"upward": 0, "downward": 0, "blocks": 0}
 
-        def counted(name, key):
-            fn = getattr(mie, name)
+        def counted(owner, name, key):
+            fn = getattr(owner, name)
 
             def wrapper(*args):
                 counts[key] += 1
                 return fn(*args)
-            monkeypatch.setattr(mie, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counted("_eta_ratio", "passes")
-        counted("_upward_ratios", "passes")
-        counted("_series", "chunks")
+        counted(mie, "_upward_series", "upward")
+        counted(mie, "_eta_ratio", "downward")
+        counted(mie._SeriesSum, "add", "blocks")
         return counts
 
-    # 1,200 radii at 3 THz, x from 0.006 to 630: three lockstep passes, the
-    # large-x ones each cut into several chunks
+    # 1,200 radii at 3 THz, x from 0.006 to 630: one upward loop (x >= 1)
+    # and one downward pass (x < 1), summed in many order blocks
     PASS_GRID = np.geomspace(1e-7, 1e-2, 1200)
 
     @pytest.mark.parametrize("ne", [0, 10**6])
     def test_batch_across_passes_matches_single_sphere_entry(
-            self, ne, pass_and_chunk_counts):
+            self, ne, route_and_block_counts):
         w = WaveSpec.from_frequency(3e12)
         q = extinction_efficiency_array(self.PASS_GRID, w.frequency, ne, 300.0,
                                         M_DEFAULT)
-        assert pass_and_chunk_counts["passes"] >= 3
-        assert pass_and_chunk_counts["chunks"] >= 2 * pass_and_chunk_counts["passes"]
+        assert route_and_block_counts["upward"] == 1
+        assert route_and_block_counts["downward"] == 1
+        assert route_and_block_counts["blocks"] >= 10
         for k, r in enumerate(self.PASS_GRID):
             ref = float(extinction_efficiency_array(float(r), w.frequency, ne, 300.0,
                                                     M_DEFAULT))
@@ -520,22 +533,34 @@ class TestBatchKernel:
         assert mie._qext(x[5:20], m, g[5:20]).tolist() == batch[5:20].tolist()
         assert [extinction_efficiency_x(xi, m, g_e) for xi in x] == batch.tolist()
 
-    def test_index_matched_batch_across_passes_vanishes(self, pass_and_chunk_counts):
+    def test_index_matched_batch_across_passes_vanishes(self, route_and_block_counts):
         q = extinction_efficiency_array(self.PASS_GRID, 3e12, 0, 300.0, 1.0 + 0j)
-        assert pass_and_chunk_counts["passes"] >= 3
+        assert route_and_block_counts["upward"] == 1
+        assert route_and_block_counts["downward"] == 1
+        assert route_and_block_counts["blocks"] >= 10
         assert np.all(q == 0.0)
 
-    def test_3thz_table_runs_a_known_number_of_passes(self, pass_and_chunk_counts):
+    def test_3thz_table_runs_a_known_number_of_passes(self, route_and_block_counts):
         # the largest kernel table of the band (see test_memory_budget): a
-        # change that trades the store's memory for recurrence steps, or back,
-        # moves these counts
+        # change to the shape of the order blocks, which trades their memory
+        # for numpy calls, or to the routes, moves these counts
         from dustmie.channel import dust_attenuation_coefficient
         from dustmie.dustfield import DustLayerModel
         dust_attenuation_coefficient(200.0, WaveSpec.from_frequency(3e12),
                                      DustLayerModel(n0=1e3),
                                      ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
-        # 4 upward passes (x >= 1), then 1 downward (x < 1)
-        assert pass_and_chunk_counts == {"passes": 5, "chunks": 22}
+        # one upward loop (x >= 1), then one downward pass (x < 1)
+        assert route_and_block_counts == {"upward": 1, "downward": 1, "blocks": 23}
+
+    def test_cells_above_a_size_orders_raise_no_warning(self):
+        # a block's cells above a size's own orders hold whatever its work
+        # arrays held before; summing them must not warn (n = 87 at -5+50j did)
+        rng = np.random.default_rng(5)
+        for g_e in (0j, 1e-3j, 1j, -5 + 50j):
+            n = int(rng.integers(1, 400))
+            x = np.exp(rng.uniform(np.log(1e-3), np.log(2e3), n))
+            q = mie._qext(x, M_DEFAULT, g_e * rng.uniform(0.5, 2, n))
+            assert np.all(np.isfinite(q))
 
     def test_empty_batch(self):
         q = extinction_efficiency_array(np.array([]), 3e11, 0, 300.0, M_DEFAULT)
