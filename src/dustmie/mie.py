@@ -238,8 +238,7 @@ def _blocks(counts: list[int]):
 class _Scratch:
     """Work arrays that the order blocks of a call share by role, carved
     from one block (zero-filled for the roles in `zeroed`). A fresh array's
-    pages
-    fault on first touch, at about the cost of a numpy pass over them:
+    pages fault on first touch, at about the cost of a numpy pass over them:
     three runs of the kdust-fscan pool made about 7 thousand page faults
     with one block per call, no more than the imports make, and 50 to 90
     thousand with an array per role.
@@ -558,8 +557,9 @@ def _upward_series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
     and t_1 = -x cos x / eta_1. One loop steps them up to each size's own
     order, writing each order into its row of the current block (eta_1 in
     t_1's slot) with two ufunc calls for the pairs (s_n(x), t_n(x)) and two
-    for s_n(mx). For a real m, s_n(mx) is real and takes the same float steps
-    as s_n(x), so that an index-matched sphere gives exactly zero."""
+    for s_n(mx), and sums each full block (`_SeriesSum`). For a real m,
+    s_n(mx) is real and takes the same float steps as s_n(x), so that an
+    index-matched sphere gives exactly zero."""
     series = _SeriesSum(x, m, g_e, rows, scratch)
     counts = _order_counts(rows)[0].tolist()
     mx = m.real * x if m.imag == 0 else m * x

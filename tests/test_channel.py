@@ -107,8 +107,8 @@ class TestDustAttenuationCoefficient:
         assert dust_attenuation_coefficient(100.0, w, layer, PARTICLE) == 0.0
 
     def test_memory_budget(self, kernel_tables):
-        # the largest kernel table of the band: the recurrences' ragged store
-        # of one lockstep pass plus one chunk's dense arrays stay bounded
+        # the largest kernel table of the band: one downward pass's ragged
+        # store plus one order block's dense arrays stay bounded
         w = WaveSpec.from_frequency(3e12)
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)

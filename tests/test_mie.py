@@ -440,8 +440,8 @@ class TestChargedInvariants:
 
 class TestBatchKernel:
     def test_batch_matches_single_sphere_entry(self):
-        # radius x frequency x charge broadcast, across chunks of different
-        # truncation order, against one-sphere calls
+        # radius x frequency x charge broadcast, across order blocks of
+        # different widths, against one-sphere calls
         radius = np.geomspace(1e-7, 5e-3, 40)
         freq = np.array([0.3e12, 2e12])[:, None, None]
         ne = np.array([0, 1000, 10**6])[:, None]
@@ -523,7 +523,7 @@ class TestBatchKernel:
                                        (ROUTE_M, -5 + 50j)])
     def test_qext_does_not_depend_on_the_batch(self, m, g_e):
         # a size's Q_ext is the same bits alone, in a batch and in another
-        # batch, up to x = 6,000, where a chunk holds a single size (kept
+        # batch, up to x = 6,000, where a block holds a single size (kept
         # kernel tables rely on this); at ROUTE_M the grid crosses both ends
         # of the upward route, x = 1 and Wiscombe's bound
         x = np.geomspace(0.05, 6000.0, 24)
