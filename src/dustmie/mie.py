@@ -20,21 +20,26 @@ t_n = x eta_{n-1}(x)/eta_n(x) for the Riccati-Bessel function eta_n = x y_n;
 D_n = (s_n - n)/z is formed only when the series is summed. Each size takes
 one of two routes, by its x and m alone:
 
-- Upward, for x >= 1 and Re(m) >= 1 under Wiscombe's bound
-  Im(m) x < 13.78 Re(m)^2 - 10.8 Re(m) + 3.9 (for 1.5+0.1j, x < 187): one
-  loop steps s_n(mx), s_n(x) and t_n(x) together, f_n = z^2 / ((2n - 1) -
-  f_{n-1}), only up to each size's own order. At x = 791 and 2-0.025j that
-  is 830 steps where the downward seed starts at order 1,758.
-- Downward, for every other size: s_{n-1} = (2n - 1) - z^2 / s_n from
-  where the contraction of its steps has erased the seed, and no higher
-  than Wiscombe's start, without overflow however strongly the sphere
-  absorbs; and t_n upward in a second loop.
+- Upward, for Re(m) >= 1 under Wiscombe's bound
+  Im(m) x < 13.78 Re(m)^2 - 10.8 Re(m) + 3.9 (for 1.5+0.1j, x < 187),
+  however small x is: one loop steps s_n(mx), s_n(x) and t_n(x) together,
+  f_n = z^2 / ((2n - 1) - f_{n-1}), from n = 3 only up to each size's own
+  order, after s_1 and s_2 from a series where 1/z - cot z would cancel.
+  At x = 791 and 2-0.025j that is 829 steps where the downward seed starts
+  at order 1,758.
+- Downward, for Im(m) x beyond the bound and for Re(m) < 1:
+  s_{n-1} = (2n - 1) - z^2 / s_n from where the contraction of its steps
+  has erased the seed, and no higher than Wiscombe's start, without
+  overflow however strongly the sphere absorbs; and t_n upward in a second
+  loop.
 
 On grids of 3,000 x up to 2e3 with g_e = 0, 1e-3j, 1j and -5+50j, the two
-routes agree within 6e-14 at 2-0.025j, 3+0.001j and 1.5+0.01j, 2.3e-13 at
-1.33 (x up to 2e4), and 1.0e-11 at 1.0001 near x = 1, where Q_ext is about
-1e-8. Upward steps drift for Re(m) < 1 (5e-2 at 0.8), so those sizes go
-downward.
+routes agree within 6e-14 at 2-0.025j, 3+0.001j and 1.5+0.01j, and 2.3e-13
+at 1.33 (x up to 2e4). Below x = 1 they agree within 2e-13 at seven indices
+from 1.33 to 1.2+10j, and 3.4e-11 at 1.0001, whose Q_ext cancels in both.
+Below x = 1e-3 the charged sums lose digits on either route (9e-11 at
+1.5+1j, g_e = 1j, x = 1e-6). Upward steps drift for Re(m) < 1 (5e-2 at
+0.8), so those sizes go downward.
 
 The upward sizes of a batch, then the rest, each in descending order of x,
 run the recurrences of their route in lockstep, one numpy vector a step over
@@ -404,17 +409,50 @@ def _riccati_eta(z: np.ndarray, t: np.ndarray, out: np.ndarray | None = None,
 
 
 def _steps_upward(x: np.ndarray, m: complex) -> np.ndarray:
-    """Which sizes run their recurrences upward (`_upward_series`): x >= 1,
-    Re(m) >= 1, and Wiscombe's (1980) bound for stepping D_n(mx) upward,
-    Im(m) x < 13.78 Re(m)^2 - 10.8 Re(m) + 3.9."""
-    bound = 13.78 * m.real**2 - 10.8 * m.real + 3.9
-    return (x >= 1) & (m.real >= 1) & (m.imag * x < bound)
+    """Which sizes run their recurrences upward (`_upward_series`): Re(m) >= 1
+    and Wiscombe's (1980) bound for stepping D_n(mx) upward, Im(m) x <
+    13.78 Re(m)^2 - 10.8 Re(m) + 3.9, at any x: below x = 1 the orders that
+    upward steps lose carry terms of order x^(2n+1), which the sum never feels."""
+    # squares as products: a float power raises where a product gives inf
+    bound = 13.78 * m.real * m.real - 10.8 * m.real + 3.9
+    return (m.real >= 1) & (m.imag * x < bound)
 
 
-def _first_ratio(z: np.ndarray) -> np.ndarray:
-    """s_1(z) = z psi_0(z) / psi_1(z) = z / (1/z - cot z), which stays
-    finite where sin z would overflow."""
-    return z / (1 / z - 1 / np.tan(z))
+# c_1..c_16 of S(z) = sum_k c_k z^(2k), c_k = 3 2^(2k+2) |B_(2k+2)| / (2k+2)!
+# (Bernoulli numbers; c_0 = 1), the series of 3 / s_1(z), which converges for
+# |z| < pi; below |z| = 0.6 its 17 terms are exact to rounding
+_S1_SERIES = (0.06666666666666667, 0.006349206349206349, 0.0006349206349206349,
+              6.41333974667308e-05, 6.493212842419191e-06, 6.577784355562133e-07,
+              6.664382636993903e-08, 6.7523539550426975e-09, 6.841545361377655e-10,
+              6.931929779700787e-11, 7.0235120459474655e-12, 7.116305220070096e-13,
+              7.210324599992312e-14, 7.30558620875501e-15, 7.402106413551622e-16,
+              7.499901831366242e-17)
+
+
+def _first_ratio(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s_1(z) = z psi_0(z) / psi_1(z) and s_2(z), which start the upward
+    recurrence at n = 3, for z in descending order of |z|. From |z| = 0.6
+    up, s_1 = z / (1/z - cot z), which stays finite where sin z would
+    overflow, and s_2 = z^2 / (3 - s_1). Below it 1/z - cot z cancels to
+    about z/3, losing some 3/|z|^2 ulps, and 3 - s_1 to about z^2/5, so both
+    come from S = 1 + z^2 T (`_S1_SERIES`): s_1 = 3 / S and s_2 = S / (3 T)."""
+    s1, s2 = np.empty_like(z), np.empty_like(z)
+    k = np.count_nonzero(np.abs(z) >= 0.6)     # the first k sizes
+    big = z[:k]
+    np.divide(big, 1 / big - 1 / np.tan(big), out=s1[:k])
+    np.divide(big * big, 3 - s1[:k], out=s2[:k])
+    if k < z.size:
+        z2 = z[k:] * z[k:]
+        t = z2 * _S1_SERIES[-1]
+        for c in _S1_SERIES[-2:0:-1]:
+            t += c
+            t *= z2
+        t += _S1_SERIES[0]
+        s = z2 * t
+        s += 1
+        np.divide(3, s, out=s1[k:])
+        np.divide(s, 3 * t, out=s2[k:])
+    return s1, s2
 
 
 def _downward_ratios(x: np.ndarray, m: complex, rows: np.ndarray
@@ -553,22 +591,26 @@ def _upward_series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
                    scratch: _Scratch | None = None) -> np.ndarray:
     """Q_ext of sizes x in descending order where `_steps_upward` holds, each
     series summed to rows[i] orders. s_n(mx), s_n(x) and t_n(x) obey one
-    recurrence, f_n = z^2 / ((2n - 1) - f_{n-1}), from s_1 (`_first_ratio`)
-    and t_1 = -x cos x / eta_1. One loop steps them up to each size's own
-    order, writing each order into its row of the current block (eta_1 in
-    t_1's slot) with two ufunc calls for the pairs (s_n(x), t_n(x)) and two
-    for s_n(mx), and sums each full block (`_SeriesSum`). For a real m,
-    s_n(mx) is real and takes the same float steps as s_n(x), so that an
-    index-matched sphere gives exactly zero."""
+    recurrence, f_n = z^2 / ((2n - 1) - f_{n-1}), from n = 3 on: s_1 and
+    s_2 come from `_first_ratio`, t_1 = -x cos x / eta_1 and t_2 from one
+    step. One loop steps them up to each size's own order, writing each
+    order into its row of the current block (eta_1 in t_1's slot) with two
+    ufunc calls for the pairs (s_n(x), t_n(x)) and two for s_n(mx), and
+    sums each full block (`_SeriesSum`). For a real m, s_n(mx) is real and
+    takes the same float steps as s_n(x), so that an index-matched sphere
+    gives exactly zero."""
     series = _SeriesSum(x, m, g_e, rows, scratch)
     counts = _order_counts(rows)[0].tolist()
     mx = m.real * x if m.imag == 0 else m * x
-    cos_x, s1 = np.cos(x), _first_ratio(x)
+    (s1, s2), (s1_mx, s2_mx) = _first_ratio(x), _first_ratio(mx)
+    cos_x = np.cos(x)
     eta1 = -cos_x / x - np.sin(x)
+    t1 = -x * cos_x / eta1
+    x2, mx2 = x * x, mx * mx
     # the pairs are stepped as one flat vector, which a ufunc takes faster
-    prev = np.stack((s1, -x * cos_x / eta1), axis=1).reshape(-1)  # s_1, t_1
-    prev_mx = _first_ratio(mx)
-    x2, mx2 = np.repeat(x * x, 2), mx * mx
+    prev = np.stack((s2, x2 / (3 - t1)), axis=1).reshape(-1)  # s_2, t_2
+    x2, prev_mx = np.repeat(x2, 2), s2_mx
+    del cos_x, t1, s2                          # spent before the blocks' peak
     # 2n - 1 as 0-d arrays (see `_scaled_ratio`)
     odd = np.arange(1, 2 * len(counts), 2.0)
     odd_mx = odd.astype(mx.dtype)
@@ -580,8 +622,11 @@ def _upward_series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
         m_d = series.scratch("num", (end - k, w), mx.dtype)
         pairs, s_mx = s_t.view(float).reshape(-1), m_d.reshape(-1)
         if k == 1:
-            s_t.real[0], s_t.imag[0], m_d[0] = s1, eta1, prev_mx
-        first = max(k, 2)
+            s_t.real[0], s_t.imag[0], m_d[0] = s1, eta1, s1_mx
+            del s1, eta1, s1_mx
+        if k <= 2 < end:                       # order 2, from the seeds
+            s_t[2 - k].view(float)[:], m_d[2 - k] = prev[:2 * w], prev_mx[:w]
+        first = max(k, 3)
         for n, k_x, k_mx in zip(range(first, end),
                                 np.nditer(odd[first - 1:end - 1], ["zerosize_ok"]),
                                 np.nditer(odd_mx[first - 1:end - 1], ["zerosize_ok"])):
@@ -598,7 +643,6 @@ def _upward_series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
             divide(mx2, step, step)
             prev_mx = step
         # the sum works the block in place, so the loop goes on from copies
-        # (row 1 holds eta_1, not the t_1 the loop steps from)
         prev, prev_mx = prev.copy(), prev_mx.copy()
         series.add(s_t, m_d)
     return 2 / x**2 * series.total
@@ -650,10 +694,11 @@ def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
     scratch = _Scratch(_SeriesSum.ROLES,
                        min(_CHUNK_TERMS + x.size, (int(rows.max(initial=0)) + 1) * x.size),
                        _SeriesSum.ZEROED)
-    for route, series in ((True, _upward_series), (False, _downward_series)):
-        sizes = order[upward == route]
-        if sizes.size:
-            q[sizes] = series(x[sizes], m, g_e[sizes], rows[sizes], scratch)
+    with np.errstate(all="ignore"):            # an overflow fails below
+        for route, series in ((True, _upward_series), (False, _downward_series)):
+            sizes = order[upward == route]
+            if sizes.size:
+                q[sizes] = series(x[sizes], m, g_e[sizes], rows[sizes], scratch)
     if not np.isfinite(q).all():               # an overflow
         raise RecurrenceOverflowError(
             f"overflow in the Mie series (x in [{x.min():g}, {x.max():g}], m={m})")
@@ -665,7 +710,8 @@ def _size_and_charge(radius, frequency, electrons, temperature, mode):
     beyond the float range (from radii near 1e-60 m) is a numerical failure."""
     if np.any(np.less_equal(frequency, 0)):
         raise DomainError("frequency must be positive")
-    x = scale_parameter(radius, CONSTANTS.c / frequency)
+    with np.errstate(all="ignore"):        # _check_scale rejects an inf or nan x
+        x = scale_parameter(radius, CONSTANTS.c / frequency)
     _check_scale(x)        # rejects an x beyond the series before r^2 overflows
     with np.errstate(all="ignore"):
         omega_s = surface_plasma_frequency(electrons, radius)

@@ -107,8 +107,9 @@ class TestDustAttenuationCoefficient:
         assert dust_attenuation_coefficient(100.0, w, layer, PARTICLE) == 0.0
 
     def test_memory_budget(self, kernel_tables):
-        # the largest kernel table of the band: one downward pass's ragged
-        # store plus one order block's dense arrays stay bounded
+        # the largest kernel table of the band: its order blocks' dense
+        # arrays, and a downward pass's ragged store where an index needs
+        # one (the default index needs none), stay bounded
         w = WaveSpec.from_frequency(3e12)
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
@@ -148,6 +149,26 @@ class TestDustAttenuationCoefficient:
         k = dust_attenuation_coefficient(h, w, layer, particle)
         ref = adaptive_k_dust(h, w, layer, particle, rel_tol=1e-9)
         assert k == pytest.approx(ref, rel=1e-6)
+
+    # the domain of the 0.006 lattice's 1e-8 claim: strongly enough
+    # absorbing indices, 100-200 m, 0.1-3 THz. Measured against the nested
+    # 0.0015 lattice, which shares the cap node: at most 4.3e-9 (2-0.025j)
+    # and 2.1e-9 (1.6+0.05j). Weaker absorption sharpens the Mie ripple past
+    # the step: 1.5+0.001j misses by 2e-5 at 1 THz
+    @pytest.mark.parametrize("m", [M_DEFAULT, 1.6 + 0.05j])
+    def test_lattice_within_1e_8_of_a_finer_one(self, m, monkeypatch, kernel_tables):
+        import dustmie.channel as channel
+        heights, layer = np.array([100.0, 150.0, 200.0]), DustLayerModel(n0=1e3)
+        particle = ParticleState(20e-6, 0, 300.0, m)
+        for f in (0.1e12, 1e12, 3e12):
+            w = WaveSpec.from_frequency(f)
+            k = dust_attenuation_coefficient(heights, w, layer, particle)
+            with monkeypatch.context() as patch:
+                patch.setattr(channel, "_LN_R_STEP", channel._LN_R_STEP / 4)
+                kernel_tables.clear()      # a kept table holds 0.006 nodes
+                fine = dust_attenuation_coefficient(heights, w, layer, particle)
+            kernel_tables.clear()
+            assert np.all(np.abs(k - fine) < 1e-8 * fine)
 
     def test_known_adaptive_miss(self):
         # here a default-tolerance adaptive size integral returned 0.43063;

@@ -562,6 +562,9 @@ class TestFlagSurface:
     # radii near 1e-60 m, where g_e itself overflows: no numpy warning either
     ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "10",
      "--theta-deg", "90", "--d", "950"],
+    # an index whose square overflows a float: Wiscombe's bound reads inf
+    ["qext", "--count", "3", "--m", "1e155"],
+    ["qext", "--count", "3", "--m", "1e200+1e200j"],
 ])
 def test_numerical_failure_exits_3(capsys, argv):
     code = run(argv)
@@ -622,6 +625,9 @@ def test_numerical_failure_exits_3(capsys, argv):
      "--count", "2"],
     # a size parameter above the series' domain, x <= 2e4
     ["qext", "--sweep", "x", "--start", "1e-3", "--stop", "1e6", "--count", "3"],
+    # a frequency whose wavelength overflows a float: x reads nan or 0
+    ["qext", "--count", "3", "--f", "1e-300"],
+    ["qext", "--sweep", "f", "--start", "1e-300", "--stop", "1e11", "--count", "3"],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)

@@ -182,9 +182,10 @@ class TestNeutralLimit:
         assert abs(a) > 0 and abs(b) > 0
 
     @pytest.mark.parametrize("m", [1.33 + 0j, 1.5 - 0.1j, M_DEFAULT])
-    # x = pi puts psi_0(x) = sin x at a zero
+    # x = pi puts psi_0(x) = sin x at a zero; every size here runs upward
     @pytest.mark.parametrize("x", [0.02, 0.1, 0.5, 2.0, 10.0, math.pi])
     def test_qext_matches_independent_oracle(self, x, m):
+        assert mie._steps_upward(np.array([x]), _normalize_m(m))[0]
         ours = extinction_efficiency_x(x, m)
         ref = neutral_mie_qext(x, m)
         assert ours == pytest.approx(ref, rel=1e-8)
@@ -300,38 +301,75 @@ class TestStronglyAbsorbing:
 
 
 # Wiscombe's bound for stepping D_n(mx) upward, Im(m) x < 13.78 Re(m)^2 -
-# 10.8 Re(m) + 3.9, puts the upward route of this index at 1 <= x < 187.05
+# 10.8 Re(m) + 3.9, puts the upward route of this index at x < 187.05
 ROUTE_M = 1.5 + 0.1j
 
 
 class TestRoutes:
     def test_route_follows_x_and_m(self):
-        x = np.array([300.0, 187.1, 187.0, 10.0, 1.0, 0.999])
+        x = np.array([300.0, 187.1, 187.0, 10.0, 1.0, 0.999, 1e-6])
         assert mie._steps_upward(x, _normalize_m(ROUTE_M)).tolist() == [
-            False, False, True, True, True, False]
+            False, False, True, True, True, True, True]
         # the bound is fitted for Re(m) >= 1; below it upward steps drift
-        assert not mie._steps_upward(np.array([10.0]), complex(0.95)).any()
+        assert not mie._steps_upward(np.array([10.0, 0.5]), complex(0.95)).any()
 
     # largest deviation measured between the routes on these grids: 3.8e-14
-    # (2-0.025j near its bound, x ~ 1,500), and 1.0e-11 at 1.0001, whose
-    # Q_ext near x = 1 is about 1e-8 and cancels in both
+    # (2-0.025j near its bound, x ~ 1,500)
     @pytest.mark.parametrize("m,rel", [(ROUTE_M, 1e-13), (M_DEFAULT, 1e-13),
-                                       (1.5 + 1j, 1e-13), (1.0001, 2e-11)])
+                                       (1.5 + 1j, 1e-13)])
     def test_routes_agree_on_both_sides_of_each_boundary(self, m, rel):
         m = _normalize_m(m)
-        grids = [np.geomspace(1.05, 0.95, 11)]
-        if m.imag:
-            bound = (13.78 * m.real**2 - 10.8 * m.real + 3.9) / m.imag
-            grids.append(np.geomspace(1.02 * bound, 0.98 * bound, 11))
-        for x in grids:
-            upward = mie._steps_upward(x, m)
-            assert upward.any() and not upward.all()
+        bound = (13.78 * m.real**2 - 10.8 * m.real + 3.9) / m.imag
+        x = np.geomspace(1.02 * bound, 0.98 * bound, 11)
+        upward = mie._steps_upward(x, m)
+        assert upward.any() and not upward.all()
+        rows = truncation_order(x)
+        for g_e in (0j, 1j, -5 + 50j):
+            g = np.full(x.size, g_e)
+            up = mie._upward_series(x, m, g, rows)
+            down = mie._downward_series(x, m, g, rows)
+            assert np.all(np.abs(up - down) <= rel * np.abs(down))
+
+    # Below x = 1 both routes sum two to six orders, from s_1 and s_2 near
+    # 3 and 5. Largest deviation measured on these grids over g_e = 0,
+    # 1e-3j, 1j and -5+50j, for x in [1e-3, 1) and in [1e-6, 1e-3): 9.0e-15
+    # and 4.4e-12 (2-0.025j), 3.6e-14 and 1.5e-11 (1.5+0.1j), 7.9e-15 and
+    # 4.0e-12 (1.33), 3.4e-11 and 6.8e-12 (1.0001, whose Q_ext cancels in
+    # both), 8.6e-14 and 8.9e-11 (1.5+1j), 1.7e-13 and 6.5e-11 (5+5j),
+    # 4.6e-14 and 2.1e-11 (1.2+10j). The charged sums set the larger
+    # figures, not the start: with g_e = 0 they stay within 9e-15 below 1e-3
+    # but at 1.0001
+    @pytest.mark.parametrize("m,rel_above,rel_below", [
+        (M_DEFAULT, 1e-14, 5e-12), (ROUTE_M, 4e-14, 2e-11), (1.33, 1e-14, 5e-12),
+        (1.0001, 4e-11, 1e-11), (1.5 + 1j, 1e-13, 1e-10), (5 + 5j, 2e-13, 1e-10),
+        (1.2 + 10j, 5e-14, 3e-11)])
+    def test_routes_agree_at_small_x(self, m, rel_above, rel_below):
+        m = _normalize_m(m)
+        for x, rel in ((np.geomspace(1, 1e-3, 3000)[1:], rel_above),
+                       (np.geomspace(1e-3, 1e-6, 1000), rel_below)):
+            assert mie._steps_upward(x, m).all()
             rows = truncation_order(x)
-            for g_e in (0j, 1j, -5 + 50j):
+            for g_e in (0j, 1e-3j, 1j, -5 + 50j):
                 g = np.full(x.size, g_e)
                 up = mie._upward_series(x, m, g, rows)
                 down = mie._downward_series(x, m, g, rows)
                 assert np.all(np.abs(up - down) <= rel * np.abs(down))
+
+    @pytest.mark.parametrize("m", [M_DEFAULT, 1.33, 1.5 + 1j, 5 + 5j])
+    def test_both_routes_match_oracle_at_small_x(self, m):
+        # measured within 1.4e-15 of the oracle on either route
+        x = np.array([1e-4, 1e-5, 1e-6])
+        g, rows, ref = np.zeros(x.size, complex), truncation_order(x), [
+            neutral_mie_qext(xi, m) for xi in x]
+        for route in (mie._upward_series, mie._downward_series):
+            q = route(x, _normalize_m(m), g, rows)
+            assert q == pytest.approx(ref, rel=3e-15, abs=0)
+
+    def test_index_matched_small_sphere_vanishes(self):
+        # s_n(mx) takes the same float steps as s_n(x), from the same start
+        x = np.geomspace(1e-6, 1, 2000, endpoint=False)
+        assert mie._steps_upward(x, 1 + 0j).all()
+        assert np.all(mie._qext(x, 1.0, np.zeros(x.size, complex)) == 0.0)
 
     def test_upward_size_matches_oracle(self):
         x = 30.0
@@ -339,9 +377,9 @@ class TestRoutes:
         assert extinction_efficiency_x(x, ROUTE_M) == pytest.approx(
             neutral_mie_qext(x, ROUTE_M), rel=1e-8)
 
-    # sizes of both routes at every index below (x < 1, the upward route,
-    # and above the bound where the index has one), a strongly absorbing
-    # index with a short upward route, and one with Re(m) < 1, all downward
+    # sizes of both routes at every index below (the upward route, and
+    # above the bound where the index has one), a strongly absorbing index
+    # with a short upward route, and one with Re(m) < 1, all downward
     MIXED = np.array([0.01, 0.7, 1.0, 3.0, 40.0, 150.0, 400.0])
 
     @given(log_x=st.floats(-3.0, math.log10(mie._MAX_X)),
@@ -501,8 +539,8 @@ class TestBatchKernel:
         counted(mie._SeriesSum, "add", "blocks")
         return counts
 
-    # 1,200 radii at 3 THz, x from 0.006 to 630: one upward loop (x >= 1)
-    # and one downward pass (x < 1), summed in many order blocks
+    # 1,200 radii at 3 THz, x from 0.006 to 630: one upward loop and no
+    # downward pass, summed in many order blocks
     PASS_GRID = np.geomspace(1e-7, 1e-2, 1200)
 
     @pytest.mark.parametrize("ne", [0, 10**6])
@@ -512,7 +550,7 @@ class TestBatchKernel:
         q = extinction_efficiency_array(self.PASS_GRID, w.frequency, ne, 300.0,
                                         M_DEFAULT)
         assert route_and_block_counts["upward"] == 1
-        assert route_and_block_counts["downward"] == 1
+        assert route_and_block_counts["downward"] == 0
         assert route_and_block_counts["blocks"] >= 10
         for k, r in enumerate(self.PASS_GRID):
             ref = float(extinction_efficiency_array(float(r), w.frequency, ne, 300.0,
@@ -524,8 +562,8 @@ class TestBatchKernel:
     def test_qext_does_not_depend_on_the_batch(self, m, g_e):
         # a size's Q_ext is the same bits alone, in a batch and in another
         # batch, up to x = 6,000, where a block holds a single size (kept
-        # kernel tables rely on this); at ROUTE_M the grid crosses both ends
-        # of the upward route, x = 1 and Wiscombe's bound
+        # kernel tables rely on this); at ROUTE_M the grid crosses the end
+        # of the upward route, Wiscombe's bound
         x = np.geomspace(0.05, 6000.0, 24)
         g = np.full(x.size, g_e)
         batch = mie._qext(x, m, g)
@@ -536,7 +574,7 @@ class TestBatchKernel:
     def test_index_matched_batch_across_passes_vanishes(self, route_and_block_counts):
         q = extinction_efficiency_array(self.PASS_GRID, 3e12, 0, 300.0, 1.0 + 0j)
         assert route_and_block_counts["upward"] == 1
-        assert route_and_block_counts["downward"] == 1
+        assert route_and_block_counts["downward"] == 0
         assert route_and_block_counts["blocks"] >= 10
         assert np.all(q == 0.0)
 
@@ -549,8 +587,8 @@ class TestBatchKernel:
         dust_attenuation_coefficient(200.0, WaveSpec.from_frequency(3e12),
                                      DustLayerModel(n0=1e3),
                                      ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
-        # one upward loop (x >= 1), then one downward pass (x < 1)
-        assert route_and_block_counts == {"upward": 1, "downward": 1, "blocks": 23}
+        # one upward loop for every size, x from 0.005 to 630
+        assert route_and_block_counts == {"upward": 1, "downward": 0, "blocks": 22}
 
     def test_cells_above_a_size_orders_raise_no_warning(self):
         # a block's cells above a size's own orders hold whatever its work
