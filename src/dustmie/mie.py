@@ -17,21 +17,21 @@ coefficients through by psi_n(mx) leaves psi_n(mx) only in the logarithmic
 derivative D_n(mx) = psi_n'(mx)/psi_n(mx). The recurrences run in
 scaled-ratio form on s_n = z psi_{n-1}(z)/psi_n(z) = z D_n(z) + n, and on
 t_n = x eta_{n-1}(x)/eta_n(x) for the Riccati-Bessel function eta_n = x y_n;
-D_n = (s_n - n)/z is formed only when the series is summed. Each size takes
-one of two routes, by its x and m alone:
+D_n = (s_n - n)/z is formed only when the series is summed. All three obey
+f_n = z^2 / ((2n - 1) - f_{n-1}): one block loop steps t_n(x) upward for
+every size, from n = 3 only up to its own order, and s_n takes one of two
+routes, by x and m alone:
 
 - Upward, for Re(m) >= 1 under Wiscombe's bound
   Im(m) x < 13.78 Re(m)^2 - 10.8 Re(m) + 3.9 (for 1.5+0.1j, x < 187),
-  however small x is: one loop steps s_n(mx), s_n(x) and t_n(x) together,
-  f_n = z^2 / ((2n - 1) - f_{n-1}), from n = 3 only up to each size's own
-  order, after s_1 and s_2 from a series where 1/z - cot z would cancel.
-  At x = 791 and 2-0.025j that is 829 steps where the downward seed starts
-  at order 1,758.
+  however small x is: the loop steps s_n(mx) and s_n(x) too, after s_1 and
+  s_2 from a series where 1/z - cot z would cancel; at x = 791 and
+  2-0.025j, 829 steps where the downward seed starts at order 1,758.
 - Downward, for Im(m) x beyond the bound and for Re(m) < 1:
   s_{n-1} = (2n - 1) - z^2 / s_n from where the contraction of its steps
   has erased the seed, and no higher than Wiscombe's start, without
-  overflow however strongly the sphere absorbs; and t_n upward in a second
-  loop.
+  overflow however strongly the sphere absorbs. These reach order 1 last,
+  so a pass stores them ragged and order-major for the loop to take.
 
 On grids of 3,000 x up to 2e3 with g_e = 0, 1e-3j, 1j and -5+50j, the two
 routes agree within 6e-14 at 2-0.025j, 3+0.001j and 1.5+0.01j, and 2.3e-13
@@ -42,18 +42,17 @@ Below x = 1e-3 the charged sums lose digits on either route (9e-11 at
 0.8), so those sizes go downward.
 
 The upward sizes of a batch, then the rest, each in descending order of x,
-run the recurrences of their route in lockstep, one numpy vector a step over
-the sizes still running. The series are summed in order blocks, dense
-(orders, sizes) arrays of the sizes running at a block's first order that
-carry psi_n, eta_n and each partial sum on to the next. The upward loop
-writes each order into its block; the downward recurrences reach order 1
-last, so they store their values ragged and order-major, in passes.
+run in lockstep, one numpy vector a step over the sizes still running, and
+are summed in order blocks: dense (orders, sizes) arrays of the sizes
+running at a block's first order, which carry psi_n, eta_n and each partial
+sum on to the next.
 """
 from __future__ import annotations
 
 import bisect
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,9 +68,8 @@ _DENOM_FLOOR = 1e-300
 # `truncation_order` is pinned within 1e-8 of a longer sum (see
 # tests/test_mie.py::TestTruncation), and a downward store stays near 1 MB.
 _MAX_X = 2e4
-# Ragged terms (orders x sizes) of one downward pass: its store of s_n(mx),
-# the real s_n(x) and the eta ratios takes 1 MB at 32 B a term. The upward
-# route stores nothing and runs one loop a call.
+# Ragged terms (orders x sizes) of one downward pass: its store of s_n(mx)
+# and s_n(x) takes 1 MB at 32 B a term (the upward route stores nothing).
 _PASS_TERMS = 2**15
 # Dense orders x sizes of one order block of the series sum: its work arrays,
 # 129 B a term (`_SeriesSum.ROLES`), stay near 1 MB, while a block of large
@@ -363,39 +361,10 @@ def _riccati_psi(z: np.ndarray, s: np.ndarray, out: np.ndarray | None = None,
     return psi
 
 
-def _eta_ratio(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """eta_1(z) and t_n(z) = z eta_{n-1}(z) / eta_n(z) for n = 2..rows[i]
-    (rows >= 1, in descending order), with eta_n = z y_n, stored like
-    `_scaled_ratio`'s values: ragged and order-major, (sum(rows),), with
-    eta_1 in the slot of n = 1.
-
-    One upward recurrence, t_{n+1} = z^2 / ((2n + 1) - t_n), runs over the
-    batch in lockstep, stable for the dominant solution."""
-    counts, offsets = (a.tolist() for a in _order_counts(rows))
-    t = np.empty(sum(counts), np.result_type(z))
-    cos_z = np.cos(z)
-    eta1 = t[:counts[0]]
-    np.subtract(-cos_z / z, np.sin(z), out=eta1)
-    prev = -z * cos_z / eta1                   # t_1 = z eta_0 / eta_1, not stored
-    z2 = z2c = z * z
-    c = counts[0]
-    # 2n + 1 as 0-d arrays (see `_scaled_ratio`)
-    odd = np.nditer(np.arange(3, 2 * len(counts), 2.0), ["zerosize_ok"])
-    for n, k in zip(range(1, len(counts)), odd):
-        if counts[n] != c:                     # the sizes still running
-            c = counts[n]
-            z2c, prev = z2[:c], prev[:c]
-        step = t[offsets[n]:offsets[n] + c]
-        np.subtract(k, prev, step)
-        np.divide(z2c, step, step)             # t_{n+1}
-        prev = step
-    return t
-
-
 def _riccati_eta(z: np.ndarray, t: np.ndarray, out: np.ndarray | None = None,
                  prev: np.ndarray | None = None) -> np.ndarray:
     """eta_n(z) = z y_n(z) for n = k - 1..k - 1 + len(t), given t_n(z) =
-    t[n - k] for the orders from k (see `_eta_ratio`): eta_n = eta_{n-1}
+    t[n - k] for the orders from k (see `_series`): eta_n = eta_{n-1}
     times z / t_n, from prev = eta_{k-1}(z) if given; otherwise k = 1,
     eta_0 = -cos z, and t[0] holds eta_1(z). Written to out if given."""
     eta = out if out is not None else np.empty((t.shape[0] + 1, z.size),
@@ -409,7 +378,7 @@ def _riccati_eta(z: np.ndarray, t: np.ndarray, out: np.ndarray | None = None,
 
 
 def _steps_upward(x: np.ndarray, m: complex) -> np.ndarray:
-    """Which sizes run their recurrences upward (`_upward_series`): Re(m) >= 1
+    """Which sizes step s_n upward (`_series` without a store): Re(m) >= 1
     and Wiscombe's (1980) bound for stepping D_n(mx) upward, Im(m) x <
     13.78 Re(m)^2 - 10.8 Re(m) + 3.9, at any x: below x = 1 the orders that
     upward steps lose carry terms of order x^(2n+1), which the sum never feels."""
@@ -453,22 +422,6 @@ def _first_ratio(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.divide(3, s, out=s1[k:])
         np.divide(s, 3 * t, out=s2[k:])
     return s1, s2
-
-
-def _downward_ratios(x: np.ndarray, m: complex, rows: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """s_n(mx) (see `_scaled_ratio`), and the real s_n(x) + i eta_1(x) or
-    t_n(x) (see `_eta_ratio`) as one complex number, of a pass of sizes in
-    descending order of x, each for n = 1..rows (any rows) from the downward
-    recurrences and stored ragged and order-major (32 B a term)."""
-    # s_n for z = m x and z = x as one pair per size: sharing the steps gives
-    # an index-matched sphere (m = 1, g_e = 0) exactly zero coefficients
-    sn = _scaled_ratio(np.stack((m * x, x.astype(complex)), axis=1), rows)
-    s_mx, pairs = sn[:, 0].copy(), np.empty((sn.shape[0], 2))
-    pairs[:, 0] = sn[:, 1].real
-    del sn                                     # before the eta store
-    pairs[:, 1] = _eta_ratio(x, rows)
-    return s_mx, pairs.view(complex).reshape(-1)
 
 
 class _SeriesSum:
@@ -587,63 +540,82 @@ class _SeriesSum:
         return num[0], num[1]
 
 
-def _upward_series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
-                   scratch: _Scratch | None = None) -> np.ndarray:
-    """Q_ext of sizes x in descending order where `_steps_upward` holds, each
-    series summed to rows[i] orders. s_n(mx), s_n(x) and t_n(x) obey one
-    recurrence, f_n = z^2 / ((2n - 1) - f_{n-1}), from n = 3 on: s_1 and
-    s_2 come from `_first_ratio`, t_1 = -x cos x / eta_1 and t_2 from one
-    step. One loop steps them up to each size's own order, writing each
-    order into its row of the current block (eta_1 in t_1's slot) with two
-    ufunc calls for the pairs (s_n(x), t_n(x)) and two for s_n(mx), and
-    sums each full block (`_SeriesSum`). For a real m, s_n(mx) is real and
-    takes the same float steps as s_n(x), so that an index-matched sphere
-    gives exactly zero."""
+def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
+            scratch: _Scratch | None = None, store: np.ndarray | None = None
+            ) -> np.ndarray:
+    """Q_ext of sizes x in descending order, each series summed to rows[i]
+    orders in blocks (`_SeriesSum`). One loop steps f_n = z^2 / ((2n - 1) -
+    f_{n-1}) from n = 3 to each size's own order into its row of the current
+    block, two ufunc calls an order a vector: t_n(x), after eta_1 (in t_1's
+    slot) and t_2; without a store (the sizes of `_steps_upward`) also s_n(x),
+    paired with t_n(x), and s_n(mx), after `_first_ratio`'s s_1 and s_2, for
+    a real m in the same float steps, so an index-matched sphere gives
+    exactly zero. Otherwise each block takes s_n(mx) and s_n(x) from the
+    store of `_scaled_ratio`'s ragged (mx, x) pairs; a size's entries above
+    its orders hold other terms (mode="clip"), which the sum masks."""
+    upward = store is None
     series = _SeriesSum(x, m, g_e, rows, scratch)
     counts = _order_counts(rows)[0].tolist()
-    mx = m.real * x if m.imag == 0 else m * x
-    (s1, s2), (s1_mx, s2_mx) = _first_ratio(x), _first_ratio(mx)
-    cos_x = np.cos(x)
+    cos_x, x2 = np.cos(x), x * x
     eta1 = -cos_x / x - np.sin(x)
-    t1 = -x * cos_x / eta1
-    x2, mx2 = x * x, mx * mx
-    # the pairs are stepped as one flat vector, which a ufunc takes faster
-    prev = np.stack((s2, x2 / (3 - t1)), axis=1).reshape(-1)  # s_2, t_2
-    x2, prev_mx = np.repeat(x2, 2), s2_mx
-    del cos_x, t1, s2                          # spent before the blocks' peak
-    # 2n - 1 as 0-d arrays (see `_scaled_ratio`)
+    seeds = [eta1, x2 / (3 + x * cos_x / eta1)]   # orders 1 and 2
+    del cos_x, eta1                            # spent before the blocks' peak
+    # 2n - 1, iterated as 0-d arrays, which a ufunc takes faster than an int
+    # or a numpy scalar
     odd = np.arange(1, 2 * len(counts), 2.0)
-    odd_mx = odd.astype(mx.dtype)
+    per = 2 if upward else 1                   # values a size in the x vector
+    if upward:
+        mx = m.real * x if m.imag == 0 else m * x
+        seeds_mx, odd_mx = _first_ratio(mx), odd.astype(mx.dtype)
+        seeds = [np.stack(p, axis=1).reshape(-1)
+                 for p in zip(_first_ratio(x), seeds)]
+        x2, mx2, prev_mx = np.repeat(x2, 2), mx * mx, seeds_mx[1]
+    else:
+        flat, offsets = store.reshape(-1), 2 * _order_counts(rows)[1]
+    prev, c = seeds[1], x.size
     subtract, divide = np.subtract, np.divide
-    c = x.size
     for k, end in _blocks(counts):
         w = counts[k - 1]
-        s_t = series.scratch("s_t", (end - k, w), complex)
-        m_d = series.scratch("num", (end - k, w), mx.dtype)
-        pairs, s_mx = s_t.view(float).reshape(-1), m_d.reshape(-1)
-        if k == 1:
-            s_t.real[0], s_t.imag[0], m_d[0] = s1, eta1, s1_mx
-            del s1, eta1, s1_mx
-        if k <= 2 < end:                       # order 2, from the seeds
-            s_t[2 - k].view(float)[:], m_d[2 - k] = prev[:2 * w], prev_mx[:w]
+        shape = (end - k, w)
+        s_t = series.scratch("s_t", shape, complex)
+        m_d = series.scratch("num", shape, mx.dtype if upward else complex)
+        if upward:
+            values, s_mx = s_t.view(float).reshape(-1), m_d.reshape(-1)
+        else:
+            at = np.add(offsets[k - 1:end - 1, None], np.arange(0, 2 * w, 2),
+                        out=series.scratch("pair", shape, np.intp))
+            flat.take(at, out=m_d, mode="clip")
+            flat[1:].take(at, out=s_t, mode="clip")
+            values = s_t.view(float).reshape(-1)[1::2]   # t_n(x)
+        for n in range(k, min(end, 3)):        # orders 1 and 2, from the seeds
+            o = (n - k) * w
+            values[per * o:per * (o + w)] = seeds[n - 1][:per * w]
+            if upward:
+                s_mx[o:o + w] = seeds_mx[n - 1][:w]
+        if end > 2:                            # spent before the blocks' peak
+            seeds = seeds_mx = None
         first = max(k, 3)
-        for n, k_x, k_mx in zip(range(first, end),
-                                np.nditer(odd[first - 1:end - 1], ["zerosize_ok"]),
-                                np.nditer(odd_mx[first - 1:end - 1], ["zerosize_ok"])):
+        for n, odd_n, odd_mx_n in zip(
+                range(first, end), np.nditer(odd[first - 1:end - 1], ["zerosize_ok"]),
+                np.nditer(odd_mx[first - 1:end - 1], ["zerosize_ok"]) if upward
+                else itertools.repeat(None)):
             if counts[n - 1] != c:             # the sizes still running
                 c = counts[n - 1]
-                x2, prev, mx2, prev_mx = x2[:2 * c], prev[:2 * c], mx2[:c], prev_mx[:c]
+                x2, prev = x2[:per * c], prev[:per * c]
+                if upward:
+                    mx2, prev_mx = mx2[:c], prev_mx[:c]
             o = (n - k) * w
-            step = pairs[2 * o:2 * (o + c)]
-            subtract(k_x, prev, step)
+            step = values[per * o:per * (o + c)]
+            subtract(odd_n, prev, step)
             divide(x2, step, step)
             prev = step
-            step = s_mx[o:o + c]
-            subtract(k_mx, prev_mx, step)
-            divide(mx2, step, step)
-            prev_mx = step
+            if upward:
+                step = s_mx[o:o + c]
+                subtract(odd_mx_n, prev_mx, step)
+                divide(mx2, step, step)
+                prev_mx = step
         # the sum works the block in place, so the loop goes on from copies
-        prev, prev_mx = prev.copy(), prev_mx.copy()
+        prev, prev_mx = prev.copy(), prev_mx.copy() if upward else None
         series.add(s_t, m_d)
     return 2 / x**2 * series.total
 
@@ -652,29 +624,19 @@ def _downward_series(x: np.ndarray, m: complex, g_e: np.ndarray,
                      rows: np.ndarray, scratch: _Scratch | None = None
                      ) -> np.ndarray:
     """Q_ext of sizes x in descending order, each series summed to rows[i]
-    orders, from the downward recurrences (`_downward_ratios`) in lockstep
-    passes of at most _PASS_TERMS ragged terms. Each order block is gathered
-    from the pass's store; where a size stops short of an order, its entry
-    holds another term (or the last, mode="clip"), which the sum masks."""
-    scratch = scratch or _Scratch(_SeriesSum.ROLES, zeroed=_SeriesSum.ZEROED)
-    q = np.empty(x.size)
-    total = np.concatenate(([0], np.cumsum(rows)))
+    orders by `_series`, in lockstep passes of at most _PASS_TERMS ragged
+    terms. A pass stores s_n for z = m x and z = x from one downward
+    recurrence (`_scaled_ratio`), one pair a size: sharing the steps gives
+    an index-matched sphere (m = 1, g_e = 0) exactly zero coefficients."""
+    q, total = np.empty(x.size), np.concatenate(([0], np.cumsum(rows)))
     begin = 0
     while begin < x.size:
         end = max(begin + 1, int(np.searchsorted(
             total, total[begin] + _PASS_TERMS, side="right")) - 1)
         run = slice(begin, end)
-        s_mx, s_t = _downward_ratios(x[run], m, rows[run])
-        series = _SeriesSum(x[run], m, g_e[run], rows[run], scratch)
-        counts, offsets = _order_counts(rows[run])
-        for k, stop in _blocks(counts.tolist()):
-            shape = (stop - k, int(counts[k - 1]))
-            at = np.add(offsets[k - 1:stop - 1, None], np.arange(shape[1]),
-                        out=scratch("pair", shape, np.intp))
-            series.add(s_t.take(at, out=scratch("s_t", shape, complex), mode="clip"),
-                       s_mx.take(at, out=scratch("num", shape, complex), mode="clip"))
-        q[run] = 2 / x[run]**2 * series.total
-        del s_mx, s_t                          # before the next pass's store
+        pairs = np.stack((m * x[run], x[run].astype(complex)), axis=1)
+        q[run] = _series(x[run], m, g_e[run], rows[run], scratch,
+                         store=_scaled_ratio(pairs, rows[run]))
         begin = end
     return q
 
@@ -695,7 +657,7 @@ def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
                        min(_CHUNK_TERMS + x.size, (int(rows.max(initial=0)) + 1) * x.size),
                        _SeriesSum.ZEROED)
     with np.errstate(all="ignore"):            # an overflow fails below
-        for route, series in ((True, _upward_series), (False, _downward_series)):
+        for route, series in ((True, _series), (False, _downward_series)):
             sizes = order[upward == route]
             if sizes.size:
                 q[sizes] = series(x[sizes], m, g_e[sizes], rows[sizes], scratch)
@@ -711,7 +673,10 @@ def _size_and_charge(radius, frequency, electrons, temperature, mode):
     if np.any(np.less_equal(frequency, 0)):
         raise DomainError("frequency must be positive")
     with np.errstate(all="ignore"):        # _check_scale rejects an inf or nan x
-        x = scale_parameter(radius, CONSTANTS.c / frequency)
+        wavelength = CONSTANTS.c / frequency
+        if not np.all(np.isfinite(wavelength)):
+            raise DomainError(f"frequency {np.min(frequency):g} Hz: wavelength overflows")
+        x = scale_parameter(radius, wavelength)
     _check_scale(x)        # rejects an x beyond the series before r^2 overflows
     with np.errstate(all="ignore"):
         omega_s = surface_plasma_frequency(electrons, radius)

@@ -170,6 +170,26 @@ class TestDustAttenuationCoefficient:
             kernel_tables.clear()
             assert np.all(np.abs(k - fine) < 1e-8 * fine)
 
+    # Weakly absorbing indices lie outside that domain: their sharper Mie
+    # ripple leaves the 0.006 lattice far more than 1e-8 from the nested
+    # 0.0015 one (h 150 m, Ne 0, physical units). Pinned at the levels
+    # measured, so that a change to the lattice or the kernel that moves
+    # them shows
+    @pytest.mark.parametrize("m,f,level", [
+        (1.5 + 0.001j, 1e12, 2.0e-5), (1.5 + 0.001j, 10e12, 9.1e-5),
+        (1.33, 3e12, 5.8e-5), (3 + 0.001j, 0.3e12, 7.1e-4),
+        (1.5 + 0.01j, 1e12, 5.0e-8)])
+    def test_lattice_error_at_weak_absorption(self, m, f, level, monkeypatch,
+                                              kernel_tables):
+        import dustmie.channel as channel
+        w, layer = WaveSpec.from_frequency(f), DustLayerModel(n0=1e3)
+        particle = ParticleState(20e-6, 0, 300.0, m)
+        k = dust_attenuation_coefficient(150.0, w, layer, particle)
+        monkeypatch.setattr(channel, "_LN_R_STEP", channel._LN_R_STEP / 4)
+        kernel_tables.clear()              # a kept table holds 0.006 nodes
+        fine = dust_attenuation_coefficient(150.0, w, layer, particle)
+        assert abs(k - fine) / fine == pytest.approx(level, rel=0.05)
+
     def test_known_adaptive_miss(self):
         # here a default-tolerance adaptive size integral returned 0.43063;
         # rel_tol 1e-8 and an 80k-point trapezoid both give this value

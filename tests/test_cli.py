@@ -635,6 +635,21 @@ def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["qext", "--count", "3", "--f", "1e-300"],
+    ["qext", "--sweep", "f", "--start", "1e-300", "--stop", "1e11", "--count", "3"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
+     "--d", "100", "--f", "1e-300"],
+])
+def test_frequency_whose_wavelength_overflows_is_named(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("dustmie: error: frequency 1e-300 Hz")
+    assert "overflows" in captured.err
+
+
 def test_x_sweep_beyond_int64_orders_is_config_error(capsys):
     code = run(["qext", "--sweep", "x", "--start", "1", "--stop", "1e300",
                 "--count", "2"])

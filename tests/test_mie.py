@@ -28,7 +28,7 @@ M_DEFAULT = 2.0 - 0.025j
 
 def recorded_coefficients(route, x, m, g_e, rows):
     """Charged (a_n, b_n) of sizes x at charges g_e for n = 1..rows, as the
-    kernel's block sums return them while the route (`mie._upward_series` or
+    kernel's block sums return them while the route (`mie._series` or
     `mie._downward_series`) runs; the sizes must share one x: two
     (rows, len(x)) arrays."""
     blocks, add = {}, mie._SeriesSum.add          # per downward pass
@@ -326,7 +326,7 @@ class TestRoutes:
         rows = truncation_order(x)
         for g_e in (0j, 1j, -5 + 50j):
             g = np.full(x.size, g_e)
-            up = mie._upward_series(x, m, g, rows)
+            up = mie._series(x, m, g, rows)
             down = mie._downward_series(x, m, g, rows)
             assert np.all(np.abs(up - down) <= rel * np.abs(down))
 
@@ -351,7 +351,7 @@ class TestRoutes:
             rows = truncation_order(x)
             for g_e in (0j, 1e-3j, 1j, -5 + 50j):
                 g = np.full(x.size, g_e)
-                up = mie._upward_series(x, m, g, rows)
+                up = mie._series(x, m, g, rows)
                 down = mie._downward_series(x, m, g, rows)
                 assert np.all(np.abs(up - down) <= rel * np.abs(down))
 
@@ -361,7 +361,7 @@ class TestRoutes:
         x = np.array([1e-4, 1e-5, 1e-6])
         g, rows, ref = np.zeros(x.size, complex), truncation_order(x), [
             neutral_mie_qext(xi, m) for xi in x]
-        for route in (mie._upward_series, mie._downward_series):
+        for route in (mie._series, mie._downward_series):
             q = route(x, _normalize_m(m), g, rows)
             assert q == pytest.approx(ref, rel=3e-15, abs=0)
 
@@ -404,7 +404,7 @@ def route_coefficients(x, m, g_e, upward):
     """Charged (a_n, b_n) of one size x at each charge of g_e, on the route
     given: two (truncation_order(x), len(g_e)) arrays."""
     g_e = np.asarray(g_e, complex)
-    route = mie._upward_series if upward else mie._downward_series
+    route = mie._series if upward else mie._downward_series
     return recorded_coefficients(route, np.full(g_e.size, float(x)), m, g_e,
                                  truncation_order(x))
 
@@ -522,20 +522,21 @@ class TestBatchKernel:
     @pytest.fixture
     def route_and_block_counts(self, monkeypatch):
         """Upward loops, downward passes and summed order blocks the kernel
-        makes: one `_upward_series` per upward loop, one `_eta_ratio` per
-        downward pass, one `_SeriesSum.add` per block."""
+        makes: one `_series` call without a store per upward loop, one
+        `_scaled_ratio` per downward pass, one `_SeriesSum.add` per block."""
         counts = {"upward": 0, "downward": 0, "blocks": 0}
 
         def counted(owner, name, key):
             fn = getattr(owner, name)
 
-            def wrapper(*args):
-                counts[key] += 1
-                return fn(*args)
+            def wrapper(*args, **kwargs):
+                # a `_series` call given a store sums a downward pass
+                counts[key] += kwargs.get("store") is None
+                return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(mie, "_upward_series", "upward")
-        counted(mie, "_eta_ratio", "downward")
+        counted(mie, "_series", "upward")
+        counted(mie, "_scaled_ratio", "downward")
         counted(mie._SeriesSum, "add", "blocks")
         return counts
 
