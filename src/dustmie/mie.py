@@ -558,7 +558,7 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
     counts = _order_counts(rows)[0].tolist()
     cos_x, x2 = np.cos(x), x * x
     eta1 = -cos_x / x - np.sin(x)
-    seeds = [eta1, x2 / (3 + x * cos_x / eta1)]   # orders 1 and 2
+    seeds = [eta1, x2 / (3 + x * cos_x / eta1)]   # eta_1, then t_2 = x^2 / (3 - t_1)
     del cos_x, eta1                            # spent before the blocks' peak
     # 2n - 1, iterated as 0-d arrays, which a ufunc takes faster than an int
     # or a numpy scalar
