@@ -14,7 +14,7 @@ from .constants import CONSTANTS
 from .dustfield import MAX_RADIUS_MM, DustLayerModel, _support, lognormal_params
 from .errors import ConfigError, DomainError
 from .mie import (ParticleState, WaveSpec, _electron_count, _normalize_m,
-                  extinction_efficiency_array)
+                  collision_frequency, extinction_efficiency_array)
 
 NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 
@@ -218,10 +218,10 @@ def _q_blocks(keys: list, first: int, r_m: np.ndarray, kernel):
 
 
 def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
-                 particle_template: ParticleState, units_modes,
+                 temperature: float, m: complex, units_modes,
                  ge_mode: str) -> np.ndarray:
     """k_dust in dB/km, a (units modes, electron counts, frequencies,
-    heights) array; the template supplies only temperature and index.
+    heights) array at temperature T (K) and refractive index m.
 
     One lattice covers the supports at every altitude, and one Q_ext table
     on it serves every units mode. The table's columns are its (count,
@@ -238,6 +238,8 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     bad = frequencies[~((frequencies > 0) & (frequencies < math.inf))]
     if bad.size:
         raise DomainError(f"frequency must be positive and finite, got {bad[0]}")
+    collision_frequency(temperature)
+    m = _normalize_m(m)
     k = np.zeros((len(units_modes), electrons.size, frequencies.size, len(heights)))
     if layer.n0 == 0 or not k.size:
         return k
@@ -247,13 +249,13 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     ne_column = np.repeat(electrons, frequencies.size)
     f_column = np.tile(frequencies, electrons.size)
     k_column = k.reshape(len(units_modes), f_column.size, len(heights))
-    t, m = particle_template.temperature, particle_template.refractive_index
-    keys = [(f, ne, float(t), _normalize_m(m), ge_mode)
+    keys = [(f, ne, float(temperature), m, ge_mode)
             for f, ne in zip(f_column.tolist(), ne_column.tolist())]
 
     def kernel(radius, columns):
         return extinction_efficiency_array(radius, f_column[columns],
-                                           ne_column[columns], t, m, mode=ge_mode)
+                                           ne_column[columns], temperature, m,
+                                           mode=ge_mode)
 
     r_m = np.exp(u)[:, None] * 1e-3
     for columns, q in _q_blocks(keys, first, r_m, kernel):
@@ -296,8 +298,9 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     in mm, reproducing the source formula literally.
     """
     heights = np.asarray(h, dtype=float)
-    k = _k_dust_grid(heights.ravel(), [w.frequency], [particle_template.electrons],
-                     layer, particle_template, (units_mode,),
+    p = particle_template
+    k = _k_dust_grid(heights.ravel(), [w.frequency], [p.electrons], layer,
+                     p.temperature, p.refractive_index, (units_mode,),
                      ge_mode)[0, 0, 0].reshape(heights.shape)
     return float(k) if k.ndim == 0 else k
 
@@ -326,8 +329,9 @@ def slant_dust_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     half = np.diff(cuts)[:, None] / 2
     s = (cuts[:-1, None] + cuts[1:, None]) / 2 + half * _GL_NODES
     heights = (g.h0 + s * sin_theta).ravel()
-    k = _k_dust_grid(heights, [w.frequency], [particle_template.electrons], layer,
-                     particle_template, (units_mode,), ge_mode)[0, 0, 0]
+    p = particle_template
+    k = _k_dust_grid(heights, [w.frequency], [p.electrons], layer, p.temperature,
+                     p.refractive_index, (units_mode,), ge_mode)[0, 0, 0]
     if k_abs is not None:
         k += k_abs(heights)
     return float(((half * _GL_WEIGHTS).ravel() * k).sum()) / 1000.0   # dB/km -> dB/m
@@ -357,4 +361,8 @@ def path_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     dust = slant_dust_loss(g, w, layer, particle_template, k_abs=k_abs,
                            units_mode=units_mode, ge_mode=ge_mode)
     total = fspl + dist + chi + dust
+    if not math.isfinite(total):
+        raise DomainError(f"link budget is not finite ({total} dB) at "
+                          f"f={w.frequency:g} Hz, d={g.d:g} m, d0={g.d0:g} m, "
+                          f"n_i={g.n_i:g}, sigma_i={g.sigma_i:g} dB")
     return PathLossResult(fspl, dist, chi, dust, total)

@@ -5,7 +5,7 @@ Subcommands emit figure-ready sweep tables (CSV or JSON):
   qext         extinction efficiency vs scale parameter or frequency
   spectrum     size PDF / number-density spectrum vs radius per altitude
   attenuation  dust attenuation coefficient vs altitude or frequency
-  pathloss     single-shot or Monte-Carlo link budget
+  pathloss     link budget, with one seeded shadow-fading draw
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 """
@@ -17,7 +17,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def _base_metadata(cfg: RunConfig, args) -> dict:
     # only the flags this subcommand takes, three of them under another name
     renamed = {"mode": "ge_mode", "units": "units_mode",
                "normalized": "normalized_per_n0"}
-    for attr in ("mode", "units", "normalized", "seed", "trials",
+    for attr in ("mode", "units", "normalized", "seed",
                  "sweep", "start", "stop", "count", "spacing"):
         if hasattr(args, attr):
             meta[renamed.get(attr, attr)] = getattr(args, attr)
@@ -135,12 +135,6 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
         value = getattr(args, fld.name, None)
         if value is not None:
             setattr(cfg, fld.name, value)
-
-
-def _particle_template(cfg: RunConfig) -> ParticleState:
-    # attenuation and pathloss integrate over the radius, so their template
-    # takes the default radius, never the config's unread one
-    return ParticleState(RunConfig.r, cfg.ne, cfg.T, cfg.m)
 
 
 def cmd_qext(cfg: RunConfig, args) -> SweepTable:
@@ -211,8 +205,7 @@ def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
     else:
         heights, frequencies = [cfg.h0], grid
     # one Q_ext table serves every point, --group-ne charge and units mode
-    k = _k_dust_grid(heights, frequencies, ne_list, layer,
-                     _particle_template(replace(cfg, ne=0)), unit_modes,
+    k = _k_dust_grid(heights, frequencies, ne_list, layer, cfg.T, cfg.m, unit_modes,
                      args.mode).reshape(len(unit_modes), len(ne_list), -1)
     columns = [(args.sweep, "m" if args.sweep == "h" else "Hz", grid)]
     for um, k_um in zip(unit_modes, k):
@@ -228,40 +221,23 @@ def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
                           "pathloss takes physical or paper")
     if cfg.n_i is None or cfg.sigma_i is None:
         raise ConfigError("path loss requires n_i and sigma_i (no defaults exist)")
-    if not 1 <= args.trials <= 10**6:
-        raise ConfigError(f"--trials must be in [1, 1e6], got {args.trials}")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     geometry = LinkGeometry(
         h0=cfg.h0, theta=math.radians(cfg.theta_deg), d=cfg.d, d0=cfg.d0,
         n_i=cfg.n_i, sigma_i=cfg.sigma_i,
     )
     w = WaveSpec.from_frequency(cfg.f)
     layer = DustLayerModel(n0=cfg.n0)
-    particle = _particle_template(cfg)
+    # the size integral sweeps the radius, so the template takes the default
+    # one, never the config's unread one
+    particle = ParticleState(RunConfig.r, cfg.ne, cfg.T, cfg.m)
     k_abs = (AltitudeProfile.from_file(args.kabs_profile)
              if args.kabs_profile else None)
-
-    single = args.trials <= 1
-    base = path_loss(geometry, w, layer, particle,
-                     shadow_seed=args.seed if single else None,
+    loss = path_loss(geometry, w, layer, particle, shadow_seed=args.seed,
                      k_abs=k_abs, units_mode=args.units, ge_mode=args.mode)
-    if single:
-        summary = [("fspl", "dB", base.fspl_db),
-                   ("distance_term", "dB", base.distance_term_db),
-                   ("shadow", "dB", base.shadow_db),
-                   ("dust_loss", "dB", base.dust_loss_db),
-                   ("total", "dB", base.total_db)]
-    else:
-        rng = np.random.default_rng(args.seed)
-        chi = rng.normal(0.0, cfg.sigma_i, size=args.trials)
-        totals = base.total_db + chi
-        summary = [("trials", "1", float(args.trials)),
-                   ("mean_total", "dB", float(np.mean(totals))),
-                   ("std_total", "dB", float(np.std(totals, ddof=1))),
-                   ("mean_shadow", "dB", float(np.mean(chi))),
-                   ("std_shadow", "dB", float(np.std(chi, ddof=1)))]
-    return SweepTable([(name, unit, [value]) for name, unit, value in summary],
+    summary = [("fspl", loss.fspl_db), ("distance_term", loss.distance_term_db),
+               ("shadow", loss.shadow_db), ("dust_loss", loss.dust_loss_db),
+               ("total", loss.total_db)]
+    return SweepTable([(name, "dB", [value]) for name, value in summary],
                       _base_metadata(cfg, args))
 
 
@@ -327,9 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("pathloss", help="link budget evaluation")
     _add_flags(p, "--mode --units --seed --kabs-profile --f --ne --T --m --n0 "
                   "--d --d0 --h0 --theta-deg --n-i --sigma-i")
-    p.add_argument("--trials", type=int, default=1,
-                   help=">1 runs a Monte-Carlo shadow-fading summary "
-                        "(at most 1e6 trials)")
 
     return parser
 

@@ -164,7 +164,10 @@ def collision_frequency(temperature: float) -> float:
     """Thermal collision frequency (rad/s), 2 pi k_B T / h_P."""
     if not 0 < temperature < math.inf:
         raise DomainError(f"temperature must be positive and finite, got {temperature}")
-    return 2 * math.pi * CONSTANTS.k_B * temperature / CONSTANTS.h_P
+    gamma_s = 2 * math.pi * CONSTANTS.k_B * temperature / CONSTANTS.h_P
+    if gamma_s == math.inf:
+        raise DomainError(f"temperature {temperature:g} K: collision frequency overflows")
+    return gamma_s
 
 
 def charged_coefficient(x, omega, omega_s, gamma_s, mode: str = "full"):
@@ -172,7 +175,8 @@ def charged_coefficient(x, omega, omega_s, gamma_s, mode: str = "full"):
 
     mode="full" keeps both the real and imaginary parts; mode="approx" drops
     the real part, valid when the collision frequency dominates the wave
-    frequency (the whole THz band at room temperature).
+    frequency: |g_approx - g_full| / |g_full| = omega / gamma_s exactly, at
+    300 K 0.25 % at 0.1 THz, 2.5 % at 1 THz, 7.6 % at 3 THz, 25.5 % at 10 THz.
     """
     if (np.any(np.less_equal(x, 0)) or np.any(np.less_equal(omega, 0))
             or gamma_s <= 0):

@@ -151,7 +151,7 @@ def test_c08_pdf_normalization():
 def test_c09_determinism_and_mode_agreement(tmp_path):
     from dustmie.cli import run
     argv = ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "0",
-            "--h0", "100", "--trials", "100", "--seed", "77"]
+            "--h0", "100", "--seed", "77"]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(argv + ["--out", str(p1)]) == 0
     assert run(argv + ["--out", str(p2)]) == 0

@@ -267,7 +267,8 @@ class TestDustAttenuationCoefficient:
         monkeypatch.setattr(channel, "extinction_efficiency_array", counted)
         freqs = np.geomspace(1e11, 3e12, 5)
         k = channel._k_dust_grid([150.0], freqs, [particle.electrons], layer,
-                                 particle, ("physical", "paper"), "full")
+                                 particle.temperature, particle.refractive_index,
+                                 ("physical", "paper"), "full")
         assert calls == [2, 2, 1]
         assert k.shape == (2, 1, 5, 1)
         for k_mode, units_mode in zip(k[:, 0], ("physical", "paper")):
@@ -296,14 +297,14 @@ class TestDustAttenuationCoefficient:
         freqs = np.geomspace(1e11, 3e12, 5)
         counts = [0, 1000, 10**12]
         units = ("physical", "paper")
-        k = channel._k_dust_grid(heights, freqs, counts, layer, PARTICLE, units,
-                                 "full")
+        k = channel._k_dust_grid(heights, freqs, counts, layer, 300.0, M_DEFAULT,
+                                 units, "full")
         assert calls == [4, 4, 4, 3]
         assert k.shape == (2, 3, 5, 3)
         for i, ne in enumerate(counts):
             kernel_tables.clear()
-            one = channel._k_dust_grid(heights, freqs, [ne], layer, PARTICLE, units,
-                                       "full")
+            one = channel._k_dust_grid(heights, freqs, [ne], layer, 300.0, M_DEFAULT,
+                                       units, "full")
             assert np.array_equal(k[:, i:i + 1], one)
 
 
@@ -579,7 +580,7 @@ class TestKeptTables:
         # only the last columns that fit are kept
         import dustmie.channel as channel
         freqs = np.geomspace(1e11, 3e11, 60)
-        channel._k_dust_grid([150.0], freqs, [0], self.LAYER, PARTICLE,
+        channel._k_dust_grid([150.0], freqs, [0], self.LAYER, 300.0, M_DEFAULT,
                              ("physical",), "full")
         nodes = [q.size for _, q in kernel_tables.values()]
         assert sum(nodes) <= channel._STORED_NODES

@@ -296,13 +296,6 @@ class TestPathloss:
         code, _ = run_cli(capsys, *self.ARGS[:-4], "--d", "5", "--d0", "10")
         assert code == 2
 
-    def test_monte_carlo_shadow_std(self, capsys):
-        code, out = run_cli(capsys, *self.ARGS, "--trials", "1000", "--seed", "3")
-        assert code == 0
-        _, names, _, rows = parse_csv(out)
-        std = rows[0][names.index("std_shadow")]
-        assert abs(std - 2.0) / 2.0 < 0.15
-
     @pytest.mark.parametrize("text", [None, "0 1.0\nhigh 2.0\n"],
                              ids=["missing", "non-numeric"])
     def test_unreadable_kabs_profile_rejected(self, tmp_path, capsys, text):
@@ -315,15 +308,9 @@ class TestPathloss:
         assert captured.out == ""
         assert str(path) in captured.err
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_trial_count_below_one_rejected(self, capsys, trials):
-        code, out = run_cli(capsys, *self.ARGS, "--trials", trials)
-        assert code == 2
-        assert out == ""
-
     def test_seed_reproducibility(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = self.ARGS + ["--trials", "200", "--seed", "9"]
+        argv = self.ARGS + ["--seed", "9"]
         assert run(argv + ["--out", str(out1)]) == 0
         assert run(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -515,7 +502,7 @@ FLAGS = {
     "attenuation": "--mode --units --f --T --m --n0 --h0 "
                    "--sweep --start --stop --count --spacing --group-ne --normalized",
     "pathloss": "--mode --units --seed --kabs-profile --f --ne --T --m --n0 "
-                "--d --d0 --h0 --theta-deg --n-i --sigma-i --trials",
+                "--d --d0 --h0 --theta-deg --n-i --sigma-i",
 }
 
 
@@ -532,12 +519,14 @@ class TestFlagSurface:
         got = subcommand_flags()
         assert got == {name: {"--config", "--format", "--out", *flags.split()}
                        for name, flags in FLAGS.items()}
-        assert sum(len(flags) for flags in got.values()) == 61
+        assert sum(len(flags) for flags in got.values()) == 60
 
     @pytest.mark.parametrize("argv", [
         ["qext", "--count", "3", "--units", "paper"],
         ["spectrum", "--count", "3", "--mode", "approx"],
         ["pathloss", "--n-i", "2", "--sigma-i", "1", "--scenario", "NLoS"],
+        # no Monte-Carlo count: the table states total and sigma_i exactly
+        ["pathloss", "--n-i", "2", "--sigma-i", "1", "--n0", "0", "--trials", "5"],
     ])
     def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -602,12 +591,6 @@ def test_numerical_failure_exits_3(capsys, argv):
     # a seed that numpy's generator cannot take
     ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
      "--d", "100", "--theta-deg", "12", "--seed", "-1"],
-    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
-     "--d", "100", "--theta-deg", "12", "--seed", "-1", "--trials", "5"],
-    # a Monte-Carlo count beyond the bound sweep counts have, checked before
-    # any draw
-    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
-     "--d", "100", "--theta-deg", "12", "--trials", "1000001"],
     # an electron count beyond the float range
     ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
      "--d", "50", "--ne", "1" + "0" * 400],
@@ -628,6 +611,10 @@ def test_numerical_failure_exits_3(capsys, argv):
     # a frequency whose wavelength overflows a float: x reads nan or 0
     ["qext", "--count", "3", "--f", "1e-300"],
     ["qext", "--sweep", "f", "--start", "1e-300", "--stop", "1e11", "--count", "3"],
+    # a temperature or index outside its domain where n0 = 0 runs no kernel
+    ["attenuation", "--n0", "0", "--T=-1", "--count", "2"],
+    ["attenuation", "--n0", "0", "--T", "inf", "--count", "2"],
+    ["attenuation", "--n0", "0", "--m", "0+1j", "--count", "2"],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
@@ -648,6 +635,39 @@ def test_frequency_whose_wavelength_overflows_is_named(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("dustmie: error: frequency 1e-300 Hz")
     assert "overflows" in captured.err
+
+
+# gamma_s = 2 pi k_B T / h_P overflows a float above about 2.2e296 K
+@pytest.mark.parametrize("argv", [
+    ["qext", "--count", "2", "--T", "1e300"],
+    ["attenuation", "--count", "2", "--n0", "1", "--T", "1e300"],
+    ["attenuation", "--count", "2", "--n0", "0", "--T", "1e300"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1", "--h0", "100",
+     "--d", "100", "--T", "1e300"],
+])
+def test_temperature_whose_collision_frequency_overflows_is_named(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("dustmie: error: temperature 1e+300 K")
+    assert "overflows" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    # a shadow draw beyond the float range
+    ["pathloss", "--n-i", "2", "--sigma-i", "1e308", "--n0", "1", "--h0", "100",
+     "--d", "100", "--seed", "3"],
+    # a distance term beyond it
+    ["pathloss", "--n-i", "1e308", "--sigma-i", "3", "--n0", "1", "--h0", "100",
+     "--d", "1e300", "--theta-deg", "0"],
+])
+def test_link_budget_that_is_not_finite_is_named(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("dustmie: error: link budget is not finite")
 
 
 def test_x_sweep_beyond_int64_orders_is_config_error(capsys):

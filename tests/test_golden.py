@@ -49,7 +49,6 @@ COMMANDS = {
                       "--stop", "1e12", "--count", "4", "--h0", "150",
                       "--normalized"],
     "pathloss_single": ["pathloss"] + PATHLOSS,
-    "pathloss_trials": ["pathloss", "--trials", "200"] + PATHLOSS,
 }
 
 

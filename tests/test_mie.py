@@ -124,11 +124,19 @@ class TestChargedCoefficient:
         assert g.imag > 0.0
 
     def test_full_close_to_approx_in_thz_band(self):
-        omega = 2 * math.pi * 0.3e12
+        # the approx mode departs from the full one by exactly omega/gamma_s,
+        # so at 300 K it is close at 0.3 THz and 25 % off at 10 THz
+        for temperature in (150.0, 300.0, 1000.0):
+            gamma = collision_frequency(temperature)
+            for f in np.geomspace(0.1e12, 10e12, 9):
+                omega = 2 * math.pi * f
+                full = charged_coefficient(0.1, omega, 1e9, gamma, mode="full")
+                approx = charged_coefficient(0.1, omega, 1e9, gamma, mode="approx")
+                assert abs(full - approx) / abs(full) == pytest.approx(omega / gamma,
+                                                                       rel=1e-12)
         gamma = collision_frequency(300.0)
-        full = charged_coefficient(0.1, omega, 1e9, gamma, mode="full")
-        approx = charged_coefficient(0.1, omega, 1e9, gamma, mode="approx")
-        assert abs(full - approx) / abs(full) < 0.01
+        assert 2 * math.pi * 0.3e12 / gamma < 0.01
+        assert 2 * math.pi * 10e12 / gamma == pytest.approx(0.255, abs=1e-3)
 
     def test_domain(self):
         with pytest.raises(DomainError):
