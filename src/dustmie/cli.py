@@ -17,7 +17,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,11 +114,14 @@ def _electron_counts(text: str | None, default: list[int]) -> list[int]:
 
 
 def _base_metadata(cfg: RunConfig, args) -> dict:
-    meta = {f"config.{k}": v for k, v in asdict(cfg).items()}
+    # the fields are flat values, so a plain dict of them serves (asdict
+    # deep-copies them)
+    params = {fld.name: getattr(cfg, fld.name) for fld in fields(cfg)}
+    meta = {f"config.{k}": v for k, v in params.items()}
     meta.update({
         "command": args.command,
         "format": args.format,
-        "config_hash": config_hash(asdict(cfg).items()),
+        "config_hash": config_hash(params.items()),
     })
     # only the flags this subcommand takes, three of them under another name
     renamed = {"mode": "ge_mode", "units": "units_mode",

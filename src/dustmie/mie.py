@@ -42,10 +42,11 @@ Below x = 1e-3 the charged sums lose digits on either route (9e-11 at
 0.8), so those sizes go downward.
 
 The upward sizes of a batch, then the rest, each in descending order of x,
-run in lockstep, one numpy vector a step over the sizes still running, and
-are summed in order blocks: dense (orders, sizes) arrays of the sizes
-running at a block's first order, which carry psi_n, eta_n and each partial
-sum on to the next.
+run in lockstep, one numpy vector a step over the sizes still running, until
+at most a few distinct x are left; those step on in scalars, with the same
+bits. The series are summed in order blocks: dense (orders, sizes) arrays of
+the sizes running at a block's first order, which carry psi_n, eta_n and
+each partial sum on to the next.
 """
 from __future__ import annotations
 
@@ -54,6 +55,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +88,16 @@ _CHUNK_TERMS = 7168
 # 36 and 8, or 45 and 0, do not.
 _SEED_DECAY = 45.0
 _SEED_MARGIN = 8
+# Lanes (runs of equal x) at or below which `_series` steps each in scalars,
+# and the orders a lane must have left for that. Measured in place on a
+# 2-core host with numpy 2.4: a step of the block loop's vector costs about
+# 2.1 us upward (four ufunc calls) and 1.0 us downward (two) at any width,
+# and a lane 0.5 us an order upward (0.13 us downward), plus about 11 us to
+# start it and write it into its blocks. Without the order floor the last
+# few sizes of a k_dust table, one or two orders a lane, cost its kernel
+# about 3 %.
+_SCALAR_LANES = 4
+_LANE_ORDERS = 4
 
 
 @dataclass(frozen=True)
@@ -544,6 +556,56 @@ class _SeriesSum:
         return num[0], num[1]
 
 
+def _scalar_steps(z2, f, odd: list[float]) -> list:
+    """f_n = z2 / ((2n - 1) - f_{n-1}) for the 2n - 1 in odd, from f at the
+    order before, in scalars: Python floats, or numpy complex128 scalars for
+    a complex z2, whose subtract and divide give the bits of the ufuncs'
+    array loops (numpy's scalar complex multiply does not, so no step
+    multiplies)."""
+    first = f
+    try:
+        return [f := z2 / (o - f) for o in odd]
+    except ZeroDivisionError:              # where numpy's divide gives inf
+        f = np.float64(first)
+        return [float(f := z2 / (o - f)) for o in odd]
+
+
+def _scalar_tail(x: np.ndarray, counts: list[int]) -> tuple[int, list[int]]:
+    """Where `_series` goes over to lanes, runs of equal x in the batch
+    (which stop together): the first order n >= 3 at which at most
+    _SCALAR_LANES lanes still run, if at least _LANE_ORDERS orders a lane
+    are left from there; and the ends of those lanes. Otherwise
+    (len(counts) + 1, []). Mostly in Python on short lists: numpy's calls
+    run cold here, at several microseconds each."""
+    # the first lanes are mostly short: single sizes, or a table's columns
+    head = x[:4 * _SCALAR_LANES].tolist()
+    ends = [i for i in range(1, len(head)) if head[i] != head[i - 1]]
+    if len(ends) < _SCALAR_LANES and len(head) < x.size:
+        ends = (np.flatnonzero(x[1:] != x[:-1]) + 1).tolist()
+    ends = [*ends, x.size][:_SCALAR_LANES]
+    # counts fall, so the orders whose counts exceed the last end come first
+    n = max(3, bisect.bisect_left(counts, -ends[-1], key=operator.neg) + 1)
+    if n <= len(counts):
+        ends = ends[:ends.index(counts[n - 1]) + 1]    # the lanes running at n
+        if len(counts) + 1 - n >= _LANE_ORDERS * len(ends):
+            return n, ends
+    return len(counts) + 1, []
+
+
+def _lane_ratios(odd: list[float], x2: float, prev: list[float],
+                 mx2=None, prev_mx=None) -> list[np.ndarray]:
+    """The ratios of one lane of `_series`, sizes sharing one x, at the
+    orders of the 2n - 1 in odd, stepped from their values at the order
+    before in `_scalar_steps`: t_n(x) from prev = [t]; on the upward route,
+    given mx2 = (mx)^2 and prev_mx, s_n(x) and t_n(x) from prev = [s, t],
+    then s_n(mx)."""
+    ratios = [np.array(_scalar_steps(x2, p, odd), float) for p in prev]
+    if mx2 is not None:
+        ratios.append(np.array(_scalar_steps(mx2, prev_mx, odd),
+                               complex if isinstance(mx2, complex) else float))
+    return ratios
+
+
 def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
             scratch: _Scratch | None = None, store: np.ndarray | None = None
             ) -> np.ndarray:
@@ -556,10 +618,16 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
     a real m in the same float steps, so an index-matched sphere gives
     exactly zero. Otherwise each block takes s_n(mx) and s_n(x) from the
     store of `_scaled_ratio`'s ragged (mx, x) pairs; a size's entries above
-    its orders hold other terms (mode="clip"), which the sum masks."""
+    its orders hold other terms (mode="clip"), which the sum masks.
+
+    From the first order at which at most _SCALAR_LANES distinct x still
+    run, each run of equal x (a lane) steps its own orders in scalars
+    (`_lane_ratios`), with the same bits, and each block takes the lane's
+    values into all its columns."""
     upward = store is None
     series = _SeriesSum(x, m, g_e, rows, scratch)
     counts = _order_counts(rows)[0].tolist()
+    tail, ends = _scalar_tail(x, counts)
     cos_x, x2 = np.cos(x), x * x
     eta1 = -cos_x / x - np.sin(x)
     seeds = [eta1, x2 / (3 + x * cos_x / eta1)]   # eta_1, then t_2 = x^2 / (3 - t_1)
@@ -574,9 +642,12 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
         seeds = [np.stack(p, axis=1).reshape(-1)
                  for p in zip(_first_ratio(x), seeds)]
         x2, mx2, prev_mx = np.repeat(x2, 2), mx * mx, seeds_mx[1]
+        # a lane's s_n(mx) in floats, or in numpy complex128 scalars
+        scalars = np.ndarray.tolist if mx.dtype.kind == "f" else list
     else:
         flat, offsets = store.reshape(-1), 2 * _order_counts(rows)[1]
     prev, c = seeds[1], x.size
+    lanes = []                                 # (columns, last order, ratios)
     subtract, divide = np.subtract, np.divide
     for k, end in _blocks(counts):
         w = counts[k - 1]
@@ -598,10 +669,10 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
                 s_mx[o:o + w] = seeds_mx[n - 1][:w]
         if end > 2:                            # spent before the blocks' peak
             seeds = seeds_mx = None
-        first = max(k, 3)
+        first, stop = max(k, 3), min(end, tail)
         for n, odd_n, odd_mx_n in zip(
-                range(first, end), np.nditer(odd[first - 1:end - 1], ["zerosize_ok"]),
-                np.nditer(odd_mx[first - 1:end - 1], ["zerosize_ok"]) if upward
+                range(first, stop), np.nditer(odd[first - 1:stop - 1], ["zerosize_ok"]),
+                np.nditer(odd_mx[first - 1:stop - 1], ["zerosize_ok"]) if upward
                 else itertools.repeat(None)):
             if counts[n - 1] != c:             # the sizes still running
                 c = counts[n - 1]
@@ -618,8 +689,25 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
                 subtract(odd_mx_n, prev_mx, step)
                 divide(mx2, step, step)
                 prev_mx = step
-        # the sum works the block in place, so the loop goes on from copies
-        prev, prev_mx = prev.copy(), prev_mx.copy() if upward else None
+        if end <= tail:
+            # the sum works the block in place, so the loop goes on from copies
+            prev, prev_mx = prev.copy(), prev_mx.copy() if upward else None
+        elif not lanes:                        # the tail starts in this block
+            at = [0, *ends[:-1]]               # the first size of each lane
+            odds = odd[tail - 1:].tolist()
+            state = [x2[::per][at].tolist(), prev.reshape(-1, per)[at].tolist()]
+            if upward:
+                state += [scalars(mx2[at]), scalars(prev_mx[at])]
+            for a, b, top, *lane in zip(at, ends, rows[at].tolist(), *state):
+                lanes.append((slice(a, b), top,
+                              _lane_ratios(odds[:top + 1 - tail], *lane)))
+        lo = max(k, tail)                      # each lane's orders of the block,
+        for cols, top, ratios in lanes:        # into all its columns
+            n = min(end, top + 1) - lo
+            if n > 0:
+                into = (s_t.real, s_t.imag, m_d) if upward else (s_t.imag,)
+                for dest, r in zip(into, ratios):
+                    dest[lo - k:lo - k + n, cols] = r[lo - tail:lo - tail + n, None]
         series.add(s_t, m_d)
     return 2 / x**2 * series.total
 
@@ -682,10 +770,17 @@ def _size_and_charge(radius, frequency, electrons, temperature, mode):
             raise DomainError(f"frequency {np.min(frequency):g} Hz: wavelength overflows")
         x = scale_parameter(radius, wavelength)
     _check_scale(x)        # rejects an x beyond the series before r^2 overflows
+    gamma_s = collision_frequency(temperature)
     with np.errstate(all="ignore"):
+        omega = 2 * math.pi * frequency
+        # the full g_e takes gamma_s / omega, which at any charge (0 x inf
+        # is nan) must be finite
+        if mode == "full" and np.any(gamma_s / omega == math.inf):
+            raise DomainError(
+                f"frequency {np.min(frequency):g} Hz at temperature {temperature:g} K:"
+                " collision frequency over wave frequency overflows")
         omega_s = surface_plasma_frequency(electrons, radius)
-        g_e = charged_coefficient(x, 2 * math.pi * frequency, omega_s,
-                                  collision_frequency(temperature), mode=mode)
+        g_e = charged_coefficient(x, omega, omega_s, gamma_s, mode=mode)
     if not np.all(np.isfinite(g_e)):
         raise RecurrenceOverflowError(
             f"charge coefficient overflow (radius down to {np.min(radius):g} m)")

@@ -654,6 +654,34 @@ def test_temperature_whose_collision_frequency_overflows_is_named(capsys, argv):
     assert "overflows" in captured.err
 
 
+# the full g_e takes gamma_s / omega, which overflows at a low frequency and
+# a large but finite temperature, at any charge
+@pytest.mark.parametrize("argv", [
+    ["qext", "--count", "2", "--f", "1e-10", "--T", "1e290"],
+    ["qext", "--sweep", "f", "--start", "1e-10", "--stop", "1e11", "--count", "2",
+     "--group-r", "1e-5", "--T", "1e290"],
+    ["attenuation", "--count", "2", "--n0", "1", "--f", "1e-10", "--T", "1e290"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1", "--h0", "100",
+     "--d", "100", "--f", "1e-10", "--T", "1e290"],
+])
+def test_collision_over_wave_frequency_that_overflows_is_named(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "dustmie: error: frequency 1e-10 Hz at temperature 1e+290 K")
+    assert "overflows" in captured.err
+
+
+def test_approx_g_e_takes_no_collision_over_wave_frequency(capsys):
+    # approx mode divides by gamma_s omega instead, which stays finite there
+    code = run(["qext", "--count", "2", "--f", "1e-10", "--T", "1e290",
+                "--mode", "approx"])
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") > 2
+
+
 @pytest.mark.parametrize("argv", [
     # a shadow draw beyond the float range
     ["pathloss", "--n-i", "2", "--sigma-i", "1e308", "--n0", "1", "--h0", "100",

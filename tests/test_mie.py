@@ -484,6 +484,92 @@ class TestChargedInvariants:
                 assert np.all(dev[checked] <= 64 * 2.2e-16 * cond[checked])
 
 
+def ulps(values) -> list[int]:
+    """The bits of float or complex values, as uint64 words."""
+    return np.asarray(values).reshape(-1).view(np.uint64).tolist()
+
+
+class TestScalarTail:
+    """From where at most `mie._SCALAR_LANES` distinct x still run,
+    `mie._series` steps each run of equal x (a lane) in scalars, which must
+    give the vector loop's ufunc bits."""
+
+    @staticmethod
+    def operands(rng, n):
+        # random magnitudes over the whole float range, a third of them
+        # replaced by +-0, subnormals, huge values and infinities
+        with np.errstate(over="ignore"):       # some overflow to +-inf
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 309, n)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1.7e308,
+                   math.inf, -math.inf, 1.0, 3.0]
+        pick = rng.random(n) < 0.3
+        v[pick] = rng.choice(special, int(pick.sum()))
+        return v
+
+    def test_scalar_subtract_and_divide_match_the_ufuncs(self):
+        # The tail subtracts and divides in Python floats and numpy
+        # complex128 scalars, and never multiplies: numpy's scalar complex
+        # multiply differs from its array loop in the last bit on many pairs
+        # (29 % of random pairs on numpy 2.4 and an AVX-512 host), so the
+        # tail takes x^2 and (mx)^2 from the vector loop's arrays.
+        rng = np.random.default_rng(27)
+        n = 20000
+        a, b = self.operands(rng, n), self.operands(rng, n)
+        za, zb = np.empty(n, complex), np.empty(n, complex)
+        for z in (za, zb):                     # not re + 1j * im: 1j * inf has a nan
+            z.real, z.imag = self.operands(rng, n), self.operands(rng, n)
+        with np.errstate(all="ignore"):
+            assert ulps([x - y for x, y in zip(a.tolist(), b.tolist())]) == ulps(
+                np.subtract(a, b))
+            # Python raises at a zero divisor (test_zero_denominator_gives_inf)
+            nonzero = b != 0
+            assert ulps([x / y for x, y in zip(a[nonzero].tolist(),
+                                                b[nonzero].tolist())]) == ulps(
+                np.divide(a[nonzero], b[nonzero]))
+            assert ulps([x - y for x, y in zip(za, zb)]) == ulps(np.subtract(za, zb))
+            assert ulps([x / y for x, y in zip(za, zb)]) == ulps(np.divide(za, zb))
+            # 2n - 1 as a Python float, less a complex128 scalar
+            assert ulps([x - y for x, y in zip(a.tolist(), zb)]) == ulps(
+                np.subtract(a.astype(complex), zb))
+
+    @pytest.mark.parametrize("z2", [4.0, -4.0, 0.0])
+    def test_zero_denominator_gives_inf(self, z2):
+        # (2n - 1) - f_{n-1} == 0.0 at the first step: Python's float divide
+        # raises there, numpy's gives +-inf (or nan for 0 / 0), and the
+        # steps after it go on from that
+        odd = [5.0, 7.0, 9.0]
+        f, expected = np.array([5.0]), []
+        with np.errstate(all="ignore"):
+            for o in odd:
+                f = np.divide(z2, np.subtract(np.array(o), f))
+                expected.append(f[0])
+            assert ulps(mie._scalar_steps(z2, 5.0, odd)) == ulps(expected)
+
+    @pytest.mark.parametrize("m", [M_DEFAULT, 1.5, 1.5 + 1j, 0.9 + 0.01j])
+    def test_tail_keeps_the_vector_loops_bits(self, m, monkeypatch):
+        # batches of repeated x, as a table's columns make them, on both
+        # routes and for a real m, with the tail and with the vector loop
+        # alone to each size's last order
+        rng = np.random.default_rng(7)
+        batches = []
+        for _ in range(6):
+            x = np.exp(rng.uniform(np.log(1e-3), np.log(3e3), rng.integers(1, 9)))
+            x = np.repeat(x, rng.integers(1, 4))
+            batches.append((x, (-rng.uniform(0, 5, x.size)
+                                + 1j * rng.uniform(0, 50, x.size))))
+        lanes, fn = [], mie._lane_ratios
+
+        def counted(odd, *args):
+            lanes.append(len(odd))
+            return fn(odd, *args)
+        monkeypatch.setattr(mie, "_lane_ratios", counted)
+        tail = [mie._qext(x, m, g) for x, g in batches]
+        assert sum(lanes) > 1000
+        monkeypatch.setattr(mie, "_LANE_ORDERS", 10**9)
+        assert ulps(np.concatenate(tail)) == ulps(
+            np.concatenate([mie._qext(x, m, g) for x, g in batches]))
+
+
 class TestBatchKernel:
     def test_batch_matches_single_sphere_entry(self):
         # radius x frequency x charge broadcast, across order blocks of
@@ -587,7 +673,20 @@ class TestBatchKernel:
         assert route_and_block_counts["blocks"] >= 10
         assert np.all(q == 0.0)
 
-    def test_3thz_table_runs_a_known_number_of_passes(self, route_and_block_counts):
+    @pytest.fixture
+    def scalar_lanes(self, monkeypatch):
+        """(first order, orders) of each lane that `mie._series` steps in
+        scalars, one `_lane_ratios` call a lane."""
+        lanes, fn = [], mie._lane_ratios
+
+        def recorded(odd, *args):
+            lanes.append((int(odd[0] + 1) // 2, len(odd)))
+            return fn(odd, *args)
+        monkeypatch.setattr(mie, "_lane_ratios", recorded)
+        return lanes
+
+    def test_3thz_table_runs_a_known_number_of_passes(self, route_and_block_counts,
+                                                      scalar_lanes):
         # the largest kernel table of the band (see test_memory_budget): a
         # change to the shape of the order blocks, which trades their memory
         # for numpy calls, or to the routes, moves these counts
@@ -598,6 +697,22 @@ class TestBatchKernel:
                                      ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
         # one upward loop for every size, x from 0.005 to 630
         assert route_and_block_counts == {"upward": 1, "downward": 0, "blocks": 22}
+        # its four largest sizes (orders 653 to 665) go on in scalars from
+        # order 650, where 16 orders are left: _LANE_ORDERS a lane
+        assert scalar_lanes == [(650, 16), (650, 12), (650, 8), (650, 4)]
+
+    def test_x_sweep_steps_its_last_four_sizes_in_scalars(self, capsys,
+                                                          route_and_block_counts,
+                                                          scalar_lanes):
+        # eight x to 750, each in three Ne columns: a lane is the three
+        # columns of one x, so the last four x (orders 460 to 788) go on in
+        # scalars from order 351, where x = 321 has stopped
+        from dustmie.cli import run
+        assert run(["qext", "--sweep", "x", "--start", "0.05", "--stop", "750",
+                    "--count", "8", "--group-ne", "0,10,100"]) == 0
+        capsys.readouterr()
+        assert route_and_block_counts["upward"] == 1
+        assert scalar_lanes == [(351, 438), (351, 329), (351, 220), (351, 110)]
 
     def test_cells_above_a_size_orders_raise_no_warning(self):
         # a block's cells above a size's own orders hold whatever its work
