@@ -620,10 +620,10 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
     store of `_scaled_ratio`'s ragged (mx, x) pairs; a size's entries above
     its orders hold other terms (mode="clip"), which the sum masks.
 
-    From the first order at which at most _SCALAR_LANES distinct x still
-    run, each run of equal x (a lane) steps its own orders in scalars
-    (`_lane_ratios`), with the same bits, and each block takes the lane's
-    values into all its columns."""
+    From the order `_scalar_tail` gives, where at most _SCALAR_LANES
+    distinct x still run, each run of equal x (a lane) steps its own orders
+    in scalars (`_lane_ratios`), with the same bits, and each block takes
+    the lane's values into all its columns."""
     upward = store is None
     series = _SeriesSum(x, m, g_e, rows, scratch)
     counts = _order_counts(rows)[0].tolist()
