@@ -484,6 +484,19 @@ class TestChargedInvariants:
                 assert np.all(dev[checked] <= 64 * 2.2e-16 * cond[checked])
 
 
+@pytest.fixture
+def scalar_lanes(monkeypatch):
+    """(first order, orders) of each lane that `mie._series` steps in
+    scalars, one `_lane_ratios` call a lane."""
+    lanes, fn = [], mie._lane_ratios
+
+    def recorded(odd, *args):
+        lanes.append((int(odd[0] + 1) // 2, len(odd)))
+        return fn(odd, *args)
+    monkeypatch.setattr(mie, "_lane_ratios", recorded)
+    return lanes
+
+
 def ulps(values) -> list[int]:
     """The bits of float or complex values, as uint64 words."""
     return np.asarray(values).reshape(-1).view(np.uint64).tolist()
@@ -546,7 +559,7 @@ class TestScalarTail:
             assert ulps(mie._scalar_steps(z2, 5.0, odd)) == ulps(expected)
 
     @pytest.mark.parametrize("m", [M_DEFAULT, 1.5, 1.5 + 1j, 0.9 + 0.01j])
-    def test_tail_keeps_the_vector_loops_bits(self, m, monkeypatch):
+    def test_tail_keeps_the_vector_loops_bits(self, m, monkeypatch, scalar_lanes):
         # batches of repeated x, as a table's columns make them, on both
         # routes and for a real m, with the tail and with the vector loop
         # alone to each size's last order
@@ -557,14 +570,8 @@ class TestScalarTail:
             x = np.repeat(x, rng.integers(1, 4))
             batches.append((x, (-rng.uniform(0, 5, x.size)
                                 + 1j * rng.uniform(0, 50, x.size))))
-        lanes, fn = [], mie._lane_ratios
-
-        def counted(odd, *args):
-            lanes.append(len(odd))
-            return fn(odd, *args)
-        monkeypatch.setattr(mie, "_lane_ratios", counted)
         tail = [mie._qext(x, m, g) for x, g in batches]
-        assert sum(lanes) > 1000
+        assert sum(orders for _, orders in scalar_lanes) > 1000
         monkeypatch.setattr(mie, "_LANE_ORDERS", 10**9)
         assert ulps(np.concatenate(tail)) == ulps(
             np.concatenate([mie._qext(x, m, g) for x, g in batches]))
@@ -672,18 +679,6 @@ class TestBatchKernel:
         assert route_and_block_counts["downward"] == 0
         assert route_and_block_counts["blocks"] >= 10
         assert np.all(q == 0.0)
-
-    @pytest.fixture
-    def scalar_lanes(self, monkeypatch):
-        """(first order, orders) of each lane that `mie._series` steps in
-        scalars, one `_lane_ratios` call a lane."""
-        lanes, fn = [], mie._lane_ratios
-
-        def recorded(odd, *args):
-            lanes.append((int(odd[0] + 1) // 2, len(odd)))
-            return fn(odd, *args)
-        monkeypatch.setattr(mie, "_lane_ratios", recorded)
-        return lanes
 
     def test_3thz_table_runs_a_known_number_of_passes(self, route_and_block_counts,
                                                       scalar_lanes):
