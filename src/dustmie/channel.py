@@ -20,7 +20,8 @@ NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 
 # The size integral is a trapezoid sum in ln r on one fixed lattice,
 # u_j = ln(MAX_RADIUS_MM) + j * _LN_R_STEP for j <= 0, so the radius cap is
-# a node and a kernel table built for one altitude serves any other. In ln r
+# a node and a kernel table built for one altitude serves any other. Every
+# support lies in [1e-6, 10] mm, so a table has at most 2,688 nodes. In ln r
 # the log-normal weight is a Gaussian, for which the trapezoid rule converges
 # fast where Q_ext is smooth on the lattice's scale. A step of 0.006 keeps
 # k_dust within 1e-8 of the nested 0.0015 lattice for 2-0.025j and
@@ -132,7 +133,7 @@ def _lattice(lo, hi) -> tuple[int, np.ndarray]:
     [lo, hi] (mm), floats or arrays, and the nodes u = ln r (r in mm) from
     it to the last one covering them."""
     first = math.floor((math.log(np.min(lo)) - _LN_R_TOP) / _LN_R_STEP)
-    last = min(math.ceil((math.log(np.max(hi)) - _LN_R_TOP) / _LN_R_STEP), 0)
+    last = math.ceil((math.log(np.max(hi)) - _LN_R_TOP) / _LN_R_STEP)
     return first, _LN_R_TOP + _LN_R_STEP * np.arange(first, last + 1)
 
 
@@ -147,9 +148,9 @@ def _per_particle(r_m: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray
 def _size_weights(u: np.ndarray, mu: np.ndarray, sigma: np.ndarray, n0: float):
     """For each log-normal (mu, sigma), arrays of them, the slice of the
     sorted lattice u inside its support and n0 * phi(u) on it: in u = ln r
-    the log-normal density is the normal density phi. At a support end that
-    falls between nodes, the sliver left out carries phi below e^-32 of its
-    peak."""
+    the log-normal density is the normal density phi. At an 8-sigma end
+    that falls between nodes, the sliver left out carries phi below e^-32
+    of its peak."""
     lo, hi = _support(mu, sigma)
     begin = np.searchsorted(u, np.log(lo)).tolist()
     end = np.searchsorted(u, np.log(hi), "right").tolist()

@@ -17,6 +17,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -327,6 +328,18 @@ _shared_parser = functools.cache(build_parser)
 
 def run(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
+    # a warning (the size-spectrum fit's extrapolation) is printed as the
+    # CLI's own line, once per distinct message; under an "error" filter a
+    # warning of another category (numpy's RuntimeWarning) still raises
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        code = _run(args)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"dustmie: warning: {message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
     try:
         config_path = args.config or os.environ.get(ENV_CONFIG)
         cfg = load_config(config_path) if config_path else RunConfig()

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .mie import _MAX_RADIUS, _MIN_RADIUS
 
 _MU_COEFF = (-2.061, 0.00159)     # mu_d(h) = a * exp(b h), h in m
 _SIGMA_COEFF = (0.323, 0.00476)   # sigma_d(h) = a * exp(b h)
 _EXTRAPOLATION_LIMIT = 1000.0     # m; warn above this
 _SUPPORT_SIGMAS = 8.0
-MAX_RADIUS_MM = 10.0              # mm; matches the Mie kernel radius cap
+MAX_RADIUS_MM = _MAX_RADIUS / 1e-3   # mm; 10.0 exactly
 
 
 def lognormal_params(h):
@@ -70,11 +71,7 @@ def number_density(r: float, h: float, n0: float) -> float:
 
 def _support(mu, sigma):
     """`size_support` of the log-normal (mu, sigma), as arrays like them."""
-    lo = np.exp(mu - _SUPPORT_SIGMAS * sigma)
-    if np.any(lo == 0.0):
-        raise DomainError(
-            f"size spectrum of sigma_d={np.max(sigma):.3g} spans more radii "
-            "than a float can hold")
+    lo = np.maximum(np.exp(mu - _SUPPORT_SIGMAS * sigma), _MIN_RADIUS / 1e-3)
     top = np.minimum(mu + _SUPPORT_SIGMAS * sigma, math.log(MAX_RADIUS_MM))
     return lo, np.minimum(np.exp(top), MAX_RADIUS_MM)
 
@@ -83,9 +80,8 @@ def size_support(h):
     """Radius interval (lo, hi) in mm carrying essentially all log-normal
     mass at altitude h (m): floats, or arrays of h's shape.
 
-    +/- 8 sigma in log-radius, upper end clamped to the kernel's radius cap.
-    Far above the fitted range sigma grows until the lower end underflows;
-    there the spectrum has no usable support and a DomainError is raised.
+    +/- 8 sigma in log-radius, clamped to the kernel's radius domain
+    [1e-6, 10] mm, which above ~200 m drops the mass outside it (README).
     """
     lo, hi = _support(*lognormal_params(h))
     return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)

@@ -63,8 +63,8 @@ import numpy as np
 from .constants import CONSTANTS
 from .errors import DomainError, RecurrenceOverflowError, SingularDenominatorError
 
-_MIN_RADIUS = 1e-9
-_MAX_RADIUS = 1e-2
+_MIN_RADIUS = 1e-9      # m; the radius domain of a sphere and of the size
+_MAX_RADIUS = 1e-2      # integral (`dustfield._support`)
 _DENOM_FLOOR = 1e-300
 # Largest size parameter taken: up to here the series summed to
 # `truncation_order` is pinned within 1e-8 of a longer sum (see
@@ -197,8 +197,14 @@ def charged_coefficient(x, omega, omega_s, gamma_s, mode: str = "full"):
     # with the C library's pow, which can differ in the last bit from the
     # array square a batch takes
     if mode == "full":
+        # at any charge (0 x inf is nan) gamma_s / omega must be finite
+        with np.errstate(over="ignore"):
+            ratio = gamma_s / omega
+        if np.any(ratio == math.inf):
+            raise DomainError(f"collision frequency {gamma_s:g} rad/s over wave "
+                              f"frequency {np.min(omega):g} rad/s overflows")
         return ((x / 2) * (omega_s * omega_s) / (omega * omega + gamma_s * gamma_s)
-                * (-1 + 1j * (gamma_s / omega)))
+                * (-1 + 1j * ratio))
     if mode == "approx":
         return 1j * x * (omega_s * omega_s) / (2 * gamma_s * omega)
     raise DomainError(f"unknown g_e mode {mode!r}")
@@ -761,7 +767,9 @@ def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
 
 def _size_and_charge(radius, frequency, electrons, temperature, mode):
     """Size parameter and charge coefficient g_e of spheres in a wave. A g_e
-    beyond the float range (from radii near 1e-60 m) is a numerical failure."""
+    beyond the float range (from radii near 1e-60 m) is a numerical failure.
+    No k_dust table reaches such radii (its lattice starts near 1 nm), so
+    only a `qext` x-sweep or a direct array call can."""
     if np.any(np.less_equal(frequency, 0)):
         raise DomainError("frequency must be positive")
     with np.errstate(all="ignore"):        # _check_scale rejects an inf or nan x

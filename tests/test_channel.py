@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -308,6 +309,69 @@ class TestDustAttenuationCoefficient:
             assert np.array_equal(k[:, i:i + 1], one)
 
 
+def unclamped_k_dust(h, f, ne, n0, units_mode):
+    """k_dust on the same 0.006 lattice, anchored at the 10 mm cap, but over
+    the log-normal's whole lower 8-sigma tail, below 1 nm too: the sum
+    before the support was clamped to the kernel's radius domain."""
+    mu, sigma = lognormal_params(h)
+    top, step = math.log(10.0), 0.006
+    lo = mu - 8 * sigma
+    u = top + step * np.arange(math.floor((lo - top) / step), 1)
+    u = u[u >= lo]
+    r_m = np.exp(u) * 1e-3
+    q = extinction_efficiency_array(r_m, f, ne, 300.0, M_DEFAULT)
+    weights = n0 / (math.sqrt(2 * math.pi) * sigma) * np.exp(-0.5 * ((u - mu) / sigma) ** 2)
+    g = weights * (q if units_mode == "paper" else q * math.pi * r_m**2)
+    return 4.343e3 * step * float(g.sum() - (g[0] + g[-1]) / 2)
+
+
+class TestRadiusDomain:
+    """The size integral covers only the kernel's radius domain
+    [1 nm, 10 mm]: the lattice stops at 1 nm, whatever the altitude."""
+
+    def test_table_nodes_capped(self, monkeypatch, kernel_tables):
+        import dustmie.channel as channel
+        radii = []
+        kernel = channel.extinction_efficiency_array
+
+        def spy(radius, *args, **kwargs):
+            radii.append(radius)
+            return kernel(radius, *args, **kwargs)
+
+        monkeypatch.setattr(channel, "extinction_efficiency_array", spy)
+        w = WaveSpec.from_frequency(300e9)
+        for h in (300.0, 800.0, 10000.0):
+            kernel_tables.clear()
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "size-spectrum fit extrapolated")
+                k = dust_attenuation_coefficient(h, w, DustLayerModel(n0=1e3), PARTICLE)
+            assert math.isfinite(k) and k >= 0
+        assert [r.size for r in radii] == [2688] * 3
+        for r in radii:
+            # the first node lies at most one step below 1 nm
+            assert 1e-9 * math.exp(-0.006) < r.min() <= 1e-9
+            assert r.max() == pytest.approx(1e-2, rel=1e-15)
+
+    # |clamped - unclamped| / unclamped, the levels measured at 0.3 and
+    # 3 THz, rounded up to two digits. Physical units weight the radii below
+    # 1 nm by r^2 and move by rounding only; paper units weight Q_ext alone.
+    @pytest.mark.parametrize("h,units_mode,bound", [
+        (400.0, "physical", (1e-15, 1e-15)),
+        (600.0, "physical", (1e-15, 1e-15)),
+        (400.0, "paper", (1.4e-11, 1.4e-11)),
+        (600.0, "paper", (1.1e-8, 4.2e-7)),
+    ])
+    def test_against_unclamped_sum(self, h, units_mode, bound):
+        import dustmie.channel as channel
+        freqs, counts = [3e11, 3e12], [0, 1000, 10**6]
+        k = channel._k_dust_grid([h], freqs, counts, DustLayerModel(n0=1e3), 300.0,
+                                 M_DEFAULT, (units_mode,), "full")[0, :, :, 0]
+        for ne, k_ne in zip(counts, k):
+            for f, k_f, level in zip(freqs, k_ne, bound):
+                ref = unclamped_k_dust(h, f, ne, 1e3, units_mode)
+                assert abs(k_f - ref) <= level * ref, (f, ne)
+
+
 def one_table_slant_loss(g, w, layer, particle, rel_tol):
     """Level-Simpson reference for the slant-path integral, with k_dust at
     every altitude summed over one kernel table built for the whole path."""
@@ -558,15 +622,16 @@ class TestKeptTables:
         assert 0 < sum(q.size for _, q in store.values()) <= 2000
 
     def test_failed_call_keeps_nothing(self, kernel_tables):
-        # the library form of the CLI's exit-3 path loss: from about 800 m
-        # the size support reaches radii where the series overflows
+        # the library form of the CLI's exit-3 path loss: an index whose
+        # square overflows a float
         w = WaveSpec.from_frequency(300e9)
         dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(10))
         before = [(key, first, q.copy()) for key, (first, q) in kernel_tables.items()]
-        g = LinkGeometry(h0=10.0, theta=math.pi / 2, d=800.0, d0=10.0,
+        g = LinkGeometry(h0=100.0, theta=math.pi / 2, d=100.0, d0=10.0,
                          n_i=2.0, sigma_i=3.0)
         with pytest.raises(RecurrenceOverflowError):
-            path_loss(g, w, self.LAYER, self.particle(10), shadow_seed=1)
+            path_loss(g, w, self.LAYER, ParticleState(20e-6, 10, 300.0, 1e155),
+                      shadow_seed=1)
         with pytest.raises(DomainError):
             dust_attenuation_coefficient(120.0, w, self.LAYER, self.particle(10),
                                          ge_mode="bogus")

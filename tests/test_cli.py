@@ -164,13 +164,11 @@ class TestSpectrum:
         assert np.allclose(data[:, 4:], 100 * data[:, 1:4])
 
     def test_extrapolation_warns_once_per_table(self, capsys):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, _ = run_cli(capsys, "spectrum", "--count", "3",
-                              "--heights", "1100,1200")
+        code = run(["spectrum", "--count", "3", "--heights", "1100,1200"])
         assert code == 0
-        assert [str(w.message).split(",")[0] for w in caught] == [
-            "size-spectrum fit extrapolated to h=1200.0 m"]
+        assert capsys.readouterr().err.splitlines() == [
+            "dustmie: warning: size-spectrum fit extrapolated to h=1200.0 m, "
+            "far above the measured range (~200 m)"]
 
 
 class TestAttenuation:
@@ -267,13 +265,17 @@ class TestPathloss:
         fspl, dist, shadow, dust, total = rows[0]
         assert total == pytest.approx(fspl + dist + shadow + dust)
 
-    def test_default_h0_far_above_fit_is_domain_error(self, capsys):
-        # at the default h0 = 10 km the log-normal width overflows a float
-        with pytest.warns(UserWarning, match="extrapolated"):
-            code, out = run_cli(capsys, "pathloss", "--n-i", "2", "--sigma-i", "3",
-                                "--n0", "1e3", "--d", "100")
-        assert code == 2
-        assert out == ""
+    def test_default_h0_far_above_fit_runs(self, capsys):
+        # at the default h0 = 10 km the log-normal width is about 1.5e20, and
+        # the size integral covers the kernel's whole radius domain
+        code = run(["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        _, names, _, rows = parse_csv(captured.out)
+        dust = rows[0][names.index("dust_loss")]
+        assert np.isfinite(rows[0]).all() and 0 <= dust
+        assert captured.err.startswith(
+            "dustmie: warning: size-spectrum fit extrapolated to h=10998")
 
     def test_units_both_is_attenuation_only(self, capsys):
         code = run([*self.ARGS, "--units", "both"])
@@ -541,19 +543,14 @@ class TestFlagSurface:
 
 
 @pytest.mark.parametrize("argv", [
-    # from about 800 m (charged columns) or 950 m (Ne = 0) at 0.3 THz, the
-    # size support reaches radii where the series overflows, though their
-    # weight is 0
-    ["attenuation", "--sweep", "h", "--start", "700", "--stop", "900",
-     "--count", "3", "--n0", "1"],
-    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "10",
-     "--theta-deg", "90", "--d", "800"],
-    # radii near 1e-60 m, where g_e itself overflows: no numpy warning either
-    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "10",
-     "--theta-deg", "90", "--d", "950"],
     # an index whose square overflows a float: Wiscombe's bound reads inf
     ["qext", "--count", "3", "--m", "1e155"],
     ["qext", "--count", "3", "--m", "1e200+1e200j"],
+    ["attenuation", "--count", "2", "--n0", "1", "--m", "1e155"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
+     "--d", "100", "--m", "1e155"],
+    # the default geometry, far above the fit, reaches the kernel too
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--m", "1e155"],
 ])
 def test_numerical_failure_exits_3(capsys, argv):
     code = run(argv)
@@ -562,6 +559,55 @@ def test_numerical_failure_exits_3(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("dustmie: numerical failure:")
     assert "Traceback" not in captured.err
+
+
+# The size integral stays in the kernel's radius domain [1 nm, 10 mm], so
+# no altitude takes the series to the radii near 1e-85 m (x overflows) or
+# 1e-60 m (g_e overflows) of the spectrum's whole 8-sigma support.
+@pytest.mark.parametrize("argv", [
+    ["attenuation", "--sweep", "h", "--start", "700", "--stop", "900",
+     "--count", "3", "--n0", "1"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "10",
+     "--theta-deg", "90", "--d", "800"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "10",
+     "--theta-deg", "90", "--d", "950"],
+    ["attenuation", "--sweep", "h", "--start", "100", "--stop", "900",
+     "--count", "5", "--n0", "1e3", "--f", "3e11"],
+    ["attenuation", "--sweep", "h", "--start", "100", "--stop", "1200",
+     "--count", "5", "--n0", "1e3"],
+])
+def test_far_altitude_runs(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    rows = parse_csv(captured.out)[3]
+    assert rows and all(np.isfinite(row).all() for row in rows)
+
+
+def test_warning_line_and_numpy_warnings(capsys, monkeypatch):
+    import dustmie.cli
+
+    def pdf_that_overflows(r, h):
+        np.multiply(np.array([1e308]), 10)
+        return size_pdf(r, h)
+
+    size_pdf = dustmie.cli.size_pdf
+    monkeypatch.setattr(dustmie.cli, "size_pdf", pdf_that_overflows)
+    argv = ["spectrum", "--count", "2", "--heights", "1200"]
+    # the test run's error filter still fails a numpy warning
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        run(argv)
+    capsys.readouterr()
+    # under the default filter it is printed as the CLI's own line, like
+    # the fit's extrapolation warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        assert run(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "dustmie: warning: overflow encountered in multiply",
+        "dustmie: warning: size-spectrum fit extrapolated to h=1200.0 m, "
+        "far above the measured range (~200 m)"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -152,9 +152,11 @@ class TestDustLayerModel:
         assert hi == 10.0
         assert 0.0 < lo < hi
 
-    def test_unrepresentable_support_rejected(self):
-        # sigma_d(10 km) ~ 1.5e20: exp(mu +/- 8 sigma) leaves the float range
-        with pytest.warns(UserWarning), pytest.raises(DomainError):
-            size_support(10000.0)
+    def test_far_support_is_the_kernel_domain(self):
+        # sigma_d(10 km) ~ 1.5e20: exp(mu +/- 8 sigma) leaves the float range,
+        # and both ends clamp to the Mie kernel's radius domain
+        with pytest.warns(UserWarning):
+            assert size_support(10000.0) == (1e-6, 10.0)
+        # sigma_d(1000 km) itself overflows: an altitude the fit cannot take
         with pytest.warns(UserWarning), pytest.raises(DomainError):
             lognormal_params(1e6)

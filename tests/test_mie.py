@@ -144,6 +144,17 @@ class TestChargedCoefficient:
         with pytest.raises(DomainError):
             charged_coefficient(0.5, 1e12, 1e9, 2.4e14, mode="bogus")
 
+    def test_collision_over_wave_frequency_that_overflows_is_named(self):
+        # the full form takes gamma_s / omega, which at any charge (0 x inf
+        # is nan) must be finite; approx divides by gamma_s omega instead
+        gamma = collision_frequency(1e290)
+        for omega in (6.283e-10, np.array([6.283e-10, 1e-9])):
+            with pytest.raises(DomainError, match="over wave frequency 6.283e-10 "
+                                                  "rad/s overflows"):
+                charged_coefficient(1.0, omega, 0.0, gamma)
+            assert np.all(charged_coefficient(1.0, omega, 0.0, gamma,
+                                              mode="approx") == 0)
+
 
 class TestWaveSpec:
     def test_from_frequency_consistent(self):
