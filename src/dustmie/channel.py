@@ -11,17 +11,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .dustfield import MAX_RADIUS_MM, DustLayerModel, _support, lognormal_params
+from .dustfield import (MAX_RADIUS_MM, MIN_RADIUS_MM, DustLayerModel, _support,
+                        lognormal_params)
 from .errors import ConfigError, DomainError
 from .mie import (ParticleState, WaveSpec, _electron_count, _normalize_m,
                   collision_frequency, extinction_efficiency_array)
 
 NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 
-# The size integral is a trapezoid sum in ln r on one fixed lattice,
-# u_j = ln(MAX_RADIUS_MM) + j * _LN_R_STEP for j <= 0, so the radius cap is
-# a node and a kernel table built for one altitude serves any other. Every
-# support lies in [1e-6, 10] mm, so a table has at most 2,688 nodes. In ln r
+# The size integral is a trapezoid sum in ln r on one fixed lattice, _NODES:
+# every u_j = ln(MAX_RADIUS_MM) + j * _LN_R_STEP (j <= 0) inside the kernel's
+# radius domain [1e-6, 10] mm, lowest first, 2,687 nodes. The radius cap is a
+# node and each altitude weights the nodes inside its own support, so a
+# kernel table built for one altitude serves any other. In ln r
 # the log-normal weight is a Gaussian, for which the trapezoid rule converges
 # fast where Q_ext is smooth on the lattice's scale. A step of 0.006 keeps
 # k_dust within 1e-8 of the nested 0.0015 lattice for 2-0.025j and
@@ -32,17 +34,29 @@ NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 # 0.3 THz; and above about 220 m the cap's end error grows (3.3e-7 at 300 m).
 _LN_R_STEP = 0.006
 _LN_R_TOP = math.log(MAX_RADIUS_MM)
+
+
+def _build_lattice(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice nodes u = ln r (r in mm) of ln r step `step`, from the
+    first at or above MIN_RADIUS_MM up to the radius cap, and their radii
+    in m."""
+    count = math.floor((_LN_R_TOP - math.log(MIN_RADIUS_MM)) / step)
+    u = _LN_R_TOP + step * np.arange(-count, 1)
+    return u, np.exp(u) * 1e-3
+
+
+_NODES, _RADII_M = _build_lattice(_LN_R_STEP)
 # Sizes (lattice nodes x frequencies) of one kernel call when a table spans
-# many frequencies: 19 frequencies of a 1,701-node lattice near 3 THz trace
+# many frequencies: 19 frequencies of a 1,700-node support near 3 THz trace
 # a 5.0 MB peak, and a 400-frequency table in such slices 5.3 MB.
 _TABLE_SIZES = 2**15
 # Q_ext kept from call to call, least recently used first: per kernel key
-# (f, Ne, T, m, g_e mode), (j, Q_ext at nodes j, j + 1, ...). Node j is always
-# u_j and a size's Q_ext does not depend on the batch that computes it, so a
-# kept value serves any later lattice. At most _STORED_NODES nodes (256 KB).
+# (f, Ne, T, m, g_e mode), one array over _NODES, NaN where a node is not yet
+# computed. A size's Q_ext does not depend on the batch that computes it, so
+# a kept value serves any later support. At most _STORED_TABLES keys (256 KB).
 # Calls from several threads read and write it under _tables_lock, which is
-# not held while the kernel runs.
-_STORED_NODES = 2**15
+# not held while the kernel runs; a kept array is replaced, never written.
+_STORED_TABLES = 2**15 // _NODES.size
 _tables: OrderedDict = OrderedDict()
 _tables_lock = threading.Lock()
 
@@ -128,15 +142,6 @@ class PathLossResult:
     total_db: float
 
 
-def _lattice(lo, hi) -> tuple[int, np.ndarray]:
-    """Index j of the first lattice node covering the radius intervals
-    [lo, hi] (mm), floats or arrays, and the nodes u = ln r (r in mm) from
-    it to the last one covering them."""
-    first = math.floor((math.log(np.min(lo)) - _LN_R_TOP) / _LN_R_STEP)
-    last = math.ceil((math.log(np.max(hi)) - _LN_R_TOP) / _LN_R_STEP)
-    return first, _LN_R_TOP + _LN_R_STEP * np.arange(first, last + 1)
-
-
 def _per_particle(r_m: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray:
     """The per-particle extinction a Q_ext table weights at radii r_m (m,
     a column): C_ext in m^2 (physical) or Q_ext itself (paper)."""
@@ -145,18 +150,24 @@ def _per_particle(r_m: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray
     return q * math.pi * r_m**2
 
 
-def _size_weights(u: np.ndarray, mu: np.ndarray, sigma: np.ndarray, n0: float):
-    """For each log-normal (mu, sigma), arrays of them, the slice of the
-    sorted lattice u inside its support and n0 * phi(u) on it: in u = ln r
-    the log-normal density is the normal density phi. At an 8-sigma end
-    that falls between nodes, the sliver left out carries phi below e^-32
-    of its peak."""
+def _node_slices(mu, sigma) -> list[slice]:
+    """For each log-normal (mu, sigma), arrays of them, the slice of _NODES
+    inside its support: the one rule for which nodes a support covers. At
+    an 8-sigma end that falls between nodes, the sliver left out carries
+    phi below e^-32 of its peak."""
     lo, hi = _support(mu, sigma)
-    begin = np.searchsorted(u, np.log(lo)).tolist()
-    end = np.searchsorted(u, np.log(hi), "right").tolist()
-    for m, s, a, b in zip(mu.tolist(), sigma.tolist(), begin, end):
-        yield slice(a, b), (n0 / (math.sqrt(2 * math.pi) * s)
-                            * np.exp(-0.5 * ((u[a:b] - m) / s) ** 2))
+    begin = np.searchsorted(_NODES, np.log(lo)).tolist()
+    end = np.searchsorted(_NODES, np.log(hi), "right").tolist()
+    return [slice(a, b) for a, b in zip(begin, end)]
+
+
+def _size_weights(mu: np.ndarray, sigma: np.ndarray, n0: float):
+    """For each log-normal (mu, sigma), arrays of them, its slice of _NODES
+    and n0 * phi(u) on it: in u = ln r the log-normal density is the normal
+    density phi."""
+    for part, m, s in zip(_node_slices(mu, sigma), mu.tolist(), sigma.tolist()):
+        yield part, (n0 / (math.sqrt(2 * math.pi) * s)
+                     * np.exp(-0.5 * ((_NODES[part] - m) / s) ** 2))
 
 
 def _k_dust(weights: np.ndarray, kernel: np.ndarray) -> float:
@@ -171,51 +182,33 @@ def _check_units(units_mode: str) -> None:
         raise ConfigError(f"unknown units mode {units_mode!r}")
 
 
-def _q_blocks(keys: list, first: int, r_m: np.ndarray, kernel):
-    """Yield (columns, Q_ext) blocks on the lattice nodes r_m (m) from index
-    first, for the columns' kernel keys, then keep their runs in _tables.
+def _q_blocks(keys: list, nodes: slice, kernel):
+    """Yield (columns, Q_ext) blocks at the lattice nodes `nodes`, a slice
+    of _NODES, for the columns' kernel keys, at most _TABLE_SIZES sizes a
+    block.
 
-    A key whose run meets the lattice reuses it, and kernel(radius, columns)
-    computes only the nodes it lacks at either end. Other keys go to the
-    kernel in (nodes, columns) batches of at most _TABLE_SIZES sizes. Only
-    the last columns that fit in _STORED_NODES are kept, so that no copy is
-    held through the batches before them."""
-    last, step = first + len(r_m) - 1, max(1, _TABLE_SIZES // len(r_m))
-    with _tables_lock:
-        runs = {c: _tables[key] for c, key in enumerate(keys) if key in _tables}
-    runs = {c: (j, q) for c, (j, q) in runs.items() if j <= last and j + q.size > first}
-    spans = [(first, last)] * len(keys)
-    for c, (j, q) in runs.items():
-        spans[c] = min(first, j), max(last, j + q.size - 1)
-    keep = np.cumsum([b - a + 1 for a, b in spans][::-1])[::-1] <= _STORED_NODES
-    stored = {}
-    fresh = [c for c in range(len(keys)) if c not in runs]
-    for s in range(0, len(fresh), step):
-        q = kernel(r_m, fresh[s:s + step])
-        # a copy only where the block has other columns to let go of
-        stored.update((c, (first, np.ascontiguousarray(q[:, i])))
-                      for i, c in enumerate(fresh[s:s + step]) if keep[c])
-        yield fresh[s:s + step], q
-    warm = list(runs)
-    for s in range(0, len(warm), step):
-        tables = []
-        for c in warm[s:s + step]:
-            j, q = runs[c]
-            low, high = max(j - first, 0), j + q.size - first
-            if low or high < len(r_m):
-                ends = kernel(np.concatenate((r_m[:low, 0], r_m[high:, 0])), [c])
-                q = np.concatenate((ends[:low], q, ends[low:]))
-            stored[c] = spans[c][0], q
-            tables.append(q[max(first - j, 0):][:len(r_m)])
-        yield warm[s:s + step], np.stack(tables, axis=1)
-    with _tables_lock:
-        for c, key in enumerate(keys):
-            if keep[c] and c in stored:
-                _tables[key] = stored[c]
-            if key in _tables:
+    A block copies what _tables keeps of its keys and computes every node
+    they lack in one kernel(radii, columns) call, a column index per
+    radius. Then it keeps the copies, so a block that raises keeps
+    nothing, and drops the least recently used keys beyond _STORED_TABLES."""
+    step = max(1, _TABLE_SIZES // (nodes.stop - nodes.start))
+    for s in range(0, len(keys), step):
+        block = keys[s:s + step]
+        with _tables_lock:
+            kept = [_tables[key].copy() if key in _tables
+                    else np.full(_NODES.size, np.nan) for key in block]
+        q = np.stack([table[nodes] for table in kept], axis=1)
+        rows, columns = np.nonzero(np.isnan(q))
+        if rows.size:
+            q[rows, columns] = kernel(_RADII_M[nodes][rows], s + columns)
+        with _tables_lock:
+            for key, table, column in zip(block, kept, q.T):
+                table[nodes] = column
+                _tables[key] = table
                 _tables.move_to_end(key)
-        while sum(q.size for _, q in _tables.values()) > _STORED_NODES:
-            _tables.popitem(last=False)
+            while len(_tables) > _STORED_TABLES:
+                _tables.popitem(last=False)
+        yield slice(s, s + len(block)), q
 
 
 def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
@@ -224,11 +217,11 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     """k_dust in dB/km, a (units modes, electron counts, frequencies,
     heights) array at temperature T (K) and refractive index m.
 
-    One lattice covers the supports at every altitude, and one Q_ext table
-    on it serves every units mode. The table's columns are its (count,
-    frequency) pairs; `_q_blocks` reuses what _tables keeps of each and
-    runs the kernel on the rest. Each altitude's weights are formed once per
-    block and summed against every (units mode, column) of it.
+    One slice of the lattice covers the supports at every altitude, and
+    one Q_ext table on it serves every units mode. The table's columns are
+    its (count, frequency) pairs; `_q_blocks` reuses what _tables keeps of
+    each and runs the kernel on the rest. Each altitude's weights, formed
+    once per block, are summed against each (units mode, column) of it.
     """
     for units_mode in units_modes:
         _check_units(units_mode)
@@ -245,8 +238,8 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     if layer.n0 == 0 or not k.size:
         return k
     mu, sigma = lognormal_params(heights)
-    lo, hi = _support(mu, sigma)
-    first, u = _lattice(lo, hi)
+    parts = _node_slices(mu, sigma)
+    nodes = slice(min(part.start for part in parts), max(part.stop for part in parts))
     ne_column = np.repeat(electrons, frequencies.size)
     f_column = np.tile(frequencies, electrons.size)
     k_column = k.reshape(len(units_modes), f_column.size, len(heights))
@@ -258,12 +251,13 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
                                            ne_column[columns], temperature, m,
                                            mode=ge_mode)
 
-    r_m = np.exp(u)[:, None] * 1e-3
-    for columns, q in _q_blocks(keys, first, r_m, kernel):
+    r_m = _RADII_M[nodes, None]
+    for columns, q in _q_blocks(keys, nodes, kernel):
         # one row per (units mode, column) of the block
         rows = np.concatenate([_per_particle(r_m, q, units_mode)
                                for units_mode in units_modes], axis=1).T
-        for i, (part, w) in enumerate(_size_weights(u, mu, sigma, layer.n0)):
+        for i, (part, w) in enumerate(_size_weights(mu, sigma, layer.n0)):
+            part = slice(part.start - nodes.start, part.stop - nodes.start)
             k_column[:, columns, i] = np.reshape(
                 [_k_dust(w, row[part]) for row in rows], (len(units_modes), -1))
     return k
@@ -287,10 +281,10 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     and each altitude weights its own slice of that lattice once.
 
     That table depends only on (f, Ne, T, m, ge_mode), never on h,
-    units_mode or n0, so the process keeps the last ones built, up to 2^15
-    lattice nodes (256 KB) in all, and a later call with the same key
-    computes only the nodes they lack. The result is bit-identical either
-    way. This pays when one process repeats a carrier and charge; a single
+    units_mode or n0, so the process keeps the last 12 keys' Q_ext, one
+    array over the whole lattice each (256 KB in all), and a later call
+    with the same key computes only the nodes it lacks. The result is
+    bit-identical either way. This pays when one process repeats a carrier and charge; a single
     CLI run builds one table and gains nothing.
 
     units_mode="physical" (default) integrates the cross-section C_ext in

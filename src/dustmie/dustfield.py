@@ -22,6 +22,7 @@ _MU_COEFF = (-2.061, 0.00159)     # mu_d(h) = a * exp(b h), h in m
 _SIGMA_COEFF = (0.323, 0.00476)   # sigma_d(h) = a * exp(b h)
 _EXTRAPOLATION_LIMIT = 1000.0     # m; warn above this
 _SUPPORT_SIGMAS = 8.0
+MIN_RADIUS_MM = _MIN_RADIUS / 1e-3   # mm
 MAX_RADIUS_MM = _MAX_RADIUS / 1e-3   # mm; 10.0 exactly
 
 
@@ -33,7 +34,7 @@ def lognormal_params(h):
         raise DomainError(f"altitude must be non-negative, got {h[~(h >= 0)][0]}")
     if np.any(h > _EXTRAPOLATION_LIMIT):
         warnings.warn(
-            f"size-spectrum fit extrapolated to h={h.max()} m, far above the "
+            f"size-spectrum fit extrapolated to h={h.max():g} m, far above the "
             "measured range (~200 m)",
             stacklevel=2,
         )
@@ -41,7 +42,7 @@ def lognormal_params(h):
         mu = _MU_COEFF[0] * np.exp(_MU_COEFF[1] * h)
         sigma = _SIGMA_COEFF[0] * np.exp(_SIGMA_COEFF[1] * h)
     if not np.isfinite(sigma).all():      # sigma grows the faster of the two
-        raise DomainError(f"size-spectrum fit overflows at h={h.max()} m")
+        raise DomainError(f"size-spectrum fit overflows at h={h.max():g} m")
     return (float(mu), float(sigma)) if h.ndim == 0 else (mu, sigma)
 
 
@@ -71,7 +72,7 @@ def number_density(r: float, h: float, n0: float) -> float:
 
 def _support(mu, sigma):
     """`size_support` of the log-normal (mu, sigma), as arrays like them."""
-    lo = np.maximum(np.exp(mu - _SUPPORT_SIGMAS * sigma), _MIN_RADIUS / 1e-3)
+    lo = np.maximum(np.exp(mu - _SUPPORT_SIGMAS * sigma), MIN_RADIUS_MM)
     top = np.minimum(mu + _SUPPORT_SIGMAS * sigma, math.log(MAX_RADIUS_MM))
     return lo, np.minimum(np.exp(top), MAX_RADIUS_MM)
 

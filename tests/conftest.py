@@ -1,3 +1,4 @@
+import contextlib
 from collections import OrderedDict
 
 import pytest
@@ -28,3 +29,26 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(dustmie.channel, "extinction_efficiency_array", counted)
     return calls
+
+
+@pytest.fixture
+def fine_lattice(kernel_tables):
+    """fine_lattice(step), a context in which `channel` sums on the lattice
+    of ln r step `step`, built by the module's own builder. The store of
+    kept tables is emptied on entry and on exit, since a kept array covers
+    one lattice's nodes."""
+    channel = dustmie.channel
+
+    @contextlib.contextmanager
+    def lattice(step):
+        with pytest.MonkeyPatch.context() as patch:
+            nodes, radii = channel._build_lattice(step)
+            patch.setattr(channel, "_LN_R_STEP", step)
+            patch.setattr(channel, "_NODES", nodes)
+            patch.setattr(channel, "_RADII_M", radii)
+            kernel_tables.clear()
+            try:
+                yield
+            finally:
+                kernel_tables.clear()
+    return lattice

@@ -32,6 +32,15 @@ M_DEFAULT = 2.0 - 0.025j
 PARTICLE = ParticleState(20e-6, 0, 300.0, M_DEFAULT)
 
 
+def support_nodes(heights):
+    """The number of lattice nodes a table for these altitudes spans: the
+    union of the slices their weights cover."""
+    import dustmie.channel as channel
+    parts = [part for part, _ in channel._size_weights(
+        *lognormal_params(np.array(heights)), 1.0)]
+    return max(part.stop for part in parts) - min(part.start for part in parts)
+
+
 def trapezoid_k_dust(h, w, layer, particle, points=100001):
     """Brute-force fixed-grid trapezoid oracle for the size integral, linear
     in r; the density and the extinction of the whole grid are one batch
@@ -157,19 +166,28 @@ class TestDustAttenuationCoefficient:
     # and 2.1e-9 (1.6+0.05j). Weaker absorption sharpens the Mie ripple past
     # the step: 1.5+0.001j misses by 2e-5 at 1 THz
     @pytest.mark.parametrize("m", [M_DEFAULT, 1.6 + 0.05j])
-    def test_lattice_within_1e_8_of_a_finer_one(self, m, monkeypatch, kernel_tables):
+    def test_lattice_within_1e_8_of_a_finer_one(self, m, fine_lattice):
         import dustmie.channel as channel
         heights, layer = np.array([100.0, 150.0, 200.0]), DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 0, 300.0, m)
         for f in (0.1e12, 1e12, 3e12):
             w = WaveSpec.from_frequency(f)
             k = dust_attenuation_coefficient(heights, w, layer, particle)
-            with monkeypatch.context() as patch:
-                patch.setattr(channel, "_LN_R_STEP", channel._LN_R_STEP / 4)
-                kernel_tables.clear()      # a kept table holds 0.006 nodes
+            with fine_lattice(channel._LN_R_STEP / 4):
                 fine = dust_attenuation_coefficient(heights, w, layer, particle)
-            kernel_tables.clear()
             assert np.all(np.abs(k - fine) < 1e-8 * fine)
+
+    def test_finer_lattice_nests_the_lattice(self, fine_lattice):
+        # every fourth node of the 0.0015 lattice, counted down from the
+        # cap, is a 0.006 node bit for bit, radius included: the 1e-8 claim
+        # compares two sums over shared nodes
+        import dustmie.channel as channel
+        nodes, radii = channel._NODES, channel._RADII_M
+        with fine_lattice(channel._LN_R_STEP / 4):
+            start = (channel._NODES.size - 1) % 4
+            assert channel._NODES[start::4].tobytes() == nodes.tobytes()
+            assert channel._RADII_M[start::4].tobytes() == radii.tobytes()
+            assert channel._RADII_M[0] >= 1e-9 > channel._RADII_M[0] * math.exp(-0.0015)
 
     # Weakly absorbing indices lie outside that domain: their sharper Mie
     # ripple leaves the 0.006 lattice far more than 1e-8 from the nested
@@ -180,15 +198,13 @@ class TestDustAttenuationCoefficient:
         (1.5 + 0.001j, 1e12, 2.0e-5), (1.5 + 0.001j, 10e12, 9.1e-5),
         (1.33, 3e12, 5.8e-5), (3 + 0.001j, 0.3e12, 7.1e-4),
         (1.5 + 0.01j, 1e12, 5.0e-8)])
-    def test_lattice_error_at_weak_absorption(self, m, f, level, monkeypatch,
-                                              kernel_tables):
+    def test_lattice_error_at_weak_absorption(self, m, f, level, fine_lattice):
         import dustmie.channel as channel
         w, layer = WaveSpec.from_frequency(f), DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 0, 300.0, m)
         k = dust_attenuation_coefficient(150.0, w, layer, particle)
-        monkeypatch.setattr(channel, "_LN_R_STEP", channel._LN_R_STEP / 4)
-        kernel_tables.clear()              # a kept table holds 0.006 nodes
-        fine = dust_attenuation_coefficient(150.0, w, layer, particle)
+        with fine_lattice(channel._LN_R_STEP / 4):
+            fine = dust_attenuation_coefficient(150.0, w, layer, particle)
         assert abs(k - fine) / fine == pytest.approx(level, rel=0.05)
 
     def test_known_adaptive_miss(self):
@@ -256,13 +272,13 @@ class TestDustAttenuationCoefficient:
         import dustmie.channel as channel
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
-        nodes = channel._lattice(*size_support(150.0))[1].size
+        nodes = support_nodes([150.0])
         monkeypatch.setattr(channel, "_TABLE_SIZES", 2 * nodes)
         calls = []
         kernel = channel.extinction_efficiency_array
 
         def counted(radius, frequency, *args, **kwargs):
-            calls.append(np.size(frequency))
+            calls.append(np.size(frequency) / nodes)     # columns
             return kernel(radius, frequency, *args, **kwargs)
 
         monkeypatch.setattr(channel, "extinction_efficiency_array", counted)
@@ -285,13 +301,13 @@ class TestDustAttenuationCoefficient:
         import dustmie.channel as channel
         layer = DustLayerModel(n0=1e3)
         heights = [100.0, 150.0, 200.0]
-        nodes = channel._lattice(*size_support(np.array(heights)))[1].size
+        nodes = support_nodes(heights)
         monkeypatch.setattr(channel, "_TABLE_SIZES", 4 * nodes)
         calls = []
         kernel = channel.extinction_efficiency_array
 
         def counted(radius, frequency, *args, **kwargs):
-            calls.append(np.size(frequency))
+            calls.append(np.size(frequency) / nodes)     # columns
             return kernel(radius, frequency, *args, **kwargs)
 
         monkeypatch.setattr(channel, "extinction_efficiency_array", counted)
@@ -330,6 +346,8 @@ class TestRadiusDomain:
     [1 nm, 10 mm]: the lattice stops at 1 nm, whatever the altitude."""
 
     def test_table_nodes_capped(self, monkeypatch, kernel_tables):
+        # a cold table for one altitude runs the kernel on exactly the nodes
+        # that altitude weights, none of them below 1 nm
         import dustmie.channel as channel
         radii = []
         kernel = channel.extinction_efficiency_array
@@ -340,16 +358,22 @@ class TestRadiusDomain:
 
         monkeypatch.setattr(channel, "extinction_efficiency_array", spy)
         w = WaveSpec.from_frequency(300e9)
-        for h in (300.0, 800.0, 10000.0):
-            kernel_tables.clear()
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "size-spectrum fit extrapolated")
+        heights = [100.0, 150.0, 200.0, 300.0, 800.0, 10000.0]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "size-spectrum fit extrapolated")
+            for h in heights:
+                kernel_tables.clear()
                 k = dust_attenuation_coefficient(h, w, DustLayerModel(n0=1e3), PARTICLE)
-            assert math.isfinite(k) and k >= 0
-        assert [r.size for r in radii] == [2688] * 3
-        for r in radii:
-            # the first node lies at most one step below 1 nm
-            assert 1e-9 * math.exp(-0.006) < r.min() <= 1e-9
+                assert math.isfinite(k) and k >= 0
+            mu, sigma = lognormal_params(np.array(heights))
+        parts = [part for part, _ in channel._size_weights(mu, sigma, 1.0)]
+        for r, part in zip(radii, parts, strict=True):
+            assert np.array_equal(r, channel._RADII_M[part])
+            assert r.min() >= 1e-9
+        assert [r.size for r in radii] == [1386, 1700, 1972] + [2687] * 3
+        for r in radii[3:]:
+            # the first node lies at most one step above 1 nm
+            assert 1e-9 <= r.min() < 1e-9 * math.exp(0.006)
             assert r.max() == pytest.approx(1e-2, rel=1e-15)
 
     # |clamped - unclamped| / unclamped, the levels measured at 0.3 and
@@ -377,8 +401,7 @@ def one_table_slant_loss(g, w, layer, particle, rel_tol):
     every altitude summed over one kernel table built for the whole path."""
     import dustmie.channel as channel
     sin_theta = math.sin(g.theta)
-    _, u = channel._lattice(*size_support(np.array([g.h0, g.h0 + g.d * sin_theta])))
-    r_m = np.exp(u)[:, None] * 1e-3
+    r_m = channel._RADII_M[:, None]
     q = extinction_efficiency_array(r_m, [w.frequency], particle.electrons,
                                     particle.temperature, particle.refractive_index)
     kernel = channel._per_particle(r_m, q, "physical")[:, 0]
@@ -386,7 +409,7 @@ def one_table_slant_loss(g, w, layer, particle, rel_tol):
     def per_m(s):
         mu, sigma = lognormal_params(g.h0 + s * sin_theta)
         return np.array([channel._k_dust(weights, kernel[part]) for part, weights
-                         in channel._size_weights(u, mu, sigma, layer.n0)]) / 1000.0
+                         in channel._size_weights(mu, sigma, layer.n0)]) / 1000.0
     return level_simpson(per_m, 0.0, g.d, rel_tol=rel_tol)
 
 
@@ -521,9 +544,11 @@ class TestKeptTables:
 
     @pytest.mark.parametrize("f,ne", [(0.3e12, 0), (1e12, 1000), (3e12, 10**6)])
     def test_warm_equals_cold_k_dust(self, kernel_tables, f, ne):
-        # 120 m first, then a lower altitude, whose lattice lies inside the
-        # kept run, then a higher one, whose lattice extends it at both
-        # ends (below the radius cap, the top node rises with h)
+        # 120 m first, then a lower altitude, whose support lies inside the
+        # kept run (the finite span of the kept array), then a higher one,
+        # whose support extends it at both ends (below the radius cap, the
+        # top node rises with h)
+        import dustmie.channel as channel
         w, particle = WaveSpec.from_frequency(f), self.particle(ne)
         heights = [120.0, 100.0, 140.0, 250.0]
         cold = []
@@ -534,11 +559,13 @@ class TestKeptTables:
         runs = []
         for h, k in zip(heights, cold):
             assert dust_attenuation_coefficient(h, w, self.LAYER, particle) == k
-            (first, q), = kernel_tables.values()
-            runs.append((first, first + q.size - 1))
+            q, = kernel_tables.values()
+            finite = np.flatnonzero(~np.isnan(q))
+            runs.append((finite[0], finite[-1]))
+            assert finite.size == finite[-1] - finite[0] + 1
         assert runs[1] == runs[0]
         assert runs[2][0] < runs[0][0] and runs[2][1] > runs[0][1]
-        assert runs[3][0] < runs[2][0] and runs[3][1] == 0
+        assert runs[3][0] < runs[2][0] and runs[3][1] == channel._NODES.size - 1
         # an altitude array against a store warmed in reverse order
         kernel_tables.clear()
         for h in heights[::-1]:
@@ -585,7 +612,7 @@ class TestKeptTables:
         assert len(kernel_calls) == 1
 
     def test_threads_share_the_store(self, monkeypatch):
-        # 4 threads, 8 keys and a store that holds one path's lattice, so
+        # 4 threads, 8 keys and a store that holds one key, so
         # that each call evicts the keys others are reading; the store
         # sleeps between finding a key and reading or moving it
         from concurrent.futures import ThreadPoolExecutor
@@ -602,7 +629,7 @@ class TestKeptTables:
 
         store = SlowStore()
         monkeypatch.setattr(channel, "_tables", store)
-        monkeypatch.setattr(channel, "_STORED_NODES", 2000)
+        monkeypatch.setattr(channel, "_STORED_TABLES", 1)
         jobs = [(g, f, ne) for f in (0.3e12, 0.5e12, 1e12, 2e12) for ne in (0, 1000)
                 for g in (LinkGeometry(h0=110.0, theta=0.2, d=60.0, d0=10.0),
                           LinkGeometry(h0=100.0, theta=0.3, d=90.0, d0=10.0))]
@@ -619,14 +646,14 @@ class TestKeptTables:
         store.clear()
         with ThreadPoolExecutor(max_workers=4) as pool:
             assert list(pool.map(loss, jobs * 3)) == cold * 3
-        assert 0 < sum(q.size for _, q in store.values()) <= 2000
+        assert len(store) == 1
 
     def test_failed_call_keeps_nothing(self, kernel_tables):
         # the library form of the CLI's exit-3 path loss: an index whose
         # square overflows a float
         w = WaveSpec.from_frequency(300e9)
         dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(10))
-        before = [(key, first, q.copy()) for key, (first, q) in kernel_tables.items()]
+        before = [(key, q.copy()) for key, q in kernel_tables.items()]
         g = LinkGeometry(h0=100.0, theta=math.pi / 2, d=100.0, d0=10.0,
                          n_i=2.0, sigma_i=3.0)
         with pytest.raises(RecurrenceOverflowError):
@@ -636,21 +663,37 @@ class TestKeptTables:
             dust_attenuation_coefficient(120.0, w, self.LAYER, self.particle(10),
                                          ge_mode="bogus")
         after = list(kernel_tables.items())
-        assert [key for key, _ in after] == [key for key, _, _ in before]
-        for (_, (first, q)), (_, first_before, q_before) in zip(after, before):
-            assert first == first_before and np.array_equal(q, q_before)
+        assert [key for key, _ in after] == [key for key, _ in before]
+        for (_, q), (_, q_before) in zip(after, before):
+            assert np.array_equal(q, q_before, equal_nan=True)
 
     def test_many_columns_stay_within_the_bound(self, kernel_tables):
-        # 60 frequency columns of a 1,701-node lattice: 102k nodes, of which
-        # only the last columns that fit are kept
+        # 60 frequency columns of a 1,700-node support, in blocks of 19:
+        # only the last _STORED_TABLES columns are kept
         import dustmie.channel as channel
         freqs = np.geomspace(1e11, 3e11, 60)
         channel._k_dust_grid([150.0], freqs, [0], self.LAYER, 300.0, M_DEFAULT,
                              ("physical",), "full")
-        nodes = [q.size for _, q in kernel_tables.values()]
-        assert sum(nodes) <= channel._STORED_NODES
-        assert len(nodes) == channel._STORED_NODES // nodes[0]
-        assert [key[0] for key in kernel_tables] == freqs[-len(nodes):].tolist()
+        assert sum(q.nbytes for q in kernel_tables.values()) <= 2**15 * 8
+        assert [key[0] for key in kernel_tables] == (
+            freqs[-channel._STORED_TABLES:].tolist())
+
+    def test_partly_kept_columns_make_one_call(self, kernel_tables, kernel_calls):
+        # five frequencies at 150 m after one of them ran at 100 m, whose
+        # kept run lies inside the 150 m support: the nodes the other four
+        # lack and the ends the fifth lacks are one kernel call
+        import dustmie.channel as channel
+        freqs = np.geomspace(1e11, 3e12, 5)
+
+        def k_dust(heights, freqs):
+            return channel._k_dust_grid(heights, freqs, [1000], self.LAYER, 300.0,
+                                        M_DEFAULT, ("physical", "paper"), "full")
+        cold = k_dust([150.0], freqs)
+        kernel_tables.clear()
+        k_dust([100.0], freqs[2:3])
+        kernel_calls.clear()
+        assert k_dust([150.0], freqs).tolist() == cold.tolist()
+        assert len(kernel_calls) == 1
 
 
 class TestAltitudeProfile:

@@ -167,7 +167,7 @@ class TestSpectrum:
         code = run(["spectrum", "--count", "3", "--heights", "1100,1200"])
         assert code == 0
         assert capsys.readouterr().err.splitlines() == [
-            "dustmie: warning: size-spectrum fit extrapolated to h=1200.0 m, "
+            "dustmie: warning: size-spectrum fit extrapolated to h=1200 m, "
             "far above the measured range (~200 m)"]
 
 
@@ -275,7 +275,7 @@ class TestPathloss:
         dust = rows[0][names.index("dust_loss")]
         assert np.isfinite(rows[0]).all() and 0 <= dust
         assert captured.err.startswith(
-            "dustmie: warning: size-spectrum fit extrapolated to h=10998")
+            "dustmie: warning: size-spectrum fit extrapolated to h=10998 m, ")
 
     def test_units_both_is_attenuation_only(self, capsys):
         code = run([*self.ARGS, "--units", "both"])
@@ -606,7 +606,7 @@ def test_warning_line_and_numpy_warnings(capsys, monkeypatch):
         assert run(argv) == 0
     assert capsys.readouterr().err.splitlines() == [
         "dustmie: warning: overflow encountered in multiply",
-        "dustmie: warning: size-spectrum fit extrapolated to h=1200.0 m, "
+        "dustmie: warning: size-spectrum fit extrapolated to h=1200 m, "
         "far above the measured range (~200 m)"]
 
 
