@@ -19,44 +19,90 @@ from .mie import (ParticleState, WaveSpec, _electron_count, _normalize_m,
 
 NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 
-# The size integral is a trapezoid sum in ln r on one fixed lattice, _NODES:
-# every u_j = ln(MAX_RADIUS_MM) + j * _LN_R_STEP (j <= 0) inside the kernel's
-# radius domain [1e-6, 10] mm, lowest first, 2,687 nodes. The radius cap is a
-# node and each altitude weights the nodes inside its own support, so a
-# kernel table built for one altitude serves any other. In ln r
-# the log-normal weight is a Gaussian, for which the trapezoid rule converges
-# fast where Q_ext is smooth on the lattice's scale. A step of 0.006 keeps
-# k_dust within 1e-8 of the nested 0.0015 lattice for 2-0.025j and
-# 1.6+0.05j at 100-200 m from 0.1 to 3 THz (tests/test_channel.py), and one
-# of 0.012 only within 5e-6. That is the domain of the claim: the sharper
-# Mie ripple of a weakly absorbing sphere misses by more, 2e-5 for
-# 1.5+0.001j at 1 THz, 7.4e-5 for 1.33 at 3 THz, 7e-4 for 3+0.001j at
-# 0.3 THz; and above about 220 m the cap's end error grows (3.3e-7 at 300 m).
-_LN_R_STEP = 0.006
+# The size integral is a trapezoid sum on one lattice per kernel key's
+# (f, m): v uniform at step _V_STEP, mapped to u = ln r (r in mm) by
+#   U(v) = v - (K1 - 1) w softplus((u1 - v) / w) + (K2 - 1) w softplus((v - u2) / w),
+# with v anchored so that the top node is the radius cap, and every node
+# inside the kernel's radius domain [1e-6, 10] mm. Each node weighs
+# phi(U(v)) U'(v). The step in u is K1 times _V_STEP below u1, where x < 0.5
+# (Rayleigh: Q_ext is a smooth power law), K2 times above u2, where
+# Im(m) x > 7 (absorption damps the Mie ripple like exp(-4 Im(m) x)), and
+# _V_STEP between them. The trapezoid rule keeps its fast convergence under
+# a smooth map (Trefethen & Weideman 2014, SIAM Rev. 56, 385), and a smooth
+# map has no junction to correct. Where an altitude's support reaches the
+# cap, Gregory's end correction -h (grad g/12 + grad^2 g/24 +
+# 19 grad^3 g/720) on the last four values of g(v) = phi U' C_ext replaces
+# the trapezoid's O(h^2) end error. Against a converged reference
+# (tests/test_channel.py), k_dust is within 1e-8 for 2-0.025j and 1.6+0.05j
+# at 100-200 m from 0.1 to 3 THz, at any charge and in both units modes,
+# and for 2-0.025j within 1e-8 at 300 m and 3e-8 at 600 m at 0.3, 1 and
+# 3 THz. The constants are the best of those tried on that grid (README).
+# A weakly absorbing sphere's sharper Mie ripple misses by more: 1.3e-5
+# for 1.5+0.001j at 1 THz.
+_V_STEP = 0.006
+_SMALL_X, _SMALL_X_STEPS = 0.5, 6        # x1 and K1
+_DAMPED_X, _DAMPED_STEPS = 7.0, 3        # x2 (of Im(m) x) and K2
+_MAP_WIDTH = 0.4                         # w, in ln r
 _LN_R_TOP = math.log(MAX_RADIUS_MM)
+_LN_R_FLOOR = math.log(MIN_RADIUS_MM)
+# ln of r in mm per unit of x f: r = x c / (2 pi f)
+_LN_MM_PER_X_HZ = math.log(CONSTANTS.c * 1e3 / (2 * math.pi))
+# Gregory's end weights (trapezoid plus correction), on the last four nodes
+# of a sum that ends at the cap, lowest first
+_CAP_WEIGHTS = np.array([739.0, 633.0, 897.0, 251.0]) / 720
 
 
-def _build_lattice(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice nodes u = ln r (r in mm) of ln r step `step`, from the
-    first at or above MIN_RADIUS_MM up to the radius cap, and their radii
-    in m."""
-    count = math.floor((_LN_R_TOP - math.log(MIN_RADIUS_MM)) / step)
-    u = _LN_R_TOP + step * np.arange(-count, 1)
-    return u, np.exp(u) * 1e-3
+def _ln_r_map(v, u1: float, u2: float):
+    """U(v) and U'(v): u = ln r at lattice coordinate v (floats or arrays)."""
+    a, b = (u1 - v) / _MAP_WIDTH, (v - u2) / _MAP_WIDTH
+    u = (v - (_SMALL_X_STEPS - 1) * _MAP_WIDTH * np.logaddexp(0.0, a)
+         + (_DAMPED_STEPS - 1) * _MAP_WIDTH * np.logaddexp(0.0, b))
+    du = (1 + (_SMALL_X_STEPS - 1) / 2 * (1 + np.tanh(a / 2))
+          + (_DAMPED_STEPS - 1) / 2 * (1 + np.tanh(b / 2)))
+    return u, du
 
 
-_NODES, _RADII_M = _build_lattice(_LN_R_STEP)
+def _map_inverse(u: float, u1: float, u2: float) -> float:
+    """The v with U(v) = u: Newton's method, as U is smooth and increasing
+    with U' >= 1."""
+    v = u
+    for _ in range(50):
+        u_v, du = _ln_r_map(v, u1, u2)
+        shift = (u_v - u) / du
+        v -= shift
+        if abs(shift) < 1e-13:
+            break
+    return float(v)
+
+
+def _lattice(f: float, m: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The size lattice of frequency f (Hz) and index m: its nodes u = ln r
+    (r in mm) from the first at or above MIN_RADIUS_MM up to the radius cap,
+    their radii in m, and their trapezoid steps du = _V_STEP U'(v)."""
+    ln_scale = _LN_MM_PER_X_HZ - math.log(f)
+    u1 = math.log(_SMALL_X) + ln_scale
+    u2 = math.log(_DAMPED_X) - math.log(m.imag) + ln_scale if m.imag else math.inf
+    v_top = _map_inverse(_LN_R_TOP, u1, u2)
+    count = math.floor((v_top - _map_inverse(_LN_R_FLOOR, u1, u2)) / _V_STEP) + 1
+    u, du = _ln_r_map(v_top + _V_STEP * np.arange(-count, 1), u1, u2)
+    keep = u >= _LN_R_FLOOR
+    u, du = u[keep], du[keep] * _V_STEP
+    u[-1] = _LN_R_TOP
+    return u, np.exp(u) * 1e-3, du
+
+
 # Sizes (lattice nodes x frequencies) of one kernel call when a table spans
-# many frequencies: 19 frequencies of a 1,700-node support near 3 THz trace
-# a 5.0 MB peak, and a 400-frequency table in such slices 5.3 MB.
+# many frequencies: 27 frequencies of a 1,200-node support near 3 THz trace
+# a 24 MB peak, and a 400-frequency table at 150 m in such slices 32 MB.
 _TABLE_SIZES = 2**15
 # Q_ext kept from call to call, least recently used first: per kernel key
-# (f, Ne, T, m, g_e mode), one array over _NODES, NaN where a node is not yet
-# computed. A size's Q_ext does not depend on the batch that computes it, so
-# a kept value serves any later support. At most _STORED_TABLES keys (256 KB).
+# (f, Ne, T, m, g_e mode), one array over the key's lattice, NaN where a node
+# is not yet computed. A size's Q_ext does not depend on the batch that
+# computes it, so a kept value serves any later support. The arrays hold at
+# most _STORED_BYTES (256 KB) in all, the oldest dropped first.
 # Calls from several threads read and write it under _tables_lock, which is
 # not held while the kernel runs; a kept array is replaced, never written.
-_STORED_TABLES = 2**15 // _NODES.size
+_STORED_BYTES = 2**18
 _tables: OrderedDict = OrderedDict()
 _tables_lock = threading.Lock()
 
@@ -150,31 +196,38 @@ def _per_particle(r_m: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray
     return q * math.pi * r_m**2
 
 
-def _node_slices(mu, sigma) -> list[slice]:
-    """For each log-normal (mu, sigma), arrays of them, the slice of _NODES
-    inside its support: the one rule for which nodes a support covers. At
-    an 8-sigma end that falls between nodes, the sliver left out carries
-    phi below e^-32 of its peak."""
+def _node_slices(u: np.ndarray, mu, sigma) -> list[slice]:
+    """For each log-normal (mu, sigma), arrays of them, the slice of the
+    lattice nodes u inside its support: the one rule for which nodes a
+    support covers. At an 8-sigma end that falls between nodes, the sliver
+    left out carries phi below e^-32 of its peak."""
     lo, hi = _support(mu, sigma)
-    begin = np.searchsorted(_NODES, np.log(lo)).tolist()
-    end = np.searchsorted(_NODES, np.log(hi), "right").tolist()
+    begin = np.searchsorted(u, np.log(lo)).tolist()
+    end = np.searchsorted(u, np.log(hi), "right").tolist()
     return [slice(a, b) for a, b in zip(begin, end)]
 
 
-def _size_weights(mu: np.ndarray, sigma: np.ndarray, n0: float):
-    """For each log-normal (mu, sigma), arrays of them, its slice of _NODES
-    and n0 * phi(u) on it: in u = ln r the log-normal density is the normal
-    density phi."""
-    for part, m, s in zip(_node_slices(mu, sigma), mu.tolist(), sigma.tolist()):
-        yield part, (n0 / (math.sqrt(2 * math.pi) * s)
-                     * np.exp(-0.5 * ((_NODES[part] - m) / s) ** 2))
+def _size_weights(lattice, mu: np.ndarray, sigma: np.ndarray, n0: float):
+    """For each log-normal (mu, sigma), arrays of them, its slice of the
+    lattice (u, r, du) and the quadrature weights on it: n0 phi(u) du, with
+    in u = ln r the log-normal density the normal density phi, halved at
+    the slice's ends, or Gregory's at an end on the cap."""
+    u, _, du = lattice
+    for part, m, s in zip(_node_slices(u, mu, sigma), mu.tolist(), sigma.tolist()):
+        w = (n0 / (math.sqrt(2 * math.pi) * s)
+             * np.exp(-0.5 * ((u[part] - m) / s) ** 2) * du[part])
+        w[0] /= 2
+        if part.stop == u.size:
+            w[-4:] *= _CAP_WEIGHTS
+        else:
+            w[-1] /= 2
+        yield part, w
 
 
 def _k_dust(weights: np.ndarray, kernel: np.ndarray) -> float:
-    """k_dust in dB/km: the trapezoid sum of an altitude's weights against
-    the kernel at the same nodes."""
-    f = weights * kernel
-    return NP_PER_M_TO_DB_PER_KM * _LN_R_STEP * float(f.sum() - (f[0] + f[-1]) / 2)
+    """k_dust in dB/km: an altitude's weights summed against the kernel at
+    the same nodes."""
+    return NP_PER_M_TO_DB_PER_KM * float((weights * kernel).sum())
 
 
 def _check_units(units_mode: str) -> None:
@@ -182,33 +235,45 @@ def _check_units(units_mode: str) -> None:
         raise ConfigError(f"unknown units mode {units_mode!r}")
 
 
-def _q_blocks(keys: list, nodes: slice, kernel):
-    """Yield (columns, Q_ext) blocks at the lattice nodes `nodes`, a slice
-    of _NODES, for the columns' kernel keys, at most _TABLE_SIZES sizes a
-    block.
+def _q_blocks(keys: list, columns: list, kernel):
+    """Yield (columns, Q_ext) blocks for the columns' kernel keys, at most
+    _TABLE_SIZES sizes a block (one column at least). `columns[c]` is
+    (node count of column c's lattice, the slice of that lattice it takes,
+    the radii in m on the slice).
 
     A block copies what _tables keeps of its keys and computes every node
-    they lack in one kernel(radii, columns) call, a column index per
-    radius. Then it keeps the copies, so a block that raises keeps
-    nothing, and drops the least recently used keys beyond _STORED_TABLES."""
-    step = max(1, _TABLE_SIZES // (nodes.stop - nodes.start))
-    for s in range(0, len(keys), step):
-        block = keys[s:s + step]
+    they lack, ragged across its columns, in one kernel(radii, columns)
+    call, a column index per radius. Then it keeps the copies, so a block
+    that raises keeps nothing, and drops the least recently used keys while
+    the kept arrays hold more than _STORED_BYTES."""
+    s = 0
+    while s < len(keys):
+        e, sizes = s + 1, columns[s][2].size
+        while e < len(keys) and sizes + columns[e][2].size <= _TABLE_SIZES:
+            sizes += columns[e][2].size
+            e += 1
+        block = range(s, e)
         with _tables_lock:
-            kept = [_tables[key].copy() if key in _tables
-                    else np.full(_NODES.size, np.nan) for key in block]
-        q = np.stack([table[nodes] for table in kept], axis=1)
-        rows, columns = np.nonzero(np.isnan(q))
-        if rows.size:
-            q[rows, columns] = kernel(_RADII_M[nodes][rows], s + columns)
+            kept = [_tables[keys[c]].copy() if keys[c] in _tables
+                    else np.full(columns[c][0], np.nan) for c in block]
+        q = [table[columns[c][1]] for table, c in zip(kept, block)]     # views
+        missing = [np.flatnonzero(np.isnan(column)) for column in q]
+        counts = [cells.size for cells in missing]
+        if sum(counts):
+            values = kernel(np.concatenate([columns[c][2][cells]
+                                            for c, cells in zip(block, missing)]),
+                            np.repeat(block, counts))
+            for column, cells, value in zip(q, missing, np.split(
+                    values, np.cumsum(counts)[:-1])):
+                column[cells] = value
         with _tables_lock:
-            for key, table, column in zip(block, kept, q.T):
-                table[nodes] = column
-                _tables[key] = table
-                _tables.move_to_end(key)
-            while len(_tables) > _STORED_TABLES:
+            for c, table in zip(block, kept):
+                _tables[keys[c]] = table
+                _tables.move_to_end(keys[c])
+            while sum(table.nbytes for table in _tables.values()) > _STORED_BYTES:
                 _tables.popitem(last=False)
-        yield slice(s, s + len(block)), q
+        yield block, q
+        s = e
 
 
 def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
@@ -217,11 +282,12 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     """k_dust in dB/km, a (units modes, electron counts, frequencies,
     heights) array at temperature T (K) and refractive index m.
 
-    One slice of the lattice covers the supports at every altitude, and
-    one Q_ext table on it serves every units mode. The table's columns are
-    its (count, frequency) pairs; `_q_blocks` reuses what _tables keeps of
-    each and runs the kernel on the rest. Each altitude's weights, formed
-    once per block, are summed against each (units mode, column) of it.
+    Every count column at one frequency shares that frequency's lattice, its
+    slice covering the supports at every altitude, and the per-altitude
+    weights on it; one Q_ext table per column serves every units mode. The
+    columns are the (count, frequency) pairs; `_q_blocks` reuses what
+    _tables keeps of each and runs the kernel on the rest. Each altitude's
+    weights are summed against each (units mode, column).
     """
     for units_mode in units_modes:
         _check_units(units_mode)
@@ -238,8 +304,18 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     if layer.n0 == 0 or not k.size:
         return k
     mu, sigma = lognormal_params(heights)
-    parts = _node_slices(mu, sigma)
-    nodes = slice(min(part.start for part in parts), max(part.stop for part in parts))
+    # per frequency: its lattice's node count, the slice of the lattice the
+    # altitudes cover and the radii there; and each altitude's part of that
+    # slice with its weights
+    supports, weights = [], []
+    for f in frequencies.tolist():
+        lattice = _lattice(f, m)
+        parts = list(_size_weights(lattice, mu, sigma, layer.n0))
+        span = slice(min(part.start for part, _ in parts),
+                     max(part.stop for part, _ in parts))
+        supports.append((lattice[0].size, span, lattice[1][span]))
+        weights.append([(slice(part.start - span.start, part.stop - span.start), w)
+                        for part, w in parts])
     ne_column = np.repeat(electrons, frequencies.size)
     f_column = np.tile(frequencies, electrons.size)
     k_column = k.reshape(len(units_modes), f_column.size, len(heights))
@@ -251,15 +327,12 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
                                            ne_column[columns], temperature, m,
                                            mode=ge_mode)
 
-    r_m = _RADII_M[nodes, None]
-    for columns, q in _q_blocks(keys, nodes, kernel):
-        # one row per (units mode, column) of the block
-        rows = np.concatenate([_per_particle(r_m, q, units_mode)
-                               for units_mode in units_modes], axis=1).T
-        for i, (part, w) in enumerate(_size_weights(mu, sigma, layer.n0)):
-            part = slice(part.start - nodes.start, part.stop - nodes.start)
-            k_column[:, columns, i] = np.reshape(
-                [_k_dust(w, row[part]) for row in rows], (len(units_modes), -1))
+    for columns, q in _q_blocks(keys, supports * electrons.size, kernel):
+        for c, q_c in zip(columns, q):
+            r_m = supports[c % frequencies.size][2]
+            rows = [_per_particle(r_m, q_c, units_mode) for units_mode in units_modes]
+            for i, (part, w) in enumerate(weights[c % frequencies.size]):
+                k_column[:, c, i] = [_k_dust(w, row[part]) for row in rows]
     return k
 
 
@@ -272,8 +345,10 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
 
     Integrates the per-particle extinction against the size spectrum. The
     template particle supplies charge, temperature, and refractive index;
-    its radius is ignored and swept by the integral, a trapezoid sum on a
-    fixed ln r lattice over the support of the spectrum at h.
+    its radius is ignored and swept by the integral, a trapezoid sum on the
+    (f, m) lattice, a smooth map of a uniform one, over the support of the
+    spectrum at h, with Gregory's end correction where that reaches the
+    10 mm cap.
 
     h is one altitude (m), giving a float, or an array of them, giving an
     array of the same shape; the extinction kernel does not depend on
@@ -281,9 +356,9 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     and each altitude weights its own slice of that lattice once.
 
     That table depends only on (f, Ne, T, m, ge_mode), never on h,
-    units_mode or n0, so the process keeps the last 12 keys' Q_ext, one
-    array over the whole lattice each (256 KB in all), and a later call
-    with the same key computes only the nodes it lacks. The result is
+    units_mode or n0, so the process keeps the last keys' Q_ext, one array
+    over the key's whole lattice each (256 KB in all, about 26 keys), and a
+    later call with the same key computes only the nodes it lacks. The result is
     bit-identical either way. This pays when one process repeats a carrier and charge; a single
     CLI run builds one table and gains nothing.
 

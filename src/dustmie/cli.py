@@ -330,16 +330,20 @@ def run(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     # a warning (the size-spectrum fit's extrapolation) is printed as the
     # CLI's own line, once per distinct message; under an "error" filter a
-    # warning of another category (numpy's RuntimeWarning) still raises
+    # warning of another category (numpy's RuntimeWarning) still raises.
+    # The warnings come before an error line, in the order they arose
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        code = _run(args)
+        code, error = _run(args)
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"dustmie: warning: {message}", file=sys.stderr)
+    if error:
+        print(error, file=sys.stderr)
     return code
 
 
-def _run(args) -> int:
+def _run(args) -> tuple[int, str | None]:
+    """The exit code and the error line, if any, of one run."""
     try:
         config_path = args.config or os.environ.get(ENV_CONFIG)
         cfg = load_config(config_path) if config_path else RunConfig()
@@ -350,15 +354,12 @@ def _run(args) -> int:
         else:
             sys.stdout.write(table.render(args.format))
     except ConfigError as exc:
-        print(f"dustmie: config error: {exc}", file=sys.stderr)
-        return 2
+        return 2, f"dustmie: config error: {exc}"
     except (RecurrenceOverflowError, SingularDenominatorError) as exc:
-        print(f"dustmie: numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return 3, f"dustmie: numerical failure: {exc}"
     except DustmieError as exc:
-        print(f"dustmie: error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return 2, f"dustmie: error: {exc}"
+    return 0, None
 
 
 def main() -> None:

@@ -781,14 +781,12 @@ def _size_and_charge(radius, frequency, electrons, temperature, mode):
     gamma_s = collision_frequency(temperature)
     with np.errstate(all="ignore"):
         omega = 2 * math.pi * frequency
-        # the full g_e takes gamma_s / omega, which at any charge (0 x inf
-        # is nan) must be finite
-        if mode == "full" and np.any(gamma_s / omega == math.inf):
-            raise DomainError(
-                f"frequency {np.min(frequency):g} Hz at temperature {temperature:g} K:"
-                " collision frequency over wave frequency overflows")
         omega_s = surface_plasma_frequency(electrons, radius)
-        g_e = charged_coefficient(x, omega, omega_s, gamma_s, mode=mode)
+        try:
+            g_e = charged_coefficient(x, omega, omega_s, gamma_s, mode=mode)
+        except DomainError as exc:      # such as gamma_s / omega overflowing
+            raise DomainError(f"frequency {np.min(frequency):g} Hz at temperature "
+                              f"{temperature:g} K: {exc}") from None
     if not np.all(np.isfinite(g_e)):
         raise RecurrenceOverflowError(
             f"charge coefficient overflow (radius down to {np.min(radius):g} m)")

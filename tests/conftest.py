@@ -33,19 +33,16 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def fine_lattice(kernel_tables):
-    """fine_lattice(step), a context in which `channel` sums on the lattice
-    of ln r step `step`, built by the module's own builder. The store of
-    kept tables is emptied on entry and on exit, since a kept array covers
-    one lattice's nodes."""
+    """fine_lattice(step), a context in which `channel` sums on the same
+    map of every key's size lattice at v step `step`. The store of kept
+    tables is emptied on entry and on exit, since a kept array covers one
+    lattice's nodes."""
     channel = dustmie.channel
 
     @contextlib.contextmanager
     def lattice(step):
         with pytest.MonkeyPatch.context() as patch:
-            nodes, radii = channel._build_lattice(step)
-            patch.setattr(channel, "_LN_R_STEP", step)
-            patch.setattr(channel, "_NODES", nodes)
-            patch.setattr(channel, "_RADII_M", radii)
+            patch.setattr(channel, "_V_STEP", step)
             kernel_tables.clear()
             try:
                 yield

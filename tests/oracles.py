@@ -2,10 +2,17 @@
 
 Everything here is computed with mpmath arbitrary precision (50 digits),
 brute-force fixed grids or an adaptive rule of its own, deliberately
-avoiding the package's own recurrence and quadrature code paths.
+avoiding the package's own recurrence and quadrature code paths. The one
+exception is k_dust_reference, which sums the package's Mie kernel (checked
+pointwise against the mpmath series) with lattices and weights of its own.
 """
+import math
+
 import mpmath as mp
 import numpy as np
+
+from dustmie.dustfield import lognormal_params, size_support
+from dustmie.mie import extinction_efficiency_array
 
 mp.mp.dps = 50
 
@@ -167,3 +174,84 @@ def level_simpson(f, a, b, rel_tol, max_depth=40):
         level[~done] = values[0::2] + values[1::2]
         values = level
     return float(values[0])
+
+
+# k_dust_reference: the size integral on nested plain ln r lattices
+_REFERENCE_STEPS = (0.003, 0.0015, 0.00075, 0.000375)     # down to the floor
+_FLOOR_STEP = _REFERENCE_STEPS[-1]
+_LN_CAP = math.log(10.0)                 # ln r of the 10 mm radius cap, r in mm
+_LN_FLOOR = math.log(1e-6)               # 1 nm
+_FLOOR_NODES = math.floor((_LN_CAP - _LN_FLOOR) / _FLOOR_STEP) + 1
+# Gregory's end weights (trapezoid plus -h (grad/12 + grad^2/24 +
+# 19 grad^3/720)) on the last four nodes below the cap, lowest first
+_GREGORY = np.array([739.0, 633.0, 897.0, 251.0]) / 720
+# per (f, m, Ne): Q_ext on the floor lattice u_i = ln 10 - (_FLOOR_NODES - 1
+# - i) _FLOOR_STEP, NaN where not yet computed
+_reference_q = {}
+_reference_k = {}
+
+
+class ReferenceSpreadError(ArithmeticError):
+    """Two successive levels of k_dust_reference never agreed; `spread` is
+    |k(finest) - k(next coarser)| / |k(finest)|."""
+
+    def __init__(self, message, spread):
+        super().__init__(message)
+        self.spread = spread
+
+
+def _reference_levels(h, f, m, ne):
+    """k_dust per unit n0 (dB/km at n0 = 1 m^-3, T 300 K, full g_e) on each
+    level of _REFERENCE_STEPS, a (physical, paper) pair a level."""
+    mu, sigma = lognormal_params(h)
+    lo, hi = (math.log(b) for b in size_support(h))
+    q = _reference_q.setdefault((f, m, ne), np.full(_FLOOR_NODES, np.nan))
+    for step in _REFERENCE_STEPS:
+        stride = round(step / _FLOOR_STEP)
+        # the level's nodes, counted down from the cap, inside the support
+        j = np.arange(math.ceil((lo - _LN_CAP) / step), math.floor((hi - _LN_CAP) / step) + 1)
+        u = _LN_CAP + step * j
+        j, u = j[(u >= lo) & (u <= hi)], u[(u >= lo) & (u <= hi)]
+        i = _FLOOR_NODES - 1 + stride * j
+        r_m = np.exp(u) * 1e-3
+        missing = np.isnan(q[i])
+        if missing.any():
+            q[i[missing]] = extinction_efficiency_array(r_m[missing], f, ne, 300.0, m)
+        phi = np.exp(-0.5 * ((u - mu) / sigma) ** 2) / (math.sqrt(2 * math.pi) * sigma)
+        phi[0] /= 2
+        if j[-1] == 0:                   # the support reaches the cap
+            phi[-4:] *= _GREGORY
+        else:
+            phi[-1] /= 2
+        yield step, [4.343e3 * step * float(np.sum(phi * g))
+                     for g in (q[i] * math.pi * r_m**2, q[i])]
+
+
+def k_dust_reference(h, f, m, ne, units, rtol=1e-10):
+    """A converged k_dust (dB/km per unit n0: n0 = 1 m^-3, T = 300 K, full
+    g_e) at altitude h (m), frequency f (Hz), index m and Ne electrons,
+    units "physical" or "paper".
+
+    The kernel, which the mpmath oracles check pointwise, summed with the
+    log-normal weight on nested ln r lattices anchored at the 10 mm cap
+    (steps 0.003 down to 0.000375), each with Gregory's end correction
+    where the support reaches the cap. The value of the first level that
+    agrees with the level before it within rtol; ReferenceSpreadError,
+    naming the last spread, if none does. Values are kept per session.
+    """
+    key = (float(h), float(f), complex(m), int(ne), rtol)
+    if key not in _reference_k:
+        previous, spread = None, math.inf
+        for step, k in _reference_levels(*key[:4]):
+            if previous is not None:
+                spread = max(abs(a - b) / abs(a) for a, b in zip(k, previous))
+                if spread <= rtol:
+                    _reference_k[key] = dict(zip(("physical", "paper"), k))
+                    break
+            previous = k
+        else:
+            raise ReferenceSpreadError(
+                f"k_dust reference not converged at h={h:g} m, f={f:g} Hz, m={m}, "
+                f"Ne={ne:g}: levels {2 * step:g} and {step:g} differ by {spread:.2g}",
+                spread)
+    return _reference_k[key][units]

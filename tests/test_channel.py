@@ -26,18 +26,20 @@ from dustmie.mie import (
     WaveSpec,
     extinction_efficiency_array,
 )
-from oracles import OracleDepthError, adaptive_simpson, level_simpson
+from oracles import (OracleDepthError, ReferenceSpreadError, adaptive_simpson,
+                     k_dust_reference, level_simpson)
 
 M_DEFAULT = 2.0 - 0.025j
+M_KEY = M_DEFAULT.conjugate()      # as a kernel key and its lattice take it
 PARTICLE = ParticleState(20e-6, 0, 300.0, M_DEFAULT)
 
 
-def support_nodes(heights):
-    """The number of lattice nodes a table for these altitudes spans: the
-    union of the slices their weights cover."""
+def support_nodes(heights, f):
+    """The number of lattice nodes a table at frequency f (default index)
+    spans for these altitudes: the union of the slices their weights cover."""
     import dustmie.channel as channel
-    parts = [part for part, _ in channel._size_weights(
-        *lognormal_params(np.array(heights)), 1.0)]
+    u = channel._lattice(f, M_KEY)[0]
+    parts = channel._node_slices(u, *lognormal_params(np.array(heights)))
     return max(part.stop for part in parts) - min(part.start for part in parts)
 
 
@@ -160,52 +162,76 @@ class TestDustAttenuationCoefficient:
         ref = adaptive_k_dust(h, w, layer, particle, rel_tol=1e-9)
         assert k == pytest.approx(ref, rel=1e-6)
 
-    # the domain of the 0.006 lattice's 1e-8 claim: strongly enough
-    # absorbing indices, 100-200 m, 0.1-3 THz. Measured against the nested
-    # 0.0015 lattice, which shares the cap node: at most 4.3e-9 (2-0.025j)
-    # and 2.1e-9 (1.6+0.05j). Weaker absorption sharpens the Mie ripple past
-    # the step: 1.5+0.001j misses by 2e-5 at 1 THz
+    # the domain of the lattice's 1e-8 claim: strongly enough absorbing
+    # indices at 100-200 m from 0.1 to 3 THz, at any charge, in both units
+    # modes; measured worst 6.1e-9. Weaker absorption sharpens the Mie
+    # ripple past the step: 1.5+0.001j misses by 1.3e-5 at 1 THz
     @pytest.mark.parametrize("m", [M_DEFAULT, 1.6 + 0.05j])
-    def test_lattice_within_1e_8_of_a_finer_one(self, m, fine_lattice):
+    def test_lattice_within_1e_8_of_a_finer_one(self, m):
         import dustmie.channel as channel
-        heights, layer = np.array([100.0, 150.0, 200.0]), DustLayerModel(n0=1e3)
-        particle = ParticleState(20e-6, 0, 300.0, m)
-        for f in (0.1e12, 1e12, 3e12):
-            w = WaveSpec.from_frequency(f)
-            k = dust_attenuation_coefficient(heights, w, layer, particle)
-            with fine_lattice(channel._LN_R_STEP / 4):
-                fine = dust_attenuation_coefficient(heights, w, layer, particle)
-            assert np.all(np.abs(k - fine) < 1e-8 * fine)
+        heights, freqs = [100.0, 150.0, 200.0], [0.1e12, 0.3e12, 1e12, 3e12]
+        counts, units = [0, 1000, 10**6, 10**13], ("physical", "paper")
+        k = channel._k_dust_grid(heights, freqs, counts, DustLayerModel(n0=1.0), 300.0,
+                                 m, units, "full")
+        for index in np.ndindex(k.shape):
+            u, ne, f, h = index
+            ref = k_dust_reference(heights[h], freqs[f], m, counts[ne], units[u])
+            assert abs(k[index] - ref) <= 1e-8 * ref, index
+
+    # where the support reaches the 10 mm cap, Gregory's correction keeps
+    # the end error within 1e-8 at 300 m and 3e-8 at 600 m from 0.3 to
+    # 3 THz (the trapezoid alone misses by 3.3e-7 and 9.2e-6). Measured
+    # over 0.3-3 THz: at most 2.1e-9 and 1.8e-8 (0.7 THz); at 0.1 THz the
+    # Mie ripple at the cap is not damped and 600 m misses by 1.0e-6
+    @pytest.mark.parametrize("h,bound", [(300.0, 1e-8), (600.0, 3e-8)])
+    def test_cap_end_within_reference(self, h, bound):
+        import dustmie.channel as channel
+        freqs = [0.3e12, 1e12, 3e12]
+        k = channel._k_dust_grid([h], freqs, [0], DustLayerModel(n0=1.0), 300.0,
+                                 M_DEFAULT, ("physical",), "full")[0, 0, :, 0]
+        for f, k_f in zip(freqs, k):
+            ref = k_dust_reference(h, f, M_DEFAULT, 0, "physical")
+            assert abs(k_f - ref) <= bound * ref, f
 
     def test_finer_lattice_nests_the_lattice(self, fine_lattice):
-        # every fourth node of the 0.0015 lattice, counted down from the
-        # cap, is a 0.006 node bit for bit, radius included: the 1e-8 claim
-        # compares two sums over shared nodes
+        # the same map at v step / 4: every fourth node, counted down from
+        # the cap, is a node of the lattice bit for bit, radius and U'
+        # included, and the lowest node lies less than a step above 1 nm
         import dustmie.channel as channel
-        nodes, radii = channel._NODES, channel._RADII_M
-        with fine_lattice(channel._LN_R_STEP / 4):
-            start = (channel._NODES.size - 1) % 4
-            assert channel._NODES[start::4].tobytes() == nodes.tobytes()
-            assert channel._RADII_M[start::4].tobytes() == radii.tobytes()
-            assert channel._RADII_M[0] >= 1e-9 > channel._RADII_M[0] * math.exp(-0.0015)
+        for f, m in [(0.1e12, 2 + 0.025j), (3e12, 2 + 0.025j), (10e12, 1.6 + 0.05j),
+                     (1e12, 1.33 + 0j)]:
+            u, r, du = channel._lattice(f, m)
+            with fine_lattice(channel._V_STEP / 4):
+                fine_u, fine_r, fine_du = channel._lattice(f, m)
+            start = (fine_u.size - 1) % 4
+            assert fine_u[start::4].tobytes() == u.tobytes()
+            assert fine_r[start::4].tobytes() == r.tobytes()
+            assert (4 * fine_du[start::4]).tobytes() == du.tobytes()
+            for radii, steps in ((r, du), (fine_r, fine_du)):
+                assert radii[0] >= 1e-9 > radii[0] * math.exp(-steps[0])
+            assert r[-1] == fine_r[-1] == math.exp(math.log(10.0)) * 1e-3
 
     # Weakly absorbing indices lie outside that domain: their sharper Mie
-    # ripple leaves the 0.006 lattice far more than 1e-8 from the nested
-    # 0.0015 one (h 150 m, Ne 0, physical units). Pinned at the levels
-    # measured, so that a change to the lattice or the kernel that moves
-    # them shows
+    # ripple leaves the lattice far more than 1e-8 from the reference (h
+    # 150 m, Ne 0, physical units). Pinned at the levels measured, so that
+    # a change to the lattice or the kernel that moves them shows, against
+    # a reference converged to 1/200 of the level. For 1.33 no
+    # reference converges: the pin is the spread of its two finest levels
     @pytest.mark.parametrize("m,f,level", [
-        (1.5 + 0.001j, 1e12, 2.0e-5), (1.5 + 0.001j, 10e12, 9.1e-5),
-        (1.33, 3e12, 5.8e-5), (3 + 0.001j, 0.3e12, 7.1e-4),
-        (1.5 + 0.01j, 1e12, 5.0e-8)])
-    def test_lattice_error_at_weak_absorption(self, m, f, level, fine_lattice):
-        import dustmie.channel as channel
-        w, layer = WaveSpec.from_frequency(f), DustLayerModel(n0=1e3)
+        (1.5 + 0.001j, 1e12, 1.3e-5), (1.5 + 0.001j, 10e12, 8.2e-5),
+        (1.33, 3e12, 9.9e-6), (3 + 0.001j, 0.3e12, 1.22e-3),
+        (1.5 + 0.01j, 1e12, 4.9e-8)])
+    def test_lattice_error_at_weak_absorption(self, m, f, level):
+        w, layer = WaveSpec.from_frequency(f), DustLayerModel(n0=1.0)
         particle = ParticleState(20e-6, 0, 300.0, m)
+        if m == 1.33:
+            with pytest.raises(ReferenceSpreadError) as failed:
+                k_dust_reference(150.0, f, m, 0, "physical")
+            assert failed.value.spread == pytest.approx(level, rel=0.05)
+            return
         k = dust_attenuation_coefficient(150.0, w, layer, particle)
-        with fine_lattice(channel._LN_R_STEP / 4):
-            fine = dust_attenuation_coefficient(150.0, w, layer, particle)
-        assert abs(k - fine) / fine == pytest.approx(level, rel=0.05)
+        ref = k_dust_reference(150.0, f, m, 0, "physical", rtol=level / 200)
+        assert abs(k - ref) / ref == pytest.approx(level, rel=0.05)
 
     def test_known_adaptive_miss(self):
         # here a default-tolerance adaptive size integral returned 0.43063;
@@ -268,25 +294,27 @@ class TestDustAttenuationCoefficient:
     def test_frequency_slices_match_per_frequency_calls(self, monkeypatch,
                                                         kernel_tables):
         # a table over many frequencies is one kernel call per slice of
-        # them, and gives the per-frequency values exactly
+        # them, and gives the per-frequency values exactly; each frequency's
+        # lattice has its own node count, more nodes at a higher frequency
         import dustmie.channel as channel
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
-        nodes = support_nodes([150.0])
-        monkeypatch.setattr(channel, "_TABLE_SIZES", 2 * nodes)
+        freqs = np.geomspace(1e11, 3e12, 5)
+        nodes = [support_nodes([150.0], f) for f in freqs]
+        monkeypatch.setattr(channel, "_TABLE_SIZES", nodes[3] + nodes[4])
         calls = []
         kernel = channel.extinction_efficiency_array
 
         def counted(radius, frequency, *args, **kwargs):
-            calls.append(np.size(frequency) / nodes)     # columns
+            assert np.size(frequency) <= channel._TABLE_SIZES
+            calls.append(np.unique(frequency).size)     # columns
             return kernel(radius, frequency, *args, **kwargs)
 
         monkeypatch.setattr(channel, "extinction_efficiency_array", counted)
-        freqs = np.geomspace(1e11, 3e12, 5)
         k = channel._k_dust_grid([150.0], freqs, [particle.electrons], layer,
                                  particle.temperature, particle.refractive_index,
                                  ("physical", "paper"), "full")
-        assert calls == [2, 2, 1]
+        assert calls == [2, 2, 1]       # 799 + 913, 1,019 + 1,097, 1,143 nodes
         assert k.shape == (2, 1, 5, 1)
         for k_mode, units_mode in zip(k[:, 0], ("physical", "paper")):
             for f, k_f in zip(freqs, k_mode):
@@ -301,17 +329,17 @@ class TestDustAttenuationCoefficient:
         import dustmie.channel as channel
         layer = DustLayerModel(n0=1e3)
         heights = [100.0, 150.0, 200.0]
-        nodes = support_nodes(heights)
-        monkeypatch.setattr(channel, "_TABLE_SIZES", 4 * nodes)
+        freqs = np.geomspace(1e11, 3e12, 5)
+        monkeypatch.setattr(channel, "_TABLE_SIZES", 4 * support_nodes(heights, freqs[-1]))
         calls = []
         kernel = channel.extinction_efficiency_array
 
-        def counted(radius, frequency, *args, **kwargs):
-            calls.append(np.size(frequency) / nodes)     # columns
-            return kernel(radius, frequency, *args, **kwargs)
+        def counted(radius, frequency, electrons, *args, **kwargs):
+            assert np.size(frequency) <= channel._TABLE_SIZES
+            calls.append(len(set(zip(frequency.tolist(), electrons.tolist()))))
+            return kernel(radius, frequency, electrons, *args, **kwargs)
 
         monkeypatch.setattr(channel, "extinction_efficiency_array", counted)
-        freqs = np.geomspace(1e11, 3e12, 5)
         counts = [0, 1000, 10**12]
         units = ("physical", "paper")
         k = channel._k_dust_grid(heights, freqs, counts, layer, 300.0, M_DEFAULT,
@@ -326,19 +354,22 @@ class TestDustAttenuationCoefficient:
 
 
 def unclamped_k_dust(h, f, ne, n0, units_mode):
-    """k_dust on the same 0.006 lattice, anchored at the 10 mm cap, but over
-    the log-normal's whole lower 8-sigma tail, below 1 nm too: the sum
-    before the support was clamped to the kernel's radius domain."""
+    """k_dust by the same rule, on the same lattice continued below 1 nm
+    over the log-normal's whole lower 8-sigma tail, for a support that
+    reaches the cap: the sum before the support was clamped to the
+    kernel's radius domain."""
+    import dustmie.channel as channel
     mu, sigma = lognormal_params(h)
-    top, step = math.log(10.0), 0.006
     lo = mu - 8 * sigma
-    u = top + step * np.arange(math.floor((lo - top) / step), 1)
-    u = u[u >= lo]
-    r_m = np.exp(u) * 1e-3
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel, "_LN_R_FLOOR", lo)
+        u, r_m, du = channel._lattice(f, M_KEY)
     q = extinction_efficiency_array(r_m, f, ne, 300.0, M_DEFAULT)
-    weights = n0 / (math.sqrt(2 * math.pi) * sigma) * np.exp(-0.5 * ((u - mu) / sigma) ** 2)
+    weights = n0 / (math.sqrt(2 * math.pi) * sigma) * np.exp(-0.5 * ((u - mu) / sigma) ** 2) * du
+    weights[0] /= 2
+    weights[-4:] *= channel._CAP_WEIGHTS
     g = weights * (q if units_mode == "paper" else q * math.pi * r_m**2)
-    return 4.343e3 * step * float(g.sum() - (g[0] + g[-1]) / 2)
+    return 4.343e3 * float(g.sum())
 
 
 class TestRadiusDomain:
@@ -366,14 +397,15 @@ class TestRadiusDomain:
                 k = dust_attenuation_coefficient(h, w, DustLayerModel(n0=1e3), PARTICLE)
                 assert math.isfinite(k) and k >= 0
             mu, sigma = lognormal_params(np.array(heights))
-        parts = [part for part, _ in channel._size_weights(mu, sigma, 1.0)]
+        lattice = channel._lattice(300e9, M_KEY)
+        parts = [part for part, _ in channel._size_weights(lattice, mu, sigma, 1.0)]
         for r, part in zip(radii, parts, strict=True):
-            assert np.array_equal(r, channel._RADII_M[part])
+            assert np.array_equal(r, lattice[1][part])
             assert r.min() >= 1e-9
-        assert [r.size for r in radii] == [1386, 1700, 1972] + [2687] * 3
+        assert [r.size for r in radii] == [813, 946, 994] + [1116] * 3
         for r in radii[3:]:
             # the first node lies at most one step above 1 nm
-            assert 1e-9 <= r.min() < 1e-9 * math.exp(0.006)
+            assert 1e-9 <= r.min() < 1e-9 * math.exp(lattice[2][0])
             assert r.max() == pytest.approx(1e-2, rel=1e-15)
 
     # |clamped - unclamped| / unclamped, the levels measured at 0.3 and
@@ -396,12 +428,30 @@ class TestRadiusDomain:
                 assert abs(k_f - ref) <= level * ref, (f, ne)
 
 
+    def test_support_cut_at_8_sigma(self, monkeypatch):
+        # at 100 m neither end of the 8-sigma support is clamped, and at
+        # 9 sigma neither is either: the slivers the cut drops, where phi is
+        # below e^-32 of its peak, move k_dust by 2.6e-12 in physical units
+        # (r^2 lifts the upper end) and 3e-15 in paper units
+        import dustmie.channel as channel
+        import dustmie.dustfield as dustfield
+        args = ([100.0], [3e11, 3e12], [0, 1000], DustLayerModel(n0=1.0), 300.0,
+                M_DEFAULT, ("physical", "paper"), "full")
+        k = channel._k_dust_grid(*args)
+        monkeypatch.setattr(dustfield, "_SUPPORT_SIGMAS", 9.0)
+        assert 1e-6 < size_support(100.0)[0] and size_support(100.0)[1] < 10.0
+        wide = channel._k_dust_grid(*args)
+        assert np.all(wide > k)
+        assert np.all(wide - k <= 3e-12 * wide)
+
+
 def one_table_slant_loss(g, w, layer, particle, rel_tol):
     """Level-Simpson reference for the slant-path integral, with k_dust at
     every altitude summed over one kernel table built for the whole path."""
     import dustmie.channel as channel
     sin_theta = math.sin(g.theta)
-    r_m = channel._RADII_M[:, None]
+    lattice = channel._lattice(w.frequency, channel._normalize_m(particle.refractive_index))
+    r_m = lattice[1][:, None]
     q = extinction_efficiency_array(r_m, [w.frequency], particle.electrons,
                                     particle.temperature, particle.refractive_index)
     kernel = channel._per_particle(r_m, q, "physical")[:, 0]
@@ -409,7 +459,7 @@ def one_table_slant_loss(g, w, layer, particle, rel_tol):
     def per_m(s):
         mu, sigma = lognormal_params(g.h0 + s * sin_theta)
         return np.array([channel._k_dust(weights, kernel[part]) for part, weights
-                         in channel._size_weights(mu, sigma, layer.n0)]) / 1000.0
+                         in channel._size_weights(lattice, mu, sigma, layer.n0)]) / 1000.0
     return level_simpson(per_m, 0.0, g.d, rel_tol=rel_tol)
 
 
@@ -565,7 +615,7 @@ class TestKeptTables:
             assert finite.size == finite[-1] - finite[0] + 1
         assert runs[1] == runs[0]
         assert runs[2][0] < runs[0][0] and runs[2][1] > runs[0][1]
-        assert runs[3][0] < runs[2][0] and runs[3][1] == channel._NODES.size - 1
+        assert runs[3][0] < runs[2][0] and runs[3][1] == q.size - 1
         # an altitude array against a store warmed in reverse order
         kernel_tables.clear()
         for h in heights[::-1]:
@@ -614,7 +664,8 @@ class TestKeptTables:
     def test_threads_share_the_store(self, monkeypatch):
         # 4 threads, 8 keys and a store that holds one key, so
         # that each call evicts the keys others are reading; the store
-        # sleeps between finding a key and reading or moving it
+        # sleeps between finding a key and reading or moving it. The budget
+        # is the largest key's array, which is under twice the smallest
         from concurrent.futures import ThreadPoolExecutor
         import dustmie.channel as channel
 
@@ -629,7 +680,10 @@ class TestKeptTables:
 
         store = SlowStore()
         monkeypatch.setattr(channel, "_tables", store)
-        monkeypatch.setattr(channel, "_STORED_TABLES", 1)
+        sizes = [channel._lattice(f, M_KEY)[0].nbytes
+                 for f in (0.3e12, 0.5e12, 1e12, 2e12)]
+        assert max(sizes) < 2 * min(sizes)
+        monkeypatch.setattr(channel, "_STORED_BYTES", max(sizes))
         jobs = [(g, f, ne) for f in (0.3e12, 0.5e12, 1e12, 2e12) for ne in (0, 1000)
                 for g in (LinkGeometry(h0=110.0, theta=0.2, d=60.0, d0=10.0),
                           LinkGeometry(h0=100.0, theta=0.3, d=90.0, d0=10.0))]
@@ -668,15 +722,17 @@ class TestKeptTables:
             assert np.array_equal(q, q_before, equal_nan=True)
 
     def test_many_columns_stay_within_the_bound(self, kernel_tables):
-        # 60 frequency columns of a 1,700-node support, in blocks of 19:
-        # only the last _STORED_TABLES columns are kept
+        # 60 frequency columns of 799-946-node supports, in blocks of 38 and 22:
+        # only the last 30 columns are kept, as many as 256 KB holds
         import dustmie.channel as channel
         freqs = np.geomspace(1e11, 3e11, 60)
         channel._k_dust_grid([150.0], freqs, [0], self.LAYER, 300.0, M_DEFAULT,
                              ("physical",), "full")
-        assert sum(q.nbytes for q in kernel_tables.values()) <= 2**15 * 8
-        assert [key[0] for key in kernel_tables] == (
-            freqs[-channel._STORED_TABLES:].tolist())
+        kept = sum(q.nbytes for q in kernel_tables.values())
+        assert kept <= 2**18
+        assert [key[0] for key in kernel_tables] == freqs[-len(kernel_tables):].tolist()
+        older = freqs[-len(kernel_tables) - 1]
+        assert kept + channel._lattice(older, M_KEY)[0].nbytes > 2**18
 
     def test_partly_kept_columns_make_one_call(self, kernel_tables, kernel_calls):
         # five frequencies at 150 m after one of them ran at 100 m, whose

@@ -557,7 +557,10 @@ def test_numerical_failure_exits_3(capsys, argv):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.startswith("dustmie: numerical failure:")
+    # the error is the last line, after any warning (the default geometry's)
+    *warned, error = captured.err.splitlines()
+    assert error.startswith("dustmie: numerical failure:")
+    assert all(line.startswith("dustmie: warning:") for line in warned)
     assert "Traceback" not in captured.err
 
 
@@ -608,6 +611,19 @@ def test_warning_line_and_numpy_warnings(capsys, monkeypatch):
         "dustmie: warning: overflow encountered in multiply",
         "dustmie: warning: size-spectrum fit extrapolated to h=1200 m, "
         "far above the measured range (~200 m)"]
+
+
+def test_warnings_come_before_the_error_line(capsys):
+    # the fit warns of its extrapolation to 200 km and then overflows there
+    code = run(["attenuation", "--sweep", "h", "--start", "1e5", "--stop", "2e5",
+                "--count", "3", "--n0", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "dustmie: warning: size-spectrum fit extrapolated to h=200000 m, "
+        "far above the measured range (~200 m)",
+        "dustmie: error: size-spectrum fit overflows at h=200000 m"]
 
 
 @pytest.mark.parametrize("argv", [

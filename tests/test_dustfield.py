@@ -147,6 +147,15 @@ class TestDustLayerModel:
         assert lo == pytest.approx(math.exp(mu - 8 * sigma))
         assert hi <= 10.0
 
+    # the log-normal mass above the 10 mm cap, which k_dust drops; the
+    # levels the README's accuracy contract states
+    @pytest.mark.parametrize("h,mass", [(200.0, 4.2e-10), (300.0, 1.5e-5),
+                                        (600.0, 8.7e-2)])
+    def test_mass_above_the_cap(self, h, mass):
+        mu, sigma = lognormal_params(h)
+        above = 0.5 * math.erfc((math.log(10.0) - mu) / (sigma * math.sqrt(2)))
+        assert above == pytest.approx(mass, rel=0.05)
+
     def test_support_clamped_to_radius_cap(self):
         lo, hi = size_support(200.0)
         assert hi == 10.0

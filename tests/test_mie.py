@@ -702,10 +702,11 @@ class TestBatchKernel:
                                      DustLayerModel(n0=1e3),
                                      ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
         # one upward loop for every size, x from 0.005 to 630
-        assert route_and_block_counts == {"upward": 1, "downward": 0, "blocks": 22}
-        # its four largest sizes (orders 653 to 665) go on in scalars from
-        # order 650, where 16 orders are left: _LANE_ORDERS a lane
-        assert scalar_lanes == [(650, 16), (650, 12), (650, 8), (650, 4)]
+        assert route_and_block_counts == {"upward": 1, "downward": 0, "blocks": 15}
+        # its four largest sizes (orders 640 to 665, 8 apart where the
+        # lattice is three times coarser) go on in scalars from order 633,
+        # where 33 orders are left
+        assert scalar_lanes == [(633, 33), (633, 24), (633, 16), (633, 8)]
 
     def test_x_sweep_steps_its_last_four_sizes_in_scalars(self, capsys,
                                                           route_and_block_counts,
