@@ -93,18 +93,50 @@ def _lattice(f: float, m: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # Sizes (lattice nodes x frequencies) of one kernel call when a table spans
 # many frequencies: 27 frequencies of a 1,200-node support near 3 THz trace
-# a 24 MB peak, and a 400-frequency table at 150 m in such slices 32 MB.
+# a 24 MB peak. A table holds one such block at a time, so 400 frequencies
+# over 0.1-3 THz at 150 m trace 25 MB.
 _TABLE_SIZES = 2**15
-# Q_ext kept from call to call, least recently used first: per kernel key
-# (f, Ne, T, m, g_e mode), one array over the key's lattice, NaN where a node
-# is not yet computed. A size's Q_ext does not depend on the batch that
-# computes it, so a kept value serves any later support. The arrays hold at
-# most _STORED_BYTES (256 KB) in all, the oldest dropped first.
+# What is kept from call to call, least recently used first: per kernel key
+# (f, Ne, T, m, g_e mode), a _Kept entry, the key's lattice and its Q_ext
+# there. A size's Q_ext does not depend on the batch that computes it, so a
+# kept value serves any later support. The entries hold at most
+# _STORED_BYTES (256 KB) in all, the oldest dropped first: 31-44 KB a key
+# for 2-0.025j (967-1,372 nodes at 0.1-10 THz), so 7 keys at 0.3 THz and 6
+# at 1 and 3 THz.
 # Calls from several threads read and write it under _tables_lock, which is
-# not held while the kernel runs; a kept array is replaced, never written.
+# not held while the kernel runs; an entry is replaced, never written.
 _STORED_BYTES = 2**18
 _tables: OrderedDict = OrderedDict()
 _tables_lock = threading.Lock()
+
+
+class _Kept:
+    """A kernel key's kept entry: its lattice (u, r, du) as `_lattice`
+    builds it, Q_ext over that lattice (NaN where a node is not yet
+    computed) and `run`, a slice of nodes all computed."""
+
+    __slots__ = ("lattice", "q", "run", "nbytes")
+
+    def __init__(self, lattice, q: np.ndarray, run: slice):
+        self.lattice, self.q, self.run = lattice, q, run
+        self.nbytes = sum(a.nbytes for a in lattice) + q.nbytes
+
+
+def _look_up(keys: list) -> tuple[list, tuple | None]:
+    """The kept entries of keys that share one (f, m) (None for a key not
+    kept), each moved to the most recently used end of the store, and a
+    lattice of that (f, m) if any entry keeps one: a lattice depends on f
+    and m alone, so the keys of other counts or temperatures share it."""
+    f, m = keys[0][0], keys[0][3]
+    with _tables_lock:
+        kept = [_tables[key] if key in _tables else None for key in keys]
+        for key, entry in zip(keys, kept):
+            if entry is not None:
+                _tables.move_to_end(key)
+        lattice = next((entry.lattice for key, entry in _tables.items()
+                        if key[0] == f and key[3] == m), None)
+    return kept, lattice
+
 
 # The slant-path rule: 8 Gauss-Legendre nodes (on [-1, 1]; leggauss(8),
 # written out to keep numpy.polynomial out of the import) in panels of at
@@ -196,32 +228,42 @@ def _per_particle(r_m: np.ndarray, q: np.ndarray, units_mode: str) -> np.ndarray
     return q * math.pi * r_m**2
 
 
-def _node_slices(u: np.ndarray, mu, sigma) -> list[slice]:
-    """For each log-normal (mu, sigma), arrays of them, the slice of the
-    lattice nodes u inside its support: the one rule for which nodes a
-    support covers. At an 8-sigma end that falls between nodes, the sliver
-    left out carries phi below e^-32 of its peak."""
+def _node_slices(u: np.ndarray, mu, sigma) -> tuple[slice, list[slice]]:
+    """For log-normals (mu, sigma), arrays of them, the span of the lattice
+    nodes u their supports cover, and each one's slice of that span: the
+    one rule for which nodes a support covers. At an 8-sigma end that falls
+    between nodes, the sliver left out carries phi below e^-32 of its peak."""
     lo, hi = _support(mu, sigma)
     begin = np.searchsorted(u, np.log(lo)).tolist()
     end = np.searchsorted(u, np.log(hi), "right").tolist()
-    return [slice(a, b) for a, b in zip(begin, end)]
+    span = slice(min(begin), max(end))
+    return span, [slice(a - span.start, b - span.start) for a, b in zip(begin, end)]
 
 
-def _size_weights(lattice, mu: np.ndarray, sigma: np.ndarray, n0: float):
-    """For each log-normal (mu, sigma), arrays of them, its slice of the
-    lattice (u, r, du) and the quadrature weights on it: n0 phi(u) du, with
-    in u = ln r the log-normal density the normal density phi, halved at
-    the slice's ends, or Gregory's at an end on the cap."""
+def _size_weights(lattice, span: slice, parts: list, mu: np.ndarray,
+                  sigma: np.ndarray, n0: float) -> np.ndarray:
+    """The quadrature weights of each log-normal (mu, sigma), arrays of
+    them, on the span of the lattice (u, r, du), a row each: n0 phi(u) du,
+    with in u = ln r the log-normal density the normal density phi, formed
+    in place in one pass over (rows x span), so that many altitudes hold one
+    array. A row weights only its part of the span, its weights halved at
+    the part's ends, or Gregory's at an end on the cap."""
     u, _, du = lattice
-    for part, m, s in zip(_node_slices(u, mu, sigma), mu.tolist(), sigma.tolist()):
-        w = (n0 / (math.sqrt(2 * math.pi) * s)
-             * np.exp(-0.5 * ((u[part] - m) / s) ** 2) * du[part])
-        w[0] /= 2
-        if part.stop == u.size:
-            w[-4:] *= _CAP_WEIGHTS
+    w = u[span] - mu[:, None]
+    w /= sigma[:, None]
+    np.square(w, out=w)
+    w *= -0.5
+    np.exp(w, out=w)
+    w *= (n0 / (math.sqrt(2 * math.pi) * sigma))[:, None]
+    w *= du[span]
+    at_cap = span.stop == u.size
+    for row, part in zip(w, parts):
+        row[part.start] /= 2
+        if at_cap and part.stop == row.size:
+            row[part.stop - 4:part.stop] *= _CAP_WEIGHTS
         else:
-            w[-1] /= 2
-        yield part, w
+            row[part.stop - 1] /= 2
+    return w
 
 
 def _k_dust(weights: np.ndarray, kernel: np.ndarray) -> float:
@@ -235,45 +277,73 @@ def _check_units(units_mode: str) -> None:
         raise ConfigError(f"unknown units mode {units_mode!r}")
 
 
-def _q_blocks(keys: list, columns: list, kernel):
-    """Yield (columns, Q_ext) blocks for the columns' kernel keys, at most
-    _TABLE_SIZES sizes a block (one column at least). `columns[c]` is
-    (node count of column c's lattice, the slice of that lattice it takes,
-    the radii in m on the slice).
+def _block_q(block: list, kernel) -> list:
+    """Q_ext on the span of each column of a `_q_blocks` block.
 
-    A block copies what _tables keeps of its keys and computes every node
-    they lack, ragged across its columns, in one kernel(radii, columns)
-    call, a column index per radius. Then it keeps the copies, so a block
-    that raises keeps nothing, and drops the least recently used keys while
-    the kept arrays hold more than _STORED_BYTES."""
-    s = 0
-    while s < len(keys):
-        e, sizes = s + 1, columns[s][2].size
-        while e < len(keys) and sizes + columns[e][2].size <= _TABLE_SIZES:
-            sizes += columns[e][2].size
-            e += 1
-        block = range(s, e)
+    A column whose span lies in its entry's computed run reads a view of the
+    kept array: no copy, scan or store. The block copies the kept arrays of
+    its other columns (a NaN array for a key not kept) and computes every
+    node they lack, ragged across them, in one kernel(radii, column ids)
+    call, a column id per radius. Then it keeps the copies, so a block that
+    raises keeps nothing, and drops the least recently used keys while the
+    entries hold more than _STORED_BYTES."""
+    q, computed = [], []
+    for c, key, kept, (lattice, span, _) in block:
+        if kept is None:
+            entry = _Kept(lattice, np.full(lattice[0].size, np.nan), span)
+        elif kept.run.start <= span.start and span.stop <= kept.run.stop:
+            q.append(kept.q[span])
+            continue
+        else:
+            run = span
+            if kept.run.start <= span.stop and span.start <= kept.run.stop:
+                run = slice(min(span.start, kept.run.start), max(span.stop, kept.run.stop))
+            entry = _Kept(lattice, kept.q.copy(), run)
+        q.append(entry.q[span])
+        computed.append((c, key, entry, np.flatnonzero(np.isnan(q[-1])), span))
+    counts = [cells.size for _, _, _, cells, _ in computed]
+    if sum(counts):
+        values = kernel(np.concatenate([entry.lattice[1][span][cells]
+                                        for _, _, entry, cells, span in computed]),
+                        np.repeat([c for c, *_ in computed], counts))
+        for (_, _, entry, cells, span), value in zip(computed, np.split(
+                values, np.cumsum(counts)[:-1])):
+            entry.q[span][cells] = value
+    if computed:
         with _tables_lock:
-            kept = [_tables[keys[c]].copy() if keys[c] in _tables
-                    else np.full(columns[c][0], np.nan) for c in block]
-        q = [table[columns[c][1]] for table, c in zip(kept, block)]     # views
-        missing = [np.flatnonzero(np.isnan(column)) for column in q]
-        counts = [cells.size for cells in missing]
-        if sum(counts):
-            values = kernel(np.concatenate([columns[c][2][cells]
-                                            for c, cells in zip(block, missing)]),
-                            np.repeat(block, counts))
-            for column, cells, value in zip(q, missing, np.split(
-                    values, np.cumsum(counts)[:-1])):
-                column[cells] = value
-        with _tables_lock:
-            for c, table in zip(block, kept):
-                _tables[keys[c]] = table
-                _tables.move_to_end(keys[c])
-            while sum(table.nbytes for table in _tables.values()) > _STORED_BYTES:
-                _tables.popitem(last=False)
-        yield block, q
-        s = e
+            for _, key, entry, _, _ in computed:
+                _tables[key] = entry
+                _tables.move_to_end(key)
+            stored = sum(entry.nbytes for entry in _tables.values())
+            while stored > _STORED_BYTES:
+                stored -= _tables.popitem(last=False)[1].nbytes
+    return q
+
+
+def _q_blocks(columns, kernel):
+    """Yield (column, Q_ext on its span) for each of `columns`, an iterable
+    of (column id, kernel key, the key's kept entry or None, support), a
+    support being a lattice, the span of it the column takes and each
+    altitude's part of that span. The columns go in blocks of at most
+    _TABLE_SIZES span nodes (one column at least), one `_block_q` call
+    each, and a block draws its columns once the one before is served, so a
+    table of many frequencies holds one block at a time."""
+    def nodes(column):
+        span = column[3][1]
+        return span.stop - span.start
+
+    columns = iter(columns)
+    column = next(columns, None)
+    while column is not None:
+        block, sizes = [column], nodes(column)
+        for column in columns:
+            sizes += nodes(column)
+            if sizes > _TABLE_SIZES:
+                break
+            block.append(column)
+        else:
+            column = None
+        yield from zip(block, _block_q(block, kernel))
 
 
 def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
@@ -282,12 +352,15 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     """k_dust in dB/km, a (units modes, electron counts, frequencies,
     heights) array at temperature T (K) and refractive index m.
 
-    Every count column at one frequency shares that frequency's lattice, its
-    slice covering the supports at every altitude, and the per-altitude
-    weights on it; one Q_ext table per column serves every units mode. The
-    columns are the (count, frequency) pairs; `_q_blocks` reuses what
-    _tables keeps of each and runs the kernel on the rest. Each altitude's
-    weights are summed against each (units mode, column).
+    The columns are the (frequency, count) pairs, a frequency's counts in
+    turn. Every count column at one frequency shares that frequency's
+    lattice (a kept one, else built), its span covering the supports at
+    every altitude, and the per-altitude weights on it; one Q_ext table per
+    column serves every units mode. `_q_blocks` reuses what _tables keeps of
+    each column and runs the kernel on the rest. A frequency's span is found
+    when a block takes its first column and its weights are formed when that
+    block is summed, so a table of many frequencies holds one block's worth.
+    Each altitude's weights are summed against each (units mode, column).
     """
     for units_mode in units_modes:
         _check_units(units_mode)
@@ -304,35 +377,32 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     if layer.n0 == 0 or not k.size:
         return k
     mu, sigma = lognormal_params(heights)
-    # per frequency: its lattice's node count, the slice of the lattice the
-    # altitudes cover and the radii there; and each altitude's part of that
-    # slice with its weights
-    supports, weights = [], []
-    for f in frequencies.tolist():
-        lattice = _lattice(f, m)
-        parts = list(_size_weights(lattice, mu, sigma, layer.n0))
-        span = slice(min(part.start for part, _ in parts),
-                     max(part.stop for part, _ in parts))
-        supports.append((lattice[0].size, span, lattice[1][span]))
-        weights.append([(slice(part.start - span.start, part.stop - span.start), w)
-                        for part, w in parts])
-    ne_column = np.repeat(electrons, frequencies.size)
-    f_column = np.tile(frequencies, electrons.size)
-    k_column = k.reshape(len(units_modes), f_column.size, len(heights))
-    keys = [(f, ne, float(temperature), m, ge_mode)
-            for f, ne in zip(f_column.tolist(), ne_column.tolist())]
+
+    def columns():
+        for i, f in enumerate(frequencies.tolist()):
+            keys = [(f, ne, float(temperature), m, ge_mode) for ne in electrons.tolist()]
+            kept, lattice = _look_up(keys)
+            if lattice is None:
+                lattice = _lattice(f, m)
+            support = (lattice, *_node_slices(lattice[0], mu, sigma))
+            for j, (key, entry) in enumerate(zip(keys, kept)):
+                yield i * electrons.size + j, key, entry, support
 
     def kernel(radius, columns):
-        return extinction_efficiency_array(radius, f_column[columns],
-                                           ne_column[columns], temperature, m,
-                                           mode=ge_mode)
+        return extinction_efficiency_array(radius, frequencies[columns // electrons.size],
+                                           electrons[columns % electrons.size],
+                                           temperature, m, mode=ge_mode)
 
-    for columns, q in _q_blocks(keys, supports * electrons.size, kernel):
-        for c, q_c in zip(columns, q):
-            r_m = supports[c % frequencies.size][2]
-            rows = [_per_particle(r_m, q_c, units_mode) for units_mode in units_modes]
-            for i, (part, w) in enumerate(weights[c % frequencies.size]):
-                k_column[:, c, i] = [_k_dust(w, row[part]) for row in rows]
+    last = None
+    for (c, _, _, support), q in _q_blocks(columns(), kernel):
+        if support is not last:
+            last, weights = support, _size_weights(*support, mu, sigma, layer.n0)
+        lattice, span, parts = support
+        rows = [_per_particle(lattice[1][span], q, units_mode)
+                for units_mode in units_modes]
+        i, j = divmod(c, electrons.size)
+        k[:, j, i] = [[_k_dust(w[part], row[part]) for w, part in zip(weights, parts)]
+                      for row in rows]
     return k
 
 
@@ -356,11 +426,13 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     and each altitude weights its own slice of that lattice once.
 
     That table depends only on (f, Ne, T, m, ge_mode), never on h,
-    units_mode or n0, so the process keeps the last keys' Q_ext, one array
-    over the key's whole lattice each (256 KB in all, about 26 keys), and a
-    later call with the same key computes only the nodes it lacks. The result is
-    bit-identical either way. This pays when one process repeats a carrier and charge; a single
-    CLI run builds one table and gains nothing.
+    units_mode or n0, so the process keeps, for each of the last keys, its
+    lattice and its Q_ext over it (256 KB in all, 6 or 7 keys at 0.3-3 THz).
+    A later call with the same key builds no lattice and computes only the
+    nodes it lacks; one that lacks none reads the kept table in place. The
+    result is bit-identical either way. This pays when one process repeats
+    a carrier and charge; a single CLI run builds one table and gains
+    nothing.
 
     units_mode="physical" (default) integrates the cross-section C_ext in
     m^2, making the dB/km prefactor an exact Np/m conversion;

@@ -39,8 +39,8 @@ def support_nodes(heights, f):
     spans for these altitudes: the union of the slices their weights cover."""
     import dustmie.channel as channel
     u = channel._lattice(f, M_KEY)[0]
-    parts = channel._node_slices(u, *lognormal_params(np.array(heights)))
-    return max(part.stop for part in parts) - min(part.start for part in parts)
+    span, _ = channel._node_slices(u, *lognormal_params(np.array(heights)))
+    return span.stop - span.start
 
 
 def trapezoid_k_dust(h, w, layer, particle, points=100001):
@@ -134,6 +134,56 @@ class TestDustAttenuationCoefficient:
         finally:
             tracemalloc.stop()
         assert peak < 2.0e6
+
+    def test_table_memory_does_not_grow_with_its_frequencies(self, monkeypatch,
+                                                             kernel_tables):
+        # a table holds one block of columns at a time, its lattices,
+        # radii and weights included: with the kernel stubbed, so that only
+        # what `channel` holds is traced, 400 frequencies of one band peak
+        # within 10 % of 40. At the CLI's three counts 40 frequencies fill
+        # several blocks, as 400 do; at one count they fill about one, before
+        # the store of kept tables is full, and 400 read 12 % more
+        import dustmie.channel as channel
+        monkeypatch.setattr(channel, "extinction_efficiency_array",
+                            lambda radius, *args, **kwargs: np.ones(radius.size))
+        peaks = []
+        for count in (40, 400):
+            kernel_tables.clear()
+            tracemalloc.start()
+            try:
+                channel._k_dust_grid([150.0], np.geomspace(1e12, 3e12, count),
+                                     [0, 1000, 10**6], DustLayerModel(n0=1e3), 300.0,
+                                     M_DEFAULT, ("physical",), "full")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+    @pytest.mark.parametrize("f", [0.3e12, 3e12])
+    def test_one_pass_weights_equal_per_altitude_weights(self, f):
+        # the weights of 100, 150, 200 and 300 m formed in one pass are,
+        # bit for bit, each altitude's own n0 phi(u) du on its slice, halved
+        # at its ends, or Gregory's at an end on the cap, which the supports
+        # from 150 m up reach
+        import dustmie.channel as channel
+        mu, sigma = lognormal_params(np.array([100.0, 150.0, 200.0, 300.0]))
+        lattice = channel._lattice(f, M_KEY)
+        u, _, du = lattice
+        span, parts = channel._node_slices(u, mu, sigma)
+        weights = channel._size_weights(lattice, span, parts, mu, sigma, 1e3)
+        at_cap = [span.start + part.stop == u.size for part in parts]
+        assert at_cap == [False, True, True, True]
+        for w, part, m, s, cap in zip(weights, parts, mu.tolist(), sigma.tolist(),
+                                      at_cap):
+            nodes = slice(span.start + part.start, span.start + part.stop)
+            one = (1e3 / (math.sqrt(2 * math.pi) * s)
+                   * np.exp(-0.5 * ((u[nodes] - m) / s) ** 2) * du[nodes])
+            one[0] /= 2
+            if cap:
+                one[-4:] *= channel._CAP_WEIGHTS
+            else:
+                one[-1] /= 2
+            assert w[part].tobytes() == one.tobytes()
 
     def test_unset_n0_rejected(self):
         with pytest.raises(ConfigError):
@@ -324,8 +374,9 @@ class TestDustAttenuationCoefficient:
                     units_mode=units_mode)
 
     def test_count_columns_match_per_count_calls(self, monkeypatch, kernel_tables):
-        # a table's columns are its (count, frequency) pairs; kernel slices
-        # that straddle two counts give each count's own values exactly
+        # a table's columns are its (frequency, count) pairs, a frequency's
+        # counts in turn; kernel slices that straddle two counts or two
+        # frequencies give each count's own values exactly
         import dustmie.channel as channel
         layer = DustLayerModel(n0=1e3)
         heights = [100.0, 150.0, 200.0]
@@ -344,8 +395,14 @@ class TestDustAttenuationCoefficient:
         units = ("physical", "paper")
         k = channel._k_dust_grid(heights, freqs, counts, layer, 300.0, M_DEFAULT,
                                  units, "full")
-        assert calls == [4, 4, 4, 3]
+        # 846 x 3 + 962 x 2, 962 + 1,069 x 3, 1,148 x 3 + 1,198 and 1,198 x 2 nodes
+        assert calls == [5, 4, 4, 2]
         assert k.shape == (2, 3, 5, 3)
+        # the counts of a frequency keep one lattice between them
+        lattices = {}
+        for key, entry in kernel_tables.items():
+            assert lattices.setdefault(key[0], entry.lattice) is entry.lattice
+        assert len(kernel_tables) > len(lattices) > 1
         for i, ne in enumerate(counts):
             kernel_tables.clear()
             one = channel._k_dust_grid(heights, freqs, [ne], layer, 300.0, M_DEFAULT,
@@ -398,9 +455,9 @@ class TestRadiusDomain:
                 assert math.isfinite(k) and k >= 0
             mu, sigma = lognormal_params(np.array(heights))
         lattice = channel._lattice(300e9, M_KEY)
-        parts = [part for part, _ in channel._size_weights(lattice, mu, sigma, 1.0)]
+        span, parts = channel._node_slices(lattice[0], mu, sigma)
         for r, part in zip(radii, parts, strict=True):
-            assert np.array_equal(r, lattice[1][part])
+            assert np.array_equal(r, lattice[1][span][part])
             assert r.min() >= 1e-9
         assert [r.size for r in radii] == [813, 946, 994] + [1116] * 3
         for r in radii[3:]:
@@ -458,8 +515,10 @@ def one_table_slant_loss(g, w, layer, particle, rel_tol):
 
     def per_m(s):
         mu, sigma = lognormal_params(g.h0 + s * sin_theta)
-        return np.array([channel._k_dust(weights, kernel[part]) for part, weights
-                         in channel._size_weights(lattice, mu, sigma, layer.n0)]) / 1000.0
+        span, parts = channel._node_slices(lattice[0], mu, sigma)
+        weights = channel._size_weights(lattice, span, parts, mu, sigma, layer.n0)
+        return np.array([channel._k_dust(w[part], kernel[span][part])
+                         for w, part in zip(weights, parts)]) / 1000.0
     return level_simpson(per_m, 0.0, g.d, rel_tol=rel_tol)
 
 
@@ -609,10 +668,12 @@ class TestKeptTables:
         runs = []
         for h, k in zip(heights, cold):
             assert dust_attenuation_coefficient(h, w, self.LAYER, particle) == k
-            q, = kernel_tables.values()
+            entry, = kernel_tables.values()
+            q = entry.q
             finite = np.flatnonzero(~np.isnan(q))
             runs.append((finite[0], finite[-1]))
             assert finite.size == finite[-1] - finite[0] + 1
+            assert entry.run == slice(finite[0], finite[-1] + 1)   # what a hit trusts
         assert runs[1] == runs[0]
         assert runs[2][0] < runs[0][0] and runs[2][1] > runs[0][1]
         assert runs[3][0] < runs[2][0] and runs[3][1] == q.size - 1
@@ -638,19 +699,33 @@ class TestKeptTables:
         assert [slant_dust_loss(g, w, self.LAYER, particle)
                 for g in paths[::-1]] == cold[::-1]
 
-    def test_repeated_path_runs_no_kernel(self, kernel_calls):
+    def test_repeated_path_runs_no_kernel(self, kernel_calls, monkeypatch):
+        # nor builds a lattice: a key's lattice is kept with its table, and
+        # building one takes two Newton solves (`_map_inverse`). A new
+        # charge at a kept (f, m) shares that lattice
+        import dustmie.channel as channel
+        solves = []
+        map_inverse = channel._map_inverse
+
+        def counted(*args):
+            solves.append(1)
+            return map_inverse(*args)
+
+        monkeypatch.setattr(channel, "_map_inverse", counted)
         g = LinkGeometry(h0=120.0, theta=math.radians(12.0), d=80.0, d0=10.0)
         w = WaveSpec.from_frequency(1e12)
         first = path_loss(g, w, self.LAYER, self.particle(0))
-        assert len(kernel_calls) == 1
+        assert len(kernel_calls) == 1 and len(solves) == 2
         assert path_loss(g, w, self.LAYER, self.particle(0)) == first
-        assert len(kernel_calls) == 1
+        assert len(kernel_calls) == 1 and len(solves) == 2
         path_loss(g, w, self.LAYER, self.particle(1000))     # a new charge
-        assert len(kernel_calls) == 2
+        assert len(kernel_calls) == 2 and len(solves) == 2
         # units mode and n0 only weight the table
         slant_dust_loss(g, w, DustLayerModel(n0=5.0), self.particle(0),
                         units_mode="paper")
-        assert len(kernel_calls) == 2
+        assert len(kernel_calls) == 2 and len(solves) == 2
+        path_loss(g, WaveSpec.from_frequency(0.3e12), self.LAYER, self.particle(0))
+        assert len(kernel_calls) == 3 and len(solves) == 4
 
     def test_key_is_normalised(self, kernel_calls):
         # a 0-d array index and the index with Im(m) > 0 are the same key
@@ -680,7 +755,7 @@ class TestKeptTables:
 
         store = SlowStore()
         monkeypatch.setattr(channel, "_tables", store)
-        sizes = [channel._lattice(f, M_KEY)[0].nbytes
+        sizes = [4 * channel._lattice(f, M_KEY)[0].nbytes
                  for f in (0.3e12, 0.5e12, 1e12, 2e12)]
         assert max(sizes) < 2 * min(sizes)
         monkeypatch.setattr(channel, "_STORED_BYTES", max(sizes))
@@ -707,7 +782,7 @@ class TestKeptTables:
         # square overflows a float
         w = WaveSpec.from_frequency(300e9)
         dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(10))
-        before = [(key, q.copy()) for key, q in kernel_tables.items()]
+        before = [(key, entry.q.copy()) for key, entry in kernel_tables.items()]
         g = LinkGeometry(h0=100.0, theta=math.pi / 2, d=100.0, d0=10.0,
                          n_i=2.0, sigma_i=3.0)
         with pytest.raises(RecurrenceOverflowError):
@@ -718,21 +793,24 @@ class TestKeptTables:
                                          ge_mode="bogus")
         after = list(kernel_tables.items())
         assert [key for key, _ in after] == [key for key, _ in before]
-        for (_, q), (_, q_before) in zip(after, before):
-            assert np.array_equal(q, q_before, equal_nan=True)
+        for (_, entry), (_, q_before) in zip(after, before):
+            assert np.array_equal(entry.q, q_before, equal_nan=True)
 
     def test_many_columns_stay_within_the_bound(self, kernel_tables):
         # 60 frequency columns of 799-946-node supports, in blocks of 38 and 22:
-        # only the last 30 columns are kept, as many as 256 KB holds
+        # only the last 7 columns are kept, as many as 256 KB holds
         import dustmie.channel as channel
         freqs = np.geomspace(1e11, 3e11, 60)
         channel._k_dust_grid([150.0], freqs, [0], self.LAYER, 300.0, M_DEFAULT,
                              ("physical",), "full")
-        kept = sum(q.nbytes for q in kernel_tables.values())
+        kept = sum(entry.nbytes for entry in kernel_tables.values())
         assert kept <= 2**18
         assert [key[0] for key in kernel_tables] == freqs[-len(kernel_tables):].tolist()
+        # an entry holds four arrays over its lattice: u, r, du and Q_ext
+        for entry in kernel_tables.values():
+            assert entry.nbytes == 4 * entry.q.nbytes
         older = freqs[-len(kernel_tables) - 1]
-        assert kept + channel._lattice(older, M_KEY)[0].nbytes > 2**18
+        assert kept + 4 * channel._lattice(older, M_KEY)[0].nbytes > 2**18
 
     def test_partly_kept_columns_make_one_call(self, kernel_tables, kernel_calls):
         # five frequencies at 150 m after one of them ran at 100 m, whose
