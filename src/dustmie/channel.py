@@ -75,10 +75,11 @@ def _map_inverse(u: float, u1: float, u2: float) -> float:
     return float(v)
 
 
-def _lattice(f: float, m: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The size lattice of frequency f (Hz) and index m: its nodes u = ln r
-    (r in mm) from the first at or above MIN_RADIUS_MM up to the radius cap,
-    their radii in m, and their trapezoid steps du = _V_STEP U'(v)."""
+def _lattice(f: float, m: complex) -> np.ndarray:
+    """The size lattice of frequency f (Hz) and index m as one (3, nodes)
+    array: its nodes u = ln r (r in mm) from the first at or above
+    MIN_RADIUS_MM up to the radius cap, their radii in m, and their
+    trapezoid steps du = _V_STEP U'(v)."""
     ln_scale = _LN_MM_PER_X_HZ - math.log(f)
     u1 = math.log(_SMALL_X) + ln_scale
     u2 = math.log(_DAMPED_X) - math.log(m.imag) + ln_scale if m.imag else math.inf
@@ -88,7 +89,7 @@ def _lattice(f: float, m: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keep = u >= _LN_R_FLOOR
     u, du = u[keep], du[keep] * _V_STEP
     u[-1] = _LN_R_TOP
-    return u, np.exp(u) * 1e-3, du
+    return np.stack((u, np.exp(u) * 1e-3, du))
 
 
 # Sizes (lattice nodes x frequencies) of one kernel call when a table spans
@@ -96,46 +97,23 @@ def _lattice(f: float, m: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # a 24 MB peak. A table holds one such block at a time, so 400 frequencies
 # over 0.1-3 THz at 150 m trace 25 MB.
 _TABLE_SIZES = 2**15
-# What is kept from call to call, least recently used first: per kernel key
-# (f, Ne, T, m, g_e mode), a _Kept entry, the key's lattice and its Q_ext
-# there. A size's Q_ext does not depend on the batch that computes it, so a
-# kept value serves any later support. The entries hold at most
-# _STORED_BYTES (256 KB) in all, the oldest dropped first: 31-44 KB a key
-# for 2-0.025j (967-1,372 nodes at 0.1-10 THz), so 7 keys at 0.3 THz and 6
-# at 1 and 3 THz.
+# What is kept from call to call, least recently used first: per (f, m), a
+# tuple of its lattice and a dict from each kernel key (f, Ne, T, m, g_e
+# mode) of that (f, m) to the key's Q_ext over the lattice, NaN where a node
+# is not yet computed. A size's Q_ext does not depend on the batch that
+# computes it, so a kept value serves any later support. Whole entries are
+# dropped, the oldest first, while the arrays, each counted once, hold more
+# than _STORED_BYTES (256 KB): for 2-0.025j (967-1,372 nodes at 0.1-10 THz)
+# a lattice takes 23-33 KB and a key 8-11 KB, so one frequency's entry keeps
+# 20-30 keys, and 7 frequencies of one key fit at 0.3 THz, 6 at 1 and 3 THz.
+# An entry larger than the budget is not kept (the store is emptied): more
+# than 30 keys at one (f, m) for 2-0.025j at 0.1 THz, 20 at 10 THz, and 17
+# at 10 THz for 1.33.
 # Calls from several threads read and write it under _tables_lock, which is
 # not held while the kernel runs; an entry is replaced, never written.
 _STORED_BYTES = 2**18
 _tables: OrderedDict = OrderedDict()
 _tables_lock = threading.Lock()
-
-
-class _Kept:
-    """A kernel key's kept entry: its lattice (u, r, du) as `_lattice`
-    builds it, Q_ext over that lattice (NaN where a node is not yet
-    computed) and `run`, a slice of nodes all computed."""
-
-    __slots__ = ("lattice", "q", "run", "nbytes")
-
-    def __init__(self, lattice, q: np.ndarray, run: slice):
-        self.lattice, self.q, self.run = lattice, q, run
-        self.nbytes = sum(a.nbytes for a in lattice) + q.nbytes
-
-
-def _look_up(keys: list) -> tuple[list, tuple | None]:
-    """The kept entries of keys that share one (f, m) (None for a key not
-    kept), each moved to the most recently used end of the store, and a
-    lattice of that (f, m) if any entry keeps one: a lattice depends on f
-    and m alone, so the keys of other counts or temperatures share it."""
-    f, m = keys[0][0], keys[0][3]
-    with _tables_lock:
-        kept = [_tables[key] if key in _tables else None for key in keys]
-        for key, entry in zip(keys, kept):
-            if entry is not None:
-                _tables.move_to_end(key)
-        lattice = next((entry.lattice for key, entry in _tables.items()
-                        if key[0] == f and key[3] == m), None)
-    return kept, lattice
 
 
 # The slant-path rule: 8 Gauss-Legendre nodes (on [-1, 1]; leggauss(8),
@@ -277,73 +255,66 @@ def _check_units(units_mode: str) -> None:
         raise ConfigError(f"unknown units mode {units_mode!r}")
 
 
-def _block_q(block: list, kernel) -> list:
-    """Q_ext on the span of each column of a `_q_blocks` block.
-
-    A column whose span lies in its entry's computed run reads a view of the
-    kept array: no copy, scan or store. The block copies the kept arrays of
-    its other columns (a NaN array for a key not kept) and computes every
-    node they lack, ragged across them, in one kernel(radii, column ids)
-    call, a column id per radius. Then it keeps the copies, so a block that
-    raises keeps nothing, and drops the least recently used keys while the
-    entries hold more than _STORED_BYTES."""
-    q, computed = [], []
-    for c, key, kept, (lattice, span, _) in block:
-        if kept is None:
-            entry = _Kept(lattice, np.full(lattice[0].size, np.nan), span)
-        elif kept.run.start <= span.start and span.stop <= kept.run.stop:
-            q.append(kept.q[span])
-            continue
-        else:
-            run = span
-            if kept.run.start <= span.stop and span.start <= kept.run.stop:
-                run = slice(min(span.start, kept.run.start), max(span.stop, kept.run.stop))
-            entry = _Kept(lattice, kept.q.copy(), run)
-        q.append(entry.q[span])
-        computed.append((c, key, entry, np.flatnonzero(np.isnan(q[-1])), span))
-    counts = [cells.size for _, _, _, cells, _ in computed]
-    if sum(counts):
-        values = kernel(np.concatenate([entry.lattice[1][span][cells]
-                                        for _, _, entry, cells, span in computed]),
-                        np.repeat([c for c, *_ in computed], counts))
-        for (_, _, entry, cells, span), value in zip(computed, np.split(
-                values, np.cumsum(counts)[:-1])):
-            entry.q[span][cells] = value
-    if computed:
-        with _tables_lock:
-            for _, key, entry, _, _ in computed:
-                _tables[key] = entry
-                _tables.move_to_end(key)
-            stored = sum(entry.nbytes for entry in _tables.values())
-            while stored > _STORED_BYTES:
-                stored -= _tables.popitem(last=False)[1].nbytes
-    return q
+def _entry_bytes(entry: tuple) -> int:
+    """The bytes a kept (lattice, {key: Q_ext}) entry holds."""
+    lattice, tables = entry
+    return lattice.nbytes + sum(q.nbytes for q in tables.values())
 
 
 def _q_blocks(columns, kernel):
     """Yield (column, Q_ext on its span) for each of `columns`, an iterable
-    of (column id, kernel key, the key's kept entry or None, support), a
-    support being a lattice, the span of it the column takes and each
-    altitude's part of that span. The columns go in blocks of at most
-    _TABLE_SIZES span nodes (one column at least), one `_block_q` call
-    each, and a block draws its columns once the one before is served, so a
-    table of many frequencies holds one block at a time."""
-    def nodes(column):
-        span = column[3][1]
-        return span.stop - span.start
+    of (column id, kernel key, the key's kept Q_ext array or None, support),
+    a support being the key's (f, m) lattice, the span of it the column
+    takes and each altitude's part of that span.
 
+    The columns go in blocks of at most _TABLE_SIZES span nodes (one column
+    at least), and a block draws its columns once the one before is served,
+    so a table of many frequencies holds one block at a time. A column whose
+    span holds no NaN reads a view of the kept array: no copy, store or
+    kernel call. Any other key copies its kept array (or starts from a NaN
+    array), and the block computes the NaN cells of those spans, ragged
+    across them, in one kernel(radii, column ids) call, a column id per
+    radius. A key repeats only with its frequency, so on the same span, and
+    a repeat takes the first one's array. Then the block replaces the
+    (f, m) entry of each key it computed, so a block that raises keeps
+    nothing, and drops whole entries, least recently used first, while the
+    store holds more than _STORED_BYTES."""
     columns = iter(columns)
     column = next(columns, None)
     while column is not None:
-        block, sizes = [column], nodes(column)
-        for column in columns:
-            sizes += nodes(column)
-            if sizes > _TABLE_SIZES:
+        block, q, fresh, todo, sizes = [], [], {}, [], 0
+        while column is not None:
+            c, key, kept, (lattice, span, _) = column
+            sizes += span.stop - span.start
+            if block and sizes > _TABLE_SIZES:
                 break
             block.append(column)
-        else:
-            column = None
-        yield from zip(block, _block_q(block, kernel))
+            if key in fresh:
+                q.append(fresh[key][1][span])
+            elif kept is not None and not np.isnan(kept[span]).any():
+                q.append(kept[span])
+            else:
+                array = np.full(lattice.shape[1], np.nan) if kept is None else kept.copy()
+                fresh[key] = lattice, array
+                q.append(array[span])
+                todo.append((c, lattice[1][span], q[-1], np.flatnonzero(np.isnan(q[-1]))))
+            column = next(columns, None)
+        counts = [cells.size for *_, cells in todo]
+        if sum(counts):
+            values = kernel(np.concatenate([r[cells] for _, r, _, cells in todo]),
+                            np.repeat([c for c, *_ in todo], counts))
+            for (*_, view, cells), value in zip(todo, np.split(
+                    values, np.cumsum(counts)[:-1])):
+                view[cells] = value
+        if fresh:
+            with _tables_lock:
+                for key, (lattice, array) in fresh.items():
+                    lattice, tables = _tables.pop((key[0], key[3]), (lattice, {}))
+                    _tables[key[0], key[3]] = lattice, {**tables, key: array}
+                stored = sum(map(_entry_bytes, _tables.values()))
+                while stored > _STORED_BYTES:
+                    stored -= _entry_bytes(_tables.popitem(last=False)[1])
+        yield from zip(block, q)
 
 
 def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
@@ -354,13 +325,14 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
 
     The columns are the (frequency, count) pairs, a frequency's counts in
     turn. Every count column at one frequency shares that frequency's
-    lattice (a kept one, else built), its span covering the supports at
-    every altitude, and the per-altitude weights on it; one Q_ext table per
-    column serves every units mode. `_q_blocks` reuses what _tables keeps of
-    each column and runs the kernel on the rest. A frequency's span is found
-    when a block takes its first column and its weights are formed when that
-    block is summed, so a table of many frequencies holds one block's worth.
-    Each altitude's weights are summed against each (units mode, column).
+    lattice (its kept entry's, else built), its span covering the supports
+    at every altitude, and the per-altitude weights on it; one Q_ext table
+    per column serves every units mode. `_q_blocks` reuses what _tables
+    keeps of each column and runs the kernel on the rest. A frequency's span
+    is found when a block takes its first column and its weights are formed
+    when that block is summed, so a table of many frequencies holds one
+    block's worth. Each altitude's weights are summed against each (units
+    mode, column).
     """
     for units_mode in units_modes:
         _check_units(units_mode)
@@ -380,13 +352,15 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
 
     def columns():
         for i, f in enumerate(frequencies.tolist()):
-            keys = [(f, ne, float(temperature), m, ge_mode) for ne in electrons.tolist()]
-            kept, lattice = _look_up(keys)
-            if lattice is None:
-                lattice = _lattice(f, m)
+            with _tables_lock:
+                entry = _tables[f, m] if (f, m) in _tables else None
+                if entry:
+                    _tables.move_to_end((f, m))
+            lattice, kept = entry or (_lattice(f, m), {})
             support = (lattice, *_node_slices(lattice[0], mu, sigma))
-            for j, (key, entry) in enumerate(zip(keys, kept)):
-                yield i * electrons.size + j, key, entry, support
+            for j, ne in enumerate(electrons.tolist()):
+                key = (f, ne, float(temperature), m, ge_mode)
+                yield i * electrons.size + j, key, kept.get(key), support
 
     def kernel(radius, columns):
         return extinction_efficiency_array(radius, frequencies[columns // electrons.size],
@@ -426,13 +400,14 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     and each altitude weights its own slice of that lattice once.
 
     That table depends only on (f, Ne, T, m, ge_mode), never on h,
-    units_mode or n0, so the process keeps, for each of the last keys, its
-    lattice and its Q_ext over it (256 KB in all, 6 or 7 keys at 0.3-3 THz).
-    A later call with the same key builds no lattice and computes only the
-    nodes it lacks; one that lacks none reads the kept table in place. The
-    result is bit-identical either way. This pays when one process repeats
-    a carrier and charge; a single CLI run builds one table and gains
-    nothing.
+    units_mode or n0, so the process keeps, for each of the last (f, m) it
+    saw, the lattice and each key's Q_ext over it (256 KB in all: 6 or 7
+    frequencies of one key at 0.3-3 THz, or 20-30 keys at one frequency). A
+    later call at a kept (f, m) builds no lattice and computes only the
+    nodes its key lacks; one that lacks none reads the kept table in place.
+    The result is bit-identical either way. This pays when one process
+    repeats a carrier and charge; a single CLI run builds one table and
+    gains nothing.
 
     units_mode="physical" (default) integrates the cross-section C_ext in
     m^2, making the dB/km prefactor an exact Np/m conversion;

@@ -88,6 +88,11 @@ _CHUNK_TERMS = 7168
 # 36 and 8, or 45 and 0, do not.
 _SEED_DECAY = 45.0
 _SEED_MARGIN = 8
+# Highest order a downward recurrence may start from. The start grows with
+# |m x|: 1.7e5 orders for 2+1e4j at x = 60, 1.7e7 for 2+1e6j, 6e11 (a
+# multi-TB run) for 2+1e10j, and past 2^63 it would wrap. Tabulated dust
+# indices and the benchmark's ops start below 3e4.
+_MAX_START = 2**20
 # Lanes (runs of equal x) at or below which `_series` steps each in scalars,
 # and the orders a lane must have left for that. Measured in place on a
 # 2-core host with numpy 2.4: a step of the block loop's vector costs about
@@ -309,7 +314,8 @@ def _start_orders(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     _SEED_DECAY / rate steps above rows, for the slower of the row's w
     values. A row starts at the lower of the two (Wiscombe's where the rate
     is 0), raised to the starts of the rows after it, so that the rows
-    running at an order stay a prefix of the batch."""
+    running at an order stay a prefix of the batch. A start above
+    _MAX_START raises DomainError before any order is allocated."""
     # numpy reduces a (k, w) array along its short axis slowly, so the
     # largest and smallest over a row are taken column by column
     cols = z.T
@@ -323,7 +329,11 @@ def _start_orders(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     steps = np.divide(_SEED_DECAY, rate, out=np.full(rate.shape, np.inf),
                       where=rate > 0)
     start = np.minimum(wiscombe, rows + 1 + np.ceil(steps) + _SEED_MARGIN)
-    return np.maximum.accumulate(start[::-1])[::-1].astype(int)
+    start = np.maximum.accumulate(start[::-1])[::-1]
+    if not start[0] <= _MAX_START:             # a nan start too
+        raise DomainError(f"the downward recurrence would start at order "
+                          f"{start[0]:.3g}, above {_MAX_START}")
+    return start.astype(int)
 
 
 def _scaled_ratio(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -733,8 +743,12 @@ def _downward_series(x: np.ndarray, m: complex, g_e: np.ndarray,
             total, total[begin] + _PASS_TERMS, side="right")) - 1)
         run = slice(begin, end)
         pairs = np.stack((m * x[run], x[run].astype(complex)), axis=1)
-        q[run] = _series(x[run], m, g_e[run], rows[run], scratch,
-                         store=_scaled_ratio(pairs, rows[run]))
+        try:
+            store = _scaled_ratio(pairs, rows[run])
+        except DomainError as exc:
+            raise DomainError(f"refractive index {m} at x = {x[begin]:g}: "
+                              f"{exc}") from None
+        q[run] = _series(x[run], m, g_e[run], rows[run], scratch, store=store)
         begin = end
     return q
 

@@ -398,11 +398,14 @@ class TestDustAttenuationCoefficient:
         # 846 x 3 + 962 x 2, 962 + 1,069 x 3, 1,148 x 3 + 1,198 and 1,198 x 2 nodes
         assert calls == [5, 4, 4, 2]
         assert k.shape == (2, 3, 5, 3)
-        # the counts of a frequency keep one lattice between them
-        lattices = {}
-        for key, entry in kernel_tables.items():
-            assert lattices.setdefault(key[0], entry.lattice) is entry.lattice
-        assert len(kernel_tables) > len(lattices) > 1
+        # the counts of a frequency keep one lattice between them: every
+        # kept key sits under its own (f, m), with an array over its lattice
+        keys = 0
+        for (f, m), (lattice, tables) in kernel_tables.items():
+            for key, q in tables.items():
+                assert (key[0], key[3]) == (f, m) and q.shape == lattice[0].shape
+            keys += len(tables)
+        assert keys > len(kernel_tables) > 1
         for i, ne in enumerate(counts):
             kernel_tables.clear()
             one = channel._k_dust_grid(heights, freqs, [ne], layer, 300.0, M_DEFAULT,
@@ -654,9 +657,9 @@ class TestKeptTables:
     @pytest.mark.parametrize("f,ne", [(0.3e12, 0), (1e12, 1000), (3e12, 10**6)])
     def test_warm_equals_cold_k_dust(self, kernel_tables, f, ne):
         # 120 m first, then a lower altitude, whose support lies inside the
-        # kept run (the finite span of the kept array), then a higher one,
-        # whose support extends it at both ends (below the radius cap, the
-        # top node rises with h)
+        # kept run (the finite span of the kept array, what a hit reads),
+        # then a higher one, whose support extends it at both ends (below
+        # the radius cap, the top node rises with h)
         import dustmie.channel as channel
         w, particle = WaveSpec.from_frequency(f), self.particle(ne)
         heights = [120.0, 100.0, 140.0, 250.0]
@@ -668,12 +671,11 @@ class TestKeptTables:
         runs = []
         for h, k in zip(heights, cold):
             assert dust_attenuation_coefficient(h, w, self.LAYER, particle) == k
-            entry, = kernel_tables.values()
-            q = entry.q
+            (_, tables), = kernel_tables.values()
+            q, = tables.values()
             finite = np.flatnonzero(~np.isnan(q))
             runs.append((finite[0], finite[-1]))
             assert finite.size == finite[-1] - finite[0] + 1
-            assert entry.run == slice(finite[0], finite[-1] + 1)   # what a hit trusts
         assert runs[1] == runs[0]
         assert runs[2][0] < runs[0][0] and runs[2][1] > runs[0][1]
         assert runs[3][0] < runs[2][0] and runs[3][1] == q.size - 1
@@ -737,10 +739,11 @@ class TestKeptTables:
         assert len(kernel_calls) == 1
 
     def test_threads_share_the_store(self, monkeypatch):
-        # 4 threads, 8 keys and a store that holds one key, so
-        # that each call evicts the keys others are reading; the store
-        # sleeps between finding a key and reading or moving it. The budget
-        # is the largest key's array, which is under twice the smallest
+        # 4 threads, 8 keys over 4 frequencies and a store that holds one
+        # frequency's lattice and its two counts, so that each call evicts
+        # the entries others are reading; the store sleeps between finding
+        # an entry and reading or moving it. Two frequencies' entries never
+        # fit, not even with one count each
         from concurrent.futures import ThreadPoolExecutor
         import dustmie.channel as channel
 
@@ -755,10 +758,10 @@ class TestKeptTables:
 
         store = SlowStore()
         monkeypatch.setattr(channel, "_tables", store)
-        sizes = [4 * channel._lattice(f, M_KEY)[0].nbytes
+        sizes = [channel._lattice(f, M_KEY)[0].nbytes
                  for f in (0.3e12, 0.5e12, 1e12, 2e12)]
-        assert max(sizes) < 2 * min(sizes)
-        monkeypatch.setattr(channel, "_STORED_BYTES", max(sizes))
+        assert 5 * max(sizes) < 2 * 4 * min(sizes)
+        monkeypatch.setattr(channel, "_STORED_BYTES", 5 * max(sizes))
         jobs = [(g, f, ne) for f in (0.3e12, 0.5e12, 1e12, 2e12) for ne in (0, 1000)
                 for g in (LinkGeometry(h0=110.0, theta=0.2, d=60.0, d0=10.0),
                           LinkGeometry(h0=100.0, theta=0.3, d=90.0, d0=10.0))]
@@ -782,7 +785,8 @@ class TestKeptTables:
         # square overflows a float
         w = WaveSpec.from_frequency(300e9)
         dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(10))
-        before = [(key, entry.q.copy()) for key, entry in kernel_tables.items()]
+        before = [(fm, lattice.copy(), {key: q.copy() for key, q in tables.items()})
+                  for fm, (lattice, tables) in kernel_tables.items()]
         g = LinkGeometry(h0=100.0, theta=math.pi / 2, d=100.0, d0=10.0,
                          n_i=2.0, sigma_i=3.0)
         with pytest.raises(RecurrenceOverflowError):
@@ -792,9 +796,39 @@ class TestKeptTables:
             dust_attenuation_coefficient(120.0, w, self.LAYER, self.particle(10),
                                          ge_mode="bogus")
         after = list(kernel_tables.items())
-        assert [key for key, _ in after] == [key for key, _ in before]
-        for (_, entry), (_, q_before) in zip(after, before):
-            assert np.array_equal(entry.q, q_before, equal_nan=True)
+        assert [fm for fm, _ in after] == [fm for fm, *_ in before]
+        for (_, (lattice, tables)), (_, lattice_before, tables_before) in zip(after, before):
+            assert np.array_equal(lattice, lattice_before)
+            assert tables.keys() == tables_before.keys()
+            for key, q in tables.items():
+                assert np.array_equal(q, tables_before[key], equal_nan=True)
+
+    def test_repeated_key_is_computed_once(self, monkeypatch, kernel_tables):
+        # a frequency repeated in one call, or a count repeated at one
+        # frequency, is one key: its nodes go into the block's kernel call
+        # once, and every repeat reads the same values
+        import dustmie.channel as channel
+        sizes = []
+        kernel = channel.extinction_efficiency_array
+
+        def counted(radius, *args, **kwargs):
+            sizes.append(radius.size)
+            return kernel(radius, *args, **kwargs)
+
+        monkeypatch.setattr(channel, "extinction_efficiency_array", counted)
+
+        def k_dust(freqs, counts):
+            kernel_tables.clear()
+            sizes.clear()
+            return channel._k_dust_grid([150.0], freqs, counts, self.LAYER, 300.0,
+                                        M_DEFAULT, ("physical",), "full")[0, :, :, 0]
+        nodes = support_nodes([150.0], 1e12)           # 1,078
+        single = {ne: k_dust([1e12], [ne]).item() for ne in (0, 1000)}
+        assert k_dust([1e12] * 3, [0]).tolist() == [[single[0]] * 3]
+        assert sizes == [nodes]
+        assert k_dust([1e12], [0, 0, 1000]).tolist() == [[single[0]], [single[0]],
+                                                        [single[1000]]]
+        assert sizes == [2 * nodes]
 
     def test_many_columns_stay_within_the_bound(self, kernel_tables):
         # 60 frequency columns of 799-946-node supports, in blocks of 38 and 22:
@@ -803,14 +837,32 @@ class TestKeptTables:
         freqs = np.geomspace(1e11, 3e11, 60)
         channel._k_dust_grid([150.0], freqs, [0], self.LAYER, 300.0, M_DEFAULT,
                              ("physical",), "full")
-        kept = sum(entry.nbytes for entry in kernel_tables.values())
+        kept = sum(map(channel._entry_bytes, kernel_tables.values()))
         assert kept <= 2**18
-        assert [key[0] for key in kernel_tables] == freqs[-len(kernel_tables):].tolist()
+        assert [f for f, _ in kernel_tables] == freqs[-len(kernel_tables):].tolist()
+        assert len(kernel_tables) == 7
         # an entry holds four arrays over its lattice: u, r, du and Q_ext
-        for entry in kernel_tables.values():
-            assert entry.nbytes == 4 * entry.q.nbytes
+        for lattice, tables in kernel_tables.values():
+            q, = tables.values()
+            assert lattice.nbytes == 3 * q.nbytes
+            assert channel._entry_bytes((lattice, tables)) == 4 * q.nbytes
         older = freqs[-len(kernel_tables) - 1]
         assert kept + 4 * channel._lattice(older, M_KEY)[0].nbytes > 2**18
+
+    def test_group_over_the_budget_is_not_kept(self, monkeypatch, kernel_tables):
+        # an (f, m) entry larger than the budget, here a lattice and two
+        # counts against room for one, is dropped with the rest of the store
+        import dustmie.channel as channel
+        monkeypatch.setattr(channel, "_STORED_BYTES",
+                            4 * channel._lattice(1e12, M_KEY)[0].nbytes)
+
+        def k_dust(counts):
+            return channel._k_dust_grid([150.0], [1e12], counts, self.LAYER, 300.0,
+                                        M_DEFAULT, ("physical",), "full")
+        k_dust([0])
+        assert [len(tables) for _, tables in kernel_tables.values()] == [1]
+        k_dust([0, 1000])
+        assert not kernel_tables
 
     def test_partly_kept_columns_make_one_call(self, kernel_tables, kernel_calls):
         # five frequencies at 150 m after one of them ran at 100 m, whose

@@ -564,6 +564,24 @@ def test_numerical_failure_exits_3(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv,m", [
+    # an Im(m) so large that the downward recurrence would start past 2^63
+    # orders, where the start wrapped to a negative int
+    (["qext", "--count", "3", "--m", "2-1e300j"], "(2+1e+300j)"),
+    (["attenuation", "--count", "2", "--n0", "1", "--m", "2-1e155j"], "(2+1e+155j)"),
+    (["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--h0", "100",
+      "--d", "100", "--m", "0.5-1e200j"], "(0.5+1e+200j)"),
+])
+def test_index_past_the_recurrence_cap_is_config_error(capsys, argv, m):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"dustmie: error: refractive index {m} at x = ")
+    assert "would start at order" in captured.err and "above 1048576" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # The size integral stays in the kernel's radius domain [1 nm, 10 mm], so
 # no altitude takes the series to the radii near 1e-85 m (x overflows) or
 # 1e-60 m (g_e overflows) of the spectrum's whole 8-sigma support.

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dustmie import mie
+from dustmie.errors import DomainError
 from dustmie.mie import (
     _normalize_m, _riccati_eta, _riccati_psi, _scaled_ratio, truncation_order)
 
@@ -230,6 +231,23 @@ class TestStartOrders:
         # the seed must cross the oscillatory zone n < |m x|
         z, rows = kernel_pair(2 - 0.025j, np.array([791.2]))
         assert mie._start_orders(z, rows)[0] == wiscombe_start(z, rows)[0] == 1758
+
+    @pytest.mark.parametrize("m", [2 + 1e300j, 0.5 + 1e200j, 2 + 1e308j])
+    def test_start_above_the_cap_raises(self, m):
+        # a start past 2^63, or an inf one, wrapped to a negative int. The
+        # kernel runs the recurrence with floating-point warnings off, as
+        # 1e308j x overflows to inf
+        with np.errstate(all="ignore"), pytest.raises(
+                DomainError, match="order .*above 1048576"):
+            _scaled_ratio(*kernel_pair(m, np.array([60.0])))
+
+    def test_start_cap(self):
+        # the start grows with |m x|: 2+1e10j would run 6e11 orders, and
+        # raises before any is allocated; 2+1e4j starts near 1.7e5
+        with pytest.raises(DomainError, match="order 6.*e\\+11"):
+            mie._start_orders(*kernel_pair(2 + 1e10j, np.array([60.0])))
+        z, rows = kernel_pair(2 + 1e4j, np.array([60.0]))
+        assert 1e5 < mie._start_orders(z, rows)[0] <= mie._MAX_START == 2**20
 
     @given(re=st.floats(1e-3, 3000.0),
            im=st.one_of(st.just(0.0), st.floats(0.0, 3000.0)),
