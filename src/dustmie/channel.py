@@ -278,13 +278,17 @@ def _q_blocks(columns, kernel):
     a repeat takes the first one's array. Then the block replaces the
     (f, m) entry of each key it computed, so a block that raises keeps
     nothing, and drops whole entries, least recently used first, while the
-    store holds more than _STORED_BYTES."""
+    store holds more than _STORED_BYTES. The column that ends a block was
+    drawn before that block stored its keys: a key the block computed takes
+    the array it stored."""
     columns = iter(columns)
-    column = next(columns, None)
+    column, fresh = next(columns, None), {}
     while column is not None:
+        stored = {key: array for key, (_, array) in fresh.items()}
         block, q, fresh, todo, sizes = [], [], {}, [], 0
         while column is not None:
             c, key, kept, (lattice, span, _) = column
+            kept = stored.get(key, kept)
             sizes += span.stop - span.start
             if block and sizes > _TABLE_SIZES:
                 break

@@ -829,6 +829,12 @@ class TestKeptTables:
         assert k_dust([1e12], [0, 0, 1000]).tolist() == [[single[0]], [single[0]],
                                                         [single[1000]]]
         assert sizes == [2 * nodes]
+        # 40 columns of one key take two blocks of at most _TABLE_SIZES span
+        # nodes; the column that ends the first block reads what that block
+        # stored
+        assert 40 * nodes > channel._TABLE_SIZES
+        assert k_dust([1e12] * 40, [0]).tolist() == [[single[0]] * 40]
+        assert sizes == [nodes]
 
     def test_many_columns_stay_within_the_bound(self, kernel_tables):
         # 60 frequency columns of 799-946-node supports, in blocks of 38 and 22:

@@ -582,6 +582,18 @@ def test_index_past_the_recurrence_cap_is_config_error(capsys, argv, m):
     assert "Traceback" not in captured.err
 
 
+def test_index_whose_im_x_overflows_is_config_error_with_no_warning(capsys):
+    # Im(m) x past the float range overflows inside the kernel's one
+    # floating-point error state: the error line is all that is printed
+    code = run(["qext", "--count", "3", "--m", "2-1e308j"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("dustmie: error: refractive index (2+1e+308j) at x = 2: "
+                            "the downward recurrence would start at order inf, "
+                            "above 1048576\n")
+
+
 # The size integral stays in the kernel's radius domain [1 nm, 10 mm], so
 # no altitude takes the series to the radii near 1e-85 m (x overflows) or
 # 1e-60 m (g_e overflows) of the spectrum's whole 8-sigma support.

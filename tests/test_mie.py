@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dustmie import mie
 from dustmie.constants import CONSTANTS
-from dustmie.errors import DomainError, DustmieError
+from dustmie.errors import DomainError, DustmieError, RecurrenceOverflowError
 from dustmie.mie import (
     ParticleState,
     WaveSpec,
@@ -26,6 +27,15 @@ from oracles import neutral_mie_qext
 M_DEFAULT = 2.0 - 0.025j
 
 
+def on_route(route, x, m, g_e, rows):
+    """Q_ext of sizes x from one route of the kernel (`mie._series` or
+    `mie._downward_series`), run as `mie._qext` runs it: under one
+    np.errstate, as the cells of a block above a size's own orders may
+    overflow (the kernel raises where a size's own Q_ext does)."""
+    with np.errstate(all="ignore"):
+        return route(x, m, g_e, rows)
+
+
 def recorded_coefficients(route, x, m, g_e, rows):
     """Charged (a_n, b_n) of sizes x at charges g_e for n = 1..rows, as the
     kernel's block sums return them while the route (`mie._series` or
@@ -39,7 +49,7 @@ def recorded_coefficients(route, x, m, g_e, rows):
         return a, b
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mie._SeriesSum, "add", recorded)
-        route(x, m, g_e, np.full(x.size, rows))
+        on_route(route, x, m, g_e, np.full(x.size, rows))
     passes = [[np.concatenate(c) for c in zip(*run)] for run in blocks.values()]
     return tuple(np.concatenate(c, axis=1) for c in zip(*passes))
 
@@ -285,7 +295,8 @@ class TestTruncation:
         q = mie._qext(np.tile(x, 2), m, np.repeat(charges, x.size))
         m = _normalize_m(m)
         longer = np.concatenate([
-            mie._downward_series(x, m, np.full(x.size, g_e), truncation_order(x) + 40)
+            on_route(mie._downward_series, x, m, np.full(x.size, g_e),
+                     truncation_order(x) + 40)
             for g_e in charges])
         assert np.all(np.abs(q - longer) <= 1e-8 * np.abs(longer))
 
@@ -345,8 +356,8 @@ class TestRoutes:
         rows = truncation_order(x)
         for g_e in (0j, 1j, -5 + 50j):
             g = np.full(x.size, g_e)
-            up = mie._series(x, m, g, rows)
-            down = mie._downward_series(x, m, g, rows)
+            up = on_route(mie._series, x, m, g, rows)
+            down = on_route(mie._downward_series, x, m, g, rows)
             assert np.all(np.abs(up - down) <= rel * np.abs(down))
 
     # Below x = 1 both routes sum two to six orders, from s_1 and s_2 near
@@ -370,8 +381,8 @@ class TestRoutes:
             rows = truncation_order(x)
             for g_e in (0j, 1e-3j, 1j, -5 + 50j):
                 g = np.full(x.size, g_e)
-                up = mie._series(x, m, g, rows)
-                down = mie._downward_series(x, m, g, rows)
+                up = on_route(mie._series, x, m, g, rows)
+                down = on_route(mie._downward_series, x, m, g, rows)
                 assert np.all(np.abs(up - down) <= rel * np.abs(down))
 
     @pytest.mark.parametrize("m", [M_DEFAULT, 1.33, 1.5 + 1j, 5 + 5j])
@@ -381,7 +392,7 @@ class TestRoutes:
         g, rows, ref = np.zeros(x.size, complex), truncation_order(x), [
             neutral_mie_qext(xi, m) for xi in x]
         for route in (mie._series, mie._downward_series):
-            q = route(x, _normalize_m(m), g, rows)
+            q = on_route(route, x, _normalize_m(m), g, rows)
             assert q == pytest.approx(ref, rel=3e-15, abs=0)
 
     def test_index_matched_small_sphere_vanishes(self):
@@ -745,3 +756,195 @@ class TestBatchKernel:
         for m in (-1.5 + 0j, complex(math.nan, 0), complex(2, math.inf)):
             with pytest.raises(DomainError):
                 extinction_efficiency_array(1e-6, 3e11, 0, 300.0, m)
+
+
+M_OVER_CAP = 2 - 1e300j
+R_PAIR = [1e-6, 2e-6]
+
+# Every input the kernel rejects, one bad input a case, with the error class
+# and message each public entry gives for it: (entry, arguments, class,
+# message). extinction_efficiency_array takes (radius, frequency, electrons,
+# temperature, m[, mode]) and extinction_efficiency_x (x, m[, g_e]).
+REJECTED = [
+    ("array", ([1e-6, 0.0], 3e11, 0, 300.0, M_DEFAULT), DomainError,
+     "radius and wavelength must be positive"),
+    ("array", ([1e-6, -1e-6], 3e11, 0, 300.0, M_DEFAULT), DomainError,
+     "radius and wavelength must be positive"),
+    ("array", ([1e-6, math.nan], 3e11, 0, 300.0, M_DEFAULT), DomainError,
+     "scale parameter must be positive"),
+    ("array", ([1e-6, math.inf], 3e11, 0, 300.0, M_DEFAULT), DomainError,
+     "scale parameter up to inf above the series' domain (x <= 20000)"),
+    ("array", ([1e-6, 5.0], 3e11, 0, 300.0, M_DEFAULT), DomainError,
+     "scale parameter up to 31436.9 above the series' domain (x <= 20000)"),
+    ("array", (R_PAIR, 0.0, 0, 300.0, M_DEFAULT), DomainError,
+     "frequency must be positive"),
+    ("array", (R_PAIR, [3e11, -1.0], 0, 300.0, M_DEFAULT), DomainError,
+     "frequency must be positive"),
+    ("array", (R_PAIR, math.nan, 0, 300.0, M_DEFAULT), DomainError,
+     "frequency nan Hz: wavelength overflows"),
+    ("array", (R_PAIR, 1e-320, 0, 300.0, M_DEFAULT), DomainError,
+     "frequency 9.99989e-321 Hz: wavelength overflows"),
+    ("array", (R_PAIR, math.inf, 0, 300.0, M_DEFAULT), DomainError,
+     "radius and wavelength must be positive"),
+    ("array", (R_PAIR, 3e11, -1, 300.0, M_DEFAULT), DomainError,
+     "electron count must be non-negative and finite"),
+    ("array", (R_PAIR, 3e11, [0, math.nan], 300.0, M_DEFAULT), DomainError,
+     "electron count must be non-negative and finite"),
+    ("array", (R_PAIR, 3e11, math.inf, 300.0, M_DEFAULT), DomainError,
+     "electron count must be non-negative and finite"),
+    ("array", (R_PAIR, 3e11, 10**400, 300.0, M_DEFAULT), DomainError,
+     "electron count exceeds the float range"),
+    ("array", (R_PAIR, 3e11, 0, 0.0, M_DEFAULT), DomainError,
+     "temperature must be positive and finite, got 0.0"),
+    ("array", (R_PAIR, 3e11, 0, -1.0, M_DEFAULT), DomainError,
+     "temperature must be positive and finite, got -1.0"),
+    ("array", (R_PAIR, 3e11, 0, math.nan, M_DEFAULT), DomainError,
+     "temperature must be positive and finite, got nan"),
+    ("array", (R_PAIR, 3e11, 0, math.inf, M_DEFAULT), DomainError,
+     "temperature must be positive and finite, got inf"),
+    ("array", (R_PAIR, 3e11, 0, 1e300, M_DEFAULT), DomainError,
+     "temperature 1e+300 K: collision frequency overflows"),
+    ("array", (R_PAIR, 3e11, 0, 300.0, M_DEFAULT, "bogus"), DomainError,
+     "frequency 3e+11 Hz at temperature 300 K: unknown g_e mode 'bogus'"),
+    ("array", (R_PAIR, 1e-10, 0, 1e290, M_DEFAULT), DomainError,
+     "frequency 1e-10 Hz at temperature 1e+290 K: collision frequency "
+     "8.22188e+301 rad/s over wave frequency 6.28319e-10 rad/s overflows"),
+    ("array", ([1e-170, 1e-6], 3e11, 1, 300.0, M_DEFAULT), RecurrenceOverflowError,
+     "charge coefficient overflow (radius down to 1e-170 m)"),
+    ("array", (R_PAIR, 3e11, 0, 300.0, -1.5 + 0j), DomainError,
+     "refractive index must be finite with Re(m) > 0, got (-1.5+0j)"),
+    ("array", (R_PAIR, 3e11, 0, 300.0, 0j), DomainError,
+     "refractive index must be finite with Re(m) > 0, got 0j"),
+    ("array", (R_PAIR, 3e11, 0, 300.0, complex(math.nan, 0)), DomainError,
+     "refractive index must be finite with Re(m) > 0, got (nan+0j)"),
+    ("array", (R_PAIR, 3e11, 0, 300.0, complex(2, math.inf)), DomainError,
+     "refractive index must be finite with Re(m) > 0, got (2+infj)"),
+    ("array", (R_PAIR, 3e11, 0, 300.0, M_OVER_CAP), DomainError,
+     "refractive index (2+1e+300j) at x = 0.0125748: the downward recurrence "
+     "would start at order 1.26e+298, above 1048576"),
+    ("x", (0.0, M_DEFAULT), DomainError, "scale parameter must be positive"),
+    ("x", (-1.0, M_DEFAULT), DomainError, "scale parameter must be positive"),
+    ("x", (math.nan, M_DEFAULT), DomainError, "scale parameter must be positive"),
+    ("x", (math.inf, M_DEFAULT), DomainError,
+     "scale parameter up to inf above the series' domain (x <= 20000)"),
+    ("x", (3e4, M_DEFAULT), DomainError,
+     "scale parameter up to 30000 above the series' domain (x <= 20000)"),
+    ("x", (1.0, -1.5 + 0j), DomainError,
+     "refractive index must be finite with Re(m) > 0, got (-1.5+0j)"),
+    ("x", (1.0, complex(math.nan, 0)), DomainError,
+     "refractive index must be finite with Re(m) > 0, got (nan+0j)"),
+    ("x", (1.0, complex(2, math.inf)), DomainError,
+     "refractive index must be finite with Re(m) > 0, got (2+infj)"),
+    ("x", (60.0, M_OVER_CAP), DomainError,
+     "refractive index (2+1e+300j) at x = 60: the downward recurrence would "
+     "start at order 6e+301, above 1048576"),
+    ("x", (1.0, M_DEFAULT, complex(1e308, 1e308)), RecurrenceOverflowError,
+     "overflow in the Mie series (x in [1, 1], m=(2+0.025j))"),
+    ("x", (1.0, M_DEFAULT, complex(math.inf, 0)), RecurrenceOverflowError,
+     "overflow in the Mie series (x in [1, 1], m=(2+0.025j))"),
+    # two bad inputs: m is checked before x, and x before m
+    ("x", (0.0, -1.5 + 0j), DomainError,
+     "refractive index must be finite with Re(m) > 0, got (-1.5+0j)"),
+    ("array", ([1e-6, 0.0], 3e11, 0, 300.0, -1.5 + 0j), DomainError,
+     "radius and wavelength must be positive"),
+]
+
+
+class TestRejectedInputs:
+    """Each input is checked once on the way into the kernel; these pin
+    that every check is still made, with its error class and message."""
+
+    @pytest.mark.parametrize("entry,args,error,message", REJECTED)
+    def test_rejected_input(self, entry, args, error, message):
+        call = {"array": extinction_efficiency_array, "x": extinction_efficiency_x}[entry]
+        if entry == "array" and len(args) == 6:
+            args, kwargs = args[:5], {"mode": args[5]}
+        else:
+            kwargs = {}
+        with pytest.raises(error) as info:
+            call(*args, **kwargs)
+        assert str(info.value) == message
+
+    def test_overflowing_im_x_is_a_domain_error(self):
+        # Im(m) x beyond the float range (x = 6.3 and 2), under the suite's
+        # warning filter: the route test runs inside the kernel's
+        # np.errstate, so the recurrence's start check fires and no
+        # RuntimeWarning escapes
+        with pytest.raises(DomainError, match="would start at order inf"):
+            extinction_efficiency_array([1e-3], 3e11, 0, 300.0, 2 - 1e308j)
+        with pytest.raises(DomainError, match="would start at order inf"):
+            extinction_efficiency_x(2.0, 2 - 1e308j)
+
+
+def first_ratio_reference(*zs):
+    """s_1 and s_2 of `mie._first_ratio` for arrays zs, each in descending
+    order of |z|, with the Horner sum of T over all 16 of its terms: one sum
+    over the series sizes of all the arrays, a real z among complex ones as
+    complex numbers, divided as reals. For one array it is the sum of all
+    16 terms on that array alone."""
+    pairs, series = [], []
+    for z in zs:
+        s1, s2 = np.empty_like(z), np.empty_like(z)
+        k = np.count_nonzero(np.abs(z) >= 0.6)
+        big = z[:k]
+        np.divide(big, 1 / big - 1 / np.tan(big), out=s1[:k])
+        np.divide(big * big, 3 - s1[:k], out=s2[:k])
+        pairs.append((s1, s2))
+        series.append((z[k:], s1[k:], s2[k:]))
+    z = np.concatenate([z for z, _, _ in series])
+    z2 = z * z
+    t = z2 * mie._S1_SERIES[-1]
+    for c in mie._S1_SERIES[-2:0:-1]:
+        t += c
+        t *= z2
+    t += mie._S1_SERIES[0]
+    s = z2 * t
+    s += 1
+    start = 0
+    for z, s1, s2 in series:
+        sp, tp = s[start:start + z.size], t[start:start + z.size]
+        start += z.size
+        if z.dtype != s.dtype:
+            sp, tp = sp.real, tp.real
+        np.divide(3, sp, out=s1)
+        np.divide(sp, 3 * tp, out=s2)
+    return pairs
+
+
+class TestSeeds:
+    """`mie._first_ratio` sums T only from the last term the largest |z| of
+    its batch can move; each s_1 and s_2 must keep the bits of all 16 terms,
+    whatever the batch, and whether x and m x are summed together."""
+
+    # |z| from 0.6 down to 1e-8, and the closed form's first sizes above it
+    SIZES = np.concatenate((np.geomspace(0.9, 0.6, 5), np.geomspace(0.6, 1e-8, 1500)[1:]))
+
+    @pytest.mark.parametrize("m", [None, *TestChargedInvariants.INDICES])
+    def test_seeds_keep_the_bits_of_all_16_terms(self, m):
+        if m is None:                          # real z
+            x, z = self.SIZES, self.SIZES
+        else:
+            m = _normalize_m(m)
+            x = self.SIZES / abs(m)
+            z = m.real * x if m.imag == 0 else m * x
+        assert (np.diff(np.abs(z)) <= 0).all()
+        batch, = mie._first_ratio(z)
+        assert ulps(batch) == ulps(first_ratio_reference(z)[0])
+        # each size alone sums the fewest terms
+        for i in range(0, z.size, 7):
+            alone = z[i:i + 1]
+            assert ulps(mie._first_ratio(alone)) == ulps(first_ratio_reference(alone))
+        if m is None:
+            return
+        # x joins m x as `mie._series` passes them, in batches and alone; x's
+        # seeds, summed as complex numbers, keep the bits of its real sum
+        for part in [slice(tail, None) for tail in (0, 900, 1400)] + [
+                slice(i, i + 1) for i in range(5, z.size, 7)]:
+            got = mie._first_ratio(x[part], z[part])
+            assert ulps(got) == ulps(first_ratio_reference(x[part], z[part]))
+            assert ulps(got[0]) == ulps(first_ratio_reference(x[part]))
+
+    def test_terms_summed(self):
+        # to c_7 at |z| = 0.005, c_15 at 0.2 and all 16 just below 0.6
+        assert [2 + bisect.bisect_left(mie._S1_LIMITS, s * s)
+                for s in (0.005, 0.2, 0.599)] == [7, 15, 16]

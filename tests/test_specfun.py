@@ -47,7 +47,8 @@ def loop_ratios(x, rows, m=1.5):
     def recorded(series, s_t, m_d):
         blocks.append((s_t[:, 0].copy(), m_d[:, 0].copy()))
         return add(series, s_t, m_d)
-    with pytest.MonkeyPatch.context() as patch:
+    # under one np.errstate, as `mie._qext` runs the route
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(mie._SeriesSum, "add", recorded)
         mie._series(np.array([float(x)]), _normalize_m(m), np.zeros(1, complex),
                     np.array([rows]))
