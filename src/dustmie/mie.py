@@ -35,18 +35,19 @@ routes, by x and m alone:
 
 On grids of 3,000 x up to 2e3 with g_e = 0, 1e-3j, 1j and -5+50j, the two
 routes agree within 6e-14 at 2-0.025j, 3+0.001j and 1.5+0.01j, and 2.3e-13
-at 1.33 (x up to 2e4). Below x = 1 they agree within 2e-13 at seven indices
-from 1.33 to 1.2+10j, and 3.4e-11 at 1.0001, whose Q_ext cancels in both.
-Below x = 1e-3 the charged sums lose digits on either route (9e-11 at
-1.5+1j, g_e = 1j, x = 1e-6). Upward steps drift for Re(m) < 1 (5e-2 at
-0.8), so those sizes go downward.
+at 1.33 (x up to 2e4). Below x = 1 they agree within 5e-14 at seven indices
+from 1.33 to 1.2+10j, and 3.4e-11 at 1.0001, whose Q_ext cancels in both;
+below x = 1e-3 within 3e-15 but at 1.0001. The charged sums keep their
+digits at small x: within 1e-14 of the mpmath oracle from x = 1 down to
+1e-20. Upward steps drift for Re(m) < 1 (5e-2 at 0.8), so those sizes go
+downward.
 
 The upward sizes of a batch, then the rest, each in descending order of x,
 run in lockstep, one numpy vector a step over the sizes still running, until
 at most a few distinct x are left; those step on in scalars, with the same
 bits. The series are summed in order blocks: dense (orders, sizes) arrays of
-the sizes running at a block's first order, which carry psi_n, eta_n and
-each partial sum on to the next.
+the sizes running at a block's first order, which carry the real ratio
+rho_n = eta_n(x) / psi_n(x) and each partial sum on to the next.
 """
 from __future__ import annotations
 
@@ -66,6 +67,7 @@ from .errors import DomainError, RecurrenceOverflowError, SingularDenominatorErr
 _MIN_RADIUS = 1e-9      # m; the radius domain of a sphere and of the size
 _MAX_RADIUS = 1e-2      # integral (`dustfield._support`)
 _DENOM_FLOOR = 1e-300
+_TINY = np.finfo(float).tiny            # the smallest normal float
 # Largest size parameter taken: up to here the series summed to
 # `truncation_order` is pinned within 1e-8 of a longer sum (see
 # tests/test_mie.py::TestTruncation), and a downward store stays near 1 MB.
@@ -74,9 +76,14 @@ _MAX_X = 2e4
 # and s_n(x) takes 1 MB at 32 B a term (the upward route stores nothing).
 _PASS_TERMS = 2**15
 # Dense orders x sizes of one order block of the series sum: its work arrays,
-# 129 B a term (`_SeriesSum.ROLES`), stay near 1 MB, while a block of large
-# spheres still spans many orders.
+# 105 B a term (`_SeriesSum.ROLES`), stay near 0.75 MB, while a block of
+# large spheres still spans many orders.
 _CHUNK_TERMS = 7168
+# Widest order block whose rho_n `_SeriesSum.add` accumulates with
+# np.cumprod, which numpy runs one column at a time, at about 3 ns a cell; a
+# wider one steps it row by row, about 0.5 us a row, with the same products
+# and bits (2-core host, numpy 2.4)
+_ROW_STEPPED = 160
 # A downward step multiplies the seed's error by about
 # exp(-2 Re arccosh((n - 1/2)/z)). A size starts where e^-45 (3e-20, below
 # an ulp) of the seed's error is left when the steps reach its top stored
@@ -290,20 +297,19 @@ def _blocks(counts: list[int]):
 
 class _Scratch:
     """Work arrays that the order blocks of a call share by role, carved
-    from one block (zero-filled for the roles in `zeroed`). A fresh array's
-    pages fault on first touch, at about the cost of a numpy pass over them:
-    with one block per call, three passes over the kdust-fscan pool's 108
-    ops in one process make about 740 minor page faults, fewer than the
-    imports make (about 980); an array per role made 50 to 90 thousand in
-    three runs of that pool.
+    from one block. A fresh array's pages fault on first touch, at about
+    the cost of a numpy pass over them: with one block per call, three
+    passes over the kdust-fscan pool's 108 ops in one process make about
+    740 minor page faults, fewer than the imports make (about 980); an
+    array per role made 50 to 90 thousand in three runs of that pool.
 
     An array's shape ends in a grid of orders x sizes; each role holds
     roles[role] bytes per grid cell (its largest use). The block is made
     when first asked for, and made again only where a call asks for more
     cells (`grow`), so a kernel call's block fits its largest order block."""
 
-    def __init__(self, roles: dict[str, int], zeroed: tuple[str, ...] = ()):
-        self._roles, self._zeroed = roles, zeroed
+    def __init__(self, roles: dict[str, int]):
+        self._roles = roles
         self._cells, self._block = 0, None
 
     def grow(self, cells: int) -> None:
@@ -315,9 +321,6 @@ class _Scratch:
         self._cells = cells
         sizes = [size * cells for size in self._roles.values()]
         self._start = dict(zip(self._roles, itertools.accumulate(sizes, initial=0)))
-        for role in self._zeroed:
-            start = self._start[role]
-            self._block[start:start + self._roles[role] * cells] = 0
 
     def __call__(self, role: str, shape: tuple, dtype=float) -> np.ndarray:
         """An uninitialised array for this role, over the same memory as
@@ -395,51 +398,6 @@ def _scaled_ratio(z: np.ndarray, rows: np.ndarray,
             st, o = stored[order - 2], offsets[order - 2]
             sn[o:o + st] = s[:st]
     return sn.reshape(-1, w)
-
-
-def _riccati_psi(z: np.ndarray, s: np.ndarray, out: np.ndarray | None = None,
-                 prev: np.ndarray | None = None, trig: tuple | None = None
-                 ) -> np.ndarray:
-    """psi_n(z) = z j_n(z) for n = k - 1..k - 1 + len(s), given s_n(z) =
-    s[n - k] for the orders from k: the ratios psi_n / psi_{n-1} = z / s_n
-    times prev = psi_{k-1}(z) if given; otherwise k = 1, anchored to the
-    closed form of psi_0 or psi_1, whichever is farther from a zero, from
-    trig = (sin z, cos z) if the caller has them. Written to out if given."""
-    psi = out if out is not None else np.empty((s.shape[0] + 1, z.size),
-                                               np.result_type(z, s))
-    if prev is None:
-        sin_z, cos_z = (np.sin(z), np.cos(z)) if trig is None else trig
-    # row 0 first: prev may lie in the memory of out's later rows
-    psi[0] = sin_z if prev is None else prev
-    ratio = np.divide(z, s, out=psi[1:])
-    if prev is None:
-        psi1 = psi[0] / z - cos_z
-        ratio[0] = np.where(np.abs(psi[0]) >= np.abs(psi1), ratio[0] * psi[0], psi1)
-    else:
-        ratio[0] *= psi[0]
-    np.cumprod(ratio, axis=0, out=ratio)
-    return psi
-
-
-def _riccati_eta(z: np.ndarray, t: np.ndarray, out: np.ndarray | None = None,
-                 prev: np.ndarray | None = None, trig: tuple | None = None
-                 ) -> np.ndarray:
-    """eta_n(z) = z y_n(z) for n = k - 1..k - 1 + len(t), given t_n(z) =
-    t[n - k] for the orders from k (see `_series`): eta_n = eta_{n-1}
-    times z / t_n, from prev = eta_{k-1}(z) if given; otherwise k = 1,
-    eta_0 = -cos z, with cos z from trig = (sin z, cos z) if given, and
-    t[0] holds eta_1(z). Written to out if given."""
-    eta = out if out is not None else np.empty((t.shape[0] + 1, z.size),
-                                               np.result_type(z, t))
-    if prev is None:                           # first (see `_riccati_psi`)
-        eta[0] = -(np.cos(z) if trig is None else trig[1])
-    else:
-        eta[0] = prev
-    k = 1 if prev is None else 0
-    np.divide(z, t[k:], out=eta[1 + k:])
-    eta[1] = t[0] if prev is None else eta[1] * eta[0]
-    np.cumprod(eta[1:], axis=0, out=eta[1:])
-    return eta
 
 
 def _steps_upward(x: np.ndarray, m: complex) -> np.ndarray:
@@ -523,30 +481,28 @@ def _first_ratio(*zs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 class _SeriesSum:
     """The sums x^2 Q_ext / 2 = sum (2n + 1) Re(a_n + b_n) of sizes in
     descending order of x, each over its rows orders in order of n, block by
-    block (see `_blocks`): psi_{n-1}(x), eta_{n-1}(x) and the partial sums
-    carry over, so a size's Q_ext depends on neither its batch nor its blocks."""
+    block (see `_blocks`): rho_{n-1} = eta_{n-1}(x) / psi_{n-1}(x) and the
+    partial sums carry over, so a size's Q_ext depends on neither its batch
+    nor its blocks."""
 
-    # The scratch roles of `add`, in bytes per (order, size) cell, and those
-    # whose unwritten parts must read as zero
-    ROLES = {"num": 32, "f_part": 32, "pair": 16, "s_t": 16, "psi": 16,
-             "eta": 16, "unused": 1}
-    ZEROED = ("psi", "eta")
+    # The scratch roles of `add`, in bytes per (order, size) cell
+    ROLES = {"m_d": 32, "coef": 32, "pair": 16, "s_t": 16, "rho": 8, "unused": 1}
 
     def __init__(self, x: np.ndarray, m: complex, g_e: np.ndarray,
                  rows: np.ndarray, scratch: _Scratch | None = None,
                  trig: tuple | None = None):
-        self.x, self.m, self.g_e, self.rows = x, m, g_e, rows
+        self.x, self.rows = x, rows
+        self.m, self.m2 = m, m * m
+        self.g_x, self.g_over_x = g_e * x, g_e / x
         self.trig = trig                       # (sin x, cos x), if known
-        self.scratch = scratch or _Scratch(self.ROLES, self.ZEROED)
+        self.scratch = scratch or _Scratch(self.ROLES)
         self.order = 1                         # of the next block's first row
-        self.psi = self.eta = None             # psi and eta at order - 1
+        self.rho = None                        # the last block's rho rows
         # -0 + t is t for every t, so each sum starts exactly at its first term
         self.total = np.full(x.size, -0.0)
-        # what every block slices: 1 / x (as a complex too, which a complex
-        # multiply takes without a cast), and n and 2n + 1 for n = 1..rows[0]
-        self.inv_x = 1 / x
-        self.inv_x_c = self.inv_x + 0j
+        # what every block slices: n + i n, and n and 2n + 1, for n = 1..rows[0]
         self.n = np.arange(1.0, rows[0] + 1)[:, None]
+        self.n_n = self.n * (1 + 1j)
         self.odd = np.arange(3.0, 2 * rows[0] + 2, 2)[:, None]
 
     def add(self, s_t: np.ndarray, m_d: np.ndarray
@@ -554,98 +510,111 @@ class _SeriesSum:
         """Sums the next block, s_t = s_n(x) + i t_n(x) (eta_1(x) at n = 1)
         and m_d = s_n(mx) over its orders and sizes, which it overwrites, and
         returns their charged (a_n, b_n), under the caller's np.errstate
-        (an overflow fails in `_qext`). With every term of the charged
-        numerators and denominators divided by psi_n(mx), and xi_n(x) =
-        psi_n(x) + i eta_n(x), both take the form
+        (an overflow fails in `_qext`). With xi_n = psi_n + i eta_n, the
+        charged coefficients divided by psi_n(mx) are
+        a_n = A(psi) / (A(psi) + i A(eta)), A(f) = D_n(mx) f - (g_e D_n(mx)
+        + m) f', and b_n alike with B(f) = (g_e - m D_n(mx)) f + f'. Divided
+        again by psi_n(x), and by (g_e D_n(mx) + m) / x (A) or -1 / x (B),
+        both take one form in v = s_n(x) - n = x D_n(x), e = t_n(x) - n =
+        x eta_n' / eta_n, u = s_n(mx) - n = m x D_n(mx) and the real ratio
+        rho_n = eta_n / psi_n:
 
-            a_n = A(psi) / (A(psi) + i A(eta)),  A(f) = D_n(mx) f - (g_e D_n(mx) + m) f'
-            b_n = B(psi) / (B(psi) + i B(eta)),  B(f) = (g_e - m D_n(mx)) f + f'
+            a_n = (Q_A - v) / ((Q_A - v) + i rho_n (Q_A - e))
+            b_n = (Q_B - v) / ((Q_B - v) + i rho_n (Q_B - e))
+            Q_A = u / (m^2 + g_e u / x),  Q_B = u - g_e x
 
-        with psi_n' = D_n(x) psi_n. A and B are evaluated together, as the
-        two rows of one stacked array: on psi as (D_n(mx) - (g_e D_n(mx)
-        + m) D_n(x)) psi and (g_e - m D_n(mx) + D_n(x)) psi, so that an
-        index-matched sphere gets exactly zero, and on eta. The arrays come
-        from the scratch and hold until its next use.
+        Taking the large factor out before the subtraction keeps the digits
+        of the charged sums at small x, and an index-matched sphere gets
+        exactly zero, as Q_A = Q_B = u = v there. rho_n = rho_{n-1} s_n(x) /
+        t_n(x), from rho_1 = eta_1 / psi_1. The arrays come from the
+        scratch and hold until its next use.
         """
-        scratch, m = self.scratch, self.m
+        scratch = self.scratch
         top, w = s_t.shape
-        x, rows, g_e = self.x[:w], self.rows[:w], self.g_e[:w]
+        x = self.x[:w]
         shape, stacked = (top, w), (2, top, w)
         orders = slice(self.order - 1, self.order - 1 + top)
         n, odd = self.n[orders], self.odd[orders]
         self.order += top
-        unused = np.greater(n, rows, out=scratch("unused", shape, bool))
-        # Each role's memory holds, in turn, the arrays named beside it
-        num = scratch("num", stacked, complex)     # m_d; num
-        pair = scratch("pair", shape, complex)     # a_df
-        d_x, deta = s_t.real, s_t.imag             # made D_n(x) + i eta_n'
+        unused = np.greater(n, self.rows[:w], out=scratch("unused", shape, bool))
+        s, t = s_t.real, s_t.imag
 
-        # psi_n + 0i and 0 + i eta_n from order - 1: only these parts are
-        # ever written, so the others stay zero (ZEROED)
-        psi = scratch("psi", (top + 1, w), complex)
-        eta = scratch("eta", (top + 1, w), complex)
-        if self.psi is None:                   # anchors psi and eta
-            _riccati_psi(x, d_x, psi.real, trig=self.trig)
-            _riccati_eta(x, deta, eta.imag, trig=self.trig)
+        # rho by row, from rho_{k-1} in row 0: a block's row 0 first, as the
+        # last block's rows may lie in the memory of this block's later ones
+        rho = scratch("rho", (top + 1, w))
+        if self.rho is None:                   # rho_1 = eta_1 / psi_1
+            sin_x, cos_x = self.trig
             self.trig = None
+            eta1 = t[0].copy()
+            # psi_1 from its closed form or from psi_0 = sin x, whichever is
+            # farther from a zero
+            psi1 = sin_x / x - cos_x
+            psi1 = np.where(np.abs(sin_x) >= np.abs(psi1), x / s[0] * sin_x, psi1)
+            rho[0] = 1.0
+            np.divide(eta1, psi1, out=rho[1])
+            np.divide(s[1:], t[1:], out=rho[2:])
+            np.divide(x * cos_x, eta1, out=t[0])
+            np.negative(t[0], out=t[0])        # t_1 = x eta_0 / eta_1
         else:
-            _riccati_psi(x, d_x, psi.real, self.psi[:w])
-            _riccati_eta(x, deta, eta.imag, self.eta[:w])
-        self.psi, self.eta = psi.real[top], eta.imag[top]
-        # D_n = (s_n - n) / z. Both halves multiply by the one 1 / x, so
-        # an index-matched sphere gets D_n(mx) == D_n(x) bit for bit.
-        inv_x = self.inv_x[:w]
-        d_x -= n
-        d_x *= inv_x                           # D_n(x)
-        m_d.real -= n
-        m_d *= inv_x if m_d.dtype.kind == "f" else self.inv_x_c[:w]  # m D_n(mx)
+            rho[0] = self.rho[-1, :w]
+            np.divide(s, t, out=rho[1:])
+        if w > _ROW_STEPPED:                   # numpy accumulates by column
+            for i in range(1, top + 1):
+                np.multiply(rho[i - 1], rho[i], out=rho[i])
+        else:
+            np.cumprod(rho, axis=0, out=rho)
+        self.rho = rho
+        rho = rho[1:]
 
-        # f_part: the factors of f in A (row 0) and B (row 1); a_df:
-        # that of f' in A, -(g_e D_n(mx) + m)
-        g = g_e[None, :]
-        f_part = scratch("f_part", stacked, complex)   # f_part; den; terms
-        d_mx = np.multiply(m_d, 1 / m, out=f_part[0])
-        np.subtract(g, m_d, out=f_part[1])
-        a_df = np.multiply(-g, d_mx, out=pair)
-        a_df -= m
-        # a_df D_n(x) part by part, which spares numpy a complex copy
-        # of D_n(x)
-        np.multiply(a_df.real, d_x, out=num[0].real)
-        np.multiply(a_df.imag, d_x, out=num[0].imag)
-        num[0] += d_mx
-        num[1] = f_part[1]
-        num[1].real += d_x
-        num *= psi[1:]                         # A(psi), B(psi)
-
-        # s_t becomes i eta_n' = i (eta_{n-1} - (n/x) eta_n)
-        np.multiply(n, inv_x, out=deta)
-        deta *= eta.imag[1:]
-        np.subtract(eta.imag[:-1], deta, out=deta)
-        d_x[...] = 0
-        den = f_part
-        den *= eta[1:]
-        den[0] += np.multiply(a_df, s_t, out=a_df)
-        den[1] += s_t                          # i A(eta), i B(eta)
-        den += num
+        s_t -= self.n_n[orders]
+        v, e = s, t                            # x D_n(x), x eta_n' / eta_n
+        m_d.real -= n                          # u
+        # q: Q_A (row 0) and Q_B (row 1), then the coefficients
+        q = scratch("coef", stacked, complex)
+        np.multiply(m_d, self.g_over_x[:w], out=q[0])
+        q[0] += self.m2
+        np.divide(m_d, q[0], out=q[0])
+        np.subtract(m_d, self.g_x[:w], out=q[1])
+        # the denominators, part by part: Q - v + i rho (Q - e)
+        den = scratch("m_d", stacked, complex)
+        np.subtract(q.real, e, out=den.imag)
+        den.imag *= rho
+        den.imag += q.imag
+        q.real -= v
+        np.multiply(q.imag, rho, out=den.real)
+        np.subtract(q.real, den.real, out=den.real)
         small = np.abs(den, out=scratch("pair", stacked)) < _DENOM_FLOOR
         if small.any() and np.greater(small, unused).any():
             raise SingularDenominatorError(
-                f"singular Mie denominator (x in [{x.min():g}, {x.max():g}], m={m})")
-        num /= den
+                f"singular Mie denominator (x in [{x.min():g}, {x.max():g}], m={self.m})")
+        q /= den
+        a, b = q
 
-        # the partial sums, then (2n + 1) Re(a_n + b_n) zeroed above each
-        # size's orders (adding exactly nothing). numpy reduces a 2-D array
-        # along its rows in order, but a lone column pairwise: cumsum it.
-        terms = scratch("f_part", (top + 1, w))
-        np.add(num[0].real, num[1].real, out=terms[1:])
-        terms[1:] *= odd
-        np.copyto(terms[1:], 0.0, where=unused)
+        terms = scratch("m_d", (top + 1, w))
         terms[0] = self.total[:w]
+        self._sum(terms, a, b, odd, unused)
+        if not np.isfinite(self.total[:w]).all():
+            # above order max(1, x) rho_n grows like x^-(2n+1): where it
+            # overflows there, the terms take their limit 0; any other value
+            # that is not finite stays
+            self._sum(terms, a, b, odd,
+                      unused | (np.isinf(rho) & (n > np.maximum(x, 1))))
+        return a, b
+
+    def _sum(self, terms, a, b, odd, skip) -> None:
+        """Adds (2n + 1) Re(a_n + b_n) of the block, zeroed where skip is
+        set (adding exactly nothing), to each size's partial sum, which
+        terms[0] holds, in order of n. numpy reduces a 2-D array along its
+        rows in order, but a lone column pairwise: cumsum it, which keeps
+        terms[0]."""
+        w = terms.shape[1]
+        np.add(a.real, b.real, out=terms[1:])
+        terms[1:] *= odd
+        np.copyto(terms[1:], 0.0, where=skip)
         if w == 1:
             self.total[:1] = terms.cumsum(axis=0, out=terms)[-1]
         else:
             np.add.reduce(terms, axis=0, out=self.total[:w])
-        return num[0], num[1]
 
 
 def _scalar_steps(z2, f, odd: list[float]) -> list:
@@ -726,7 +695,7 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
     if the caller has it; the scratch grows to the largest block first."""
     upward = store is None
     sin_x, cos_x, x2 = np.sin(x), np.cos(x), x * x
-    # every size runs at order 1, so the first block anchors psi and eta
+    # every size runs at order 1, so the first block anchors rho_1 and t_1
     # on all of them, from these sin x and cos x
     series = _SeriesSum(x, m, g_e, rows, scratch, (sin_x, cos_x))
     counts, offsets = _order_counts(rows) if layout is None else layout
@@ -759,7 +728,7 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
         w = counts[k - 1]
         shape = (end - k, w)
         s_t = series.scratch("s_t", shape, complex)
-        m_d = series.scratch("num", shape, mx.dtype if upward else complex)
+        m_d = series.scratch("m_d", shape, mx.dtype if upward else complex)
         if upward:
             values, s_mx = s_t.view(float).reshape(-1), m_d.reshape(-1)
         else:
@@ -815,7 +784,16 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
                 for dest, r in zip(into, ratios):
                     dest[lo - k:lo - k + n, cols] = r[lo - tail:lo - tail + n, None]
         series.add(s_t, m_d)
-    return 2 / x**2 * series.total
+    # A sum below the normal range has lost its terms' bits, Re(a_n) of a
+    # charged sphere from near x = 1e-77 and of a lossless one from x = 1e-51;
+    # only an index-matched sphere sums to exactly 0
+    total = series.total
+    lost = np.abs(total) < _TINY
+    if lost.any() and (m != 1 or g_e[lost].any()):
+        x = x[lost]
+        raise RecurrenceOverflowError(
+            f"underflow in the Mie series (x in [{x.min():g}, {x.max():g}], m={m})")
+    return 2 / x**2 * total
 
 
 def _downward_series(x: np.ndarray, m: complex, g_e: np.ndarray,
@@ -857,7 +835,7 @@ def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
     call: an overflow anywhere in it fails at the end."""
     m = _normalize_m(m)
     q = np.empty(x.size)
-    scratch = _Scratch(_SeriesSum.ROLES, _SeriesSum.ZEROED)
+    scratch = _Scratch(_SeriesSum.ROLES)
     with np.errstate(all="ignore"):
         order = np.argsort(-x, kind="stable")
         x, g_e = x[order], g_e[order]

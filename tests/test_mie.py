@@ -22,7 +22,7 @@ from dustmie.mie import (
     truncation_order,
 )
 
-from oracles import neutral_mie_qext
+from oracles import charged_mie_qext, neutral_mie_qext
 
 M_DEFAULT = 2.0 - 0.025j
 
@@ -362,17 +362,18 @@ class TestRoutes:
 
     # Below x = 1 both routes sum two to six orders, from s_1 and s_2 near
     # 3 and 5. Largest deviation measured on these grids over g_e = 0,
-    # 1e-3j, 1j and -5+50j, for x in [1e-3, 1) and in [1e-6, 1e-3): 9.0e-15
-    # and 4.4e-12 (2-0.025j), 3.6e-14 and 1.5e-11 (1.5+0.1j), 7.9e-15 and
-    # 4.0e-12 (1.33), 3.4e-11 and 6.8e-12 (1.0001, whose Q_ext cancels in
-    # both), 8.6e-14 and 8.9e-11 (1.5+1j), 1.7e-13 and 6.5e-11 (5+5j),
-    # 4.6e-14 and 2.1e-11 (1.2+10j). The charged sums set the larger
-    # figures, not the start: with g_e = 0 they stay within 9e-15 below 1e-3
-    # but at 1.0001
+    # 1e-3j, 1j and -5+50j, for x in [1e-3, 1) and in [1e-6, 1e-3): 9.2e-15
+    # and 8.6e-16 (2-0.025j), 3.7e-14 and 9.4e-16 (1.5+0.1j), 8.6e-15 and
+    # 2.7e-15 (1.33), 3.3e-11 and 4.4e-12 (1.0001, whose Q_ext cancels in
+    # both), 5.5e-15 and 9.3e-16 (1.5+1j), 2.1e-14 and 9.5e-16 (5+5j),
+    # 4.5e-14 and 1.3e-15 (1.2+10j). Each pin is about twice its maximum,
+    # rounded up to 1, 2, 3, 4 or 5 times a power of ten, or the earlier,
+    # lower pin where that is tighter (above 1e-3 at 2-0.025j, 1.5+0.1j,
+    # 1.33, 1.0001 and 1.2+10j, and below it at 1.0001)
     @pytest.mark.parametrize("m,rel_above,rel_below", [
-        (M_DEFAULT, 1e-14, 5e-12), (ROUTE_M, 4e-14, 2e-11), (1.33, 1e-14, 5e-12),
-        (1.0001, 4e-11, 1e-11), (1.5 + 1j, 1e-13, 1e-10), (5 + 5j, 2e-13, 1e-10),
-        (1.2 + 10j, 5e-14, 3e-11)])
+        (M_DEFAULT, 1e-14, 2e-15), (ROUTE_M, 4e-14, 2e-15), (1.33, 1e-14, 1e-14),
+        (1.0001, 4e-11, 1e-11), (1.5 + 1j, 2e-14, 2e-15), (5 + 5j, 5e-14, 2e-15),
+        (1.2 + 10j, 5e-14, 3e-15)])
     def test_routes_agree_at_small_x(self, m, rel_above, rel_below):
         m = _normalize_m(m)
         for x, rel in ((np.geomspace(1, 1e-3, 3000)[1:], rel_above),
@@ -428,6 +429,67 @@ class TestRoutes:
             return
         assert np.all(np.isfinite(batch))
         assert mie._qext(x[:1], m, g[:1])[0] == batch[0]
+
+
+# the indices of TestRoutes::test_routes_agree_at_small_x
+SMALL_X_INDICES = [M_DEFAULT, ROUTE_M, 1.33, 1.0001, 1.5 + 1j, 5 + 5j, 1.2 + 10j]
+CHARGES = [1e-3j, 1j, -5 + 50j]
+
+
+class TestChargedOracle:
+    """The charged Q_ext against `oracles.charged_mie_qext`, built from the
+    boundary conditions before any division and summed over the kernel's
+    orders."""
+
+    def test_oracle_reduces_to_the_neutral_one(self):
+        for x, m in [(0.02, M_DEFAULT), (0.5, 1.33), (3.0, 1.5 + 1j)]:
+            assert charged_mie_qext(x, m, 0j) == pytest.approx(
+                neutral_mie_qext(x, m), rel=1e-8)
+
+    # Measured at most 7.7e-15 (1.0001, g_e = 1e-3j, x = 1). With g_e = 1j
+    # the sums that left the factor g_e D_n(mx) + m in read 1.2e-8 off at
+    # x = 1e-10 and a tenth of the value at x = 1e-20 (2-0.025j), and
+    # 6.8e-7 off and negative (1.5+1j)
+    @pytest.mark.parametrize("m", SMALL_X_INDICES)
+    def test_small_x(self, m):
+        x = np.geomspace(1e-20, 1, 11)
+        for g_e in CHARGES:
+            q = mie._qext(x, m, np.full(x.size, g_e))
+            ref = [charged_mie_qext(xi, m, g_e) for xi in x]
+            assert q == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_physical_one_nm_sphere(self):
+        # 1.5+1j, 100 electrons at 0.1 THz, 300 K: x = 2.1e-6 and g_e =
+        # -8.7e-4+0.34j; the sums that left g_e D_n(mx) + m in read 5.1e-12
+        # off
+        r, f, m = 1e-9, 1e11, 1.5 + 1j
+        x = scale_parameter(r, CONSTANTS.c / f)
+        g_e = charged_coefficient(x, 2 * math.pi * f, surface_plasma_frequency(100, r),
+                                  collision_frequency(300.0))
+        q = extinction_efficiency_array(r, f, 100, 300.0, m)
+        assert q == pytest.approx(charged_mie_qext(x, m, g_e), rel=1e-13, abs=0)
+
+    # Below the float range's reach Re(a_1) underflows (near x = 1e-77 for
+    # a charged sphere) and rho_1 = eta_1 / psi_1 overflows (near 1e-103):
+    # the kernel must then raise rather than return a finite Q_ext, such as
+    # the 0.0 a sum of underflowed terms gives at x = 1e-100
+    @pytest.mark.parametrize("m", SMALL_X_INDICES)
+    def test_tiny_x_is_accurate_or_raises(self, m):
+        for x in np.geomspace(1e-300, 1e-20, 15):
+            for g_e in CHARGES:
+                try:
+                    q = extinction_efficiency_x(x, m, g_e)
+                except RecurrenceOverflowError:
+                    assert x < 1e-60
+                    continue
+                assert q == pytest.approx(charged_mie_qext(x, m, g_e), rel=1e-13, abs=0)
+        with pytest.raises(RecurrenceOverflowError, match="underflow"):
+            extinction_efficiency_x(1e-100, m, 1j)
+
+    def test_index_matched_sphere_at_tiny_x_vanishes(self):
+        # its terms are exactly zero, not underflowed
+        x = np.geomspace(1e-100, 1e-60, 5)
+        assert np.all(mie._qext(x, 1.0, np.zeros(x.size, complex)) == 0.0)
 
 
 def route_coefficients(x, m, g_e, upward):
@@ -694,6 +756,36 @@ class TestBatchKernel:
         assert mie._qext(x[1::2], m, g[1::2]).tolist() == batch[1::2].tolist()
         assert mie._qext(x[5:20], m, g[5:20]).tolist() == batch[5:20].tolist()
         assert [extinction_efficiency_x(xi, m, g_e) for xi in x] == batch.tolist()
+
+    # A size's bits must not depend on its batch or its order blocks: kept
+    # kernel tables read a cell computed in one batch as if computed in
+    # another. numpy 2.4 on an AVX-512 host multiplies a one-element complex
+    # array in place in other bits than a longer one, so the kernel forms
+    # no complex product in place; blocks of one size and one order
+    # (_CHUNK_TERMS = 1) are drawn too
+    @given(log_x=st.lists(st.floats(-3.0, 2.5), min_size=1, max_size=5),
+           m=st.sampled_from([M_DEFAULT, ROUTE_M, 1.33, 1.0001, 1.5 + 1j, 5 + 5j,
+                              0.9 + 0.01j]),
+           charges=st.lists(st.sampled_from([0j, 1e-3j, 1j, -5 + 50j, 0.5 - 2j]),
+                            min_size=5, max_size=5),
+           chunk=st.sampled_from([1, 3, 64]), data=st.data())
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    def test_size_keeps_its_bits_in_any_batch_and_blocks(self, log_x, m, charges,
+                                                         chunk, data):
+        x = 10.0 ** np.array(log_x)
+        g = np.array(charges[:x.size])
+        order = np.array(data.draw(st.permutations(range(x.size))))
+        batch = mie._qext(x, m, g)
+        alone = [mie._qext(x[i:i + 1], m, g[i:i + 1])[0] for i in range(x.size)]
+        permuted = np.empty(x.size)
+        permuted[order] = mie._qext(x[order], m, g[order])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mie, "_CHUNK_TERMS", chunk)
+            split = mie._qext(x, m, g)
+            split_alone = [mie._qext(x[i:i + 1], m, g[i:i + 1])[0]
+                           for i in range(x.size)]
+        for other in (alone, permuted, split, split_alone):
+            assert ulps(other) == ulps(batch)
 
     def test_index_matched_batch_across_passes_vanishes(self, route_and_block_counts):
         q = extinction_efficiency_array(self.PASS_GRID, 3e12, 0, 300.0, 1.0 + 0j)

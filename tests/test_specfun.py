@@ -1,13 +1,16 @@
-"""Spherical Bessel and Hankel functions as the Mie kernel forms them.
+"""Spherical Bessel and Hankel functions from the ratios the Mie kernel
+steps.
 
-The kernel never calls j_n or h_n^(1) directly: it builds the Riccati-Bessel
-functions psi_n(z) = z j_n(z) from the ratios s_n(z) = z psi_{n-1}/psi_n, of
-a downward recurrence (`dustmie.mie._scaled_ratio`) or of the upward block
-loop (`dustmie.mie._series`), and eta_n(x) = x y_n(x) at a real x from the
-ratios t_n(x) = x eta_{n-1}/eta_n that the block loop steps upward
-(`_riccati_psi`, `_riccati_eta`). These tests divide them by z again and
-hold them against arbitrary-precision references, j_n for complex arguments
-too.
+The kernel never forms j_n or h_n^(1): it sums its series from the ratios
+s_n(z) = z psi_{n-1}/psi_n of the Riccati-Bessel functions psi_n(z) =
+z j_n(z), from a downward recurrence (`dustmie.mie._scaled_ratio`) or the
+upward block loop (`dustmie.mie._series`), from the ratios t_n(x) =
+x eta_{n-1}/eta_n of eta_n(x) = x y_n(x) at a real x that the block loop
+steps upward, and from rho_n = eta_n(x) / psi_n(x) = y_n(x) / j_n(x), which
+`dustmie.mie._SeriesSum.add` accumulates from them. These tests build psi_n
+and eta_n from the ratios by cumulative products (`riccati_psi`,
+`riccati_eta`), divide them by z again and hold them, and rho_n, against
+arbitrary-precision references, j_n for complex arguments too.
 """
 import cmath
 import functools
@@ -20,10 +23,34 @@ from hypothesis import given, settings, strategies as st
 
 from dustmie import mie
 from dustmie.errors import DomainError
-from dustmie.mie import (
-    _normalize_m, _riccati_eta, _riccati_psi, _scaled_ratio, truncation_order)
+from dustmie.mie import _normalize_m, _scaled_ratio, truncation_order
 
 from oracles import mp_sph_h1, mp_sph_j, mp_sph_y, series_sph_j
+
+
+def riccati_psi(z, s):
+    """psi_n(z) = z j_n(z) for n = 0..len(s) of arguments z, given s_n(z) =
+    s[n - 1]: psi_n = psi_{n-1} z / s_n from the closed form of psi_0 =
+    sin z or psi_1 = sin z / z - cos z, whichever is farther from a zero."""
+    psi = np.empty((s.shape[0] + 1, z.size), np.result_type(z, s))
+    psi[0] = np.sin(z)
+    ratio = np.divide(z, s, out=psi[1:])
+    psi1 = psi[0] / z - np.cos(z)
+    ratio[0] = np.where(np.abs(psi[0]) >= np.abs(psi1), ratio[0] * psi[0], psi1)
+    np.cumprod(ratio, axis=0, out=ratio)
+    return psi
+
+
+def riccati_eta(x, t):
+    """eta_n(x) = x y_n(x) for n = 0..len(t) of real arguments x, given
+    eta_1(x) = t[0] and t_n(x) = t[n - 1] from n = 2: eta_0 = -cos x and
+    eta_n = eta_{n-1} x / t_n."""
+    eta = np.empty((t.shape[0] + 1, x.size))
+    eta[0] = -np.cos(x)
+    np.divide(x, t[1:], out=eta[2:])
+    eta[1] = t[0]
+    np.cumprod(eta[1:], axis=0, out=eta[1:])
+    return eta
 
 
 def sph_bessel_j_array(nmax, z):
@@ -31,7 +58,7 @@ def sph_bessel_j_array(nmax, z):
     recurrences' ragged order-major store is a dense column."""
     z = np.array([complex(z)])
     s = _scaled_ratio(z[:, None], np.array([max(nmax, 1)]))
-    return _riccati_psi(z, s)[: nmax + 1, 0] / z[0]
+    return riccati_psi(z, s)[: nmax + 1, 0] / z[0]
 
 
 def sph_bessel_j(n, z):
@@ -41,12 +68,15 @@ def sph_bessel_j(n, z):
 def loop_ratios(x, rows, m=1.5):
     """s_n(x) + i t_n(x) (eta_1(x) in t_1's slot) and s_n(mx) of one size x
     at orders 1..rows on the upward route, as the block loop of
-    `mie._series` hands them to `_SeriesSum.add`, which overwrites them."""
+    `mie._series` hands them to `_SeriesSum.add`, which overwrites them, and
+    rho_n = eta_n(x) / psi_n(x) as `add` accumulates it from them."""
     blocks, add = [], mie._SeriesSum.add
 
     def recorded(series, s_t, m_d):
-        blocks.append((s_t[:, 0].copy(), m_d[:, 0].copy()))
-        return add(series, s_t, m_d)
+        ratios = s_t[:, 0].copy(), m_d[:, 0].copy()
+        coefficients = add(series, s_t, m_d)
+        blocks.append((*ratios, series.rho[1:, 0].copy()))
+        return coefficients
     # under one np.errstate, as `mie._qext` runs the route
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(mie._SeriesSum, "add", recorded)
@@ -60,7 +90,7 @@ def sph_hankel1(n, x):
     / x, with eta_n formed from the block loop's t_n as the kernel forms it."""
     x = float(x.real)
     t = loop_ratios(x, max(n, 1))[0].imag
-    eta = _riccati_eta(np.array([x]), t[:, None])[n, 0]
+    eta = riccati_eta(np.array([x]), t[:, None])[n, 0]
     return sph_bessel_j(n, x) + 1j * eta / x
 
 
@@ -168,8 +198,9 @@ class TestScaledRatioLargeArgument:
 
 
 class TestBlockLoopRatios:
-    """s_n(x) and t_n(x) as the block loop steps them upward: every t_n the
-    kernel sums comes from this loop, on both routes."""
+    """s_n(x) and t_n(x) as the block loop steps them upward, and rho_n
+    formed from them: every t_n the kernel sums comes from this loop, on
+    both routes."""
 
     # Largest deviations measured against mpmath over every order (x = 800:
     # 47 orders): s_n 3.7e-14 for n <= x, t_n and eta_1 1.9e-14. Above
@@ -189,6 +220,19 @@ class TestBlockLoopRatios:
             assert rel_err(s_t[n - 1].real, float(s_ref.real)) < (
                 1e-7 if n == rows else 1e-13)
             assert rel_err(s_t[n - 1].imag, float(t_ref.real)) < 1e-13
+
+    # rho_n = eta_n / psi_n = y_n / j_n, which the series sums from, as
+    # `_SeriesSum.add` accumulates it: x = pi puts psi_0 = sin x at a zero,
+    # so psi_1 comes from its closed form there. Measured against mpmath:
+    # at most 1.5e-14 below the top order (n = 3 at x = 0.5, above x), and
+    # at the top order with s_n: 1.4e-9, 5.2e-8, 2.2e-8, 7.0e-8, 9.1e-9
+    @pytest.mark.parametrize("x", [1e-3, 0.5, math.pi, 30.0, 150.0, 800.0])
+    def test_rho_against_mpmath(self, x):
+        rows = truncation_order(x)
+        rho = loop_ratios(x, rows)[2]
+        for n in sorted({1, 2, 3, int(x) // 2, int(x), rows} & set(range(1, rows + 1))):
+            ref = float((mp_sph_y(n, x) / mp_sph_j(n, x)).real)
+            assert rel_err(rho[n - 1], ref) < (1e-7 if n == rows else 1e-13)
 
 
 def wiscombe_start(z, rows):
