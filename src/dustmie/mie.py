@@ -31,7 +31,10 @@ routes, by x and m alone:
   s_{n-1} = (2n - 1) - z^2 / s_n from where the contraction of its steps
   has erased the seed, and no higher than Wiscombe's start, without
   overflow however strongly the sphere absorbs. These reach order 1 last,
-  so a pass stores them ragged and order-major for the loop to take.
+  so a pass stores them ragged and order-major for the loop to take. Where
+  at most a few runs of equal sizes (an x-sweep's Ne columns) start far
+  above the rest, each run steps those orders first in scalars, with the
+  same bits: s_n(x), and s_n(mx) for a real m, in Python floats.
 
 On grids of 3,000 x up to 2e3 with g_e = 0, 1e-3j, 1j and -5+50j, the two
 routes agree within 6e-14 at 2-0.025j, 3+0.001j and 1.5+0.01j, and 2.3e-13
@@ -68,6 +71,7 @@ _MIN_RADIUS = 1e-9      # m; the radius domain of a sphere and of the size
 _MAX_RADIUS = 1e-2      # integral (`dustfield._support`)
 _DENOM_FLOOR = 1e-300
 _TINY = np.finfo(float).tiny            # the smallest normal float
+_HUGE = 2.0**1022                       # 1 / _TINY
 # Largest size parameter taken: up to here the series summed to
 # `truncation_order` is pinned within 1e-8 of a longer sum (see
 # tests/test_mie.py::TestTruncation), and a downward store stays near 1 MB.
@@ -110,6 +114,16 @@ _MAX_START = 2**20
 # about 3 %.
 _SCALAR_LANES = 4
 _LANE_ORDERS = 4
+# Orders above the next row's start that the lanes of `_scaled_ratio`'s
+# head must run for it to step them in scalars. Measured in place on a
+# 2-core host with numpy 2.4: a downward step of the array loop costs about
+# 0.85 us at any width, a lane's step about 0.1 us (Python floats for x, numpy
+# complex128 scalars for a complex m x), and a lane about 13 us to start
+# and store. On batches of 12 sizes at 1.5+1j, four distinct x heading
+# them, a head of 53 orders cost 23 us, one of 101 cost 3 us and one of
+# 113 saved 5 us; the benchmark's absorbing f-sweeps, whose heads would run
+# 29 to 102 orders, take none, and its x-sweeps' heads run all 777 to 927.
+_HEAD_ORDERS = 128
 
 
 @dataclass(frozen=True)
@@ -374,30 +388,106 @@ def _scaled_ratio(z: np.ndarray, rows: np.ndarray,
     that seed is forgotten; the rows running at an order are a prefix of
     the batch, and the w values of a row take the same steps. The result is
     ragged and order-major, (sum(rows), w), laid out as `_order_counts(rows)`,
-    which layout gives if the caller has it."""
+    which layout gives if the caller has it.
+
+    Above the order `_scalar_head` gives, where at most _SCALAR_LANES runs
+    of equal rows (lanes) run, each lane steps each of its w values in
+    scalars (`_downward_steps`), with the same bits, writes its stored
+    orders in one assignment and hands its last values to the loop."""
     k, w = z.shape
     start = _start_orders(z, rows)
     running = (_reaching(start) * w).tolist()
     counts, offsets = _order_counts(rows) if layout is None else layout
-    stored, offsets = (counts * w).tolist(), (offsets * w).tolist()
+    stored, cells = (counts * w).tolist(), (offsets * w).tolist()
     z2 = (z * z).ravel()
     s = np.repeat(start, w).astype(complex)    # s_start = start: D_start = 0
     t = np.empty(k * w, complex)
     sn = np.empty(sum(stored), complex)
+    first, ends = _scalar_head(z, rows, start)
+    if ends:
+        high = int(start[0])
+        odds = np.arange(2 * high - 1, 2 * first, -2.0).tolist()
+        values = sn.reshape(-1, w)
+        for a, b in zip([0, *ends[:-1]], ends):
+            begin, r = int(start[a]), int(rows[a])
+            # s_n of each of the lane's w values, n = begin - 1 down to first
+            steps = np.empty((begin - first, w), complex)
+            for j in range(w):
+                steps[:, j] = _downward_steps(z2[a * w + j], begin, odds[high - begin:])
+            s.reshape(-1, w)[a:b] = steps[-1]  # s_first, where the loop goes on
+            if r >= first:                     # orders first..r of sizes a..b
+                at = np.add.outer(offsets[first - 1:r], np.arange(a, b))
+                values[at] = steps[begin - 1 - r:begin - first][::-1, None]
     # 2 order - 1 as 0-d arrays, which a ufunc takes faster than an int or a
     # numpy scalar
-    odd = np.nditer(np.arange(2 * start[0] - 1, 2, -2, dtype=complex))
+    odd = np.nditer(np.arange(2 * first - 1, 2, -2, dtype=complex), ["zerosize_ok"])
     p, top = 0, len(stored)
-    for order, c in zip(range(start[0], 1, -1), odd):
+    for order, c in zip(range(first, 1, -1), odd):
         if running[order] != p:                # views of the rows now running
             p = running[order]
             z2p, sp, tp = z2[:p], s[:p], t[:p]
         np.divide(z2p, sp, tp)
         np.subtract(c, tp, sp)                 # s_{order-1}
         if order <= top + 1:
-            st, o = stored[order - 2], offsets[order - 2]
+            st, o = stored[order - 2], cells[order - 2]
             sn[o:o + st] = s[:st]
     return sn.reshape(-1, w)
+
+
+def _scalar_head(z: np.ndarray, rows: np.ndarray, start: np.ndarray
+                 ) -> tuple[int, list[int]]:
+    """Where `_scaled_ratio` steps in scalars: the first order its loop
+    steps, and the ends of the lanes above it, runs of equal rows of z and
+    rows (which start together), at most _SCALAR_LANES of them, where these
+    run at least _HEAD_ORDERS orders above the next row's start; otherwise
+    (start[0], []). Before it looks for lanes, the first starts bound those
+    orders: the row after the lanes starts no lower than the
+    (_SCALAR_LANES + 1)-th highest start."""
+    k, lanes = len(start), _SCALAR_LANES
+    firsts = start[:4 * lanes + 1].tolist()
+    top, distinct = firsts[0], sorted(set(firsts), reverse=True)
+    if len(distinct) > lanes and top - distinct[lanes] < _HEAD_ORDERS:
+        return top, []
+    # the first lanes are mostly short: single sizes, or a table's columns
+    head = [(*zi, ri) for zi, ri in zip(z[:len(firsts)].tolist(),
+                                        rows[:len(firsts)].tolist())]
+    ends = [i for i in range(1, len(head)) if head[i] != head[i - 1]]
+    if len(ends) < lanes and len(head) < k:
+        ends = (np.flatnonzero((z[1:] != z[:-1]).any(axis=1)
+                               | (rows[1:] != rows[:-1])) + 1).tolist()
+    first = start[ends[lanes - 1]] if len(ends) >= lanes else 1
+    if top - first < _HEAD_ORDERS:
+        return top, []
+    # lanes that start at `first` take no scalar steps
+    ends = [e for a, e in zip([0, *ends], [*ends, k][:lanes]) if start[a] > first]
+    return int(first), ends
+
+
+def _downward_steps(z2: np.complex128, s: float, odd: list[float]) -> np.ndarray:
+    """s_{n-1} = (2n - 1) - z2 / s_n for the 2n - 1 in odd, from s_n = s at
+    the first, in scalars with the bits of `_scaled_ratio`'s complex array
+    loop. The square z2 = x2 + 0j of a real z (0 <= x2 < inf, and x2 is
+    never -0) steps in Python floats as (2n - 1) - x2 (1 / s_n): where
+    1 / s_n is a finite normal value, numpy divides (x2 + 0j) / (s_n + 0j)
+    as x2 (1 / s_n) + (+-0)j, and the subtract makes the imaginary part +0.
+    Should any s_n it divides by lie outside [_TINY, _HUGE] (as 0,
+    subnormals, inf and nan do), or z2 be another value, the steps are
+    numpy complex128 scalars, whose subtract and divide give the array
+    loop's bits."""
+    x2 = float(z2.real)
+    if (not z2.imag and math.copysign(1.0, x2) > 0 and x2 < math.inf
+            and _TINY <= abs(s) <= _HUGE):
+        f = float(s)
+        try:
+            steps = np.fromiter((f := o - x2 * (1.0 / f) for o in odd), float,
+                                len(odd))
+            size = np.abs(steps[:-1])          # the divisors after s
+            if not size.size or _TINY <= size.min() and size.max() <= _HUGE:
+                return steps
+        except ZeroDivisionError:
+            pass
+    f = np.complex128(s)
+    return np.fromiter((f := o - z2 / f for o in odd), complex, len(odd))
 
 
 def _steps_upward(x: np.ndarray, m: complex) -> np.ndarray:
@@ -498,8 +588,11 @@ class _SeriesSum:
         self.scratch = scratch or _Scratch(self.ROLES)
         self.order = 1                         # of the next block's first row
         self.rho = None                        # the last block's rho rows
-        # -0 + t is t for every t, so each sum starts exactly at its first term
-        self.total = np.full(x.size, -0.0)
+        # +0 + t is t for every t but -0, so each sum starts at its first
+        # term, and a sum of zeros (an index-matched sphere's) is +0, the
+        # masked cells of any batch adding exactly nothing to it (np.zeros
+        # raised the kdust-fscan benchmark's peak RSS by about 0.2 MB)
+        self.total = np.full(x.size, 0.0)
         # what every block slices: n + i n, and n and 2n + 1, for n = 1..rows[0]
         self.n = np.arange(1.0, rows[0] + 1)[:, None]
         self.n_n = self.n * (1 + 1j)

@@ -402,6 +402,18 @@ class TestRoutes:
         assert mie._steps_upward(x, 1 + 0j).all()
         assert np.all(mie._qext(x, 1.0, np.zeros(x.size, complex)) == 0.0)
 
+    def test_index_matched_zero_is_positive_in_any_batch(self):
+        # a size's bits do not depend on its batch, on either route: alone,
+        # these sizes summed to -0.0 where a batch of them gave +0.0
+        x = np.array([50.0, 5.0, 0.5])
+        g, rows = np.zeros(x.size, complex), truncation_order(x)
+        zeros = ulps(np.zeros(x.size))
+        assert ulps(mie._qext(x, 1.0, g)) == zeros
+        assert ulps([extinction_efficiency_x(xi, 1.0) for xi in x]) == zeros
+        assert ulps(on_route(mie._downward_series, x, 1 + 0j, g, rows)) == zeros
+        assert ulps([on_route(mie._downward_series, x[i:i + 1], 1 + 0j, g[:1],
+                              rows[i:i + 1])[0] for i in range(x.size)]) == zeros
+
     def test_upward_size_matches_oracle(self):
         x = 30.0
         assert mie._steps_upward(np.array([x]), _normalize_m(ROUTE_M))[0]
@@ -581,6 +593,21 @@ def scalar_lanes(monkeypatch):
     return lanes
 
 
+@pytest.fixture
+def scalar_heads(monkeypatch):
+    """(lanes, vector steps left) of each head that `mie._scaled_ratio`
+    steps in scalars, one `_scalar_head` call a downward pass."""
+    heads, fn = [], mie._scalar_head
+
+    def recorded(z, rows, start):
+        first, ends = fn(z, rows, start)
+        if ends:
+            heads.append((len(ends), first - 1))
+        return first, ends
+    monkeypatch.setattr(mie, "_scalar_head", recorded)
+    return heads
+
+
 def ulps(values) -> list[int]:
     """The bits of float or complex values, as uint64 words."""
     return np.asarray(values).reshape(-1).view(np.uint64).tolist()
@@ -588,8 +615,9 @@ def ulps(values) -> list[int]:
 
 class TestScalarTail:
     """From where at most `mie._SCALAR_LANES` distinct x still run,
-    `mie._series` steps each run of equal x (a lane) in scalars, which must
-    give the vector loop's ufunc bits."""
+    `mie._series` steps each run of equal x (a lane) in scalars, and so does
+    `mie._scaled_ratio` above where more than that many start, which must
+    give the vector loops' ufunc bits."""
 
     @staticmethod
     def operands(rng, n):
@@ -628,6 +656,28 @@ class TestScalarTail:
             # 2n - 1 as a Python float, less a complex128 scalar
             assert ulps([x - y for x, y in zip(a.tolist(), zb)]) == ulps(
                 np.subtract(a.astype(complex), zb))
+            # The downward head steps the square x2 + 0j of a real z as
+            # x2 (1 / f) in Python floats: the real part of numpy's (x2 + 0j)
+            # / (f + 0j), whose imaginary part is +-0, for finite x2 other
+            # than -0 wherever 1 / f is a finite normal value. At a zero or
+            # subnormal f numpy's imaginary part is nan; `mie._downward_steps`
+            # steps in complex128 wherever f lies outside [_TINY, _HUGE],
+            # which holds those and the infinite f
+            x2 = a[~np.signbit(a) & np.isfinite(a)]
+            f = b[:x2.size]
+            quotient = np.divide(x2.astype(complex), f.astype(complex))
+            reciprocal = np.abs(np.divide(1.0, f, where=f != 0,
+                                          out=np.full(f.size, math.inf)))
+            normal = (reciprocal >= mie._TINY) & (reciprocal < math.inf)
+            assert ulps([p * (1.0 / q) for p, q in zip(x2[normal].tolist(),
+                                                       f[normal].tolist())]) == ulps(
+                quotient[normal].real)
+            assert not quotient[normal].imag.any()
+            size = np.abs(f)
+            held = (size >= mie._TINY) & (size <= mie._HUGE)
+            assert not (held & ~normal).any()
+            assert np.isnan(quotient.imag[np.isin(size, [0.0, 5e-324]) & (x2 > 0)]).all()
+            assert not held[np.isin(size, [0.0, 5e-324, math.inf])].any()
 
     @pytest.mark.parametrize("z2", [4.0, -4.0, 0.0])
     def test_zero_denominator_gives_inf(self, z2):
@@ -642,11 +692,48 @@ class TestScalarTail:
                 expected.append(f[0])
             assert ulps(mie._scalar_steps(z2, 5.0, odd)) == ulps(expected)
 
+    # x2 = 25 makes 5 - x2 / 5 exactly 0, and 1e-300 makes 0 - x2 / 1e10
+    # subnormal, which the next step divides by; the rest start from a
+    # zero, subnormal, huge or infinite s, or step an infinite x2
+    @pytest.mark.parametrize("x2,seed,first", [
+        (25.0, 5.0, 5.0), (1e-300, 1e10, 0.0), (4.0, 0.0, 5.0), (4.0, 5e-324, 5.0),
+        (4.0, 1e-310, 5.0), (4.0, 1e308, 5.0), (4.0, math.inf, 5.0),
+        (math.inf, 5.0, 5.0)])
+    def test_downward_steps_fall_back_where_the_float_form_fails(self, x2, seed,
+                                                                 first):
+        odd = [first, 7.0, 9.0]
+        s, expected = np.array([complex(seed)]), []
+        with np.errstate(all="ignore"):
+            for o in odd:
+                s = np.subtract(np.array(complex(o)), np.divide(complex(x2), s))
+                expected.append(s[0])
+            # one step, and three
+            got = [mie._downward_steps(np.complex128(x2), seed, odd[:k])
+                   for k in (1, 3)]
+        for steps in got:
+            assert ulps(np.asarray(steps, complex)) == ulps(expected[:len(steps)])
+
+    @pytest.mark.parametrize("m", [1.5 + 1j, 0.9 + 0.01j, M_DEFAULT, 1.33])
+    def test_head_gives_repeated_rows_the_one_row_bits(self, m, scalar_heads):
+        # three sizes of three rows and three of one, as a table's columns
+        # make them: each row's stored s_n(mx) and s_n(x) are the bits of a
+        # batch of that row alone
+        x = np.repeat([700.0, 300.0, 120.0, 40.0, 10.0, 3.0], [3, 3, 3, 1, 1, 1])
+        z = np.stack((_normalize_m(m) * x, x.astype(complex)), axis=1)
+        rows = truncation_order(x)
+        offsets = mie._order_counts(rows)[1]
+        store = mie._scaled_ratio(z, rows)
+        assert scalar_heads
+        for i in range(x.size):
+            mine = store[offsets[:rows[i]] + i]
+            assert ulps(mine) == ulps(mie._scaled_ratio(z[i:i + 1], rows[i:i + 1]))
+
     @pytest.mark.parametrize("m", [M_DEFAULT, 1.5, 1.5 + 1j, 0.9 + 0.01j])
-    def test_tail_keeps_the_vector_loops_bits(self, m, monkeypatch, scalar_lanes):
+    def test_tail_keeps_the_vector_loops_bits(self, m, monkeypatch, scalar_lanes,
+                                              scalar_heads):
         # batches of repeated x, as a table's columns make them, on both
-        # routes and for a real m, with the tail and with the vector loop
-        # alone to each size's last order
+        # routes and for a real m, with the tail and the downward head and
+        # with the vector loops alone to each size's last order
         rng = np.random.default_rng(7)
         batches = []
         for _ in range(6):
@@ -656,7 +743,10 @@ class TestScalarTail:
                                 + 1j * rng.uniform(0, 50, x.size))))
         tail = [mie._qext(x, m, g) for x, g in batches]
         assert sum(orders for _, orders in scalar_lanes) > 1000
+        # the strongly absorbing and Re(m) < 1 batches step downward heads
+        assert scalar_heads or m not in (1.5 + 1j, 0.9 + 0.01j)
         monkeypatch.setattr(mie, "_LANE_ORDERS", 10**9)
+        monkeypatch.setattr(mie, "_HEAD_ORDERS", 10**9)
         assert ulps(np.concatenate(tail)) == ulps(
             np.concatenate([mie._qext(x, m, g) for x, g in batches]))
 
@@ -823,6 +913,22 @@ class TestBatchKernel:
         capsys.readouterr()
         assert route_and_block_counts["upward"] == 1
         assert scalar_lanes == [(351, 438), (351, 329), (351, 220), (351, 110)]
+
+    @pytest.mark.parametrize("m,lanes", [("1.5+1j", 3), ("1.5+3j", 4)])
+    def test_absorbing_x_sweep_steps_its_downward_orders_in_scalars(
+            self, capsys, route_and_block_counts, scalar_heads, m, lanes):
+        # seven x to 791, each in three Ne columns, as the benchmark's
+        # absorbing x-sweeps make them: the x above Wiscombe's bound (31.6
+        # and up at 1.5+1j, 6.3 and up at 1.5+3j) take one downward pass,
+        # whose lanes, the three columns of one x, step all its orders in
+        # scalars and leave the vector loop none
+        from dustmie.cli import run
+        assert run(["qext", "--sweep", "x", "--start", "0.05", "--stop", "791",
+                    "--count", "7", "--spacing", "log", "--group-ne", "0,10,100",
+                    "--m", m]) == 0
+        capsys.readouterr()
+        assert route_and_block_counts["downward"] == 1
+        assert scalar_heads == [(lanes, 0)]
 
     def test_cells_above_a_size_orders_raise_no_warning(self):
         # a block's cells above a size's own orders hold whatever its work
