@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .dustfield import (MAX_RADIUS_MM, MIN_RADIUS_MM, DustLayerModel, _support,
-                        lognormal_params)
+from .dustfield import (MAX_RADIUS_MM, MIN_RADIUS_MM, DustLayerModel, _fit,
+                        _support, lognormal_params)
 from .errors import ConfigError, DomainError
 from .mie import (ParticleState, WaveSpec, _electron_count, _normalize_m,
                   collision_frequency, extinction_efficiency_array)
@@ -442,6 +442,9 @@ def slant_dust_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     calls as in `dust_attenuation_coefficient`, with bit-identical results.
     """
     sin_theta = math.sin(g.theta)
+    # the fit at the path's top first: a rise past its overflow near 149 km
+    # would cut the path into that many 100 m panels before it failed
+    _fit(np.asarray(g.h0 + g.d * sin_theta))
     panels = max(1, math.ceil(g.d * sin_theta / _PANEL_RISE_M))
     cuts = np.linspace(0.0, g.d, panels + 1)
     if k_abs is not None and sin_theta > 0:
@@ -470,7 +473,9 @@ def path_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     shadow_seed=None disables shadowing; a non-negative integer seed draws one
     reproducible Normal(0, sigma_i^2) shadow term.
     """
-    fspl = 20 * math.log10(4 * math.pi * w.frequency * g.d0 / CONSTANTS.c)
+    ratio = 4 * math.pi * w.frequency * g.d0 / CONSTANTS.c
+    # a ratio below the float range reads 0: the budget is not finite
+    fspl = 20 * math.log10(ratio) if ratio else -math.inf
     dist = 10 * g.n_i * math.log10(g.d / g.d0)
     if shadow_seed is None:
         chi = 0.0
@@ -478,7 +483,7 @@ def path_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
         raise ConfigError(f"shadow seed must be non-negative, got {shadow_seed}")
     else:
         rng = np.random.default_rng(shadow_seed)
-        chi = float(rng.normal(0.0, g.sigma_i))
+        chi = float(rng.normal(0.0, abs(g.sigma_i)))    # numpy rejects a -0 scale
     dust = slant_dust_loss(g, w, layer, particle_template, k_abs=k_abs,
                            units_mode=units_mode, ge_mode=ge_mode)
     total = fspl + dist + chi + dust

@@ -159,7 +159,10 @@ def cmd_qext(cfg: RunConfig, args) -> SweepTable:
     # column, against the grid of sweep points
     if args.sweep == "x":
         frequency = cfg.f
-        radius = grid * WaveSpec.from_frequency(cfg.f).wavelength / (2 * math.pi)
+        # a wavelength or radius beyond the float range (0 x inf is nan)
+        # is named by the kernel's checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = grid * WaveSpec.from_frequency(cfg.f).wavelength / (2 * math.pi)
     else:
         frequency = grid
         # an f-sweep takes its radii as given, so they must be valid spheres

@@ -38,12 +38,20 @@ def lognormal_params(h):
             "measured range (~200 m)",
             stacklevel=2,
         )
+    mu, sigma = _fit(h)
+    return (float(mu), float(sigma)) if h.ndim == 0 else (mu, sigma)
+
+
+def _fit(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_d, sigma_d) at altitudes h (m), an array that is not negative,
+    without the extrapolation warning. sigma_d overflows above about
+    149 km, which raises DomainError."""
     with np.errstate(over="ignore"):
         mu = _MU_COEFF[0] * np.exp(_MU_COEFF[1] * h)
         sigma = _SIGMA_COEFF[0] * np.exp(_SIGMA_COEFF[1] * h)
     if not np.isfinite(sigma).all():      # sigma grows the faster of the two
         raise DomainError(f"size-spectrum fit overflows at h={h.max():g} m")
-    return (float(mu), float(sigma)) if h.ndim == 0 else (mu, sigma)
+    return mu, sigma
 
 
 def size_pdf(r, h):
@@ -53,9 +61,9 @@ def size_pdf(r, h):
     if np.any(r <= 0):
         raise DomainError("radius must be positive")
     mu, sigma = lognormal_params(h)
-    pdf = np.exp(-((np.log(r) - mu) ** 2) / (2 * sigma**2)) / (
-        math.sqrt(2 * math.pi) * sigma * r
-    )
+    # the standardised deviate: sigma squared overflows from about h = 75 km
+    z = (np.log(r) - mu) / sigma
+    pdf = np.exp(-0.5 * (z * z)) / (math.sqrt(2 * math.pi) * sigma) / r
     return float(pdf) if pdf.ndim == 0 else pdf
 
 

@@ -18,8 +18,8 @@ derivative D_n(mx) = psi_n'(mx)/psi_n(mx). The recurrences run in
 scaled-ratio form on s_n = z psi_{n-1}(z)/psi_n(z) = z D_n(z) + n, and on
 t_n = x eta_{n-1}(x)/eta_n(x) for the Riccati-Bessel function eta_n = x y_n;
 D_n = (s_n - n)/z is formed only when the series is summed. All three obey
-f_n = z^2 / ((2n - 1) - f_{n-1}): one block loop steps t_n(x) upward for
-every size, from n = 3 only up to its own order, and s_n takes one of two
+f_n = z^2 / ((2n - 1) - f_{n-1}): one block loop steps t_n(x) upward from
+n = 3, over whole rows of each order block, and s_n takes one of two
 routes, by x and m alone:
 
 - Upward, for Re(m) >= 1 under Wiscombe's bound
@@ -46,11 +46,12 @@ digits at small x: within 1e-14 of the mpmath oracle from x = 1 down to
 downward.
 
 The upward sizes of a batch, then the rest, each in descending order of x,
-run in lockstep, one numpy vector a step over the sizes still running, until
-at most a few distinct x are left; those step on in scalars, with the same
-bits. The series are summed in order blocks: dense (orders, sizes) arrays of
-the sizes running at a block's first order, which carry the real ratio
-rho_n = eta_n(x) / psi_n(x) and each partial sum on to the next.
+run in lockstep until at most a few distinct x are left; those step on in
+scalars, with the same bits. The series are summed in order blocks: dense
+(orders, sizes) arrays of the sizes running at a block's first order, which
+carry the real ratio rho_n = eta_n(x) / psi_n(x) and each partial sum on to
+the next. The loop steps a block's rows whole, one numpy vector a step, its
+sizes past their own orders too; the sum masks those cells.
 """
 from __future__ import annotations
 
@@ -710,20 +711,6 @@ class _SeriesSum:
             np.add.reduce(terms, axis=0, out=self.total[:w])
 
 
-def _scalar_steps(z2, f, odd: list[float]) -> list:
-    """f_n = z2 / ((2n - 1) - f_{n-1}) for the 2n - 1 in odd, from f at the
-    order before, in scalars: Python floats, or numpy complex128 scalars for
-    a complex z2, whose subtract and divide give the bits of the ufuncs'
-    array loops (numpy's scalar complex multiply does not, so no step
-    multiplies)."""
-    first = f
-    try:
-        return [f := z2 / (o - f) for o in odd]
-    except ZeroDivisionError:              # where numpy's divide gives inf
-        f = np.float64(first)
-        return [float(f := z2 / (o - f)) for o in odd]
-
-
 def _scalar_tail(x: np.ndarray, counts: list[int]) -> tuple[int, list[int]]:
     """Where `_series` goes over to lanes, runs of equal x in the batch
     (which stop together): the first order n >= 3 at which at most
@@ -749,22 +736,28 @@ def _scalar_tail(x: np.ndarray, counts: list[int]) -> tuple[int, list[int]]:
 def _lane_ratios(odd: list[float], x2: float, prev: list[float],
                  mx2=None, prev_mx=None) -> list[np.ndarray]:
     """The ratios of one lane of `_series`, sizes sharing one x, at the
-    orders of the 2n - 1 in odd, stepped from their values at the order
-    before in `_scalar_steps`: t_n(x) from prev = [t]; on the upward route,
-    given mx2 = (mx)^2 and prev_mx, s_n(x) and t_n(x) from prev = [s, t],
-    then s_n(mx)."""
-    ratios = [np.array(_scalar_steps(x2, p, odd), float) for p in prev]
+    orders of the 2n - 1 in odd, stepped as f_n = z2 / ((2n - 1) - f_{n-1})
+    from their values at the order before: t_n(x) from prev = [t]; on the
+    upward route, given mx2 = (mx)^2 and prev_mx, s_n(x) and t_n(x) from
+    prev = [s, t], then s_n(mx). The steps are Python floats, or numpy
+    complex128 scalars for a complex mx2, whose subtract and divide give the
+    bits of the ufuncs' array loops (numpy's scalar complex multiply does
+    not, so no step multiplies). Where a float divide raises
+    ZeroDivisionError, numpy's gives +-inf or nan: that chain starts again
+    in np.float64, which divides as numpy does."""
+    chains = [(x2, p, float) for p in prev]
     if mx2 is not None:
-        ratios.append(np.array(_scalar_steps(mx2, prev_mx, odd),
-                               complex if isinstance(mx2, complex) else float))
+        chains.append((mx2, prev_mx, complex if isinstance(mx2, complex) else float))
+    ratios = []
+    for z2, first, dtype in chains:
+        f = first
+        try:
+            chain = np.fromiter((f := z2 / (o - f) for o in odd), dtype, len(odd))
+        except ZeroDivisionError:
+            f = np.float64(first)
+            chain = np.fromiter((f := z2 / (o - f) for o in odd), dtype, len(odd))
+        ratios.append(chain)
     return ratios
-
-
-def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a and b interleaved: a[0], b[0], a[1], b[1], ..."""
-    out = np.empty(2 * a.size, a.dtype)
-    out[0::2], out[1::2] = a, b
-    return out
 
 
 def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
@@ -772,14 +765,17 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
             layout: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Q_ext of sizes x in descending order, each series summed to rows[i]
     orders in blocks (`_SeriesSum`). One loop steps f_n = z^2 / ((2n - 1) -
-    f_{n-1}) from n = 3 to each size's own order into its row of the current
-    block, two ufunc calls an order a vector: t_n(x), after eta_1 (in t_1's
-    slot) and t_2; without a store (the sizes of `_steps_upward`) also s_n(x),
-    paired with t_n(x), and s_n(mx), after `_first_ratio`'s s_1 and s_2, for
-    a real m in the same float steps, so an index-matched sphere gives
-    exactly zero. Otherwise each block takes s_n(mx) and s_n(x) from the
-    store of `_scaled_ratio`'s ragged (mx, x) pairs; a size's entries above
-    its orders hold other terms (mode="clip"), which the sum masks.
+    f_{n-1}) from n = 3 over whole rows of the current block, two ufunc
+    calls an order a vector, each block's sizes past their own orders too
+    (the sum masks those cells): t_n(x), after eta_1 (in t_1's slot) and
+    t_2; without a store (the sizes of `_steps_upward`) also s_n(x), paired
+    with t_n(x) as the floats of one row, and s_n(mx), after `_first_ratio`'s
+    s_1 and s_2, for a real m in the same float steps, so an index-matched
+    sphere gives exactly zero. Otherwise each block takes s_n(mx) and s_n(x)
+    from the store of `_scaled_ratio`'s ragged (mx, x) pairs; a size's
+    entries above its orders hold other terms (mode="clip"). The seeds of
+    orders 1 and 2 go straight into their rows, and a block's loop goes on
+    from its order-2 row or from a copy of the last block's last row.
 
     From the order `_scalar_tail` gives, where at most _SCALAR_LANES
     distinct x still run, each run of equal x (a lane) steps its own orders
@@ -803,18 +799,16 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
     # 2n - 1, iterated as 0-d arrays, which a ufunc takes faster than an int
     # or a numpy scalar
     odd = np.arange(1, 2 * len(counts), 2.0)
-    per = 2 if upward else 1                   # values a size in the x vector
+    per = 2 if upward else 1                   # values a size in a row
     if upward:
         mx = m.real * x if m.imag == 0 else m * x
         seeds_x, seeds_mx = _first_ratio(x, mx)
-        seeds = [_pairs(*p) for p in zip(seeds_x, seeds)]
         odd_mx = odd.astype(mx.dtype)
-        x2, mx2, prev_mx = np.repeat(x2, 2), mx * mx, seeds_mx[1]
+        x2, mx2 = np.repeat(x2, 2), mx * mx
         # a lane's s_n(mx) in floats, or in numpy complex128 scalars
         scalars = np.ndarray.tolist if mx.dtype.kind == "f" else list
     else:
         flat, offsets = store.reshape(-1), 2 * offsets
-    prev, c = seeds[1], x.size
     lanes = []                                 # (columns, last order, ratios)
     subtract, divide = np.subtract, np.divide
     for k, end in blocks:
@@ -823,43 +817,44 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
         s_t = series.scratch("s_t", shape, complex)
         m_d = series.scratch("m_d", shape, mx.dtype if upward else complex)
         if upward:
-            values, s_mx = s_t.view(float).reshape(-1), m_d.reshape(-1)
+            steps = s_t.view(float)            # rows of (s_n(x), t_n(x)) pairs
         else:
             at = np.add(offsets[k - 1:end - 1, None], np.arange(0, 2 * w, 2),
                         out=series.scratch("pair", shape, np.intp))
             flat.take(at, out=m_d, mode="clip")
             flat[1:].take(at, out=s_t, mode="clip")
-            values = s_t.view(float).reshape(-1)[1::2]   # t_n(x)
+            steps = s_t.imag                   # rows of t_n(x)
         for n in range(k, min(end, 3)):        # orders 1 and 2, from the seeds
-            o = (n - k) * w
-            values[per * o:per * (o + w)] = seeds[n - 1][:per * w]
+            s_t.imag[n - k] = seeds[n - 1][:w]
             if upward:
-                s_mx[o:o + w] = seeds_mx[n - 1][:w]
+                s_t.real[n - k], m_d[n - k] = seeds_x[n - 1][:w], seeds_mx[n - 1][:w]
         if end > 2:                            # spent before the blocks' peak
-            seeds = seeds_mx = None
-        first, stop = max(k, 3), min(end, tail)
-        for n, odd_n, odd_mx_n in zip(
-                range(first, stop), np.nditer(odd[first - 1:stop - 1], ["zerosize_ok"]),
-                np.nditer(odd_mx[first - 1:stop - 1], ["zerosize_ok"]) if upward
-                else itertools.repeat(None)):
-            if counts[n - 1] != c:             # the sizes still running
-                c = counts[n - 1]
-                x2, prev = x2[:per * c], prev[:per * c]
-                if upward:
-                    mx2, prev_mx = mx2[:c], prev_mx[:c]
-            o = (n - k) * w
-            step = values[per * o:per * (o + c)]
-            subtract(odd_n, prev, step)
-            divide(x2, step, step)
-            prev = step
-            if upward:
-                step = s_mx[o:o + c]
-                subtract(odd_mx_n, prev_mx, step)
-                divide(mx2, step, step)
-                prev_mx = step
+            seeds = seeds_x = seeds_mx = None
+        if k > 2:                              # the last block's last row
+            prev, prev_mx = prev[:per * w], prev_mx[:w] if upward else None
+        elif end > 2:                          # this block's order-2 row
+            prev, prev_mx = steps[2 - k], m_d[2 - k]
+        x2w, mx2w = x2[:per * w], mx2[:w] if upward else None
+        first, stop = max(k, 3), min(end, tail)   # the orders the loop steps
+        rows_n, orders = slice(first - k, stop - k), slice(first - 1, stop - 1)
+        odd_n = np.nditer(odd[orders], ["zerosize_ok"])
+        if upward:
+            for step, o, step_mx, o_mx in zip(
+                    steps[rows_n], odd_n, m_d[rows_n],
+                    np.nditer(odd_mx[orders], ["zerosize_ok"])):
+                subtract(o, prev, step)
+                divide(x2w, step, step)
+                subtract(o_mx, prev_mx, step_mx)
+                divide(mx2w, step_mx, step_mx)
+                prev, prev_mx = step, step_mx
+        else:
+            for step, o in zip(steps[rows_n], odd_n):
+                subtract(o, prev, step)
+                divide(x2w, step, step)
+                prev = step
         if end <= tail:
             # the sum works the block in place, so the loop goes on from copies
-            prev, prev_mx = prev.copy(), prev_mx.copy() if upward else None
+            prev, prev_mx = steps[-1].copy(), m_d[-1].copy() if upward else None
         elif not lanes:                        # the tail starts in this block
             at = [0, *ends[:-1]]               # the first size of each lane
             odds = odd[tail - 1:].tolist()

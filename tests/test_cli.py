@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dustmie.cli import DEFAULT_M, RunConfig, build_parser, load_config, run
 from dustmie.errors import ConfigError
@@ -309,6 +313,14 @@ class TestPathloss:
         assert code == 2
         assert captured.out == ""
         assert str(path) in captured.err
+
+    def test_negative_zero_shadow_spread_draws_zero(self, capsys):
+        # -0 passes the std dev's check, and numpy's normal rejects it
+        code, out = run_cli(capsys, *self.ARGS[:3], "--sigma-i=-0",
+                            *self.ARGS[5:], "--seed", "3")
+        assert code == 0
+        _, names, _, rows = parse_csv(out)
+        assert rows[0][names.index("shadow")] == 0.0
 
     def test_seed_reproducibility(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -707,6 +719,14 @@ def test_warnings_come_before_the_error_line(capsys):
     ["attenuation", "--n0", "0", "--T=-1", "--count", "2"],
     ["attenuation", "--n0", "0", "--T", "inf", "--count", "2"],
     ["attenuation", "--n0", "0", "--m", "0+1j", "--count", "2"],
+    # a path rising far above the size-spectrum fit's overflow near 149 km:
+    # the fit fails before the slant rule's arrays exist
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--d", "1e300"],
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3", "--d", "1e12"],
+    # an x-sweep's radii at a wavelength beyond the float range, and beyond
+    # it themselves
+    ["qext", "--count", "2", "--f", "1e-320", "--start", "100", "--stop", "0"],
+    ["qext", "--count", "3", "--start", "1", "--stop", "1e300", "--f", "1"],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
@@ -781,6 +801,9 @@ def test_approx_g_e_takes_no_collision_over_wave_frequency(capsys):
     # a distance term beyond it
     ["pathloss", "--n-i", "1e308", "--sigma-i", "3", "--n0", "1", "--h0", "100",
      "--d", "1e300", "--theta-deg", "0"],
+    # a free-space reference whose ratio 4 pi f d0 / c underflows to 0
+    ["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "0", "--h0", "100",
+     "--d", "100", "--f", "1e-320"],
 ])
 def test_link_budget_that_is_not_finite_is_named(capsys, argv):
     code = run(argv)
@@ -826,3 +849,68 @@ def test_electron_count_beyond_int64(capsys, argv):
     assert "Traceback" not in captured.err
     rows = parse_csv(captured.out)[3]
     assert rows and all(np.isfinite(row).all() for row in rows)
+
+
+# A grammar of argv for the four subcommands. Every number flag draws from
+# zeros, the edges of the float range, non-finite values and a few ordinary
+# ones; the int flags draw ints, so argparse takes every argv, and --count
+# stays at 3 or less, so a run that succeeds is short.
+NUMBERS = st.sampled_from(["0", "-0", "1e-320", "1e-300", "1e300", "inf", "nan",
+                           "1", "3", "100", "3e11"])
+ARGV_VALUES = {
+    "--count": st.sampled_from(["1", "2", "3"]),
+    "--spacing": st.sampled_from(["linear", "log"]),
+    "--mode": st.sampled_from(["full", "approx"]),
+    "--units": st.sampled_from(["physical", "paper", "both"]),
+    "--m": st.one_of(NUMBERS, st.sampled_from(["2-0.025j", "1.5+1j", "0.5",
+                                               "1+1e300j", "nan+1j"])),
+    "--ne": st.sampled_from(["0", "10", "-1"]),
+    "--seed": st.sampled_from(["0", "7", "-1"]),
+    "--group-ne": st.lists(st.sampled_from(["0", "10", "-5", "2.5", "1e300", "nan"]),
+                           min_size=1, max_size=3).map(",".join),
+    "--group-r": st.lists(NUMBERS, min_size=1, max_size=3).map(",".join),
+    "--heights": st.lists(NUMBERS, min_size=1, max_size=3).map(",".join),
+    "--normalized": st.none(),
+}
+# (flags every argv of the subcommand passes, flags it may pass)
+ARGV_GRAMMAR = {
+    "qext": (["--count"], "--sweep=x,f --start --stop --spacing --f --r --ne --T "
+                          "--m --mode --group-ne --group-r"),
+    "spectrum": (["--count"], "--start --stop --spacing --heights --n0"),
+    "attenuation": (["--count"], "--sweep=h,f --start --stop --spacing --f --T --m "
+                                 "--n0 --h0 --mode --units --group-ne --normalized"),
+    "pathloss": (["--n-i", "--sigma-i"], "--f --ne --T --m --n0 --d --d0 --h0 "
+                                         "--theta-deg --seed --mode --units"),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(ARGV_GRAMMAR)))
+    always, optional = ARGV_GRAMMAR[command]
+    argv = [command]
+    for name in always + draw(st.lists(st.sampled_from(optional.split()),
+                                       unique=True, max_size=6)):
+        name, _, choices = name.partition("=")
+        values = (st.sampled_from(choices.split(",")) if choices
+                  else ARGV_VALUES.get(name, NUMBERS))
+        value = draw(values)
+        # --flag=value, so that argparse reads "-0" as the flag's value
+        argv.append(name if value is None else f"{name}={value}")
+    return argv
+
+
+# A fixed seed and budget (about 1.5 s); both examples once ended in a
+# traceback: the path's top far above the size-spectrum fit built the
+# slant rule's arrays first, and the pdf squared sigma at 100 km
+@given(argv=cli_argv())
+@example(argv=["pathloss", "--n-i", "2", "--sigma-i", "3", "--n0", "1e3",
+               "--d", "1e300"])
+@example(argv=["spectrum", "--heights", "1e5", "--count", "3"])
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+def test_any_argv_exits_0_2_or_3(argv):
+    # the run's RuntimeWarnings are errors here, so a numpy warning escapes
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3)

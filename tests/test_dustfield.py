@@ -93,6 +93,18 @@ class TestSizePdf:
         assert size_pdf(0.08, 100.0) == pytest.approx(
             9.3811059122250559, rel=1e-12)
 
+    def test_no_overflow_where_sigma_squared_would(self):
+        # at 100 km sigma is about 4.6e205, so (ln r - mu)^2 / sigma^2 is
+        # about 0 and the pdf 1 / (sqrt(2 pi) sigma r); the test run's
+        # RuntimeWarnings are errors
+        r = np.array([1e-3, 0.1, 10.0])
+        with pytest.warns(UserWarning, match="extrapolated"):
+            _, sigma = lognormal_params(1e5)
+            one, many = size_pdf(0.1, 1e5), size_pdf(r, 1e5)
+        expected = 1 / (math.sqrt(2 * math.pi) * sigma * r)
+        assert one == pytest.approx(expected[1], rel=1e-15)
+        assert many == pytest.approx(expected, rel=1e-15)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             size_pdf(0.0, 100.0)

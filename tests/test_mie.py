@@ -690,7 +690,7 @@ class TestScalarTail:
             for o in odd:
                 f = np.divide(z2, np.subtract(np.array(o), f))
                 expected.append(f[0])
-            assert ulps(mie._scalar_steps(z2, 5.0, odd)) == ulps(expected)
+            assert ulps(mie._lane_ratios(odd, z2, [5.0])[0]) == ulps(expected)
 
     # x2 = 25 makes 5 - x2 / 5 exactly 0, and 1e-300 makes 0 - x2 / 1e10
     # subnormal, which the next step divides by; the rest start from a
@@ -876,6 +876,30 @@ class TestBatchKernel:
                            for i in range(x.size)]
         for other in (alone, permuted, split, split_alone):
             assert ulps(other) == ulps(batch)
+
+    @pytest.mark.parametrize("m", [1.33, 1.5 + 1j])
+    def test_batch_whose_first_block_holds_order_1_alone(self, m, monkeypatch):
+        # more than 3,584 sizes, all on the upward route: a block holds one
+        # order while they all run, so the first holds order 1 alone and the
+        # loop starts from a copy of the next block's seeded order-2 row.
+        # Each size keeps its bits in batches of 1,000, whose first blocks
+        # step from their own order-2 rows
+        rng = np.random.default_rng(11)
+        x = np.exp(rng.uniform(np.log(1e-3), np.log(18.0), 6000))
+        g = -rng.uniform(0, 5, x.size) + 1j * rng.uniform(0, 50, x.size)
+        firsts, blocks = [], mie._blocks
+
+        def recorded(counts):
+            found = list(blocks(counts))
+            firsts.append(found[0])
+            return iter(found)
+        monkeypatch.setattr(mie, "_blocks", recorded)
+        batch = mie._qext(x, m, g)
+        chunks = [mie._qext(x[i:i + 1000], m, g[i:i + 1000])
+                  for i in range(0, x.size, 1000)]
+        assert firsts[0] == (1, 2) and len(firsts) == 7
+        assert all(end > 3 for _, end in firsts[1:])
+        assert ulps(np.concatenate(chunks)) == ulps(batch)
 
     def test_index_matched_batch_across_passes_vanishes(self, route_and_block_counts):
         q = extinction_efficiency_array(self.PASS_GRID, 3e12, 0, 300.0, 1.0 + 0j)
