@@ -63,7 +63,16 @@ def size_pdf(r, h):
     mu, sigma = lognormal_params(h)
     # the standardised deviate: sigma squared overflows from about h = 75 km
     z = (np.log(r) - mu) / sigma
-    pdf = np.exp(-0.5 * (z * z)) / (math.sqrt(2 * math.pi) * sigma) / r
+    with np.errstate(over="ignore"):
+        pdf = np.exp(-0.5 * (z * z)) / (math.sqrt(2 * math.pi) * sigma) / r
+    # a wide spectrum's density at a subnormal radius: 3e314 per mm at
+    # r = 1e-320 mm and h = 1,350 m, where sigma is about 200
+    overflow = np.isinf(pdf)
+    if overflow.any():
+        r, h = (np.broadcast_to(a, pdf.shape)[overflow][0]
+                for a in (r, np.asarray(h, dtype=float)))
+        raise DomainError(f"size pdf overflows the float range at r={r:g} mm, "
+                          f"h={h:g} m")
     return float(pdf) if pdf.ndim == 0 else pdf
 
 
@@ -73,7 +82,13 @@ def _check_n0(n0: float) -> None:
 
 
 def number_density(r: float, h: float, n0: float) -> float:
-    """Particle number density spectrum N0 * p(r, h), per m^3 per mm."""
+    """Particle number density spectrum N0 * p(r, h), per m^3 per mm.
+
+    No module of the package calls it: `spectrum` and the k_dust tables
+    form n0 * `size_pdf` on their own arrays. It stays public as the
+    paper's N(r, h) under its own name, with n0 checked as a
+    `DustLayerModel` checks it (an unset n0 is a DomainError). The README's
+    module table offers it, and the k_dust references of the tests sum it."""
     _check_n0(n0)
     return n0 * size_pdf(r, h)
 

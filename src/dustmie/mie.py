@@ -25,8 +25,9 @@ routes, by x and m alone:
 - Upward, for Re(m) >= 1 under Wiscombe's bound
   Im(m) x < 13.78 Re(m)^2 - 10.8 Re(m) + 3.9 (for 1.5+0.1j, x < 187),
   however small x is: the loop steps s_n(mx) and s_n(x) too, after s_1 and
-  s_2 from a series where 1/z - cot z would cancel; at x = 791 and
-  2-0.025j, 829 steps where the downward seed starts at order 1,758.
+  s_2, which below |z| = 0.6, where 1/z - cot z would cancel, come from
+  the downward step run from order 10; at x = 791 and 2-0.025j, 829 steps
+  where the downward seed starts at order 1,758.
 - Downward, for Im(m) x beyond the bound and for Re(m) < 1:
   s_{n-1} = (2n - 1) - z^2 / s_n from where the contraction of its steps
   has erased the seed, and no higher than Wiscombe's start, without
@@ -40,10 +41,10 @@ On grids of 3,000 x up to 2e3 with g_e = 0, 1e-3j, 1j and -5+50j, the two
 routes agree within 6e-14 at 2-0.025j, 3+0.001j and 1.5+0.01j, and 2.3e-13
 at 1.33 (x up to 2e4). Below x = 1 they agree within 5e-14 at seven indices
 from 1.33 to 1.2+10j, and 3.4e-11 at 1.0001, whose Q_ext cancels in both;
-below x = 1e-3 within 3e-15 but at 1.0001. The charged sums keep their
-digits at small x: within 1e-14 of the mpmath oracle from x = 1 down to
-1e-20. Upward steps drift for Re(m) < 1 (5e-2 at 0.8), so those sizes go
-downward.
+below x = 1e-3, two orders from the same downward step, the same bits.
+The charged sums keep their digits at small x: within 1e-14 of the mpmath
+oracle from x = 1 down to 1e-20. Upward steps drift for Re(m) < 1 (5e-2 at
+0.8), so those sizes go downward.
 
 The upward sizes of a batch, then the rest, each in descending order of x,
 run in lockstep until at most a few distinct x are left; those step on in
@@ -501,71 +502,41 @@ def _steps_upward(x: np.ndarray, m: complex) -> np.ndarray:
     return (m.real >= 1) & (m.imag * x < bound)
 
 
-# c_1..c_16 of S(z) = sum_k c_k z^(2k), c_k = 3 2^(2k+2) |B_(2k+2)| / (2k+2)!
-# (Bernoulli numbers; c_0 = 1), the series of 3 / s_1(z), which converges for
-# |z| < pi; below |z| = 0.6 its 17 terms are exact to rounding
-_S1_SERIES = (0.06666666666666667, 0.006349206349206349, 0.0006349206349206349,
-              6.41333974667308e-05, 6.493212842419191e-06, 6.577784355562133e-07,
-              6.664382636993903e-08, 6.7523539550426975e-09, 6.841545361377655e-10,
-              6.931929779700787e-11, 7.0235120459474655e-12, 7.116305220070096e-13,
-              7.210324599992312e-14, 7.30558620875501e-15, 7.402106413551622e-16,
-              7.499901831366242e-17)
-# For k = 2..15, the largest |z|^2 at which c_1..c_k give every bit of T:
-# the first term left out, c_(k+1) z^(2k), whose imaginary part is at most
-# k c_(k+1) |z|^(2k - 2) Im(z^2), lies below 2^-106 of T's imaginary part,
-# about c_2 Im(z^2), and so of its real part, about c_1 (each term after it
-# is under 0.04 times the one before). A sum moves by that little only if it
-# falls within 2^-53 of an ulp of a rounding boundary; none did on the grids
-# of tests/test_mie.py::TestSeeds
-_S1_LIMITS = [(2**-106 * _S1_SERIES[1] / (k * c)) ** (1 / (k - 1))
-              for k, c in enumerate(_S1_SERIES[2:], 2)]
+# Order from which `_first_ratio` steps s_n down to s_2 and s_1 below
+# |z| = 0.6, from D_n = 0 (s_n = n): Lentz's (1976) continued fraction for
+# s_1, cut there. A step from order n scales the start's error by
+# |z^2 / (s_n s'_n)|, so at |z| = 0.6 what is left of it is below 2e-21 of
+# s_2 and 5e-23 of s_1 (2^-69; from order 9, 2e-18, from 8, 2e-15), and
+# less the smaller |z| is
+_SEED_ORDER = 10
 
 
 def _first_ratio(*zs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """s_1(z) = z psi_0(z) / psi_1(z) and s_2(z), which start the upward
-    recurrence at n = 3, for each array z of zs, in descending order of |z|.
-    From |z| = 0.6 up, s_1 = z / (1/z - cot z), which stays finite where
-    sin z would overflow, and s_2 = z^2 / (3 - s_1). Below it 1/z - cot z
-    cancels to about z/3, losing some 3/|z|^2 ulps, and 3 - s_1 to about
-    z^2/5, so both come from S = 1 + z^2 T (`_S1_SERIES`): s_1 = 3 / S and
-    s_2 = S / (3 T).
-
-    T is one Horner sum over the series sizes of all the arrays, from the
-    last term that their largest |z| can move (`_S1_LIMITS`): from c_7 at
-    |z| = 0.005, from c_16 at 0.6. A real z joins complex ones as complex
-    numbers whose imaginary parts stay 0, so that each product and sum
-    gives its real part the bits of the real one, and divides as a real."""
-    pairs, series = [], []
+    recurrence at n = 3, for each array z of zs, in descending order of |z|
+    and in z's own dtype. From |z| = 0.6 up, s_1 = z / (1/z - cot z), which
+    stays finite where sin z would overflow, and s_2 = z^2 / (3 - s_1).
+    Below it 1/z - cot z cancels to about z/3, losing some 3/|z|^2 ulps, and
+    3 - s_1 to about z^2/5, so both come from the downward step
+    s_{n-1} = (2n - 1) - z^2 / s_n from s_n = n at _SEED_ORDER. Each step
+    shrinks the error it is given, so the last subtract's rounding is most
+    of what s_1 and s_2 carry, and each size's seeds are the same bits in
+    any batch."""
+    pairs = []
     for z in zs:
         s1, s2 = np.empty((2, z.size), z.dtype)
-        size = np.abs(z)
-        k = np.count_nonzero(size >= 0.6)      # the first k sizes
+        k = np.count_nonzero(np.abs(z) >= 0.6)      # the first k sizes
         if k:
             big = z[:k]
             np.divide(big, 1 / big - 1 / np.tan(big), out=s1[:k])
             np.divide(big * big, 3 - s1[:k], out=s2[:k])
+        if k < z.size:
+            z2, s = z[k:] * z[k:], s2[k:]
+            s[...] = _SEED_ORDER                    # D_n = 0
+            for odd in range(2 * _SEED_ORDER - 1, 3, -2):   # s_9 .. s_2
+                np.subtract(odd, z2 / s, out=s)
+            np.subtract(3, z2 / s, out=s1[k:])
         pairs.append((s1, s2))
-        series.append((z[k:], s1[k:], s2[k:], size[k] if k < z.size else 0.0))
-    if any(z.size for z, *_ in series):
-        largest = max(top for *_, top in series)
-        terms = _S1_SERIES[:2 + bisect.bisect_left(_S1_LIMITS, largest * largest)]
-        z = np.concatenate([z for z, *_ in series])
-        z2 = z * z
-        t = z2 * terms[-1]
-        for c in terms[-2:0:-1]:
-            t += c
-            t *= z2
-        t += terms[0]
-        s = z2 * t
-        s += 1
-        start = 0
-        for z, s1, s2, _ in series:
-            part = slice(start, start + z.size)
-            start = part.stop
-            sp, tp = (s[part], t[part]) if z.dtype == s.dtype else (s[part].real,
-                                                                    t[part].real)
-            np.divide(3, sp, out=s1)
-            np.divide(sp, 3 * tp, out=s2)
     return pairs
 
 
@@ -1004,7 +975,14 @@ def extinction_efficiency_array(radius, frequency, electrons, temperature: float
 
 
 def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> float:
-    """Extinction efficiency from the size parameter and charge coefficient."""
+    """Extinction efficiency from the size parameter and charge coefficient.
+
+    No module of the package calls it: its tables go through
+    `extinction_efficiency_array`, which takes radii and frequencies. It
+    stays public as the one entry point in the paper's own variables,
+    Q_ext(x, m, g_e), with no radius, frequency or temperature to invent,
+    which is how the tests hold the kernel to the mpmath oracles and how
+    the README's module table offers it."""
     x, g_e = np.array([float(x)]), np.array([g_e], complex)
     _normalize_m(m)                # an index error comes before an x error
     _check_scale(x)

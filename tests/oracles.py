@@ -117,6 +117,23 @@ def charged_mie_qext(x, m, g_e, orders=None):
         return float(2 / x**2 * acc)
 
 
+def first_ratios(z):
+    """s_1(z) = z psi_0(z) / psi_1(z) = z / (1/z - cot z) and
+    s_2(z) = z^2 / (3 - s_1(z)) of one float or complex z, as mpmath
+    numbers. 1/z - cot z cancels to about z/3 and 3 - s_1 to about z^2/5,
+    so the working precision starts at 80 bits above the 4 log2(1/|z|) that
+    the two lose and doubles until the two values agree within 2^-80."""
+    prec, last = 80 + 4 * max(0, math.ceil(-math.log2(abs(z)))), None
+    while True:
+        with mp.workprec(prec):
+            z_mp = mp.mpc(z)
+            s1 = z_mp / (1 / z_mp - mp.cot(z_mp))
+            pair = (s1, z_mp * z_mp / (3 - s1))
+            if last and all(abs(a - b) <= 2**-80 * abs(b) for a, b in zip(pair, last)):
+                return pair
+        prec, last = 2 * prec, pair
+
+
 def series_sph_j(n, z, terms=60):
     """Power-series evaluation of j_n(z), independent of any recurrence."""
     z = mp.mpc(z)

@@ -727,6 +727,9 @@ def test_warnings_come_before_the_error_line(capsys):
     # it themselves
     ["qext", "--count", "2", "--f", "1e-320", "--start", "100", "--stop", "0"],
     ["qext", "--count", "3", "--start", "1", "--stop", "1e300", "--f", "1"],
+    # a size density past the float range, at subnormal radii
+    ["spectrum", "--start", "1e-320", "--stop", "1e-300", "--count", "3",
+     "--heights", "1350"],
 ])
 def test_non_finite_or_out_of_domain_input_is_config_error(capsys, argv):
     code, out = run_cli(capsys, *argv)

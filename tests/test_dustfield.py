@@ -105,6 +105,18 @@ class TestSizePdf:
         assert one == pytest.approx(expected[1], rel=1e-15)
         assert many == pytest.approx(expected, rel=1e-15)
 
+    def test_density_past_the_float_range_is_a_domain_error(self):
+        # at 1,350 m sigma is about 200, so at r = 5e-315 mm phi(z) / (sigma
+        # r) is about 6e308 per mm; the error names the first such r and its
+        # h, and the test run's RuntimeWarnings are errors
+        r, h = np.array([1e-3, 1e-300, 5e-315]), np.array([[100.0], [1350.0]])
+        with pytest.warns(UserWarning, match="extrapolated"):
+            assert np.isfinite(size_pdf(r[:2], 1350.0)).all()
+            assert size_pdf(r, 100.0)[2] == 0.0
+            for args in [(5e-315, 1350.0), (r, 1350.0), (r, h)]:
+                with pytest.raises(DomainError, match=r"r=5e-315 mm, h=1350 m"):
+                    size_pdf(*args)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             size_pdf(0.0, 100.0)

@@ -1,6 +1,6 @@
-import bisect
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +22,7 @@ from dustmie.mie import (
     truncation_order,
 )
 
-from oracles import charged_mie_qext, neutral_mie_qext
+from oracles import charged_mie_qext, first_ratios, neutral_mie_qext
 
 M_DEFAULT = 2.0 - 0.025j
 
@@ -362,11 +362,13 @@ class TestRoutes:
 
     # Below x = 1 both routes sum two to six orders, from s_1 and s_2 near
     # 3 and 5. Largest deviation measured on these grids over g_e = 0,
-    # 1e-3j, 1j and -5+50j, for x in [1e-3, 1) and in [1e-6, 1e-3): 9.2e-15
-    # and 8.6e-16 (2-0.025j), 3.7e-14 and 9.4e-16 (1.5+0.1j), 8.6e-15 and
-    # 2.7e-15 (1.33), 3.3e-11 and 4.4e-12 (1.0001, whose Q_ext cancels in
-    # both), 5.5e-15 and 9.3e-16 (1.5+1j), 2.1e-14 and 9.5e-16 (5+5j),
-    # 4.5e-14 and 1.3e-15 (1.2+10j). Each pin is about twice its maximum,
+    # 1e-3j, 1j and -5+50j, for x in [1e-3, 1): 8.8e-15 (2-0.025j), 3.6e-14
+    # (1.5+0.1j), 8.6e-15 (1.33), 3.3e-11 (1.0001, whose Q_ext cancels in
+    # both), 5.5e-15 (1.5+1j), 2.1e-14 (5+5j), 4.5e-14 (1.2+10j). In
+    # [1e-6, 1e-3) none: both routes take s_1 and s_2 from the same
+    # contracting downward step, so they give the same bits; the pins there
+    # were set when the upward seeds came from a series, 4.4e-12 off at
+    # 1.0001 and 2.7e-15 elsewhere. Each pin is about twice its maximum,
     # rounded up to 1, 2, 3, 4 or 5 times a power of ten, or the earlier,
     # lower pin where that is tighter (above 1e-3 at 2-0.025j, 1.5+0.1j,
     # 1.33, 1.0001 and 1.2+10j, and below it at 1.0001)
@@ -1098,75 +1100,43 @@ class TestRejectedInputs:
             extinction_efficiency_x(2.0, 2 - 1e308j)
 
 
-def first_ratio_reference(*zs):
-    """s_1 and s_2 of `mie._first_ratio` for arrays zs, each in descending
-    order of |z|, with the Horner sum of T over all 16 of its terms: one sum
-    over the series sizes of all the arrays, a real z among complex ones as
-    complex numbers, divided as reals. For one array it is the sum of all
-    16 terms on that array alone."""
-    pairs, series = [], []
-    for z in zs:
-        s1, s2 = np.empty_like(z), np.empty_like(z)
-        k = np.count_nonzero(np.abs(z) >= 0.6)
-        big = z[:k]
-        np.divide(big, 1 / big - 1 / np.tan(big), out=s1[:k])
-        np.divide(big * big, 3 - s1[:k], out=s2[:k])
-        pairs.append((s1, s2))
-        series.append((z[k:], s1[k:], s2[k:]))
-    z = np.concatenate([z for z, _, _ in series])
-    z2 = z * z
-    t = z2 * mie._S1_SERIES[-1]
-    for c in mie._S1_SERIES[-2:0:-1]:
-        t += c
-        t *= z2
-    t += mie._S1_SERIES[0]
-    s = z2 * t
-    s += 1
-    start = 0
-    for z, s1, s2 in series:
-        sp, tp = s[start:start + z.size], t[start:start + z.size]
-        start += z.size
-        if z.dtype != s.dtype:
-            sp, tp = sp.real, tp.real
-        np.divide(3, sp, out=s1)
-        np.divide(sp, 3 * tp, out=s2)
-    return pairs
-
-
 class TestSeeds:
-    """`mie._first_ratio` sums T only from the last term the largest |z| of
-    its batch can move; each s_1 and s_2 must keep the bits of all 16 terms,
-    whatever the batch, and whether x and m x are summed together."""
+    """`mie._first_ratio` gives s_1 and s_2 below |z| = 0.6 from the
+    downward step run from order `mie._SEED_ORDER`: within 2^-52 of the
+    mpmath values, and the same bits for a z alone, in a batch, and with x
+    beside m x."""
 
-    # |z| from 0.6 down to 1e-8, and the closed form's first sizes above it
-    SIZES = np.concatenate((np.geomspace(0.9, 0.6, 5), np.geomspace(0.6, 1e-8, 1500)[1:]))
+    # |z| from 0.6 down to 1e-8, and near 1e-160, where z^2 underflows
+    MAGNITUDES = np.concatenate((np.geomspace(0.6, 1e-8, 400)[1:],
+                                 np.geomspace(1e-155, 1e-165, 12)))
+
+    @staticmethod
+    def worst_error(seeds, z):
+        """The largest |s - s_ref| / |s_ref| of the seeds of the z."""
+        worst = mp.mpf(0)
+        for values, ref in zip(seeds, zip(*map(first_ratios, z.tolist()))):
+            for s, r in zip(values.tolist(), ref):
+                worst = max(worst, abs(mp.mpc(s) - r) / abs(r))
+        return worst
 
     @pytest.mark.parametrize("m", [None, *TestChargedInvariants.INDICES])
-    def test_seeds_keep_the_bits_of_all_16_terms(self, m):
+    def test_seeds_match_mpmath_and_keep_their_bits(self, m):
         if m is None:                          # real z
-            x, z = self.SIZES, self.SIZES
+            x = z = self.MAGNITUDES
         else:
             m = _normalize_m(m)
-            x = self.SIZES / abs(m)
+            x = self.MAGNITUDES / abs(m)
             z = m.real * x if m.imag == 0 else m * x
-        assert (np.diff(np.abs(z)) <= 0).all()
-        batch, = mie._first_ratio(z)
-        assert ulps(batch) == ulps(first_ratio_reference(z)[0])
-        # each size alone sums the fewest terms
+        assert (np.abs(z) < 0.6).all() and (np.diff(np.abs(z)) <= 0).all()
+        seeds_x, seeds = mie._first_ratio(x, z)
+        assert all(s.dtype == z.dtype for s in seeds)
+        assert self.worst_error(seeds, z) <= 2**-52
+        # a z alone, in a batch with the closed form's sizes, and x beside
+        # m x give the same bits
+        assert ulps(mie._first_ratio(z)[0]) == ulps(seeds)
+        assert ulps(mie._first_ratio(x)[0]) == ulps(seeds_x)
         for i in range(0, z.size, 7):
-            alone = z[i:i + 1]
-            assert ulps(mie._first_ratio(alone)) == ulps(first_ratio_reference(alone))
-        if m is None:
-            return
-        # x joins m x as `mie._series` passes them, in batches and alone; x's
-        # seeds, summed as complex numbers, keep the bits of its real sum
-        for part in [slice(tail, None) for tail in (0, 900, 1400)] + [
-                slice(i, i + 1) for i in range(5, z.size, 7)]:
-            got = mie._first_ratio(x[part], z[part])
-            assert ulps(got) == ulps(first_ratio_reference(x[part], z[part]))
-            assert ulps(got[0]) == ulps(first_ratio_reference(x[part]))
-
-    def test_terms_summed(self):
-        # to c_7 at |z| = 0.005, c_15 at 0.2 and all 16 just below 0.6
-        assert [2 + bisect.bisect_left(mie._S1_LIMITS, s * s)
-                for s in (0.005, 0.2, 0.599)] == [7, 15, 16]
+            alone, = mie._first_ratio(z[i:i + 1])
+            assert ulps(alone) == ulps([s[i:i + 1] for s in seeds])
+        s1, s2 = mie._first_ratio(np.concatenate((z[:1] * 1.5, z)))[0]
+        assert ulps([s1[1:], s2[1:]]) == ulps(seeds)   # after |z| = 0.9
