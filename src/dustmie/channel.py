@@ -3,10 +3,12 @@ dust loss, and the full path-loss model with shadow fading.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,47 +16,63 @@ from .constants import CONSTANTS
 from .dustfield import (MAX_RADIUS_MM, MIN_RADIUS_MM, DustLayerModel, _fit,
                         _support, lognormal_params)
 from .errors import ConfigError, DomainError
-from .mie import (ParticleState, WaveSpec, _electron_count, _normalize_m,
-                  collision_frequency, extinction_efficiency_array)
+from .mie import (_MAX_RADIUS, _MIN_RADIUS, ParticleState, WaveSpec, _check_scale,
+                  _electron_count, _normalize_m, _qext, _size_and_charge,
+                  collision_frequency)
 
 NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 
-# The size integral is a trapezoid sum on one lattice per kernel key's
-# (f, m): v uniform at step _V_STEP, mapped to u = ln r (r in mm) by
-#   U(v) = v - (K1 - 1) w softplus((u1 - v) / w) + (K2 - 1) w softplus((v - u2) / w),
-# with v anchored so that the top node is the radius cap, and every node
-# inside the kernel's radius domain [1e-6, 10] mm. Each node weighs
-# phi(U(v)) U'(v). The step in u is K1 times _V_STEP below u1, where x < 0.5
-# (Rayleigh: Q_ext is a smooth power law), K2 times above u2, where
-# Im(m) x > 7 (absorption damps the Mie ripple like exp(-4 Im(m) x)), and
-# _V_STEP between them. The trapezoid rule keeps its fast convergence under
-# a smooth map (Trefethen & Weideman 2014, SIAM Rev. 56, 385), and a smooth
-# map has no junction to correct. Where an altitude's support reaches the
-# cap, Gregory's end correction -h (grad g/12 + grad^2 g/24 +
-# 19 grad^3 g/720) on the last four values of g(v) = phi U' C_ext replaces
-# the trapezoid's O(h^2) end error. Against a converged reference
-# (tests/test_channel.py), k_dust is within 1e-8 for 2-0.025j and 1.6+0.05j
-# at 100-200 m from 0.1 to 3 THz, at any charge and in both units modes,
-# and for 2-0.025j within 1e-8 at 300 m and 3e-8 at 600 m at 0.3, 1 and
-# 3 THz. The constants are the best of those tried on that grid (README).
-# A weakly absorbing sphere's sharper Mie ripple misses by more: 1.3e-5
-# for 1.5+0.001j at 1 THz.
+# The size integral is a trapezoid sum on one lattice per refractive index
+# m, in u = ln x: node i sits at v = i _V_STEP, mapped by
+#   U(v) = v - (K1 - 1) w softplus((u1 - v) / w) + (K2 - 1) w softplus((v - u2) / w).
+# Each node weighs phi U'(v), phi the log-normal's normal density at
+# ln r = u + ln(c / (2 pi f)) (r in mm), so every frequency f takes a slice
+# of the same nodes: those inside the kernel's radius domain [1e-6, 10] mm at
+# f. The step in u is K1 times _V_STEP below u1 = ln 0.5, where x < 0.5
+# (Rayleigh: Q_ext is a smooth power law), K2 times above u2 = ln(7 / Im(m)),
+# where Im(m) x > 7 (absorption damps the Mie ripple like exp(-4 Im(m) x)),
+# and _V_STEP between them. The trapezoid rule keeps its fast convergence
+# under a smooth map (Trefethen & Weideman 2014, SIAM Rev. 56, 385), and a
+# smooth map has no junction to correct. The 10 mm cap falls between two
+# nodes, theta steps above the last one below it, at a different theta for
+# each f. Where an altitude's support reaches the cap, Gregory's end
+# correction -h (grad g/12 + grad^2 g/24 + 19 grad^3 g/720) on the last four
+# values of g(v) = phi U' C_ext closes the sum at the last node, and a
+# partial end panel, the integral over those theta steps of the cubic
+# through the same four values, carries it to the cap; no node is evaluated
+# there. The 1 nm end is closed the same way, mirrored. Against a converged
+# reference (tests/test_channel.py), k_dust is within 1e-8 for 2-0.025j and
+# 1.6+0.05j at 100-200 m from 0.1 to 3 THz, at any charge and in both units
+# modes, and for 2-0.025j within 1e-8 at 300 m and 3e-8 at 600 m at 0.3, 1,
+# 3 and 10 THz. Between those, below about 0.8 THz, the panel extrapolates
+# across Mie ripple not yet damped at the cap and misses by up to 1.2e-8 at
+# 300 m and 3.1e-7 at 600 m (README). The constants are the best of those
+# tried on that grid. A weakly absorbing sphere's sharper Mie ripple misses
+# by more: 9.0e-6 for 1.5+0.001j at 1 THz.
 _V_STEP = 0.006
 _SMALL_X, _SMALL_X_STEPS = 0.5, 6        # x1 and K1
 _DAMPED_X, _DAMPED_STEPS = 7.0, 3        # x2 (of Im(m) x) and K2
-_MAP_WIDTH = 0.4                         # w, in ln r
+_MAP_WIDTH = 0.4                         # w, in ln x
+_LN_SMALL_X = math.log(_SMALL_X)
 _LN_R_TOP = math.log(MAX_RADIUS_MM)
 _LN_R_FLOOR = math.log(MIN_RADIUS_MM)
 # ln of r in mm per unit of x f: r = x c / (2 pi f)
 _LN_MM_PER_X_HZ = math.log(CONSTANTS.c * 1e3 / (2 * math.pi))
 # Gregory's end weights (trapezoid plus correction), on the last four nodes
-# of a sum that ends at the cap, lowest first
+# of a sum that ends at the last node, lowest first
 _CAP_WEIGHTS = np.array([739.0, 633.0, 897.0, 251.0]) / 720
+# the partial end panel's weights on those four nodes, lowest first: the
+# integrals over [0, theta] of the cubic's Lagrange basis at t = -3..0, as
+# coefficients of theta, theta^2, theta^3 and theta^4. At theta = 1 they are
+# the Adams-Bashforth weights (-9, 37, -59, 55) / 24
+_PANEL = np.array([[0.0, -4.0, -4.0, -1.0], [0.0, 18.0, 16.0, 3.0],
+                   [0.0, -36.0, -20.0, -3.0], [24.0, 22.0, 8.0, 1.0]]) / 24
 
 
-def _ln_r_map(v, u1: float, u2: float):
-    """U(v) and U'(v): u = ln r at lattice coordinate v (floats or arrays)."""
-    a, b = (u1 - v) / _MAP_WIDTH, (v - u2) / _MAP_WIDTH
+def _ln_x_map(v, u2: float):
+    """U(v) and U'(v): u = ln x at lattice coordinate v (floats or arrays),
+    with the damped band from u2 = ln(7 / Im(m)) up."""
+    a, b = (_LN_SMALL_X - v) / _MAP_WIDTH, (v - u2) / _MAP_WIDTH
     u = (v - (_SMALL_X_STEPS - 1) * _MAP_WIDTH * np.logaddexp(0.0, a)
          + (_DAMPED_STEPS - 1) * _MAP_WIDTH * np.logaddexp(0.0, b))
     du = (1 + (_SMALL_X_STEPS - 1) / 2 * (1 + np.tanh(a / 2))
@@ -62,12 +80,14 @@ def _ln_r_map(v, u1: float, u2: float):
     return u, du
 
 
-def _map_inverse(u: float, u1: float, u2: float) -> float:
+@functools.lru_cache(maxsize=1024)
+def _map_inverse(u: float, u2: float) -> float:
     """The v with U(v) = u: Newton's method, as U is smooth and increasing
-    with U' >= 1."""
+    with U' >= 1. Kept for the last 1,024 (u, u2): a frequency's slice
+    solves for both ends of its radius domain at every call."""
     v = u
     for _ in range(50):
-        u_v, du = _ln_r_map(v, u1, u2)
+        u_v, du = _ln_x_map(v, u2)
         shift = (u_v - u) / du
         v -= shift
         if abs(shift) < 1e-13:
@@ -75,21 +95,81 @@ def _map_inverse(u: float, u1: float, u2: float) -> float:
     return float(v)
 
 
-def _lattice(f: float, m: complex) -> np.ndarray:
-    """The size lattice of frequency f (Hz) and index m as one (3, nodes)
-    array: its nodes u = ln r (r in mm) from the first at or above
-    MIN_RADIUS_MM up to the radius cap, their radii in m, and their
-    trapezoid steps du = _V_STEP U'(v)."""
-    ln_scale = _LN_MM_PER_X_HZ - math.log(f)
-    u1 = math.log(_SMALL_X) + ln_scale
-    u2 = math.log(_DAMPED_X) - math.log(m.imag) + ln_scale if m.imag else math.inf
-    v_top = _map_inverse(_LN_R_TOP, u1, u2)
-    count = math.floor((v_top - _map_inverse(_LN_R_FLOOR, u1, u2)) / _V_STEP) + 1
-    u, du = _ln_r_map(v_top + _V_STEP * np.arange(-count, 1), u1, u2)
-    keep = u >= _LN_R_FLOOR
-    u, du = u[keep], du[keep] * _V_STEP
-    u[-1] = _LN_R_TOP
-    return np.stack((u, np.exp(u) * 1e-3, du))
+def _damped_ln_x(m: complex) -> float:
+    """u2 = ln(7 / Im(m)), where the damped band starts; inf at Im(m) = 0."""
+    return math.log(_DAMPED_X) - math.log(m.imag) if m.imag else math.inf
+
+
+def _covers(run: tuple, begin: int, end: int) -> bool:
+    """Whether run, a (first index, array) pair whose last axis runs over
+    lattice indices, covers the indices [begin, end)."""
+    first, array = run
+    return first <= begin and end <= first + array.shape[-1]
+
+
+def _lattice(m: complex, begin: int, end: int, kept=None) -> tuple[int, np.ndarray]:
+    """The lattice of index m over node indices [begin, end) at least, as
+    (first index, rows): kept, a lattice of m, if it covers them, else one
+    over the union of the two. The rows are u = ln x and the trapezoid steps
+    du = _V_STEP U'(v). A node's values depend on its index alone."""
+    if kept is not None:
+        if _covers(kept, begin, end):
+            return kept
+        first, rows = kept
+        begin, end = min(begin, first), max(end, first + rows.shape[1])
+    u, du = _ln_x_map(_V_STEP * np.arange(begin, end), _damped_ln_x(m))
+    return begin, np.stack((u, du * _V_STEP))
+
+
+def _cap_weights(theta: float) -> np.ndarray:
+    """The end weights, lowest first, on the last four nodes of a sum that
+    ends theta (in [0, 1]) steps past the last one: Gregory's to that node
+    and the partial end panel beyond it. Reversed, they close a sum that
+    starts theta steps below its first node."""
+    return _CAP_WEIGHTS + _PANEL @ theta ** np.arange(1, 5)
+
+
+class _Slice(NamedTuple):
+    """One frequency's share of an index's lattice, at the altitudes of a
+    call: the span of lattice nodes their supports cover."""
+
+    lattice: tuple          # the (first index, rows) it was cut from
+    nodes: slice            # the span, in lattice indices
+    u: np.ndarray           # ln r (r in mm) over the span
+    du: np.ndarray          # trapezoid steps over the span
+    r_m: np.ndarray         # radii in m over the span
+    parts: list             # each altitude's slice of the span
+    floor: np.ndarray | None  # end weights where the span reaches 1 nm
+    cap: np.ndarray | None  # end weights where the span reaches the cap
+
+
+def _frequency_slice(f: float, m: complex, lattice, mu, sigma) -> _Slice:
+    """The slice of m's lattice that frequency f (Hz) takes for log-normals
+    (mu, sigma), arrays of them, the lattice grown from `lattice` (None for
+    none) where f's radius domain reaches past it. That domain's nodes run
+    from the first at or above MIN_RADIUS_MM to the last at or below the
+    cap, and each end of it is closed by `_cap_weights` (mirrored at 1 nm);
+    two Newton solves find them, and the ends' theta."""
+    ln_scale = _LN_MM_PER_X_HZ - math.log(f)         # ln r - ln x, r in mm
+    u2 = _damped_ln_x(m)
+    v_floor = _map_inverse(_LN_R_FLOOR - ln_scale, u2) / _V_STEP
+    v_top = _map_inverse(_LN_R_TOP - ln_scale, u2) / _V_STEP
+    begin, end = math.floor(v_floor), math.floor(v_top) + 2
+    lattice = _lattice(m, begin, end, lattice)
+    first, rows = lattice
+    u = rows[0, begin - first:end - first] + ln_scale
+    lo = int(np.searchsorted(u, _LN_R_FLOOR))
+    hi = int(np.searchsorted(u, _LN_R_TOP, "right"))
+    span, parts = _node_slices(u[lo:hi], mu, sigma)
+    floor = cap = None
+    if span.start == 0:
+        floor = _cap_weights(min(max(begin + lo - v_floor, 0.0), 1.0))[::-1]
+    if span.stop == hi - lo:
+        cap = _cap_weights(min(max(v_top - (begin + hi - 1), 0.0), 1.0))
+    nodes = slice(begin + lo + span.start, begin + lo + span.stop)
+    u = u[lo + span.start:lo + span.stop]
+    return _Slice(lattice, nodes, u, rows[1, nodes.start - first:nodes.stop - first],
+                  np.exp(u) * 1e-3, parts, floor, cap)
 
 
 # Sizes (lattice nodes x frequencies) of one kernel call when a table spans
@@ -97,22 +177,26 @@ def _lattice(f: float, m: complex) -> np.ndarray:
 # a 24 MB peak. A table holds one such block at a time, so 400 frequencies
 # over 0.1-3 THz at 150 m trace 25 MB.
 _TABLE_SIZES = 2**15
-# What is kept from call to call, least recently used first: per (f, m), a
-# tuple of its lattice and a dict from each kernel key (f, Ne, T, m, g_e
-# mode) of that (f, m) to the key's Q_ext over the lattice, NaN where a node
-# is not yet computed. A size's Q_ext does not depend on the batch that
-# computes it, so a kept value serves any later support. Whole entries are
-# dropped, the oldest first, while the arrays, each counted once, hold more
-# than _STORED_BYTES (256 KB): for 2-0.025j (967-1,372 nodes at 0.1-10 THz)
-# a lattice takes 23-33 KB and a key 8-11 KB, so one frequency's entry keeps
-# 20-30 keys, and 7 frequencies of one key fit at 0.3 THz, 6 at 1 and 3 THz.
-# An entry larger than the budget is not kept (the store is emptied): more
-# than 30 keys at one (f, m) for 2-0.025j at 0.1 THz, 20 at 10 THz, and 17
-# at 10 THz for 1.33.
+# What is kept from call to call. _tables maps each kernel key to its Q_ext
+# over a run of lattice indices, (first index, array), NaN where a node is
+# not yet computed, least recently used first. At Ne = 0, g_e is exactly 0
+# and Q_ext depends on x and m alone, so the uncharged key is (m,), which
+# every frequency, temperature and g_e mode shares; a charged key is
+# (m, f, Ne, T, g_e mode), on the same nodes. _lattices maps each m to its
+# lattice. A size's Q_ext does not depend on the batch that computes it, so
+# a kept value serves any later support. Keys are dropped, least recently
+# used first, while the arrays hold more than _STORED_BYTES (256 KB), and an
+# index's lattice goes with its last key. For 2-0.025j the lattice over
+# 0.1-10 THz takes 24 KB (1,504 nodes, two rows), the uncharged key over it
+# at most 12 KB and a charged key 8-11 KB (966-1,372 nodes), so 20-28
+# charged keys fit beside them; 60 charged keys over 0.1-0.3 THz at 150 m
+# keep their last 33. A key and lattice larger than the budget are not kept
+# (the store is emptied).
 # Calls from several threads read and write it under _tables_lock, which is
-# not held while the kernel runs; an entry is replaced, never written.
+# not held while the kernel runs; an array is replaced, never written.
 _STORED_BYTES = 2**18
 _tables: OrderedDict = OrderedDict()
+_lattices: dict = {}
 _tables_lock = threading.Lock()
 
 
@@ -218,27 +302,29 @@ def _node_slices(u: np.ndarray, mu, sigma) -> tuple[slice, list[slice]]:
     return span, [slice(a - span.start, b - span.start) for a, b in zip(begin, end)]
 
 
-def _size_weights(lattice, span: slice, parts: list, mu: np.ndarray,
-                  sigma: np.ndarray, n0: float) -> np.ndarray:
+def _size_weights(piece: _Slice, mu: np.ndarray, sigma: np.ndarray,
+                  n0: float) -> np.ndarray:
     """The quadrature weights of each log-normal (mu, sigma), arrays of
-    them, on the span of the lattice (u, r, du), a row each: n0 phi(u) du,
+    them, on a frequency's slice of the lattice, a row each: n0 phi(u) du,
     with in u = ln r the log-normal density the normal density phi, formed
     in place in one pass over (rows x span), so that many altitudes hold one
     array. A row weights only its part of the span, its weights halved at
-    the part's ends, or Gregory's at an end on the cap."""
-    u, _, du = lattice
-    w = u[span] - mu[:, None]
+    the part's ends, or the end panels' (`_cap_weights`) at an end on 1 nm
+    or the cap."""
+    w = piece.u - mu[:, None]
     w /= sigma[:, None]
     np.square(w, out=w)
     w *= -0.5
     np.exp(w, out=w)
     w *= (n0 / (math.sqrt(2 * math.pi) * sigma))[:, None]
-    w *= du[span]
-    at_cap = span.stop == u.size
-    for row, part in zip(w, parts):
-        row[part.start] /= 2
-        if at_cap and part.stop == row.size:
-            row[part.stop - 4:part.stop] *= _CAP_WEIGHTS
+    w *= piece.du
+    for row, part in zip(w, piece.parts):
+        if piece.floor is not None and part.start == 0:
+            row[:4] *= piece.floor
+        else:
+            row[part.start] /= 2
+        if piece.cap is not None and part.stop == row.size:
+            row[part.stop - 4:part.stop] *= piece.cap
         else:
             row[part.stop - 1] /= 2
     return w
@@ -255,70 +341,103 @@ def _check_units(units_mode: str) -> None:
         raise ConfigError(f"unknown units mode {units_mode!r}")
 
 
-def _entry_bytes(entry: tuple) -> int:
-    """The bytes a kept (lattice, {key: Q_ext}) entry holds."""
-    lattice, tables = entry
-    return lattice.nbytes + sum(q.nbytes for q in tables.values())
+def _stored_bytes() -> int:
+    """The bytes the store's arrays hold, each counted once."""
+    return (sum(q.nbytes for _, q in _tables.values())
+            + sum(rows.nbytes for _, rows in _lattices.values()))
+
+
+def _keep(m: complex, lattice: tuple, fresh: dict) -> None:
+    """Keep `fresh`, a dict from kernel keys of index m to their (first
+    index, Q_ext), as the most recently used, and m's lattice unless the
+    kept one covers it. Then drop keys, least recently used first, while the
+    store holds more than _STORED_BYTES, and each lattice with the last key
+    of its index."""
+    with _tables_lock:
+        first, rows = lattice
+        if m not in _lattices or not _covers(_lattices[m], first, first + rows.shape[1]):
+            _lattices[m] = lattice
+        for key, array in fresh.items():
+            _tables.pop(key, None)
+            _tables[key] = array
+        while _tables and _stored_bytes() > _STORED_BYTES:
+            _tables.popitem(last=False)
+            indices = {key[0] for key in _tables}
+            for index in [index for index in _lattices if index not in indices]:
+                del _lattices[index]
 
 
 def _q_blocks(columns, kernel):
     """Yield (column, Q_ext on its span) for each of `columns`, an iterable
-    of (column id, kernel key, the key's kept Q_ext array or None, support),
-    a support being the key's (f, m) lattice, the span of it the column
-    takes and each altitude's part of that span.
+    of (column id, kernel key, the frequency's `_Slice`), all of one index.
 
     The columns go in blocks of at most _TABLE_SIZES span nodes (one column
     at least), and a block draws its columns once the one before is served,
-    so a table of many frequencies holds one block at a time. A column whose
-    span holds no NaN reads a view of the kept array: no copy, store or
-    kernel call. Any other key copies its kept array (or starts from a NaN
-    array), and the block computes the NaN cells of those spans, ragged
-    across them, in one kernel(radii, column ids) call, a column id per
-    radius. A key repeats only with its frequency, so on the same span, and
-    a repeat takes the first one's array. Then the block replaces the
-    (f, m) entry of each key it computed, so a block that raises keeps
-    nothing, and drops whole entries, least recently used first, while the
-    store holds more than _STORED_BYTES. The column that ends a block was
-    drawn before that block stored its keys: a key the block computed takes
-    the array it stored."""
+    so a table of many frequencies holds one block at a time. A key of the
+    block needs the nodes of its columns' spans: one span for a charged
+    key, whose columns share a frequency, and one per frequency for the
+    uncharged key. A key whose kept array holds all of them is read in
+    place: no copy, store or kernel call. Any other key copies its kept
+    array, grown to cover them (or starts from a NaN array), and the block
+    computes the NaN cells it needs of all those keys in one
+    kernel([(key, lattice indices), ...]) call. Then the block keeps those
+    keys and the lattice (`_keep`), so a block that raises keeps nothing."""
     columns = iter(columns)
-    column, fresh = next(columns, None), {}
+    column = next(columns, None)
     while column is not None:
-        stored = {key: array for key, (_, array) in fresh.items()}
-        block, q, fresh, todo, sizes = [], [], {}, [], 0
+        block, sizes = [], 0
         while column is not None:
-            c, key, kept, (lattice, span, _) = column
-            kept = stored.get(key, kept)
-            sizes += span.stop - span.start
+            sizes += column[2].nodes.stop - column[2].nodes.start
             if block and sizes > _TABLE_SIZES:
                 break
             block.append(column)
-            if key in fresh:
-                q.append(fresh[key][1][span])
-            elif kept is not None and not np.isnan(kept[span]).any():
-                q.append(kept[span])
-            else:
-                array = np.full(lattice.shape[1], np.nan) if kept is None else kept.copy()
-                fresh[key] = lattice, array
-                q.append(array[span])
-                todo.append((c, lattice[1][span], q[-1], np.flatnonzero(np.isnan(q[-1]))))
             column = next(columns, None)
-        counts = [cells.size for *_, cells in todo]
-        if sum(counts):
-            values = kernel(np.concatenate([r[cells] for _, r, _, cells in todo]),
-                            np.repeat([c for c, *_ in todo], counts))
-            for (*_, view, cells), value in zip(todo, np.split(
-                    values, np.cumsum(counts)[:-1])):
-                view[cells] = value
-        if fresh:
-            with _tables_lock:
-                for key, (lattice, array) in fresh.items():
-                    lattice, tables = _tables.pop((key[0], key[3]), (lattice, {}))
-                    _tables[key[0], key[3]] = lattice, {**tables, key: array}
-                stored = sum(map(_entry_bytes, _tables.values()))
-                while stored > _STORED_BYTES:
-                    stored -= _entry_bytes(_tables.popitem(last=False)[1])
-        yield from zip(block, q)
+        spans = {}
+        for _, key, piece in block:
+            spans.setdefault(key, []).append(piece.nodes)
+        with _tables_lock:
+            kept = {key: _tables.get(key) for key in spans}
+            for key in spans:
+                if kept[key]:
+                    _tables.move_to_end(key)
+        arrays, todo = {}, []
+        for key, nodes in spans.items():
+            first, q = kept[key] or (nodes[0].start, np.empty(0))
+            begin = min(first, *(span.start for span in nodes))
+            end = max(first + q.size, *(span.stop for span in nodes))
+            if _covers((first, q), begin, end) and not any(
+                    np.isnan(q[span.start - first:span.stop - first]).any()
+                    for span in nodes):
+                arrays[key] = first, q
+                continue
+            array = np.full(end - begin, np.nan)
+            array[first - begin:first - begin + q.size] = q
+            need = np.zeros(end - begin, bool)
+            for span in nodes:
+                need[span.start - begin:span.stop - begin] = True
+            arrays[key] = begin, array
+            todo.append((key, begin + np.flatnonzero(need & np.isnan(array))))
+        if todo:
+            values = kernel(todo)
+            for (key, cells), value in zip(todo, np.split(
+                    values, np.cumsum([cells.size for _, cells in todo])[:-1])):
+                first, array = arrays[key]
+                array[cells - first] = value
+            _keep(todo[0][0][0], block[-1][2].lattice,
+                  {key: arrays[key] for key, _ in todo})
+        for drawn in block:
+            (first, q), span = arrays[drawn[1]], drawn[2].nodes
+            yield drawn, q[span.start - first:span.stop - first]
+
+
+@functools.lru_cache(maxsize=1024)
+def _check_uncharged(f: float, temperature: float, ge_mode: str) -> None:
+    """The kernel's checks of frequency f (Hz), temperature and g_e mode at
+    the ends of the radius domain, which raise as a kernel call would: the
+    uncharged key, computed in x and shared by every (f, T, mode), skips
+    them. Kept for the last 1,024 that pass."""
+    _size_and_charge(np.array([_MIN_RADIUS, _MAX_RADIUS]), np.array(f), np.zeros(1),
+                     temperature, ge_mode)
 
 
 def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
@@ -328,15 +447,18 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     heights) array at temperature T (K) and refractive index m.
 
     The columns are the (frequency, count) pairs, a frequency's counts in
-    turn. Every count column at one frequency shares that frequency's
-    lattice (its kept entry's, else built), its span covering the supports
-    at every altitude, and the per-altitude weights on it; one Q_ext table
-    per column serves every units mode. `_q_blocks` reuses what _tables
-    keeps of each column and runs the kernel on the rest. A frequency's span
-    is found when a block takes its first column and its weights are formed
-    when that block is summed, so a table of many frequencies holds one
-    block's worth. Each altitude's weights are summed against each (units
-    mode, column).
+    turn. Every column at one frequency takes that frequency's slice of m's
+    lattice (kept, else built, and grown where the slice reaches past it),
+    its span covering the supports at every altitude, and the per-altitude
+    weights on it; one Q_ext table per column serves every units mode.
+    `_q_blocks` reuses what _tables keeps of each key and runs the kernel
+    on the rest: `mie._qext` in x with g_e = 0 for the uncharged key, so a
+    node holds one set of bits whichever frequency computed it, and at the
+    radii of the frequency with its g_e for a charged one. A frequency's
+    slice is found when a block takes its first column and its weights are
+    formed when that block is summed, so a table of many frequencies holds
+    one block's worth. Each altitude's weights are summed against each
+    (units mode, column).
     """
     for units_mode in units_modes:
         _check_units(units_mode)
@@ -352,34 +474,47 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     k = np.zeros((len(units_modes), electrons.size, frequencies.size, len(heights)))
     if layer.n0 == 0 or not k.size:
         return k
+    if not electrons.all():
+        for f in frequencies.tolist():
+            _check_uncharged(f, float(temperature), ge_mode)
     mu, sigma = lognormal_params(heights)
+    with _tables_lock:
+        lattice = _lattices.get(m)
 
     def columns():
+        nonlocal lattice
         for i, f in enumerate(frequencies.tolist()):
-            with _tables_lock:
-                entry = _tables[f, m] if (f, m) in _tables else None
-                if entry:
-                    _tables.move_to_end((f, m))
-            lattice, kept = entry or (_lattice(f, m), {})
-            support = (lattice, *_node_slices(lattice[0], mu, sigma))
+            piece = _frequency_slice(f, m, lattice, mu, sigma)
+            lattice = piece.lattice
             for j, ne in enumerate(electrons.tolist()):
-                key = (f, ne, float(temperature), m, ge_mode)
-                yield i * electrons.size + j, key, kept.get(key), support
+                key = (m, f, ne, float(temperature), ge_mode) if ne else (m,)
+                yield i * electrons.size + j, key, piece
 
-    def kernel(radius, columns):
-        return extinction_efficiency_array(radius, frequencies[columns // electrons.size],
-                                           electrons[columns % electrons.size],
-                                           temperature, m, mode=ge_mode)
+    def kernel(todo):
+        first, (u, _) = lattice
+        x, g_e = [], []
+        for key, cells in todo:
+            ln_x = u[cells - first]
+            if len(key) == 1:
+                x.append(np.exp(ln_x))
+                g_e.append(np.zeros(cells.size, complex))
+            else:
+                _, f, ne, t, mode = key
+                r_m = np.exp(ln_x + (_LN_MM_PER_X_HZ - math.log(f))) * 1e-3
+                x_f, g_f = _size_and_charge(r_m, np.asarray(f), np.asarray(ne), t, mode)
+                x.append(x_f)
+                g_e.append(g_f)
+        x = np.concatenate(x)
+        _check_scale(x)
+        return _qext(x, m, np.concatenate(g_e))
 
     last = None
-    for (c, _, _, support), q in _q_blocks(columns(), kernel):
-        if support is not last:
-            last, weights = support, _size_weights(*support, mu, sigma, layer.n0)
-        lattice, span, parts = support
-        rows = [_per_particle(lattice[1][span], q, units_mode)
-                for units_mode in units_modes]
+    for (c, _, piece), q in _q_blocks(columns(), kernel):
+        if piece is not last:
+            last, weights = piece, _size_weights(piece, mu, sigma, layer.n0)
+        rows = [_per_particle(piece.r_m, q, units_mode) for units_mode in units_modes]
         i, j = divmod(c, electrons.size)
-        k[:, j, i] = [[_k_dust(w[part], row[part]) for w, part in zip(weights, parts)]
+        k[:, j, i] = [[_k_dust(w[part], row[part]) for w, part in zip(weights, piece.parts)]
                       for row in rows]
     return k
 
@@ -393,10 +528,11 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
 
     Integrates the per-particle extinction against the size spectrum. The
     template particle supplies charge, temperature, and refractive index;
-    its radius is ignored and swept by the integral, a trapezoid sum on the
-    (f, m) lattice, a smooth map of a uniform one, over the support of the
-    spectrum at h, with Gregory's end correction where that reaches the
-    10 mm cap.
+    its radius is ignored and swept by the integral, a trapezoid sum over
+    the support of the spectrum at h on the index's lattice in ln x, a
+    smooth map of a uniform one that every frequency shares, with end
+    panels where that support reaches 1 nm or the 10 mm cap, which fall
+    between nodes.
 
     h is one altitude (m), giving a float, or an array of them, giving an
     array of the same shape; the extinction kernel does not depend on
@@ -404,14 +540,15 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     and each altitude weights its own slice of that lattice once.
 
     That table depends only on (f, Ne, T, m, ge_mode), never on h,
-    units_mode or n0, so the process keeps, for each of the last (f, m) it
-    saw, the lattice and each key's Q_ext over it (256 KB in all: 6 or 7
-    frequencies of one key at 0.3-3 THz, or 20-30 keys at one frequency). A
-    later call at a kept (f, m) builds no lattice and computes only the
-    nodes its key lacks; one that lacks none reads the kept table in place.
-    The result is bit-identical either way. This pays when one process
-    repeats a carrier and charge; a single CLI run builds one table and
-    gains nothing.
+    units_mode or n0, and at Ne = 0 only on m: g_e is exactly 0 there, so
+    every frequency's uncharged nodes are one table. The process keeps each
+    index's lattice and, least recently used first, the last kernel keys'
+    Q_ext over it (256 KB in all: for 2-0.025j the lattice over 0.1-10 THz,
+    the uncharged key over it and 20 or more charged keys). A later call
+    computes only the nodes its key lacks; one that lacks none reads the
+    kept table in place. The result is bit-identical either way. This pays
+    when one process repeats a carrier and charge, or computes uncharged
+    tables at many frequencies.
 
     units_mode="physical" (default) integrates the cross-section C_ext in
     m^2, making the dB/km prefactor an exact Np/m conversion;
@@ -438,8 +575,9 @@ def slant_dust_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     it is exact for the piecewise-linear k_abs. k_dust at every node comes
     from one _k_dust_grid call, so one kernel table serves the whole path,
     and a layer without n0 raises ConfigError. A path at a carrier and
-    charge the process has already seen reuses that table, kept across
-    calls as in `dust_attenuation_coefficient`, with bit-identical results.
+    charge the process has already seen, or an uncharged path at any
+    carrier whose nodes it has seen, reuses that table, kept across calls
+    as in `dust_attenuation_coefficient`, with bit-identical results.
     """
     sin_theta = math.sin(g.theta)
     # the fit at the path's top first: a rise past its overflow near 149 km

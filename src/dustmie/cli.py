@@ -190,8 +190,11 @@ def cmd_spectrum(cfg: RunConfig, args) -> SweepTable:
     if layer.n0 is None:
         meta["warning"] = "n0 unset; number-density columns omitted"
     else:
-        columns += [(f"n_d[h={h:g}m]", "1/(m^3 mm)", layer.n0 * pdf)
-                    for h, pdf in zip(heights, pdfs)]
+        # an n0 near the float range overflows the density: a cell the
+        # table's finiteness check names
+        with np.errstate(over="ignore"):
+            columns += [(f"n_d[h={h:g}m]", "1/(m^3 mm)", layer.n0 * pdf)
+                        for h, pdf in zip(heights, pdfs)]
     return SweepTable(columns, meta)
 
 
@@ -345,13 +348,30 @@ def run(argv=None) -> int:
     return code
 
 
+def _non_finite_cell(table: SweepTable) -> str | None:
+    """The first cell of the table that is inf or nan, named by its column
+    and its row (and the row's sweep point), or None."""
+    grid_name, _, grid = table.columns[0]
+    for name, _, values in table.columns:
+        bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
+        if bad.size:
+            row = int(bad[0])
+            return (f"column {name} reads {values[row]} in row {row + 1} "
+                    f"({grid_name} = {grid[row]:g})")
+    return None
+
+
 def _run(args) -> tuple[int, str | None]:
-    """The exit code and the error line, if any, of one run."""
+    """The exit code and the error line, if any, of one run. A table with
+    a cell that is not finite is a numerical failure, not an output."""
     try:
         config_path = args.config or os.environ.get(ENV_CONFIG)
         cfg = load_config(config_path) if config_path else RunConfig()
         _apply_overrides(cfg, args)
         table = _COMMANDS[args.command](cfg, args)
+        cell = _non_finite_cell(table)
+        if cell:
+            return 3, f"dustmie: numerical failure: {cell}"
         if args.out:
             table.write(args.out, fmt=args.format)
         else:

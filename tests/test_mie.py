@@ -920,12 +920,12 @@ class TestBatchKernel:
         dust_attenuation_coefficient(200.0, WaveSpec.from_frequency(3e12),
                                      DustLayerModel(n0=1e3),
                                      ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
-        # one upward loop for every size, x from 0.005 to 630
+        # one upward loop for every size, x from 0.005 to 624
         assert route_and_block_counts == {"upward": 1, "downward": 0, "blocks": 15}
-        # its four largest sizes (orders 640 to 665, 8 apart where the
-        # lattice is three times coarser) go on in scalars from order 633,
-        # where 33 orders are left
-        assert scalar_lanes == [(633, 33), (633, 24), (633, 16), (633, 8)]
+        # its four largest sizes (orders 636 to 660, 8 apart where the
+        # lattice is three times coarser) go on in scalars from order 629,
+        # where 32 orders are left
+        assert scalar_lanes == [(629, 32), (629, 24), (629, 16), (629, 8)]
 
     def test_x_sweep_steps_its_last_four_sizes_in_scalars(self, capsys,
                                                           route_and_block_counts,

@@ -65,6 +65,20 @@ def sph_bessel_j(n, z):
     return sph_bessel_j_array(n, z)[n]
 
 
+def log_sph_bessel_j(n, z):
+    """ln j_n(z) from the same ratios as `sph_bessel_j`, their logarithms
+    summed in mpmath, so that a j_n below the float range (j_120(0.02) is
+    about 1e-444) keeps its digits. Defined up to a multiple of 2 pi i."""
+    s = _scaled_ratio(np.array([[complex(z)]]), np.array([max(n, 1)]))[:n, 0]
+    psi0, psi1 = cmath.sin(z), cmath.sin(z) / z - cmath.cos(z)
+    if n == 0:
+        return mpmath.log(psi0) - mpmath.log(z)
+    # as `riccati_psi`: from psi_0 or psi_1, whichever is farther from a zero
+    start, ratios = ((psi0, s) if abs(psi0) >= abs(psi1) else (psi1, s[1:]))
+    return (mpmath.log(start) + mpmath.fsum(mpmath.log(z / mpmath.mpc(r))
+                                            for r in ratios) - mpmath.log(z))
+
+
 def loop_ratios(x, rows, m=1.5):
     """s_n(x) + i t_n(x) (eta_1(x) in t_1's slot) and s_n(mx) of one size x
     at orders 1..rows on the upward route, as the block loop of
@@ -118,10 +132,11 @@ class TestSphBesselJ:
     @pytest.mark.parametrize("n", [0, 1, 3, 12, 40, 120])
     @pytest.mark.parametrize("z", [0.02 + 0j, 1 + 0.5j, 30 - 2j, 99 + 4.9j])
     def test_against_series_oracle(self, n, z):
-        ref = complex(series_sph_j(n, z, terms=300))
-        if ref == 0:
-            pytest.skip("underflow in reference")
-        assert rel_err(sph_bessel_j(n, z), ref) < 1e-10
+        # |j / ref - 1| from the logarithms, in mpmath: below the float
+        # range j_120(0.02) and its reference would both read 0
+        ratio = mpmath.exp(log_sph_bessel_j(n, z)
+                           - mpmath.log(series_sph_j(n, z, terms=300)))
+        assert abs(ratio - 1) < 1e-10
 
     @given(z=complex_args, n=st.integers(0, 60))
     @settings(max_examples=60, deadline=None)
