@@ -28,25 +28,38 @@ NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 # Each node weighs phi U'(v), phi the log-normal's normal density at
 # ln r = u + ln(c / (2 pi f)) (r in mm), so every frequency f takes a slice
 # of the same nodes: those inside the kernel's radius domain [1e-6, 10] mm at
-# f. The step in u is K1 times _V_STEP below u1 = ln 0.5, where x < 0.5
-# (Rayleigh: Q_ext is a smooth power law), K2 times above u2 = ln(7 / Im(m)),
-# where Im(m) x > 7 (absorption damps the Mie ripple like exp(-4 Im(m) x)),
-# and _V_STEP between them. The trapezoid rule keeps its fast convergence
-# under a smooth map (Trefethen & Weideman 2014, SIAM Rev. 56, 385), and a
-# smooth map has no junction to correct. The 10 mm cap falls between two
-# nodes, theta steps above the last one below it, at a different theta for
-# each f. Where an altitude's support reaches the cap, Gregory's end
-# correction -h (grad g/12 + grad^2 g/24 + 19 grad^3 g/720) on the last four
-# values of g(v) = phi U' C_ext closes the sum at the last node, and a
-# partial end panel, the integral over those theta steps of the cubic
-# through the same four values, carries it to the cap; no node is evaluated
-# there. The 1 nm end is closed the same way, mirrored. Against a converged
+# f. A node's u and U' depend on its index alone, so each call computes them
+# for its own slice. The step in u is K1 times _V_STEP below u1 = ln 0.5,
+# where x < 0.5 (Rayleigh: Q_ext is a smooth power law), K2 times above
+# u2 = ln(7 / Im(m)), where Im(m) x > 7 (absorption damps the Mie ripple like
+# exp(-4 Im(m) x)), and _V_STEP between them. The trapezoid rule keeps its
+# fast convergence under a smooth map (Trefethen & Weideman 2014, SIAM Rev.
+# 56, 385), and a smooth map has no junction to correct.
+# The 10 mm cap falls between two nodes, theta steps above the last one at
+# or below it, at a different theta for each f. Where an altitude's support
+# reaches the cap, the sum ends there in one of two ways:
+# - where the cap carries weight, the log-normal's z = (ln 10 - mu) / sigma
+#   there below _WINDOW_SIGMAS, and absorption has not damped the Mie ripple
+#   there, Im(m) x < 7 at the cap (below about 1.34 THz for 2-0.025j), a
+#   smooth window: the nodes of the last _WINDOW_STEPS steps below the cap
+#   weigh psi g(v), g = phi U' C_ext and
+#   psi = erfc((v - v_cap + 7 steps) / (sqrt 2 steps)) / 2, which falls from 1
+#   to 0 over them, and _WINDOW_NODES Gauss-Legendre nodes at the
+#   frequency's own radii integrate (1 - psi) g over those steps. psi g ends
+#   smoothly, so its trapezoid sum needs no end correction, and the window's
+#   nodes follow the ripple up to the cap, which lattice values alone, at
+#   about a radian of its phase a step, cannot;
+# - elsewhere, Gregory's end correction -h (grad g/12 + grad^2 g/24 +
+#   19 grad^3 g/720) on the last four values of g closes the sum at the last
+#   node, and a partial end panel, the integral over those theta steps of
+#   the cubic through the same four values, carries it to the cap; no node
+#   is evaluated there. At z = 6 (205 m) it is within 1e-9 of the reference
+#   (0.1 THz, the worst; the window reads 3e-10 there).
+# The 1 nm end is closed by the panel, mirrored. Against a converged
 # reference (tests/test_channel.py), k_dust is within 1e-8 for 2-0.025j and
 # 1.6+0.05j at 100-200 m from 0.1 to 3 THz, at any charge and in both units
-# modes, and for 2-0.025j within 1e-8 at 300 m and 3e-8 at 600 m at 0.3, 1,
-# 3 and 10 THz. Between those, below about 0.8 THz, the panel extrapolates
-# across Mie ripple not yet damped at the cap and misses by up to 1.2e-8 at
-# 300 m and 3.1e-7 at 600 m (README). The constants are the best of those
+# modes, and for 2-0.025j within 1e-8 at 300 m and 3e-8 at 600 m from 0.3
+# to 3 THz and at 10 THz (README). The constants are the best of those
 # tried on that grid. A weakly absorbing sphere's sharper Mie ripple misses
 # by more: 9.0e-6 for 1.5+0.001j at 1 THz.
 _V_STEP = 0.006
@@ -67,6 +80,12 @@ _CAP_WEIGHTS = np.array([739.0, 633.0, 897.0, 251.0]) / 720
 # the Adams-Bashforth weights (-9, 37, -59, 55) / 24
 _PANEL = np.array([[0.0, -4.0, -4.0, -1.0], [0.0, 18.0, 16.0, 3.0],
                    [0.0, -36.0, -20.0, -3.0], [24.0, 22.0, 8.0, 1.0]]) / 24
+# The cap window: psi's erfc spans +-7 steps (psi is 1 - 1.3e-12 where it
+# starts), a 1-step width that leaves the trapezoid's aliasing of psi g
+# below e^-19 of g at the cap
+_WINDOW_SIGMAS = 6.0
+_WINDOW_STEPS = 14
+_WINDOW_NODES = 24
 
 
 def _ln_x_map(v, u2: float):
@@ -80,10 +99,10 @@ def _ln_x_map(v, u2: float):
     return u, du
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=64)
 def _map_inverse(u: float, u2: float) -> float:
     """The v with U(v) = u: Newton's method, as U is smooth and increasing
-    with U' >= 1. Kept for the last 1,024 (u, u2): a frequency's slice
+    with U' >= 1. Kept for the last 64 (u, u2): a frequency's slice
     solves for both ends of its radius domain at every call."""
     v = u
     for _ in range(50):
@@ -107,20 +126,6 @@ def _covers(run: tuple, begin: int, end: int) -> bool:
     return first <= begin and end <= first + array.shape[-1]
 
 
-def _lattice(m: complex, begin: int, end: int, kept=None) -> tuple[int, np.ndarray]:
-    """The lattice of index m over node indices [begin, end) at least, as
-    (first index, rows): kept, a lattice of m, if it covers them, else one
-    over the union of the two. The rows are u = ln x and the trapezoid steps
-    du = _V_STEP U'(v). A node's values depend on its index alone."""
-    if kept is not None:
-        if _covers(kept, begin, end):
-            return kept
-        first, rows = kept
-        begin, end = min(begin, first), max(end, first + rows.shape[1])
-    u, du = _ln_x_map(_V_STEP * np.arange(begin, end), _damped_ln_x(m))
-    return begin, np.stack((u, du * _V_STEP))
-
-
 def _cap_weights(theta: float) -> np.ndarray:
     """The end weights, lowest first, on the last four nodes of a sum that
     ends theta (in [0, 1]) steps past the last one: Gregory's to that node
@@ -129,11 +134,36 @@ def _cap_weights(theta: float) -> np.ndarray:
     return _CAP_WEIGHTS + _PANEL @ theta ** np.arange(1, 5)
 
 
+def _erfc_half(t) -> np.ndarray:
+    """erfc(t / sqrt 2) / 2 of each t: the window's psi at t steps past the
+    middle of its fall."""
+    return np.array([math.erfc(x / math.sqrt(2)) / 2 for x in np.ravel(t).tolist()])
+
+
+@functools.cache
+def _window_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The window's Gauss-Legendre nodes, in steps below the cap, and their
+    weights in steps times 1 - psi."""
+    nodes, weights = np.polynomial.legendre.leggauss(_WINDOW_NODES)
+    t = _WINDOW_STEPS / 2 * nodes
+    return _WINDOW_STEPS / 2 - t, _WINDOW_STEPS / 2 * weights * _erfc_half(-t)
+
+
+class _Window(NamedTuple):
+    """The cap window of one frequency's slice."""
+
+    psi: np.ndarray         # psi on the slice's nodes inside it, lowest first
+    ln_x: np.ndarray        # its Gauss-Legendre nodes' ln x
+    u: np.ndarray           # their ln r (r in mm)
+    du: np.ndarray          # their weights, in v, times 1 - psi
+    r_m: np.ndarray         # their radii in m
+    rows: list              # whether each altitude's row ends with it
+
+
 class _Slice(NamedTuple):
     """One frequency's share of an index's lattice, at the altitudes of a
     call: the span of lattice nodes their supports cover."""
 
-    lattice: tuple          # the (first index, rows) it was cut from
     nodes: slice            # the span, in lattice indices
     u: np.ndarray           # ln r (r in mm) over the span
     du: np.ndarray          # trapezoid steps over the span
@@ -141,35 +171,45 @@ class _Slice(NamedTuple):
     parts: list             # each altitude's slice of the span
     floor: np.ndarray | None  # end weights where the span reaches 1 nm
     cap: np.ndarray | None  # end weights where the span reaches the cap
+    window: _Window | None  # where some altitude's row ends with the window
 
 
-def _frequency_slice(f: float, m: complex, lattice, mu, sigma) -> _Slice:
+def _frequency_slice(f: float, m: complex, mu, sigma) -> _Slice:
     """The slice of m's lattice that frequency f (Hz) takes for log-normals
-    (mu, sigma), arrays of them, the lattice grown from `lattice` (None for
-    none) where f's radius domain reaches past it. That domain's nodes run
-    from the first at or above MIN_RADIUS_MM to the last at or below the
-    cap, and each end of it is closed by `_cap_weights` (mirrored at 1 nm);
-    two Newton solves find them, and the ends' theta."""
+    (mu, sigma), arrays of them. That domain's nodes run from the first at
+    or above MIN_RADIUS_MM to the last at or below the cap; two Newton
+    solves find them, and the ends' theta. The 1 nm end is closed by
+    `_cap_weights`, mirrored, and the cap by them or by the window, for
+    each altitude that reaches it."""
     ln_scale = _LN_MM_PER_X_HZ - math.log(f)         # ln r - ln x, r in mm
     u2 = _damped_ln_x(m)
     v_floor = _map_inverse(_LN_R_FLOOR - ln_scale, u2) / _V_STEP
     v_top = _map_inverse(_LN_R_TOP - ln_scale, u2) / _V_STEP
-    begin, end = math.floor(v_floor), math.floor(v_top) + 2
-    lattice = _lattice(m, begin, end, lattice)
-    first, rows = lattice
-    u = rows[0, begin - first:end - first] + ln_scale
+    begin = math.floor(v_floor)
+    u, du = _ln_x_map(_V_STEP * np.arange(begin, math.floor(v_top) + 2), u2)
+    u += ln_scale
     lo = int(np.searchsorted(u, _LN_R_FLOOR))
     hi = int(np.searchsorted(u, _LN_R_TOP, "right"))
     span, parts = _node_slices(u[lo:hi], mu, sigma)
-    floor = cap = None
+    floor = cap = window = None
     if span.start == 0:
         floor = _cap_weights(min(max(begin + lo - v_floor, 0.0), 1.0))[::-1]
-    if span.stop == hi - lo:
-        cap = _cap_weights(min(max(v_top - (begin + hi - 1), 0.0), 1.0))
     nodes = slice(begin + lo + span.start, begin + lo + span.stop)
-    u = u[lo + span.start:lo + span.stop]
-    return _Slice(lattice, nodes, u, rows[1, nodes.start - first:nodes.stop - first],
-                  np.exp(u) * 1e-3, parts, floor, cap)
+    if span.stop == hi - lo:
+        cap = _cap_weights(min(max(v_top - (nodes.stop - 1), 0.0), 1.0))
+        rows = [part.stop == span.stop - span.start and z < _WINDOW_SIGMAS
+                for part, z in zip(parts, ((_LN_R_TOP - mu) / sigma).tolist())]
+        if any(rows) and _LN_R_TOP - ln_scale < u2:
+            steps, weights = _window_rule()
+            gl_x, gl_du = _ln_x_map(_V_STEP * (v_top - steps), u2)
+            inside = np.arange(math.floor(v_top - _WINDOW_STEPS) + 1, nodes.stop)
+            window = _Window(_erfc_half(inside - v_top + _WINDOW_STEPS / 2), gl_x,
+                             gl_x + ln_scale, _V_STEP * gl_du * weights,
+                             np.exp(gl_x + ln_scale) * 1e-3, rows)
+    part = slice(lo + span.start, lo + span.stop)
+    u = u[part]
+    return _Slice(nodes, u, _V_STEP * du[part], np.exp(u) * 1e-3, parts, floor, cap,
+                  window)
 
 
 # Sizes (lattice nodes x frequencies) of one kernel call when a table spans
@@ -182,21 +222,19 @@ _TABLE_SIZES = 2**15
 # not yet computed, least recently used first. At Ne = 0, g_e is exactly 0
 # and Q_ext depends on x and m alone, so the uncharged key is (m,), which
 # every frequency, temperature and g_e mode shares; a charged key is
-# (m, f, Ne, T, g_e mode), on the same nodes. _lattices maps each m to its
-# lattice. A size's Q_ext does not depend on the batch that computes it, so
-# a kept value serves any later support. Keys are dropped, least recently
-# used first, while the arrays hold more than _STORED_BYTES (256 KB), and an
-# index's lattice goes with its last key. For 2-0.025j the lattice over
-# 0.1-10 THz takes 24 KB (1,504 nodes, two rows), the uncharged key over it
-# at most 12 KB and a charged key 8-11 KB (966-1,372 nodes), so 20-28
-# charged keys fit beside them; 60 charged keys over 0.1-0.3 THz at 150 m
-# keep their last 33. A key and lattice larger than the budget are not kept
-# (the store is emptied).
+# (m, f, Ne, T, g_e mode), on the same nodes. A size's Q_ext does not depend
+# on the batch that computes it, so a kept value serves any later support.
+# Keys are dropped, least recently used first, while the arrays hold more
+# than _STORED_BYTES (256 KB). For 2-0.025j the uncharged key over
+# 0.1-10 THz takes at most 12 KB (1,504 nodes) and a charged key 8-11 KB
+# (966-1,372 nodes), so 22-31 charged keys fit beside it; 60 charged keys
+# over 0.1-0.3 THz at 150 m keep their last 36. A key larger than the budget
+# is not kept (the store is emptied). The cap window's nodes, at each
+# frequency's own radii, are not kept.
 # Calls from several threads read and write it under _tables_lock, which is
 # not held while the kernel runs; an array is replaced, never written.
 _STORED_BYTES = 2**18
 _tables: OrderedDict = OrderedDict()
-_lattices: dict = {}
 _tables_lock = threading.Lock()
 
 
@@ -302,28 +340,39 @@ def _node_slices(u: np.ndarray, mu, sigma) -> tuple[slice, list[slice]]:
     return span, [slice(a - span.start, b - span.start) for a, b in zip(begin, end)]
 
 
-def _size_weights(piece: _Slice, mu: np.ndarray, sigma: np.ndarray,
-                  n0: float) -> np.ndarray:
-    """The quadrature weights of each log-normal (mu, sigma), arrays of
-    them, on a frequency's slice of the lattice, a row each: n0 phi(u) du,
-    with in u = ln r the log-normal density the normal density phi, formed
-    in place in one pass over (rows x span), so that many altitudes hold one
-    array. A row weights only its part of the span, its weights halved at
-    the part's ends, or the end panels' (`_cap_weights`) at an end on 1 nm
-    or the cap."""
-    w = piece.u - mu[:, None]
+def _normal_weights(u: np.ndarray, du: np.ndarray, mu: np.ndarray,
+                    sigma: np.ndarray, n0: float) -> np.ndarray:
+    """n0 phi(u) du for each log-normal (mu, sigma), arrays of them, a row
+    each: in u = ln r the log-normal density is the normal density phi.
+    Formed in place in one pass over (rows x nodes), so that many altitudes
+    hold one array."""
+    w = u - mu[:, None]
     w /= sigma[:, None]
     np.square(w, out=w)
     w *= -0.5
     np.exp(w, out=w)
     w *= (n0 / (math.sqrt(2 * math.pi) * sigma))[:, None]
-    w *= piece.du
-    for row, part in zip(w, piece.parts):
+    w *= du
+    return w
+
+
+def _size_weights(piece: _Slice, mu: np.ndarray, sigma: np.ndarray,
+                  n0: float) -> np.ndarray:
+    """The quadrature weights of each log-normal (mu, sigma), arrays of
+    them, on a frequency's slice of the lattice, a row each: n0 phi(u) du.
+    A row weights only its part of the span, its weights halved at the
+    part's ends, or the end panels' (`_cap_weights`) at an end on 1 nm or
+    the cap, or psi over the window where its row ends with one."""
+    w = _normal_weights(piece.u, piece.du, mu, sigma, n0)
+    windowed = piece.window.rows if piece.window else [False] * len(piece.parts)
+    for row, part, window in zip(w, piece.parts, windowed):
         if piece.floor is not None and part.start == 0:
             row[:4] *= piece.floor
         else:
             row[part.start] /= 2
-        if piece.cap is not None and part.stop == row.size:
+        if window:
+            row[part.stop - piece.window.psi.size:part.stop] *= piece.window.psi
+        elif piece.cap is not None and part.stop == row.size:
             row[part.stop - 4:part.stop] *= piece.cap
         else:
             row[part.stop - 1] /= 2
@@ -342,29 +391,20 @@ def _check_units(units_mode: str) -> None:
 
 
 def _stored_bytes() -> int:
-    """The bytes the store's arrays hold, each counted once."""
-    return (sum(q.nbytes for _, q in _tables.values())
-            + sum(rows.nbytes for _, rows in _lattices.values()))
+    """The bytes the store's arrays hold."""
+    return sum(q.nbytes for _, q in _tables.values())
 
 
-def _keep(m: complex, lattice: tuple, fresh: dict) -> None:
-    """Keep `fresh`, a dict from kernel keys of index m to their (first
-    index, Q_ext), as the most recently used, and m's lattice unless the
-    kept one covers it. Then drop keys, least recently used first, while the
-    store holds more than _STORED_BYTES, and each lattice with the last key
-    of its index."""
+def _keep(fresh: dict) -> None:
+    """Keep `fresh`, a dict from kernel keys to their (first index, Q_ext),
+    as the most recently used. Then drop keys, least recently used first,
+    while the store holds more than _STORED_BYTES."""
     with _tables_lock:
-        first, rows = lattice
-        if m not in _lattices or not _covers(_lattices[m], first, first + rows.shape[1]):
-            _lattices[m] = lattice
         for key, array in fresh.items():
             _tables.pop(key, None)
             _tables[key] = array
         while _tables and _stored_bytes() > _STORED_BYTES:
             _tables.popitem(last=False)
-            indices = {key[0] for key in _tables}
-            for index in [index for index in _lattices if index not in indices]:
-                del _lattices[index]
 
 
 def _q_blocks(columns, kernel):
@@ -381,7 +421,7 @@ def _q_blocks(columns, kernel):
     array, grown to cover them (or starts from a NaN array), and the block
     computes the NaN cells it needs of all those keys in one
     kernel([(key, lattice indices), ...]) call. Then the block keeps those
-    keys and the lattice (`_keep`), so a block that raises keeps nothing."""
+    keys (`_keep`), so a block that raises keeps nothing."""
     columns = iter(columns)
     column = next(columns, None)
     while column is not None:
@@ -423,19 +463,19 @@ def _q_blocks(columns, kernel):
                     values, np.cumsum([cells.size for _, cells in todo])[:-1])):
                 first, array = arrays[key]
                 array[cells - first] = value
-            _keep(todo[0][0][0], block[-1][2].lattice,
-                  {key: arrays[key] for key, _ in todo})
+            _keep({key: arrays[key] for key, _ in todo})
         for drawn in block:
             (first, q), span = arrays[drawn[1]], drawn[2].nodes
             yield drawn, q[span.start - first:span.stop - first]
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=64)
 def _check_uncharged(f: float, temperature: float, ge_mode: str) -> None:
     """The kernel's checks of frequency f (Hz), temperature and g_e mode at
     the ends of the radius domain, which raise as a kernel call would: the
     uncharged key, computed in x and shared by every (f, T, mode), skips
-    them. Kept for the last 1,024 that pass."""
+    them. Kept for the last 64 that pass, so that a table of many
+    frequencies does not grow them past that."""
     _size_and_charge(np.array([_MIN_RADIUS, _MAX_RADIUS]), np.array(f), np.zeros(1),
                      temperature, ge_mode)
 
@@ -448,17 +488,18 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
 
     The columns are the (frequency, count) pairs, a frequency's counts in
     turn. Every column at one frequency takes that frequency's slice of m's
-    lattice (kept, else built, and grown where the slice reaches past it),
-    its span covering the supports at every altitude, and the per-altitude
-    weights on it; one Q_ext table per column serves every units mode.
-    `_q_blocks` reuses what _tables keeps of each key and runs the kernel
-    on the rest: `mie._qext` in x with g_e = 0 for the uncharged key, so a
-    node holds one set of bits whichever frequency computed it, and at the
-    radii of the frequency with its g_e for a charged one. A frequency's
-    slice is found when a block takes its first column and its weights are
-    formed when that block is summed, so a table of many frequencies holds
-    one block's worth. Each altitude's weights are summed against each
-    (units mode, column).
+    lattice, its span covering the supports at every altitude, and the
+    per-altitude weights on it; one Q_ext table per column serves every
+    units mode. `_q_blocks` reuses what _tables keeps of each key and runs
+    the kernel on the rest: `mie._qext` in x with g_e = 0 for the uncharged
+    key, so a node holds one set of bits whichever frequency computed it,
+    and at the radii of the frequency with its g_e for a charged one. A
+    frequency's slice is found when a block takes its first column and its
+    weights are formed when that block is summed, so a table of many
+    frequencies holds one block's worth. Each altitude's weights are summed
+    against each (units mode, column). Where the slice has a cap window,
+    each column runs the kernel once more, on the window's nodes, and the
+    rows that end with it add their sum over them.
     """
     for units_mode in units_modes:
         _check_units(units_mode)
@@ -478,26 +519,22 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
         for f in frequencies.tolist():
             _check_uncharged(f, float(temperature), ge_mode)
     mu, sigma = lognormal_params(heights)
-    with _tables_lock:
-        lattice = _lattices.get(m)
+    u2 = _damped_ln_x(m)
 
     def columns():
-        nonlocal lattice
         for i, f in enumerate(frequencies.tolist()):
-            piece = _frequency_slice(f, m, lattice, mu, sigma)
-            lattice = piece.lattice
+            piece = _frequency_slice(f, m, mu, sigma)
             for j, ne in enumerate(electrons.tolist()):
                 key = (m, f, ne, float(temperature), ge_mode) if ne else (m,)
                 yield i * electrons.size + j, key, piece
 
     def kernel(todo):
-        first, (u, _) = lattice
+        """Q_ext of each (key, ln x of its sizes) todo yields, in one call."""
         x, g_e = [], []
-        for key, cells in todo:
-            ln_x = u[cells - first]
+        for key, ln_x in todo:
             if len(key) == 1:
                 x.append(np.exp(ln_x))
-                g_e.append(np.zeros(cells.size, complex))
+                g_e.append(np.zeros(ln_x.size, complex))
             else:
                 _, f, ne, t, mode = key
                 r_m = np.exp(ln_x + (_LN_MM_PER_X_HZ - math.log(f))) * 1e-3
@@ -508,14 +545,27 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
         _check_scale(x)
         return _qext(x, m, np.concatenate(g_e))
 
+    def lattice_kernel(todo):
+        return kernel((key, _ln_x_map(_V_STEP * cells, u2)[0]) for key, cells in todo)
+
     last = None
-    for (c, _, piece), q in _q_blocks(columns(), kernel):
+    for (c, key, piece), q in _q_blocks(columns(), lattice_kernel):
         if piece is not last:
             last, weights = piece, _size_weights(piece, mu, sigma, layer.n0)
+            window = piece.window
+            if window:
+                window_weights = _normal_weights(window.u, window.du, mu, sigma,
+                                                 layer.n0)
         rows = [_per_particle(piece.r_m, q, units_mode) for units_mode in units_modes]
         i, j = divmod(c, electrons.size)
         k[:, j, i] = [[_k_dust(w[part], row[part]) for w, part in zip(weights, piece.parts)]
                       for row in rows]
+        if window:
+            q = kernel([(key, window.ln_x)])
+            for mode, units_mode in enumerate(units_modes):
+                row = _per_particle(window.r_m, q, units_mode)
+                for h in np.flatnonzero(window.rows).tolist():
+                    k[mode, j, i, h] += _k_dust(window_weights[h], row)
     return k
 
 
@@ -530,9 +580,13 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     template particle supplies charge, temperature, and refractive index;
     its radius is ignored and swept by the integral, a trapezoid sum over
     the support of the spectrum at h on the index's lattice in ln x, a
-    smooth map of a uniform one that every frequency shares, with end
-    panels where that support reaches 1 nm or the 10 mm cap, which fall
-    between nodes.
+    smooth map of a uniform one that every frequency shares. Where that
+    support reaches 1 nm or the 10 mm cap, which fall between nodes, an end
+    panel closes it; where the cap carries weight (from about 205 m) and
+    absorption has not damped the Mie ripple there (below about 1.34 THz
+    for 2-0.025j), a smooth window over its last 14 steps and 24
+    Gauss-Legendre nodes at the frequency's own radii, which run the kernel
+    once more per call.
 
     h is one altitude (m), giving a float, or an array of them, giving an
     array of the same shape; the extinction kernel does not depend on
@@ -541,14 +595,13 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
 
     That table depends only on (f, Ne, T, m, ge_mode), never on h,
     units_mode or n0, and at Ne = 0 only on m: g_e is exactly 0 there, so
-    every frequency's uncharged nodes are one table. The process keeps each
-    index's lattice and, least recently used first, the last kernel keys'
-    Q_ext over it (256 KB in all: for 2-0.025j the lattice over 0.1-10 THz,
-    the uncharged key over it and 20 or more charged keys). A later call
-    computes only the nodes its key lacks; one that lacks none reads the
-    kept table in place. The result is bit-identical either way. This pays
-    when one process repeats a carrier and charge, or computes uncharged
-    tables at many frequencies.
+    every frequency's uncharged nodes are one table. The process keeps,
+    least recently used first, the last kernel keys' Q_ext over the lattice
+    (256 KB in all: for 2-0.025j the uncharged key over 0.1-10 THz and 22
+    or more charged keys). A later call computes only the nodes its key
+    lacks; one that lacks none reads the kept table in place. The result is
+    bit-identical either way. This pays when one process repeats a carrier
+    and charge, or computes uncharged tables at many frequencies.
 
     units_mode="physical" (default) integrates the cross-section C_ext in
     m^2, making the dB/km prefactor an exact Np/m conversion;
@@ -577,7 +630,10 @@ def slant_dust_loss(g: LinkGeometry, w: WaveSpec, layer: DustLayerModel,
     and a layer without n0 raises ConfigError. A path at a carrier and
     charge the process has already seen, or an uncharged path at any
     carrier whose nodes it has seen, reuses that table, kept across calls
-    as in `dust_attenuation_coefficient`, with bit-identical results.
+    as in `dust_attenuation_coefficient`, with bit-identical results. A
+    path that reaches the altitudes where the cap carries weight (about
+    205 m), at a carrier where it has a cap window, also runs the kernel on
+    the window's nodes, which are not kept.
     """
     sin_theta = math.sin(g.theta)
     # the fit at the path's top first: a rise past its overflow near 149 km

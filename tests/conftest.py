@@ -8,15 +8,13 @@ import dustmie.channel
 
 @pytest.fixture(autouse=True)
 def kernel_tables(monkeypatch):
-    """An empty store of kept Q_ext tables and lattices for every test, so
-    that what it counts or traces is the kernel's own work and no test
-    passes on tables an earlier one kept; the store the process had comes
-    back afterwards. Clearing the returned store of tables mid-test makes
-    the next call's kernel cold again (a lattice's values depend on the
-    node index alone, so a kept one changes no bit)."""
+    """An empty store of kept Q_ext tables for every test, so that what it
+    counts or traces is the kernel's own work and no test passes on tables
+    an earlier one kept; the store the process had comes back afterwards.
+    Clearing the returned store mid-test makes the next call's kernel cold
+    again."""
     tables = OrderedDict()
     monkeypatch.setattr(dustmie.channel, "_tables", tables)
-    monkeypatch.setattr(dustmie.channel, "_lattices", {})
     return tables
 
 
@@ -39,8 +37,8 @@ def kernel_calls(monkeypatch):
 def fine_lattice(kernel_tables):
     """fine_lattice(step), a context in which `channel` sums on the same
     map of every index's size lattice at v step `step`. The store of kept
-    tables and lattices is emptied on entry and on exit, since a kept array
-    covers one lattice's nodes."""
+    tables is emptied on entry and on exit, since a kept array covers one
+    lattice's nodes."""
     channel = dustmie.channel
 
     @contextlib.contextmanager
@@ -48,10 +46,8 @@ def fine_lattice(kernel_tables):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(channel, "_V_STEP", step)
             kernel_tables.clear()
-            channel._lattices.clear()
             try:
                 yield
             finally:
                 kernel_tables.clear()
-                channel._lattices.clear()
     return lattice

@@ -38,7 +38,7 @@ def frequency_slice(heights, f, m=M_KEY):
     """The slice of m's lattice a table at frequency f takes for these
     altitudes: the union of the nodes their weights cover."""
     import dustmie.channel as channel
-    return channel._frequency_slice(f, m, None, *lognormal_params(np.array(heights)))
+    return channel._frequency_slice(f, m, *lognormal_params(np.array(heights)))
 
 
 def support_nodes(heights, f):
@@ -142,8 +142,8 @@ class TestDustAttenuationCoefficient:
 
     def test_table_memory_does_not_grow_with_its_frequencies(self, monkeypatch,
                                                              kernel_tables):
-        # a table holds one block of columns at a time, its lattices,
-        # radii and weights included: with the kernel stubbed, so that only
+        # a table holds one block of columns at a time, its slices, radii
+        # and weights included: with the kernel stubbed, so that only
         # what `channel` holds is traced, 400 frequencies of one band peak
         # within 10 % of 40. At the CLI's three counts 40 frequencies fill
         # several blocks, as 400 do; at one count they fill about one, before
@@ -169,7 +169,9 @@ class TestDustAttenuationCoefficient:
         # bit for bit, each altitude's own n0 phi(u) du on its slice, halved
         # at its ends, or the end panels' at an end on 1 nm, which the
         # support at 300 m reaches, or on the cap, which the supports from
-        # 150 m up reach
+        # 150 m up reach; at 300 m, where the cap carries weight (z < 6),
+        # psi over the cap window instead where the ripple at the cap is not
+        # damped (Im(m) x < 7 there): at 0.3 THz, not at 3 THz
         import dustmie.channel as channel
         mu, sigma = lognormal_params(np.array([100.0, 150.0, 200.0, 300.0]))
         piece = frequency_slice([100.0, 150.0, 200.0, 300.0], f)
@@ -178,15 +180,21 @@ class TestDustAttenuationCoefficient:
         at_cap = [part.stop == piece.u.size for part in piece.parts]
         assert at_floor == [False, False, False, True] and piece.floor is not None
         assert at_cap == [False, True, True, True] and piece.cap is not None
-        for w, part, m, s, floor, cap in zip(weights, piece.parts, mu.tolist(),
-                                             sigma.tolist(), at_floor, at_cap):
+        assert (piece.window is not None) == (f < 1e12)
+        windowed = piece.window.rows if piece.window else [False] * 4
+        assert windowed == [False, False, False, f < 1e12]
+        for w, part, m, s, floor, cap, window in zip(
+                weights, piece.parts, mu.tolist(), sigma.tolist(), at_floor, at_cap,
+                windowed):
             one = (1e3 / (math.sqrt(2 * math.pi) * s)
                    * np.exp(-0.5 * ((piece.u[part] - m) / s) ** 2) * piece.du[part])
             if floor:
                 one[:4] *= piece.floor
             else:
                 one[0] /= 2
-            if cap:
+            if window:
+                one[-piece.window.psi.size:] *= piece.window.psi
+            elif cap:
                 one[-4:] *= piece.cap
             else:
                 one[-1] /= 2
@@ -209,6 +217,37 @@ class TestDustAttenuationCoefficient:
         assert channel._cap_weights(0.0).tolist() == channel._CAP_WEIGHTS.tolist()
         assert (channel._cap_weights(1.0) - channel._CAP_WEIGHTS) * 24 == pytest.approx(
             [-9, 37, -59, 55], rel=1e-14)
+
+    def test_cap_window_follows_ripple_to_the_cap(self):
+        # psi on the nodes of the last 14 steps below a cap theta steps past
+        # the last node, and the window's Gauss-Legendre nodes, integrate a
+        # ripple of one radian a step (the Mie ripple's, in x, near 0.4 THz
+        # at the cap) under a smooth envelope, within 1.4e-9 of the integral
+        # of |g|; Gregory's weights and the partial panel, from node values
+        # alone, miss it by 9e-6 to 2e-3
+        import dustmie.channel as channel
+        steps, weights = channel._window_rule()
+        assert steps.size == 24 and 0 < steps.min() and steps.max() < 14
+        nodes, node_weights = np.polynomial.legendre.leggauss(200)
+        for theta in (0.0, 0.3, 0.7, 1.0):
+            def g(v):
+                envelope = np.exp(-((v - theta) / 12) ** 2 / 2)
+                return envelope * (np.cos(v + 0.4) + 0.05 * (v - theta) ** 2)
+
+            cuts = np.linspace(theta - 150, theta, 31)
+            exact, scale = (sum((b - a) / 2 * float(node_weights @ f((a + b) / 2
+                                                                   + (b - a) / 2 * nodes))
+                                for a, b in zip(cuts[:-1], cuts[1:]))
+                            for f in (g, lambda v: np.abs(g(v))))
+            t = np.arange(-200.0, 1.0)
+            psi = np.ones(t.size)
+            inside = t > theta - 14
+            psi[inside] = channel._erfc_half(t[inside] - theta + 7)
+            window = float(psi @ g(t)) + float(weights @ g(theta - steps))
+            panel = np.ones(t.size)
+            panel[-4:] = channel._cap_weights(theta)
+            assert abs(window - exact) <= 1.4e-9 * scale, theta
+            assert abs(float(panel @ g(t)) - exact) >= 9e-6 * scale, theta
 
     def test_unset_n0_rejected(self):
         with pytest.raises(ConfigError):
@@ -254,17 +293,17 @@ class TestDustAttenuationCoefficient:
             assert abs(k[index] - ref) <= 1e-8 * ref, index
 
     # where the support reaches the 10 mm cap, which falls between nodes
-    # at a different place for each frequency, Gregory's correction and the
-    # partial end panel keep the end error within 1e-8 at 300 m and 3e-8 at
-    # 600 m (the trapezoid alone misses by 3.3e-7 and 9.2e-6). Measured
-    # here: at most 1.9e-9 and 1.7e-8 (0.3 THz). Between these frequencies,
-    # below about 0.8 THz, the panel extrapolates across the Mie ripple the
-    # absorption has not yet damped at the cap, and misses by more: up to
-    # 1.2e-8 and 3.1e-7 near 0.4 THz (CHANGES.md)
+    # at a different place for each frequency, its end keeps the error
+    # within 1e-8 at 300 m and 3e-8 at 600 m (the trapezoid alone misses by
+    # 3.3e-7 and 9.2e-6) from 0.3 to 3 THz and at 10 THz: the cap window
+    # below about 1.34 THz, where absorption has not damped the ripple at
+    # the cap, Gregory's correction and the partial panel above. At 0.35
+    # and 0.5 THz those two missed by 1.4e-7 and 1.7e-7 at 600 m. 0.4347 THz
+    # is the worst of 150 frequencies over 0.3-3 THz at 600 m: 1.2e-8
     @pytest.mark.parametrize("h,bound", [(300.0, 1e-8), (600.0, 3e-8)])
     def test_cap_end_within_reference(self, h, bound):
         import dustmie.channel as channel
-        freqs = [0.3e12, 1e12, 3e12, 10e12]
+        freqs = [0.3e12, 0.35e12, 0.4e12, 0.4347e12, 0.5e12, 0.8e12, 1e12, 3e12, 10e12]
         k = channel._k_dust_grid([h], freqs, [0], DustLayerModel(n0=1.0), 300.0,
                                  M_DEFAULT, ("physical",), "full")[0, 0, :, 0]
         for f, k_f in zip(freqs, k):
@@ -278,14 +317,15 @@ class TestDustAttenuationCoefficient:
         import dustmie.channel as channel
         for f, m in [(0.1e12, 2 + 0.025j), (3e12, 2 + 0.025j), (10e12, 1.6 + 0.05j),
                      (1e12, 1.33 + 0j)]:
-            first, (u, du) = channel._lattice(m, -600, 900)
+            u2 = channel._damped_ln_x(m)
+            u, du = channel._ln_x_map(channel._V_STEP * np.arange(-600, 900), u2)
             piece = frequency_slice([600.0], f, m)
             with fine_lattice(channel._V_STEP / 4):
-                fine_first, (fine_u, fine_du) = channel._lattice(m, -2400, 3600)
+                fine_u, fine_du = channel._ln_x_map(
+                    channel._V_STEP * np.arange(-2400, 3600), u2)
                 fine_piece = frequency_slice([600.0], f, m)
-            assert (first, fine_first) == (-600, -2400)
             assert fine_u[::4].tobytes() == u.tobytes()
-            assert (4 * fine_du[::4]).tobytes() == du.tobytes()
+            assert fine_du[::4].tobytes() == du.tobytes()
             for p in (piece, fine_piece):
                 assert p.r_m[0] >= 1e-9 > p.r_m[0] * math.exp(-p.du[0])
                 assert p.r_m[-1] <= 1e-2 < p.r_m[-1] * math.exp(p.du[-1])
@@ -426,15 +466,22 @@ class TestDustAttenuationCoefficient:
         units = ("physical", "paper")
         k = channel._k_dust_grid(heights, freqs, counts, layer, 300.0, M_DEFAULT,
                                  units, "full")
-        # blocks of 5, 4, 4 and 2 columns; the uncharged key computes in
-        # each block only the nodes the blocks before did not
-        assert len(calls) == 4
+        # blocks of 5, 4, 4 and 2 columns: a block computes each charged
+        # column's span, and of the uncharged key only the nodes of its
+        # columns' spans the blocks before did not
         assert k.shape == (2, 3, 5, 3)
+        pieces = [frequency_slice(heights, f) for f in freqs.tolist()]
+        spans = [set(range(piece.nodes.start, piece.nodes.stop)) for piece in pieces]
+        columns = [(i, ne) for i in range(5) for ne in counts]
+        computed, sizes = set(), []
+        for block in (columns[:5], columns[5:9], columns[9:13], columns[13:]):
+            fresh = set().union(*(spans[i] for i, ne in block if not ne)) - computed
+            computed |= fresh
+            sizes.append(sum(len(spans[i]) for i, ne in block if ne) + len(fresh))
+        assert calls == sizes
         # every column shares the one lattice: the uncharged key keeps one
         # array over the union of the five frequencies' slices, and each
         # charged key one over its frequency's slice
-        pieces = [frequency_slice(heights, f) for f in freqs.tolist()]
-        (first, rows), = channel._lattices.values()
         assert len(kernel_tables) == 1 + 2 * 5
         begin, q = kernel_tables[M_KEY,]
         assert begin == pieces[0].nodes.start and q.size == pieces[-1].nodes.stop - begin
@@ -443,7 +490,6 @@ class TestDustAttenuationCoefficient:
             for ne in counts[1:]:
                 begin, q = kernel_tables[M_KEY, f, float(ne), 300.0, "full"]
                 assert (begin, q.size) == (piece.nodes.start, piece.u.size)
-            assert first <= piece.nodes.start and piece.nodes.stop <= first + rows.shape[1]
         for i, ne in enumerate(counts):
             kernel_tables.clear()
             one = channel._k_dust_grid(heights, freqs, [ne], layer, 300.0, M_DEFAULT,
@@ -474,7 +520,9 @@ class TestRadiusDomain:
 
     def test_table_nodes_capped(self, monkeypatch, kernel_tables):
         # a cold table for one altitude runs the kernel on exactly the nodes
-        # that altitude weights, none of them below 1 nm or past 10 mm
+        # that altitude weights, none of them below 1 nm or past 10 mm; from
+        # 300 m up, where the cap carries weight, a second call runs it on
+        # the cap window's nodes, all below 10 mm as well
         import dustmie.channel as channel
         sizes = []
         kernel = channel._qext
@@ -493,13 +541,21 @@ class TestRadiusDomain:
                 k = dust_attenuation_coefficient(h, w, DustLayerModel(n0=1e3), PARTICLE)
                 assert math.isfinite(k) and k >= 0
             piece = frequency_slice(heights, 300e9)
-        (first, (u, _)), = channel._lattices.values()
-        nodes = np.arange(piece.nodes.start, piece.nodes.stop)
-        for x, part in zip(sizes, piece.parts, strict=True):
+        u, _ = channel._ln_x_map(channel._V_STEP * np.arange(piece.nodes.start,
+                                                             piece.nodes.stop),
+                                 channel._damped_ln_x(M_KEY))
+        assert piece.window.rows == [False] * 3 + [True] * 3
+        assert len(sizes) == 3 + 2 * 3
+        for x, part in zip(sizes[:3] + sizes[3::2], piece.parts, strict=True):
             # the uncharged key runs in x, at the lattice's own nodes
-            assert np.array_equal(x, np.exp(u[nodes[part] - first]))
+            assert np.array_equal(x, np.exp(u[part]))
             assert piece.r_m[part].min() >= 1e-9
-        assert [x.size for x in sizes] == [813, 946, 994] + [1116] * 3
+        assert [x.size for x in sizes[:3] + sizes[3::2]] == [813, 946, 994] + [1116] * 3
+        for x in sizes[4::2]:
+            assert np.array_equal(x, np.exp(piece.window.ln_x))
+        # inside the last 14 steps below the cap
+        assert piece.u[-1 - piece.window.psi.size] < piece.window.u.min()
+        assert piece.window.r_m.max() < 1e-2
         for part in piece.parts[3:]:
             # the first node lies at most one step above 1 nm, the last at
             # most one below 10 mm
@@ -735,30 +791,25 @@ class TestKeptTables:
         assert [slant_dust_loss(g, w, self.LAYER, particle)
                 for g in paths[::-1]] == cold[::-1]
 
-    def test_repeated_path_runs_no_kernel(self, kernel_calls):
-        # nor grows the lattice, which is kept per index, nor solves again
-        # for the ends of the frequency's slice, two Newton solves
-        # (`_map_inverse`) the first time. A new charge at a kept frequency
-        # computes its own key on the same nodes; an uncharged path at a new
-        # frequency whose nodes the uncharged key already holds runs no
-        # kernel either
+    def test_repeated_path_runs_no_kernel(self, kernel_tables, kernel_calls):
+        # nor solves again for the ends of the frequency's slice, two Newton
+        # solves (`_map_inverse`) the first time. A new charge at a kept
+        # frequency computes its own key on the same nodes; an uncharged
+        # path at a new frequency whose nodes the uncharged key already
+        # holds runs no kernel either
         import dustmie.channel as channel
-
-        def lattice():
-            (index, (first, rows)), = channel._lattices.items()
-            return index, first, rows
 
         channel._map_inverse.cache_clear()
         g = LinkGeometry(h0=120.0, theta=math.radians(12.0), d=80.0, d0=10.0)
         w = WaveSpec.from_frequency(1e12)
         first = path_loss(g, w, self.LAYER, self.particle(0))
         assert len(kernel_calls) == 1 and channel._map_inverse.cache_info().misses == 2
-        kept = lattice()
+        (kept,) = kernel_tables.values()
         assert path_loss(g, w, self.LAYER, self.particle(0)) == first
         assert len(kernel_calls) == 1 and channel._map_inverse.cache_info().misses == 2
-        assert lattice()[2] is kept[2]
+        assert kernel_tables[M_KEY,] is kept
         path_loss(g, w, self.LAYER, self.particle(1000))     # a new charge
-        assert len(kernel_calls) == 2 and lattice()[2] is kept[2]
+        assert len(kernel_calls) == 2 and kernel_tables[M_KEY,] is kept
         # units mode and n0 only weight the table
         slant_dust_loss(g, w, DustLayerModel(n0=5.0), self.particle(0),
                         units_mode="paper")
@@ -769,9 +820,9 @@ class TestKeptTables:
             path_loss(g, WaveSpec.from_frequency(f), self.LAYER, self.particle(0))
         assert len(kernel_calls) == 4
         # a call at a kept frequency and key grows nothing and keeps its bits
-        kept = lattice()
+        kept = kernel_tables[M_KEY,]
         assert path_loss(g, w, self.LAYER, self.particle(0)) == first
-        assert len(kernel_calls) == 4 and lattice()[2] is kept[2]
+        assert len(kernel_calls) == 4 and kernel_tables[M_KEY,] is kept
 
     def test_uncharged_column_in_any_frequency_order(self, kernel_tables):
         # the uncharged key is one array over every frequency's nodes: an
@@ -810,8 +861,7 @@ class TestKeptTables:
 
     def test_threads_share_the_store(self, monkeypatch):
         # 4 threads, 5 keys over 4 frequencies (the uncharged one and 4
-        # charged) and a store that holds the lattice and two keys' arrays
-        # at most, so that each call evicts the arrays others are reading;
+        # charged) and a store that holds two keys' arrays at most, so that each call evicts the arrays others are reading;
         # the store sleeps between finding an array and reading or moving it
         from concurrent.futures import ThreadPoolExecutor
         import dustmie.channel as channel
@@ -839,10 +889,9 @@ class TestKeptTables:
         for job in jobs:
             loss(job)
         arrays = sorted(q.nbytes for _, q in store.values())
-        (_, rows), = channel._lattices.values()
         assert len(arrays) == 5
-        budget = rows.nbytes + arrays[-1] + arrays[-2]
-        assert rows.nbytes + arrays[0] + arrays[1] + arrays[2] > budget
+        budget = arrays[-1] + arrays[-2]
+        assert arrays[0] + arrays[1] + arrays[2] > budget
         monkeypatch.setattr(channel, "_STORED_BYTES", budget)
         cold = []
         for job in jobs:
@@ -855,17 +904,14 @@ class TestKeptTables:
 
     def test_failed_call_keeps_nothing(self, kernel_tables):
         # the library form of the CLI's exit-3 path loss: an index whose
-        # square overflows a float
         # square overflows a float, and an unknown g_e mode, which the
         # uncharged key, whose key drops the mode, rejects as well
-        import dustmie.channel as channel
         w = WaveSpec.from_frequency(300e9)
         dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(10))
         dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(0))
 
         def store():
-            return ([(key, first, q.copy()) for key, (first, q) in kernel_tables.items()],
-                    [(m, first, rows.copy()) for m, (first, rows) in channel._lattices.items()])
+            return [(key, first, q.copy()) for key, (first, q) in kernel_tables.items()]
         before = store()
         g = LinkGeometry(h0=100.0, theta=math.pi / 2, d=100.0, d0=10.0,
                          n_i=2.0, sigma_i=3.0)
@@ -877,10 +923,9 @@ class TestKeptTables:
                 dust_attenuation_coefficient(120.0, w, self.LAYER, self.particle(ne),
                                              ge_mode="bogus")
         after = store()
-        for kept, kept_before in zip(after, before, strict=True):
-            assert [entry[:2] for entry in kept] == [entry[:2] for entry in kept_before]
-            for (*_, array), (*_, array_before) in zip(kept, kept_before):
-                assert np.array_equal(array, array_before, equal_nan=True)
+        assert [entry[:2] for entry in after] == [entry[:2] for entry in before]
+        for (*_, array), (*_, array_before) in zip(after, before):
+            assert np.array_equal(array, array_before, equal_nan=True)
 
     def test_repeated_key_is_computed_once(self, monkeypatch, kernel_tables):
         # a frequency repeated in one call, or a count repeated at one
@@ -917,8 +962,8 @@ class TestKeptTables:
 
     def test_many_columns_stay_within_the_bound(self, kernel_tables):
         # 60 charged frequency columns of 799-946-node supports, in blocks
-        # of 38 and 22: only the last 33 keys are kept, as many as
-        # 256 KB holds beside the lattice over all 60
+        # of 38 and 22: only the last 36 keys are kept, as many as
+        # 256 KB holds
         import dustmie.channel as channel
         freqs = np.geomspace(1e11, 3e11, 60)
         channel._k_dust_grid([150.0], freqs, [1000], self.LAYER, 300.0, M_DEFAULT,
@@ -926,21 +971,15 @@ class TestKeptTables:
         kept = channel._stored_bytes()
         assert kept <= 2**18
         assert [key[1] for key in kernel_tables] == freqs[-len(kernel_tables):].tolist()
-        assert len(kernel_tables) == 33
-        # a key holds its frequency's slice, the lattice two rows over the
-        # union of the 60: u and du
-        (first, rows), = channel._lattices.values()
-        for f, (begin, q) in zip(freqs[-33:].tolist(), kernel_tables.values()):
+        assert len(kernel_tables) == 36
+        # a key holds its frequency's slice
+        for f, (begin, q) in zip(freqs[-36:].tolist(), kernel_tables.values()):
             nodes = frequency_slice([150.0], f).nodes
             assert (begin, begin + q.size) == (nodes.start, nodes.stop)
-        assert (first, first + rows.shape[1]) == (
-            frequency_slice([150.0], freqs[0]).lattice[0],
-            frequency_slice([150.0], freqs[-1]).lattice[0]
-            + frequency_slice([150.0], freqs[-1]).lattice[1].shape[1])
-        older = support_nodes([150.0], freqs[-33 - 1])
+        older = support_nodes([150.0], freqs[-36 - 1])
         assert kept + 8 * older > 2**18
         # uncharged, the 60 columns are one key over the union of their
-        # slices, kept beside the lattice
+        # slices
         kernel_tables.clear()
         channel._k_dust_grid([150.0], freqs, [0], self.LAYER, 300.0, M_DEFAULT,
                              ("physical",), "full")
@@ -950,9 +989,8 @@ class TestKeptTables:
                                            frequency_slice([150.0], freqs[-1]).nodes.stop)
 
     def test_group_over_the_budget_is_not_kept(self, monkeypatch, kernel_tables):
-        # a lattice and two keys against room for one key: the least
-        # recently used key goes; a lattice and one key larger than the
-        # budget go with the rest of the store
+        # two keys against room for one: the least recently used goes; a
+        # key larger than the budget goes with the rest of the store
         import dustmie.channel as channel
 
         def k_dust(counts):
@@ -960,13 +998,12 @@ class TestKeptTables:
                                         M_DEFAULT, ("physical",), "full")
         k_dust([0])
         (_, q), = kernel_tables.values()
-        (_, rows), = channel._lattices.values()
-        monkeypatch.setattr(channel, "_STORED_BYTES", rows.nbytes + q.nbytes)
+        monkeypatch.setattr(channel, "_STORED_BYTES", q.nbytes)
         k_dust([0, 1000])
         assert list(kernel_tables) == [(M_KEY, 1e12, 1000.0, 300.0, "full")]
-        monkeypatch.setattr(channel, "_STORED_BYTES", rows.nbytes + q.nbytes - 8)
+        monkeypatch.setattr(channel, "_STORED_BYTES", q.nbytes - 8)
         k_dust([0])
-        assert not kernel_tables and not channel._lattices
+        assert not kernel_tables
 
     def test_partly_kept_columns_make_one_call(self, kernel_tables, kernel_calls):
         # five frequencies at 150 m after one of them ran at 100 m, whose
