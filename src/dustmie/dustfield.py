@@ -67,13 +67,19 @@ def size_pdf(r, h):
         pdf = np.exp(-0.5 * (z * z)) / (math.sqrt(2 * math.pi) * sigma) / r
     # a wide spectrum's density at a subnormal radius: 3e314 per mm at
     # r = 1e-320 mm and h = 1,350 m, where sigma is about 200
-    overflow = np.isinf(pdf)
-    if overflow.any():
-        r, h = (np.broadcast_to(a, pdf.shape)[overflow][0]
-                for a in (r, np.asarray(h, dtype=float)))
-        raise DomainError(f"size pdf overflows the float range at r={r:g} mm, "
-                          f"h={h:g} m")
+    _check_range("size pdf", pdf, r, h)
     return float(pdf) if pdf.ndim == 0 else pdf
+
+
+def _check_range(name: str, values: np.ndarray, r, h) -> None:
+    """Raises DomainError at the first r (mm) and h (m) where values, of r
+    and h broadcast, overflowed the float range."""
+    overflow = np.isinf(values)
+    if overflow.any():
+        r, h = (np.broadcast_to(np.asarray(a, dtype=float), overflow.shape)[overflow][0]
+                for a in (r, h))
+        raise DomainError(f"{name} overflows the float range at r={r:g} mm, "
+                          f"h={h:g} m")
 
 
 def _check_n0(n0: float) -> None:
@@ -90,7 +96,11 @@ def number_density(r: float, h: float, n0: float) -> float:
     `DustLayerModel` checks it (an unset n0 is a DomainError). The README's
     module table offers it, and the k_dust references of the tests sum it."""
     _check_n0(n0)
-    return n0 * size_pdf(r, h)
+    pdf = size_pdf(r, h)
+    with np.errstate(over="ignore"):
+        density = n0 * pdf
+    _check_range("number density", density, r, h)
+    return density
 
 
 def _support(mu, sigma):

@@ -151,6 +151,17 @@ class TestNumberDensity:
         two = number_density(r, 100.0, 2 * n0)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
+    def test_density_past_the_float_range_is_a_domain_error(self):
+        # p(0.1 mm, 0 m) is about 9 per mm, so n0 = 1e308 overflows there,
+        # while p(5 mm, 0 m) is far below 1; the error names the first such
+        # r and its h, and the test run's RuntimeWarnings are errors
+        for r in (0.1, np.array([5.0, 0.1, 0.2])):
+            with pytest.raises(DomainError,
+                               match=r"number density overflows the float range "
+                                     r"at r=0.1 mm, h=0 m"):
+                number_density(r, 0.0, 1e308)
+        assert np.isfinite(number_density(np.array([0.1, 0.2]), 0.0, 1e300)).all()
+
     def test_total_count(self):
         n0 = 12345.0
         lo, hi = size_support(150.0)
