@@ -36,8 +36,9 @@ NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 # fast convergence under a smooth map (Trefethen & Weideman 2014, SIAM Rev.
 # 56, 385), and a smooth map has no junction to correct.
 # The 10 mm cap falls between two nodes, theta steps above the last one at
-# or below it, at a different theta for each f. Where an altitude's support
-# reaches the cap, the sum ends there in one of two ways:
+# or below it, at a different theta for each f. Each altitude's row of a
+# frequency's slice has its own end weights, 1/2 inside the domain; where
+# its support reaches the cap, the row ends there in one of two ways:
 # - where the cap carries weight, the log-normal's z = (ln 10 - mu) / sigma
 #   there below _WINDOW_SIGMAS, and absorption has not damped the Mie ripple
 #   there, Im(m) x < 7 at the cap (below about 1.34 THz for 2-0.025j), a
@@ -45,10 +46,11 @@ NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
 #   weigh psi g(v), g = phi U' C_ext and
 #   psi = erfc((v - v_cap + 7 steps) / (sqrt 2 steps)) / 2, which falls from 1
 #   to 0 over them, and _WINDOW_NODES Gauss-Legendre nodes at the
-#   frequency's own radii integrate (1 - psi) g over those steps. psi g ends
-#   smoothly, so its trapezoid sum needs no end correction, and the window's
-#   nodes follow the ripple up to the cap, which lattice values alone, at
-#   about a radian of its phase a step, cannot;
+#   frequency's own radii, which follow the slice's lattice nodes and weigh
+#   1, integrate (1 - psi) g over those steps. psi g ends smoothly, so its
+#   trapezoid sum needs no end correction, and the window's nodes follow the
+#   ripple up to the cap, which lattice values alone, at about a radian of
+#   its phase a step, cannot;
 # - elsewhere, Gregory's end correction -h (grad g/12 + grad^2 g/24 +
 #   19 grad^3 g/720) on the last four values of g closes the sum at the last
 #   node, and a partial end panel, the integral over those theta steps of
@@ -149,38 +151,28 @@ def _window_rule() -> tuple[np.ndarray, np.ndarray]:
     return _WINDOW_STEPS / 2 - t, _WINDOW_STEPS / 2 * weights * _erfc_half(-t)
 
 
-class _Window(NamedTuple):
-    """The cap window of one frequency's slice."""
-
-    psi: np.ndarray         # psi on the slice's nodes inside it, lowest first
-    ln_x: np.ndarray        # its Gauss-Legendre nodes' ln x
-    u: np.ndarray           # their ln r (r in mm)
-    du: np.ndarray          # their weights, in v, times 1 - psi
-    r_m: np.ndarray         # their radii in m
-    rows: list              # whether each altitude's row ends with it
-
-
 class _Slice(NamedTuple):
     """One frequency's share of an index's lattice, at the altitudes of a
-    call: the span of lattice nodes their supports cover."""
+    call: the span of lattice nodes their supports cover, followed by the
+    cap window's nodes where some altitude's row ends with the window."""
 
     nodes: slice            # the span, in lattice indices
-    u: np.ndarray           # ln r (r in mm) over the span
-    du: np.ndarray          # trapezoid steps over the span
-    r_m: np.ndarray         # radii in m over the span
-    parts: list             # each altitude's slice of the span
-    floor: np.ndarray | None  # end weights where the span reaches 1 nm
-    cap: np.ndarray | None  # end weights where the span reaches the cap
-    window: _Window | None  # where some altitude's row ends with the window
+    u: np.ndarray           # ln r (r in mm) over the span, then the window's nodes
+    du: np.ndarray          # their steps in u; the window's times its weights and 1 - psi
+    r_m: np.ndarray         # their radii in m
+    parts: list             # each altitude's slice of those nodes
+    ends: list              # each altitude's (first, last) end weights, floats
+    tail: np.ndarray | None  # ln x of the window's nodes, or None without a window
 
 
 def _frequency_slice(f: float, m: complex, mu, sigma) -> _Slice:
     """The slice of m's lattice that frequency f (Hz) takes for log-normals
     (mu, sigma), arrays of them. That domain's nodes run from the first at
     or above MIN_RADIUS_MM to the last at or below the cap; two Newton
-    solves find them, and the ends' theta. The 1 nm end is closed by
-    `_cap_weights`, mirrored, and the cap by them or by the window, for
-    each altitude that reaches it."""
+    solves find them, and the ends' theta. Each altitude's row ends with
+    weights 1/2, or at 1 nm with `_cap_weights`, mirrored, or at the cap
+    with them or with psi and then ones over the window's nodes, which
+    follow the span where some row ends with the window."""
     ln_scale = _LN_MM_PER_X_HZ - math.log(f)         # ln r - ln x, r in mm
     u2 = _damped_ln_x(m)
     v_floor = _map_inverse(_LN_R_FLOOR - ln_scale, u2) / _V_STEP
@@ -191,25 +183,35 @@ def _frequency_slice(f: float, m: complex, mu, sigma) -> _Slice:
     lo = int(np.searchsorted(u, _LN_R_FLOOR))
     hi = int(np.searchsorted(u, _LN_R_TOP, "right"))
     span, parts = _node_slices(u[lo:hi], mu, sigma)
-    floor = cap = window = None
-    if span.start == 0:
-        floor = _cap_weights(min(max(begin + lo - v_floor, 0.0), 1.0))[::-1]
     nodes = slice(begin + lo + span.start, begin + lo + span.stop)
+    domain = slice(lo + span.start, lo + span.stop)
+    u, du = u[domain], _V_STEP * du[domain]
+    half = [0.5]
+    floor = cap = half
+    windowed, tail = [False] * len(parts), None
+    if span.start == 0:
+        floor = _cap_weights(min(max(begin + lo - v_floor, 0.0), 1.0))[::-1].tolist()
     if span.stop == hi - lo:
-        cap = _cap_weights(min(max(v_top - (nodes.stop - 1), 0.0), 1.0))
-        rows = [part.stop == span.stop - span.start and z < _WINDOW_SIGMAS
-                for part, z in zip(parts, ((_LN_R_TOP - mu) / sigma).tolist())]
-        if any(rows) and _LN_R_TOP - ln_scale < u2:
-            steps, weights = _window_rule()
-            gl_x, gl_du = _ln_x_map(_V_STEP * (v_top - steps), u2)
-            inside = np.arange(math.floor(v_top - _WINDOW_STEPS) + 1, nodes.stop)
-            window = _Window(_erfc_half(inside - v_top + _WINDOW_STEPS / 2), gl_x,
-                             gl_x + ln_scale, _V_STEP * gl_du * weights,
-                             np.exp(gl_x + ln_scale) * 1e-3, rows)
-    part = slice(lo + span.start, lo + span.stop)
-    u = u[part]
-    return _Slice(nodes, u, _V_STEP * du[part], np.exp(u) * 1e-3, parts, floor, cap,
-                  window)
+        cap = _cap_weights(min(max(v_top - (nodes.stop - 1), 0.0), 1.0)).tolist()
+        if _LN_R_TOP - ln_scale < u2:
+            windowed = [part.stop == u.size and z < _WINDOW_SIGMAS
+                        for part, z in zip(parts, ((_LN_R_TOP - mu) / sigma).tolist())]
+    if any(windowed):
+        steps, weights = _window_rule()
+        tail, gl_du = _ln_x_map(_V_STEP * (v_top - steps), u2)
+        inside = np.arange(math.floor(v_top - _WINDOW_STEPS) + 1, nodes.stop)
+        psi = (_erfc_half(inside - v_top + _WINDOW_STEPS / 2).tolist()
+               + [1.0] * _WINDOW_NODES)
+        u = np.concatenate((u, tail + ln_scale))
+        du = np.concatenate((du, _V_STEP * gl_du * weights))
+    ends = []
+    for h, part in enumerate(parts):
+        if windowed[h]:
+            parts[h], last = slice(part.start, u.size), psi
+        else:
+            last = cap if part.stop == span.stop - span.start else half
+        ends.append((floor if part.start == 0 else half, last))
+    return _Slice(nodes, u, du, np.exp(u) * 1e-3, parts, ends, tail)
 
 
 # Sizes (lattice nodes x frequencies) of one kernel call when a table spans
@@ -340,42 +342,27 @@ def _node_slices(u: np.ndarray, mu, sigma) -> tuple[slice, list[slice]]:
     return span, [slice(a - span.start, b - span.start) for a, b in zip(begin, end)]
 
 
-def _normal_weights(u: np.ndarray, du: np.ndarray, mu: np.ndarray,
-                    sigma: np.ndarray, n0: float) -> np.ndarray:
-    """n0 phi(u) du for each log-normal (mu, sigma), arrays of them, a row
-    each: in u = ln r the log-normal density is the normal density phi.
-    Formed in place in one pass over (rows x nodes), so that many altitudes
-    hold one array."""
-    w = u - mu[:, None]
+def _size_weights(piece: _Slice, mu: np.ndarray, sigma: np.ndarray,
+                  n0: float) -> np.ndarray:
+    """The quadrature weights of each log-normal (mu, sigma), arrays of
+    them, on a frequency's slice of the lattice, a row each: n0 phi(u) du,
+    as in u = ln r the log-normal density is the normal density phi. A row
+    weights only its part of the nodes, times its end weights at the part's
+    two ends, one float at a time: most ends are a single 1/2, which costs
+    as little as a halving that way. Formed in place in one pass over
+    (rows x nodes), so that many altitudes hold one array."""
+    w = piece.u - mu[:, None]
     w /= sigma[:, None]
     np.square(w, out=w)
     w *= -0.5
     np.exp(w, out=w)
     w *= (n0 / (math.sqrt(2 * math.pi) * sigma))[:, None]
-    w *= du
-    return w
-
-
-def _size_weights(piece: _Slice, mu: np.ndarray, sigma: np.ndarray,
-                  n0: float) -> np.ndarray:
-    """The quadrature weights of each log-normal (mu, sigma), arrays of
-    them, on a frequency's slice of the lattice, a row each: n0 phi(u) du.
-    A row weights only its part of the span, its weights halved at the
-    part's ends, or the end panels' (`_cap_weights`) at an end on 1 nm or
-    the cap, or psi over the window where its row ends with one."""
-    w = _normal_weights(piece.u, piece.du, mu, sigma, n0)
-    windowed = piece.window.rows if piece.window else [False] * len(piece.parts)
-    for row, part, window in zip(w, piece.parts, windowed):
-        if piece.floor is not None and part.start == 0:
-            row[:4] *= piece.floor
-        else:
-            row[part.start] /= 2
-        if window:
-            row[part.stop - piece.window.psi.size:part.stop] *= piece.window.psi
-        elif piece.cap is not None and part.stop == row.size:
-            row[part.stop - 4:part.stop] *= piece.cap
-        else:
-            row[part.stop - 1] /= 2
+    w *= piece.du
+    for row, part, (first, last) in zip(w, piece.parts, piece.ends):
+        for i, end in enumerate(first, part.start):
+            row[i] *= end
+        for i, end in enumerate(last, part.stop - len(last)):
+            row[i] *= end
     return w
 
 
@@ -496,10 +483,10 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     and at the radii of the frequency with its g_e for a charged one. A
     frequency's slice is found when a block takes its first column and its
     weights are formed when that block is summed, so a table of many
-    frequencies holds one block's worth. Each altitude's weights are summed
-    against each (units mode, column). Where the slice has a cap window,
-    each column runs the kernel once more, on the window's nodes, and the
-    rows that end with it add their sum over them.
+    frequencies holds one block's worth. Where the slice has cap window
+    nodes, each column runs the kernel once more, on them, and appends
+    their Q_ext to its table. Each altitude's weights are summed against
+    each (units mode, column) over its part of the slice's nodes.
     """
     for units_mode in units_modes:
         _check_units(units_mode)
@@ -552,20 +539,12 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     for (c, key, piece), q in _q_blocks(columns(), lattice_kernel):
         if piece is not last:
             last, weights = piece, _size_weights(piece, mu, sigma, layer.n0)
-            window = piece.window
-            if window:
-                window_weights = _normal_weights(window.u, window.du, mu, sigma,
-                                                 layer.n0)
+        if piece.tail is not None:
+            q = np.concatenate((q, kernel([(key, piece.tail)])))
         rows = [_per_particle(piece.r_m, q, units_mode) for units_mode in units_modes]
         i, j = divmod(c, electrons.size)
         k[:, j, i] = [[_k_dust(w[part], row[part]) for w, part in zip(weights, piece.parts)]
                       for row in rows]
-        if window:
-            q = kernel([(key, window.ln_x)])
-            for mode, units_mode in enumerate(units_modes):
-                row = _per_particle(window.r_m, q, units_mode)
-                for h in np.flatnonzero(window.rows).tolist():
-                    k[mode, j, i, h] += _k_dust(window_weights[h], row)
     return k
 
 

@@ -162,7 +162,7 @@ def cmd_qext(cfg: RunConfig, args) -> SweepTable:
         # a wavelength or radius beyond the float range (0 x inf is nan)
         # is named by the kernel's checks
         with np.errstate(over="ignore", invalid="ignore"):
-            radius = grid * WaveSpec.from_frequency(cfg.f).wavelength / (2 * math.pi)
+            radius = grid * WaveSpec(cfg.f).wavelength / (2 * math.pi)
     else:
         frequency = grid
         # an f-sweep takes its radii as given, so they must be valid spheres
@@ -235,7 +235,7 @@ def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
         h0=cfg.h0, theta=math.radians(cfg.theta_deg), d=cfg.d, d0=cfg.d0,
         n_i=cfg.n_i, sigma_i=cfg.sigma_i,
     )
-    w = WaveSpec.from_frequency(cfg.f)
+    w = WaveSpec(cfg.f)
     layer = DustLayerModel(n0=cfg.n0)
     # the size integral sweeps the radius, so the template takes the default
     # one, never the config's unread one

@@ -151,6 +151,7 @@ class WaveSpec:
 
     @classmethod
     def from_frequency(cls, f: float) -> "WaveSpec":
+        """WaveSpec(f). Kept only because `perfbench/` still calls it."""
         return cls(f)
 
 

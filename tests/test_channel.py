@@ -166,38 +166,49 @@ class TestDustAttenuationCoefficient:
     @pytest.mark.parametrize("f", [0.3e12, 3e12])
     def test_one_pass_weights_equal_per_altitude_weights(self, f):
         # the weights of 100, 150, 200 and 300 m formed in one pass are,
-        # bit for bit, each altitude's own n0 phi(u) du on its slice, halved
-        # at its ends, or the end panels' at an end on 1 nm, which the
-        # support at 300 m reaches, or on the cap, which the supports from
-        # 150 m up reach; at 300 m, where the cap carries weight (z < 6),
-        # psi over the cap window instead where the ripple at the cap is not
-        # damped (Im(m) x < 7 there): at 0.3 THz, not at 3 THz
+        # bit for bit, each altitude's own n0 phi(u) du on its part of the
+        # slice, halved at its ends, or the end panels' at an end on 1 nm,
+        # which the support at 300 m reaches, or on the cap, which the
+        # supports from 150 m up reach; at 300 m, where the cap carries
+        # weight (z < 6), psi over the last 14 steps and then the window's
+        # nodes, which follow the span, instead where the ripple at the cap
+        # is not damped (Im(m) x < 7 there): at 0.3 THz, not at 3 THz
         import dustmie.channel as channel
         mu, sigma = lognormal_params(np.array([100.0, 150.0, 200.0, 300.0]))
         piece = frequency_slice([100.0, 150.0, 200.0, 300.0], f)
         weights = channel._size_weights(piece, mu, sigma, 1e3)
-        at_floor = [part.start == 0 for part in piece.parts]
-        at_cap = [part.stop == piece.u.size for part in piece.parts]
-        assert at_floor == [False, False, False, True] and piece.floor is not None
-        assert at_cap == [False, True, True, True] and piece.cap is not None
-        assert (piece.window is not None) == (f < 1e12)
-        windowed = piece.window.rows if piece.window else [False] * 4
-        assert windowed == [False, False, False, f < 1e12]
-        for w, part, m, s, floor, cap, window in zip(
-                weights, piece.parts, mu.tolist(), sigma.tolist(), at_floor, at_cap,
-                windowed):
+        ln_scale = channel._LN_MM_PER_X_HZ - math.log(f)
+        u2 = channel._damped_ln_x(M_KEY)
+        v_floor = channel._map_inverse(math.log(1e-6) - ln_scale, u2) / channel._V_STEP
+        v_top = channel._map_inverse(math.log(10.0) - ln_scale, u2) / channel._V_STEP
+        floor = channel._cap_weights(piece.nodes.start - v_floor)[::-1].tolist()
+        cap = channel._cap_weights(v_top - (piece.nodes.stop - 1)).tolist()
+        span = piece.nodes.stop - piece.nodes.start
+        windowed = f < 1e12
+        assert (piece.tail is not None) == windowed
+        assert piece.u.size == span + windowed * channel._WINDOW_NODES
+        assert [part.start == 0 for part in piece.parts] == [False, False, False, True]
+        assert [part.stop for part in piece.parts[1:]] == [span, span, piece.u.size]
+        firsts = [first for first, _ in piece.ends]
+        lasts = [last for _, last in piece.ends]
+        assert firsts == [[0.5], [0.5], [0.5], floor]
+        assert lasts[:3] == [[0.5], cap, cap]
+        if windowed:
+            inside = np.arange(math.floor(v_top - 14) + 1, piece.nodes.stop)
+            psi = channel._erfc_half(inside - v_top + 7).tolist()
+            # psi falls from 1 to 0 over the 14 nodes, each 6 to 7 steps
+            # from the middle of its fall at the ends
+            assert len(psi) == 14 and psi == sorted(psi, reverse=True)
+            assert psi[0] > 1 - 1e-9 and 0 < psi[-1] < 1e-9
+            assert lasts[3] == psi + [1.0] * channel._WINDOW_NODES
+        else:
+            assert lasts[3] == cap
+        for w, part, m, s, (first, last) in zip(
+                weights, piece.parts, mu.tolist(), sigma.tolist(), piece.ends):
             one = (1e3 / (math.sqrt(2 * math.pi) * s)
                    * np.exp(-0.5 * ((piece.u[part] - m) / s) ** 2) * piece.du[part])
-            if floor:
-                one[:4] *= piece.floor
-            else:
-                one[0] /= 2
-            if window:
-                one[-piece.window.psi.size:] *= piece.window.psi
-            elif cap:
-                one[-4:] *= piece.cap
-            else:
-                one[-1] /= 2
+            one[:len(first)] *= first
+            one[-len(last):] *= last
             assert w[part].tobytes() == one.tobytes()
 
     def test_cap_weights_integrate_cubics_to_the_cap(self):
@@ -541,22 +552,28 @@ class TestRadiusDomain:
                 k = dust_attenuation_coefficient(h, w, DustLayerModel(n0=1e3), PARTICLE)
                 assert math.isfinite(k) and k >= 0
             piece = frequency_slice(heights, 300e9)
+        span = piece.nodes.stop - piece.nodes.start
         u, _ = channel._ln_x_map(channel._V_STEP * np.arange(piece.nodes.start,
                                                              piece.nodes.stop),
                                  channel._damped_ln_x(M_KEY))
-        assert piece.window.rows == [False] * 3 + [True] * 3
+        # the rows from 300 m up end with the window: their parts run on
+        # over its nodes, after the span
+        assert [part.stop > span for part in piece.parts] == [False] * 3 + [True] * 3
         assert len(sizes) == 3 + 2 * 3
-        for x, part in zip(sizes[:3] + sizes[3::2], piece.parts, strict=True):
+        parts = [slice(part.start, min(part.stop, span)) for part in piece.parts]
+        for x, part in zip(sizes[:3] + sizes[3::2], parts, strict=True):
             # the uncharged key runs in x, at the lattice's own nodes
             assert np.array_equal(x, np.exp(u[part]))
             assert piece.r_m[part].min() >= 1e-9
         assert [x.size for x in sizes[:3] + sizes[3::2]] == [813, 946, 994] + [1116] * 3
         for x in sizes[4::2]:
-            assert np.array_equal(x, np.exp(piece.window.ln_x))
+            assert np.array_equal(x, np.exp(piece.tail))
         # inside the last 14 steps below the cap
-        assert piece.u[-1 - piece.window.psi.size] < piece.window.u.min()
-        assert piece.window.r_m.max() < 1e-2
-        for part in piece.parts[3:]:
+        inside = len(piece.ends[3][1]) - channel._WINDOW_NODES
+        assert inside == 14
+        assert piece.u[span - 1 - inside] < piece.u[span:].min()
+        assert piece.r_m[span:].max() < 1e-2
+        for part in parts[3:]:
             # the first node lies at most one step above 1 nm, the last at
             # most one below 10 mm
             r, du = piece.r_m[part], piece.du[part]

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dustmie.cli import DEFAULT_M, RunConfig, build_parser, load_config, run
+from dustmie.cli import _SECTIONS, DEFAULT_M, RunConfig, build_parser, load_config, run
 from dustmie.errors import ConfigError
 from dustmie.sweeps import SweepTable
 
@@ -925,3 +926,47 @@ def test_any_argv_exits_0_2_or_3(argv):
     if code == 0:
         rows = parse_csv(out.getvalue())[3]
         assert rows and all(np.isfinite(row).all() for row in rows), argv
+
+
+# Values of the config-file fuzz test: non-finite ones, the edges of the
+# float range, a complex beyond it, a form float() refuses (hex), forms it
+# takes (underscores, a non-ASCII digit) and none at all
+CONFIG_VALUES = ["nan", "inf", "-1", "0", "1e308", "1e-320", "1+1e308j", "0x10",
+                 "1_000", "", "٣"]
+# each subcommand's flags beside the file: a short table, and the n0 and
+# link parameters a k_dust table or pathloss needs, unless the file sets them
+CONFIG_ARGV = {
+    "qext": {"--count": "2"},
+    "spectrum": {"--count": "2"},
+    "attenuation": {"--count": "2", "--n0": "1e3"},
+    "pathloss": {"--n0": "1e3", "--n-i": "2", "--sigma-i": "3"},
+}
+
+
+def test_any_one_key_config_file_exits_0_2_or_3(tmp_path):
+    # every key of every section with every value, 132 files, each run by a
+    # subcommand drawn with a fixed seed; a failed run prints no table, and
+    # a table it prints holds no inf or nan cell
+    rng = random.Random(44)
+    path = tmp_path / "run.ini"
+    for section, keys in _SECTIONS.items():
+        for key in keys:
+            for value in CONFIG_VALUES:
+                command = rng.choice(sorted(CONFIG_ARGV))
+                flag = "--" + key.replace("_", "-")
+                argv = [command, "--config", str(path)]
+                for name, default in CONFIG_ARGV[command].items():
+                    if name != flag:
+                        argv += [name, default]
+                path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = run(argv)
+                case = (section, key, value, command)
+                assert code in (0, 2, 3), case
+                if code:
+                    assert out.getvalue() == "", case
+                else:
+                    rows = parse_csv(out.getvalue())[3]
+                    assert rows and all(np.isfinite(row).all() for row in rows), case

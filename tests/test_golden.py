@@ -48,6 +48,11 @@ COMMANDS = {
     "attenuation_f": ["attenuation", "--sweep", "f", "--start", "1e11",
                       "--stop", "1e12", "--count", "4", "--h0", "150",
                       "--normalized"],
+    # above 205 m: rows that close with the cap window, at the cap without
+    # it, and at 1 nm, in one frequency's slice
+    "attenuation_cap": ["attenuation", "--sweep", "h", "--start", "150", "--stop", "600",
+                        "--count", "10", "--units", "both", "--n0", "1e3",
+                        "--f", "4e11"],
     "pathloss_single": ["pathloss"] + PATHLOSS,
 }
 
