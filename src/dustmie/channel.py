@@ -121,13 +121,6 @@ def _damped_ln_x(m: complex) -> float:
     return math.log(_DAMPED_X) - math.log(m.imag) if m.imag else math.inf
 
 
-def _covers(run: tuple, begin: int, end: int) -> bool:
-    """Whether run, a (first index, array) pair whose last axis runs over
-    lattice indices, covers the indices [begin, end)."""
-    first, array = run
-    return first <= begin and end <= first + array.shape[-1]
-
-
 def _cap_weights(theta: float) -> np.ndarray:
     """The end weights, lowest first, on the last four nodes of a sum that
     ends theta (in [0, 1]) steps past the last one: Gregory's to that node
@@ -220,8 +213,8 @@ def _frequency_slice(f: float, m: complex, mu, sigma) -> _Slice:
 # over 0.1-3 THz at 150 m trace 25 MB.
 _TABLE_SIZES = 2**15
 # What is kept from call to call. _tables maps each kernel key to its Q_ext
-# over a run of lattice indices, (first index, array), NaN where a node is
-# not yet computed, least recently used first. At Ne = 0, g_e is exactly 0
+# over one run of lattice indices, (first index, array), every node of it
+# computed, least recently used first. At Ne = 0, g_e is exactly 0
 # and Q_ext depends on x and m alone, so the uncharged key is (m,), which
 # every frequency, temperature and g_e mode shares; a charged key is
 # (m, f, Ne, T, g_e mode), on the same nodes. A size's Q_ext does not depend
@@ -401,14 +394,15 @@ def _q_blocks(columns, kernel):
     The columns go in blocks of at most _TABLE_SIZES span nodes (one column
     at least), and a block draws its columns once the one before is served,
     so a table of many frequencies holds one block at a time. A key of the
-    block needs the nodes of its columns' spans: one span for a charged
-    key, whose columns share a frequency, and one per frequency for the
-    uncharged key. A key whose kept array holds all of them is read in
-    place: no copy, store or kernel call. Any other key copies its kept
-    array, grown to cover them (or starts from a NaN array), and the block
-    computes the NaN cells it needs of all those keys in one
-    kernel([(key, lattice indices), ...]) call. Then the block keeps those
-    keys (`_keep`), so a block that raises keeps nothing."""
+    block needs one range of lattice indices, from the first node of its
+    columns' spans to the last: one span for a charged key, whose columns
+    share a frequency, and the hull of one span per frequency for the
+    uncharged key. A key whose kept run covers that range is read in place:
+    no copy, store or kernel call. For every other key the block computes
+    the one or two ends its kept run lacks (the whole range for a key not
+    kept), in one kernel([(key, lattice indices), ...]) call for all those
+    keys. Then it keeps each joined run (`_keep`), so every kept node is
+    computed and a block that raises keeps nothing."""
     columns = iter(columns)
     column = next(columns, None)
     while column is not None:
@@ -419,40 +413,34 @@ def _q_blocks(columns, kernel):
                 break
             block.append(column)
             column = next(columns, None)
-        spans = {}
+        ranges = {}
         for _, key, piece in block:
-            spans.setdefault(key, []).append(piece.nodes)
+            lo, hi = ranges.get(key, (piece.nodes.start, piece.nodes.stop))
+            ranges[key] = min(lo, piece.nodes.start), max(hi, piece.nodes.stop)
         with _tables_lock:
-            kept = {key: _tables.get(key) for key in spans}
-            for key in spans:
+            kept = {key: _tables.get(key) for key in ranges}
+            for key in ranges:
                 if kept[key]:
                     _tables.move_to_end(key)
-        arrays, todo = {}, []
-        for key, nodes in spans.items():
-            first, q = kept[key] or (nodes[0].start, np.empty(0))
-            begin = min(first, *(span.start for span in nodes))
-            end = max(first + q.size, *(span.stop for span in nodes))
-            if _covers((first, q), begin, end) and not any(
-                    np.isnan(q[span.start - first:span.stop - first]).any()
-                    for span in nodes):
-                arrays[key] = first, q
-                continue
-            array = np.full(end - begin, np.nan)
-            array[first - begin:first - begin + q.size] = q
-            need = np.zeros(end - begin, bool)
-            for span in nodes:
-                need[span.start - begin:span.stop - begin] = True
-            arrays[key] = begin, array
-            todo.append((key, begin + np.flatnonzero(need & np.isnan(array))))
+        runs, todo = {}, []
+        for key, (lo, hi) in ranges.items():
+            first, q = runs[key] = kept[key] or (lo, np.empty(0))
+            end = first + q.size
+            if lo < first or end < hi:
+                todo.append((key, np.r_[min(lo, first):first, end:max(hi, end)]))
         if todo:
             values = kernel(todo)
+            fresh = {}
             for (key, cells), value in zip(todo, np.split(
                     values, np.cumsum([cells.size for _, cells in todo])[:-1])):
-                first, array = arrays[key]
-                array[cells - first] = value
-            _keep({key: arrays[key] for key, _ in todo})
+                first, q = runs[key]
+                begin = min(first, int(cells[0]))
+                head = first - begin
+                fresh[key] = begin, np.concatenate((value[:head], q, value[head:]))
+            runs.update(fresh)
+            _keep(fresh)
         for drawn in block:
-            (first, q), span = arrays[drawn[1]], drawn[2].nodes
+            (first, q), span = runs[drawn[1]], drawn[2].nodes
             yield drawn, q[span.start - first:span.stop - first]
 
 
@@ -577,10 +565,12 @@ def dust_attenuation_coefficient(h: float | np.ndarray, w: WaveSpec,
     every frequency's uncharged nodes are one table. The process keeps,
     least recently used first, the last kernel keys' Q_ext over the lattice
     (256 KB in all: for 2-0.025j the uncharged key over 0.1-10 THz and 22
-    or more charged keys). A later call computes only the nodes its key
-    lacks; one that lacks none reads the kept table in place. The result is
-    bit-identical either way. This pays when one process repeats a carrier
-    and charge, or computes uncharged tables at many frequencies.
+    or more charged keys), each one run of computed nodes. A later call
+    computes only the ends its key's run lacks, and the nodes between when
+    its support lies apart from the run; one that lacks none reads the kept
+    run in place. The result is bit-identical either way. This pays when
+    one process repeats a carrier and charge, or computes uncharged tables
+    at many frequencies.
 
     units_mode="physical" (default) integrates the cross-section C_ext in
     m^2, making the dB/km prefactor an exact Np/m conversion;

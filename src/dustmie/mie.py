@@ -858,19 +858,6 @@ def _size_and_charge(radius, frequency, electrons, temperature, mode):
     return x, g_e
 
 
-def _broadcast(*arrays: np.ndarray) -> list[np.ndarray]:
-    """The arrays broadcast against each other, each one whose shape
-    differs as a copy: np.broadcast_arrays's views cost some 8 us each."""
-    shape = np.broadcast(*arrays).shape
-    spread = []
-    for a in arrays:
-        if a.shape != shape:
-            a, b = np.empty(shape), a
-            np.copyto(a, b)
-        spread.append(a)
-    return spread
-
-
 def extinction_efficiency_array(radius, frequency, electrons, temperature: float,
                                 m: complex, mode: str = "full") -> np.ndarray:
     """Extinction efficiencies of charged spheres, evaluated as one batch.
@@ -878,12 +865,11 @@ def extinction_efficiency_array(radius, frequency, electrons, temperature: float
     radius (m), frequency (Hz) and electrons broadcast against each other;
     the result has their broadcast shape.
     """
-    radius, frequency, electrons = _broadcast(
-        np.asarray(radius, float), np.asarray(frequency, float),
-        _electron_count(electrons))
-    x, g_e = _size_and_charge(radius, frequency, electrons, temperature, mode)
-    # approx mode gives a numpy complex g_e for one sphere
-    return _qext(x.ravel(), m, np.ravel(g_e)).reshape(x.shape)
+    x, g_e = _size_and_charge(np.asarray(radius, float), np.asarray(frequency, float),
+                              _electron_count(electrons), temperature, mode)
+    # g_e takes every input's shape; approx mode gives a numpy complex for one sphere
+    shape = np.shape(g_e)
+    return _qext(np.broadcast_to(x, shape).ravel(), m, np.ravel(g_e)).reshape(shape)
 
 
 def extinction_efficiency_x(x: float, m: complex, g_e: complex = 0j) -> float:

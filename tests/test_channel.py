@@ -763,8 +763,7 @@ class TestKeptTables:
     @pytest.mark.parametrize("f,ne", [(0.3e12, 0), (1e12, 1000), (3e12, 10**6)])
     def test_warm_equals_cold_k_dust(self, kernel_tables, f, ne):
         # 120 m first, then a lower altitude, whose support lies inside the
-        # kept run (the finite span of the kept array, what a hit reads),
-        # then a higher one, whose support extends it at both ends (below
+        # kept run (what a hit reads), then a higher one, whose support extends it at both ends (below
         # the radius cap, the top node rises with h)
         import dustmie.channel as channel
         w, particle = WaveSpec.from_frequency(f), self.particle(ne)
@@ -778,14 +777,12 @@ class TestKeptTables:
         for h, k in zip(heights, cold):
             assert dust_attenuation_coefficient(h, w, self.LAYER, particle) == k
             (first, q), = kernel_tables.values()
-            finite = first + np.flatnonzero(~np.isnan(q))
-            runs.append((finite[0], finite[-1]))
-            assert finite.size == finite[-1] - finite[0] + 1
+            runs.append((first, first + q.size))
         assert runs[1] == runs[0]
         assert runs[2][0] < runs[0][0] and runs[2][1] > runs[0][1]
         # 250 m reaches the cap: the last node at or below 10 mm
         assert runs[3][0] < runs[2][0]
-        assert runs[3][1] + 1 == frequency_slice([250.0], f).nodes.stop
+        assert runs[3][1] == frequency_slice([250.0], f).nodes.stop
         # an altitude array against a store warmed in reverse order
         kernel_tables.clear()
         for h in heights[::-1]:
@@ -942,7 +939,29 @@ class TestKeptTables:
         after = store()
         assert [entry[:2] for entry in after] == [entry[:2] for entry in before]
         for (*_, array), (*_, array_before) in zip(after, before):
-            assert np.array_equal(array, array_before, equal_nan=True)
+            assert np.array_equal(array, array_before)
+
+    def test_disjoint_spans_keep_one_run(self, kernel_tables, kernel_calls):
+        # at 0 m the 0.1 THz and 30 THz slices lie 88 nodes apart: the
+        # uncharged key's run grows over the gap too, so that it stays one
+        # run of computed nodes, and the second call computes the gap and
+        # its own span in one kernel call
+        low, high = (frequency_slice([0.0], f).nodes for f in (0.1e12, 30e12))
+        assert (high.start - low.stop, high.stop - high.start) == (88, 697)
+        waves = [WaveSpec.from_frequency(f) for f in (0.1e12, 30e12)]
+        particle = self.particle(0)
+        cold = []
+        for w in waves:
+            kernel_tables.clear()
+            cold.append(dust_attenuation_coefficient(0.0, w, self.LAYER, particle))
+        kernel_tables.clear()
+        kernel_calls.clear()
+        warm = [dust_attenuation_coefficient(0.0, w, self.LAYER, particle) for w in waves]
+        (first, q), = kernel_tables.values()
+        assert (first, first + q.size) == (low.start, high.stop)
+        assert not np.isnan(q).any()
+        assert [x.size for x in kernel_calls] == [low.stop - low.start, 88 + 697]
+        assert np.array(warm).tobytes() == np.array(cold).tobytes()
 
     def test_repeated_key_is_computed_once(self, monkeypatch, kernel_tables):
         # a frequency repeated in one call, or a count repeated at one
