@@ -84,7 +84,8 @@ _CHUNK_TERMS = 7168
 # Widest order block whose rho_n `_SeriesSum.add` accumulates with
 # np.cumprod, which numpy runs one column at a time, at about 3 ns a cell; a
 # wider one steps it row by row, about 0.5 us a row, with the same products
-# and bits (2-core host, numpy 2.4)
+# and bits (2-core host, numpy 2.4). Either way keeps the bits, so a mutant
+# of it survives the tests by design: it moves only time
 _ROW_STEPPED = 160
 # A downward step multiplies the seed's error by about
 # exp(-2 Re arccosh((n - 1/2)/z)). A size starts where e^-45 (3e-20, below
@@ -109,9 +110,13 @@ _MAX_START = 2**20
 # and a lane 0.5 us an order upward (0.13 us downward), plus about 11 us to
 # start it and write it into its blocks. Without the order floor the last
 # few sizes of a k_dust table, one or two orders a lane, cost its kernel
-# about 3 %.
+# about 3 %. A lane keeps the vector loop's bits, so a mutant of
+# _LANE_ORDERS survives the tests by design: it moves only time.
 _SCALAR_LANES = 4
 _LANE_ORDERS = 4
+# A size's Q_ext and the three g_e-free fields that make Q_ext(g_e) linear
+# with a bound (`_SeriesSum._linear`), one 40-byte record a size
+_LINEAR = np.dtype([("q", float), ("s", complex), ("b", float), ("k", float)])
 
 
 @dataclass(frozen=True)
@@ -464,8 +469,11 @@ class _SeriesSum:
 
     def __init__(self, x: np.ndarray, m: complex, g_e: np.ndarray,
                  rows: np.ndarray, scratch: _Scratch | None = None,
-                 trig: tuple | None = None):
+                 trig: tuple | None = None, linear: bool = False):
         self.x, self.rows = x, rows
+        # the partial sums of S and B, and K so far (`_linear`), if asked for
+        self.linear = ((np.zeros(x.size, complex), np.zeros(x.size), np.zeros(x.size))
+                       if linear else None)
         self.m, self.m2 = m, m * m
         self.g_x, self.g_over_x = g_e * x, g_e / x
         self.trig = trig                       # (sin x, cos x), if known
@@ -566,6 +574,8 @@ class _SeriesSum:
                 f"singular Mie denominator (x in [{x.min():g}, {x.max():g}], m={self.m})")
         q /= den
         a, b = q
+        if self.linear is not None:
+            self._linear(a, den, v, e, rho, odd, unused)
 
         terms = scratch("m_d", (top + 1, w))
         terms[0] = self.total[:w]
@@ -577,6 +587,91 @@ class _SeriesSum:
             self._sum(terms, a, b, odd,
                       unused | (np.isinf(rho) & (n > np.maximum(x, 1))))
         return a, b
+
+    def _linear(self, a, den, v, e, rho, odd, unused) -> None:
+        """Adds the block's terms to S, B and K of sizes at g_e = 0, from
+        `add`'s a_n and denominators, which it overwrites. There (u, v, e
+        and rho as in `add`, den_A and den_B the denominators at g_e = 0)
+        each coefficient is a Moebius map of g = g_e, c(g) = (alpha g +
+        beta) / (gamma g + delta) (Bohren & Hunt 1977), with
+
+            a_n: alpha = -v u, beta = x (u - v m^2),
+                 gamma = -(v + i rho e) u, delta = x m^2 den_A
+            b_n: alpha = -x, beta = u - v, gamma = -(1 + i rho) x, delta = den_B
+
+        So with Q_A = u / m^2 = a_n den_A + v, c'(0) = (alpha delta - beta
+        gamma) / delta^2 is i rho (e - v) Q_A^2 / (x den_A^2) for a_n and
+        i rho (e - v) x / den_B^2 for b_n, kappa = gamma / delta is
+        -(v + i rho e) Q_A / (x den_A) and -(1 + i rho) x / den_B, and
+        c(g) = c(0) + c'(0) g - c'(0) kappa g^2 / (1 + kappa g). Where
+        |g| K <= 1/2, then,
+        Q_ext(g) = Q_0 + Re(S g) within 2 B |g|^2, for
+
+            S = 2/x^2 sum (2n + 1)(a_n'(0) + b_n'(0)),
+            B = 2/x^2 sum (2n + 1)(|a_n'(0) kappa^a_n| + |b_n'(0) kappa^b_n|),
+            K = max over n of |kappa^a_n| and |kappa^b_n|.
+
+        The factors are grouped so that none overflows where rho_n does not;
+        a field that is not finite fails any test of it. Each size's sums
+        run in order of n, as `_sum`'s do, so its fields do not depend on
+        its batch. The factor i of both derivatives is taken out of S's sum,
+        and the denominators are inverted once, as a complex divide costs
+        about five multiplies. Beside the scratch's free "pair" role, the
+        block takes 40 bytes a cell."""
+        top, w = v.shape
+        x = self.x[:w]
+        inv_x = 1 / x
+        # rows 1.. of each: (2n + 1)(a_n'(0) + b_n'(0)) / i and
+        # (2n + 1)(|a_n'(0) kappa^a_n| + |b_n'(0) kappa^b_n|); row 0 the sums
+        s_terms, b_terms = np.empty((top + 1, w), complex), np.empty((top + 1, w))
+        z, bt = s_terms[1:], b_terms[1:]
+        zb = self.scratch("pair", (top, w), complex)
+        change, f = np.subtract(e, v), np.empty((top, w))
+        change *= rho                          # rho (e - v)
+        np.multiply(a, den[0], out=z)
+        z.real += v                            # Q_A
+        np.divide(1.0, den, out=den)
+        inv_a, inv_b = den
+        zb.real = v
+        np.multiply(rho, e, out=zb.imag)
+        zb *= inv_a
+        zb *= z
+        np.abs(zb, out=bt)
+        bt *= inv_x                            # |kappa^a|
+        np.copyto(bt, 0.0, where=unused)
+        k = bt.max(axis=0)
+        z *= inv_a
+        z *= z
+        z *= change
+        z *= inv_x                             # a_n'(0) / i
+        np.abs(z, out=f)
+        bt *= f                                # |a_n'(0) kappa^a|
+        np.multiply(inv_b, change, out=zb)
+        zb *= inv_b
+        zb *= x                                # b_n'(0) / i
+        z += zb
+        np.abs(zb, out=f)
+        zb.real = 1.0
+        zb.imag = rho
+        zb *= inv_b
+        np.abs(zb, out=change)
+        change *= x                            # |kappa^b|
+        f *= change
+        bt += f
+        np.copyto(change, 0.0, where=unused)
+        np.maximum(k, change.max(axis=0), out=k)
+        z *= odd
+        bt *= odd
+        np.copyto(z, 0.0, where=unused)
+        np.copyto(bt, 0.0, where=unused)
+        s_sum, b_sum, k_max = self.linear
+        np.maximum(k_max[:w], k, out=k_max[:w])
+        for total, terms in ((s_sum, s_terms), (b_sum, b_terms)):
+            terms[0] = total[:w]
+            if w == 1:
+                total[:1] = terms.cumsum(axis=0, out=terms)[-1]
+            else:
+                np.add.reduce(terms, axis=0, out=total[:w])
 
     def _sum(self, terms, a, b, odd, skip) -> None:
         """Adds (2n + 1) Re(a_n + b_n) of the block, zeroed where skip is
@@ -645,7 +740,8 @@ def _lane_ratios(odd: list[float], x2: float, prev: list[float],
 
 def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
             scratch: _Scratch | None = None, store: np.ndarray | None = None,
-            layout: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+            layout: tuple[np.ndarray, np.ndarray] | None = None,
+            linear: np.ndarray | None = None) -> np.ndarray:
     """Q_ext of sizes x in descending order, each series summed to rows[i]
     orders in blocks (`_SeriesSum`). One loop steps f_n = z^2 / ((2n - 1) -
     f_{n-1}) from n = 3 over whole rows of the current block, two ufunc
@@ -664,12 +760,14 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
     distinct x still run, each run of equal x (a lane) steps its own orders
     in scalars (`_lane_ratios`), with the same bits, and each block takes
     the lane's values into all its columns. layout is `_order_counts(rows)`
-    if the caller has it; the scratch grows to the largest block first."""
+    if the caller has it; the scratch grows to the largest block first.
+    Given linear, a `_LINEAR` array over the sizes (at g_e = 0), the sum
+    fills its s, b and k fields too (`_SeriesSum._linear`)."""
     upward = store is None
     sin_x, cos_x, x2 = np.sin(x), np.cos(x), x * x
     # every size runs at order 1, so the first block anchors rho_1 and t_1
     # on all of them, from these sin x and cos x
-    series = _SeriesSum(x, m, g_e, rows, scratch, (sin_x, cos_x))
+    series = _SeriesSum(x, m, g_e, rows, scratch, (sin_x, cos_x), linear is not None)
     counts, offsets = _order_counts(rows) if layout is None else layout
     counts = counts.tolist()
     blocks = list(_blocks(counts))
@@ -764,17 +862,21 @@ def _series(x: np.ndarray, m: complex, g_e: np.ndarray, rows: np.ndarray,
         x = x[lost]
         raise RecurrenceOverflowError(
             f"underflow in the Mie series (x in [{x.min():g}, {x.max():g}], m={m})")
+    if linear is not None:
+        s_sum, b_sum, linear["k"] = series.linear
+        linear["s"], linear["b"] = 2j / x**2 * s_sum, 2 / x**2 * b_sum
     return 2 / x**2 * total
 
 
 def _downward_series(x: np.ndarray, m: complex, g_e: np.ndarray,
-                     rows: np.ndarray, scratch: _Scratch | None = None
-                     ) -> np.ndarray:
+                     rows: np.ndarray, scratch: _Scratch | None = None,
+                     linear: np.ndarray | None = None) -> np.ndarray:
     """Q_ext of sizes x in descending order, each series summed to rows[i]
     orders by `_series`, in lockstep passes of at most _PASS_TERMS ragged
-    terms. A pass stores s_n for z = m x and z = x from one downward
-    recurrence (`_scaled_ratio`), one pair a size: sharing the steps gives
-    an index-matched sphere (m = 1, g_e = 0) exactly zero coefficients."""
+    terms, filling linear's fields if given. A pass stores s_n for z = m x
+    and z = x from one downward recurrence (`_scaled_ratio`), one pair a
+    size: sharing the steps gives an index-matched sphere (m = 1, g_e = 0)
+    exactly zero coefficients."""
     q, total = np.empty(x.size), np.concatenate(([0], np.cumsum(rows)))
     begin = 0
     while begin < x.size:
@@ -791,21 +893,25 @@ def _downward_series(x: np.ndarray, m: complex, g_e: np.ndarray,
             raise DomainError(f"refractive index {m} at x = {x[begin]:g}: "
                               f"{exc}") from None
         q[run] = _series(x[run], m, g_e[run], rows[run], scratch, store=store,
-                         layout=layout)
+                         layout=layout, linear=None if linear is None else linear[run])
         begin = end
     return q
 
 
-def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
+def _qext(x: np.ndarray, m: complex, g_e: np.ndarray,
+          linear: bool = False) -> np.ndarray:
     """Q_ext over 1-D arrays of x, which the callers check lie in the
     series' domain, and g_e, each series summed to its `truncation_order`
     and no further (the error this leaves is pinned by
     tests/test_mie.py::TestTruncation). In descending order of x, the sizes
     of `_steps_upward` go on the upward route, and the rest downward; their
     order blocks share one block of work arrays. One np.errstate covers the
-    call: an overflow anywhere in it fails at the end."""
+    call: an overflow anywhere in it fails at the end. With linear, for g_e
+    all zero, a `_LINEAR` array: each size's Q_ext and the fields S, B and K
+    that give its Q_ext at any g_e within a bound (`_SeriesSum._linear`)."""
     m = _normalize_m(m)
-    q = np.empty(x.size)
+    q = np.empty(x.size, _LINEAR if linear else float)
+    values = q["q"] if linear else q
     scratch = _Scratch(_SeriesSum.ROLES)
     with np.errstate(all="ignore"):
         order = np.argsort(-x, kind="stable")
@@ -814,14 +920,15 @@ def _qext(x: np.ndarray, m: complex, g_e: np.ndarray) -> np.ndarray:
         # Im(m) x falls along the batch, so the upward sizes are its last ones
         split = x.size - np.count_nonzero(_steps_upward(x, m))
         if split < x.size:
-            q[split:] = _series(x[split:], m, g_e[split:], rows[split:], scratch)
+            values[split:] = _series(x[split:], m, g_e[split:], rows[split:], scratch,
+                                     linear=q[split:] if linear else None)
         if split:
-            q[:split] = _downward_series(x[:split], m, g_e[:split], rows[:split],
-                                         scratch)
-    if not np.isfinite(q).all():               # an overflow
+            values[:split] = _downward_series(x[:split], m, g_e[:split], rows[:split],
+                                              scratch, q[:split] if linear else None)
+    if not np.isfinite(values).all():          # an overflow
         raise RecurrenceOverflowError(
             f"overflow in the Mie series (x in [{x.min():g}, {x.max():g}], m={m})")
-    out = np.empty(x.size)                     # in the callers' order
+    out = np.empty(x.size, q.dtype)            # in the callers' order
     out[order] = q
     return out
 

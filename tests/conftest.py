@@ -25,9 +25,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = dustmie.channel._qext
 
-    def counted(x, *args):
+    def counted(x, *args, **kwargs):
         calls.append(x)
-        return kernel(x, *args)
+        return kernel(x, *args, **kwargs)
 
     monkeypatch.setattr(dustmie.channel, "_qext", counted)
     return calls

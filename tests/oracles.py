@@ -117,6 +117,49 @@ def charged_mie_qext(x, m, g_e, orders=None):
         return float(2 / x**2 * acc)
 
 
+def charged_mie_fields(x, m, orders=None):
+    """(S, B, K) of one sphere, the g_e-free fields of its charged Q_ext's
+    linear term and bound, from the boundary conditions of
+    `charged_mie_qext`. There each coefficient is a Moebius map of g_e,
+    (alpha g_e + beta) / (gamma g_e + delta), with
+
+        a_n: alpha = -psi_n'(mx) psi_n'(x), beta = psi_n'(mx) psi_n(x) - m psi_n(mx) psi_n'(x),
+             gamma = -psi_n'(mx) xi_n'(x), delta = psi_n'(mx) xi_n(x) - m psi_n(mx) xi_n'(x)
+        b_n: alpha = psi_n(mx) psi_n(x), beta = psi_n(mx) psi_n'(x) - m psi_n'(mx) psi_n(x),
+             gamma = psi_n(mx) xi_n(x), delta = psi_n(mx) xi_n'(x) - m psi_n'(mx) xi_n(x)
+
+    so c'(0) = (alpha delta - beta gamma) / delta^2 and kappa = gamma / delta,
+    and S = 2/x^2 sum (2n + 1)(a_n'(0) + b_n'(0)), B = 2/x^2 sum (2n + 1)
+    (|a_n'(0) kappa^a_n| + |b_n'(0) kappa^b_n|) and K the largest |kappa|,
+    over the kernel's orders by default."""
+    digits = 30 + 3 * math.ceil(abs(math.log10(x)))
+    with mp.workdps(digits):
+        x = mp.mpf(x)
+        m = mp.mpc(m)
+        m = mp.mpc(m.real, abs(m.imag))
+        mx = m * x
+        if orders is None:
+            orders = max(2, int(mp.floor(x + 4 * mp.cbrt(x) + 2)))
+        s = b = k = 0
+        prev = (mp_sph_j(0, x), mp_sph_y(0, x), mp_sph_j(0, mx))
+        for n in range(1, orders + 1):
+            j_x, y_x, j_mx = cur = (mp_sph_j(n, x), mp_sph_y(n, x), mp_sph_j(n, mx))
+            psi_x, dpsi_x = _mp_riccati(n, x, j_x, prev[0])
+            xi_x, dxi_x = _mp_riccati(n, x, j_x + 1j * y_x, prev[0] + 1j * prev[1])
+            psi_m, dpsi_m = _mp_riccati(n, mx, j_mx, prev[2])
+            prev = cur
+            maps = [(-dpsi_m * dpsi_x, dpsi_m * psi_x - m * psi_m * dpsi_x,
+                     -dpsi_m * dxi_x, dpsi_m * xi_x - m * psi_m * dxi_x),
+                    (psi_m * psi_x, psi_m * dpsi_x - m * dpsi_m * psi_x,
+                     psi_m * xi_x, psi_m * dxi_x - m * dpsi_m * xi_x)]
+            for alpha, beta, gamma, delta in maps:
+                slope, kappa = (alpha * delta - beta * gamma) / delta**2, gamma / delta
+                s += (2 * n + 1) * slope
+                b += (2 * n + 1) * abs(slope * kappa)
+                k = max(k, abs(kappa))
+        return complex(2 / x**2 * s), float(2 / x**2 * b), float(k)
+
+
 def first_ratios(z):
     """s_1(z) = z psi_0(z) / psi_1(z) = z / (1/z - cot z) and
     s_2(z) = z^2 / (3 - s_1(z)) of one float or complex z, as mpmath

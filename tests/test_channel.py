@@ -48,6 +48,22 @@ def support_nodes(heights, f):
     return nodes.stop - nodes.start
 
 
+def rejected_nodes(f, ne, nodes, temperature=300.0, m=M_KEY):
+    """How many of the lattice nodes (a slice) a charged column at f (Hz)
+    and ne sends to the kernel: those whose g_e fails `_linear_q`'s rule
+    on the uncharged key's kept records."""
+    import dustmie.channel as channel
+    from dustmie.mie import _size_and_charge
+    first, records = channel._tables[m,]
+    cells = np.arange(nodes.start, nodes.stop)
+    ln_x = channel._ln_x_map(channel._V_STEP * cells, channel._damped_ln_x(m))[0]
+    r_m = np.exp(ln_x + (channel._LN_MM_PER_X_HZ - math.log(f))) * 1e-3
+    _, g_e = _size_and_charge(r_m, np.asarray(f), np.asarray(float(ne)), temperature,
+                              "full")
+    admitted, _ = channel._linear_q(records[cells - first], g_e)
+    return int(np.count_nonzero(~admitted))
+
+
 def trapezoid_k_dust(h, w, layer, particle, points=100001):
     """Brute-force fixed-grid trapezoid oracle for the size integral, linear
     in r; the density and the extinction of the whole grid are one batch
@@ -149,7 +165,9 @@ class TestDustAttenuationCoefficient:
         # several blocks, as 400 do; at one count they fill about one, before
         # the store of kept tables is full, and 400 read 12 % more
         import dustmie.channel as channel
-        monkeypatch.setattr(channel, "_qext", lambda x, m, g_e: np.ones(x.size))
+        from dustmie.mie import _LINEAR
+        monkeypatch.setattr(channel, "_qext", lambda x, m, g_e, linear=False: np.ones(
+            x.size, _LINEAR if linear else float))
         peaks = []
         for count in (40, 400):
             kernel_tables.clear()
@@ -424,10 +442,11 @@ class TestDustAttenuationCoefficient:
 
     def test_frequency_slices_match_per_frequency_calls(self, monkeypatch,
                                                         kernel_tables):
-        # a table over many frequencies is one kernel call per slice of
-        # them, and gives the per-frequency values exactly; each frequency's
-        # slice of the lattice has its own node count, more nodes at a
-        # higher frequency
+        # a table over many frequencies is two kernel calls per slice of
+        # them, the uncharged records its spans lack and the charged nodes
+        # that the linear rule rejects, and gives the per-frequency values
+        # exactly; each frequency's slice of the lattice has its own node
+        # count, more nodes at a higher frequency
         import dustmie.channel as channel
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
@@ -437,17 +456,27 @@ class TestDustAttenuationCoefficient:
         calls = []
         kernel = channel._qext
 
-        def counted(x, *args):
+        def counted(x, *args, **kwargs):
             assert x.size <= channel._TABLE_SIZES
             calls.append(x.size)
-            return kernel(x, *args)
+            return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(channel, "_qext", counted)
         k = channel._k_dust_grid([150.0], freqs, [particle.electrons], layer,
                                  particle.temperature, particle.refractive_index,
                                  ("physical", "paper"), "full")
         assert nodes == [798, 913, 1018, 1096, 1143]
-        assert calls == [nodes[0] + nodes[1], nodes[2] + nodes[3], nodes[4]]
+        spans = [frequency_slice([150.0], f).nodes for f in freqs]
+        rejected = [rejected_nodes(f, particle.electrons, span)
+                    for f, span in zip(freqs, spans)]
+        # the uncharged records grow from the blocks' hulls: 939 nodes, then
+        # 236 and 76 more; the rule rejects a column's 139-142 smallest
+        # sizes (x up to 0.055 at 0.1 THz and 0.44 at 3 THz)
+        assert [spans[1].stop - spans[0].start, spans[3].stop - spans[1].stop,
+                spans[4].stop - spans[3].stop] == [939, 236, 76]
+        assert rejected == [141, 139, 139, 141, 142]
+        assert calls == [939, rejected[0] + rejected[1], 236, rejected[2] + rejected[3],
+                         76, rejected[4]]
         assert k.shape == (2, 1, 5, 1)
         for k_mode, units_mode in zip(k[:, 0], ("physical", "paper")):
             for f, k_f in zip(freqs, k_mode):
@@ -468,27 +497,30 @@ class TestDustAttenuationCoefficient:
         calls = []
         kernel = channel._qext
 
-        def counted(x, *args):
+        def counted(x, *args, **kwargs):
             calls.append(x.size)
-            return kernel(x, *args)
+            return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(channel, "_qext", counted)
         counts = [0, 1000, 10**12]
         units = ("physical", "paper")
         k = channel._k_dust_grid(heights, freqs, counts, layer, 300.0, M_DEFAULT,
                                  units, "full")
-        # blocks of 5, 4, 4 and 2 columns: a block computes each charged
-        # column's span, and of the uncharged key only the nodes of its
-        # columns' spans the blocks before did not
+        # blocks of 5, 4, 4 and 2 columns: a block computes of the uncharged
+        # key the nodes of its columns' spans the blocks before did not, and
+        # then, in one call, the nodes of its charged columns that the
+        # linear rule rejects
         assert k.shape == (2, 3, 5, 3)
         pieces = [frequency_slice(heights, f) for f in freqs.tolist()]
         spans = [set(range(piece.nodes.start, piece.nodes.stop)) for piece in pieces]
         columns = [(i, ne) for i in range(5) for ne in counts]
         computed, sizes = set(), []
         for block in (columns[:5], columns[5:9], columns[9:13], columns[13:]):
-            fresh = set().union(*(spans[i] for i, ne in block if not ne)) - computed
+            fresh = set().union(*(spans[i] for i, ne in block)) - computed
             computed |= fresh
-            sizes.append(sum(len(spans[i]) for i, ne in block if ne) + len(fresh))
+            sizes += [len(fresh)] if fresh else []
+            sizes.append(sum(rejected_nodes(freqs[i], ne, pieces[i].nodes)
+                             for i, ne in block if ne))
         assert calls == sizes
         # every column shares the one lattice: the uncharged key keeps one
         # array over the union of the five frequencies' slices, and each
@@ -496,7 +528,7 @@ class TestDustAttenuationCoefficient:
         assert len(kernel_tables) == 1 + 2 * 5
         begin, q = kernel_tables[M_KEY,]
         assert begin == pieces[0].nodes.start and q.size == pieces[-1].nodes.stop - begin
-        assert not np.isnan(q).any()
+        assert not np.isnan(q["q"]).any()
         for f, piece in zip(freqs.tolist(), pieces):
             for ne in counts[1:]:
                 begin, q = kernel_tables[M_KEY, f, float(ne), 300.0, "full"]
@@ -525,6 +557,53 @@ def unclamped_k_dust(h, f, ne, n0, units_mode):
                                     M_DEFAULT, (units_mode,), "full")[0, 0, 0, 0]
 
 
+class TestAccuracyContract:
+    """The README's accuracy contract as a sampled property: each row's
+    bound on fixed-seed draws from the row's stated domain, against
+    `k_dust_reference` (n0 = 1, 300 K, full g_e). The grid tests above pin
+    chosen points; a draw lands anywhere in the domain."""
+
+    @staticmethod
+    def count(rng):
+        # 0 or 10^1 .. 10^13 electrons, log-uniform in the exponent
+        k = rng.randint(0, 13)
+        return 10**k if k else 0
+
+    @staticmethod
+    def frequency(rng, lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    def test_lattice_row_sampled(self):
+        # 40 draws: 2-0.025j or 1.6+0.05j, 100-200 m, 0.1-3 THz, Ne 0 to
+        # 1e13, each in both units modes, within 1e-8
+        import random
+        import dustmie.channel as channel
+        rng = random.Random(2026)
+        for _ in range(40):
+            m = rng.choice([M_DEFAULT, 1.6 + 0.05j])
+            h, f = rng.uniform(100.0, 200.0), self.frequency(rng, 0.1e12, 3e12)
+            ne = self.count(rng)
+            k = channel._k_dust_grid([h], [f], [ne], DustLayerModel(n0=1.0), 300.0, m,
+                                     ("physical", "paper"), "full")[:, 0, 0, 0]
+            for k_u, units in zip(k, ("physical", "paper")):
+                ref = k_dust_reference(h, f, m, ne, units)
+                assert abs(k_u - ref) <= 1e-8 * ref, (m, h, f, ne, units)
+
+    def test_cap_row_sampled(self):
+        # 20 draws: 2-0.025j, physical units, 300 m (within 1e-8) or 600 m
+        # (within 3e-8), 0.3-3 THz, Ne 0 to 1e13
+        import random
+        import dustmie.channel as channel
+        rng = random.Random(2027)
+        for _ in range(20):
+            h, bound = rng.choice([(300.0, 1e-8), (600.0, 3e-8)])
+            f, ne = self.frequency(rng, 0.3e12, 3e12), self.count(rng)
+            k = channel._k_dust_grid([h], [f], [ne], DustLayerModel(n0=1.0), 300.0,
+                                     M_DEFAULT, ("physical",), "full")[0, 0, 0, 0]
+            ref = k_dust_reference(h, f, M_DEFAULT, ne, "physical")
+            assert abs(k - ref) <= bound * ref, (h, f, ne)
+
+
 class TestRadiusDomain:
     """The size integral covers only the kernel's radius domain
     [1 nm, 10 mm]: the lattice stops at 1 nm, whatever the altitude."""
@@ -538,9 +617,9 @@ class TestRadiusDomain:
         sizes = []
         kernel = channel._qext
 
-        def spy(x, *args):
+        def spy(x, *args, **kwargs):
             sizes.append(x)
-            return kernel(x, *args)
+            return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(channel, "_qext", spy)
         w = WaveSpec.from_frequency(300e9)
@@ -774,9 +853,10 @@ class TestKeptTables:
             cold.append(dust_attenuation_coefficient(h, w, self.LAYER, particle))
         kernel_tables.clear()
         runs = []
+        key = (M_KEY, f, float(ne), 300.0, "full")[:5 if ne else 1]
         for h, k in zip(heights, cold):
             assert dust_attenuation_coefficient(h, w, self.LAYER, particle) == k
-            (first, q), = kernel_tables.values()
+            first, q = kernel_tables[key]
             runs.append((first, first + q.size))
         assert runs[1] == runs[0]
         assert runs[2][0] < runs[0][0] and runs[2][1] > runs[0][1]
@@ -837,6 +917,37 @@ class TestKeptTables:
         kept = kernel_tables[M_KEY,]
         assert path_loss(g, w, self.LAYER, self.particle(0)) == first
         assert len(kernel_calls) == 4 and kernel_tables[M_KEY,] is kept
+
+    @pytest.mark.parametrize("ne,rejected", [(1000, 139), (10**6, 267)])
+    def test_charged_column_runs_the_kernel_on_its_rejected_nodes(
+            self, monkeypatch, kernel_tables, kernel_calls, ne, rejected):
+        # with the uncharged records kept, a cold charged k_dust at 0.3 THz
+        # and 150 m runs one kernel call, on the nodes of its 946 whose g_e
+        # fails the linear rule: 139 at Ne 1e3 and 267 at 1e6, its smallest
+        # sizes. The rest take Q_0 + Re(S g_e), which moves k_dust from the
+        # sum with every node from the kernel by at most _LINEAR_EPS of the
+        # uncharged k_dust
+        import dustmie.channel as channel
+        w = WaveSpec.from_frequency(0.3e12)
+        k0 = dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(0))
+        kernel_calls.clear()
+        k = dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(ne))
+        span = frequency_slice([150.0], 0.3e12).nodes
+        assert span.stop - span.start == 946
+        (x,) = kernel_calls
+        assert x.size == rejected == rejected_nodes(0.3e12, ne, span)
+        q = kernel_tables[M_KEY, 0.3e12, float(ne), 300.0, "full"][1]
+        x_all = np.sort(np.exp(channel._ln_x_map(channel._V_STEP * np.arange(
+            span.start, span.stop), channel._damped_ln_x(M_KEY))[0]))
+        assert np.allclose(np.sort(x), x_all[:rejected], rtol=1e-14, atol=0)
+        assert q.size == 946
+        # every node from the kernel: a rule that admits none
+        monkeypatch.setattr(channel, "_LINEAR_EPS", 0.0)
+        kernel_tables.pop((M_KEY, 0.3e12, float(ne), 300.0, "full"))
+        kernel_calls.clear()
+        exact = dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(ne))
+        assert [x.size for x in kernel_calls] == [946]
+        assert abs(k - exact) <= 1e-13 * k0
 
     def test_uncharged_column_in_any_frequency_order(self, kernel_tables):
         # the uncharged key is one array over every frequency's nodes: an
@@ -904,8 +1015,9 @@ class TestKeptTables:
             loss(job)
         arrays = sorted(q.nbytes for _, q in store.values())
         assert len(arrays) == 5
+        # the uncharged key, which every call reads, and one charged key
         budget = arrays[-1] + arrays[-2]
-        assert arrays[0] + arrays[1] + arrays[2] > budget
+        assert arrays[-1] + arrays[0] + arrays[1] > budget
         monkeypatch.setattr(channel, "_STORED_BYTES", budget)
         cold = []
         for job in jobs:
@@ -959,21 +1071,21 @@ class TestKeptTables:
         warm = [dust_attenuation_coefficient(0.0, w, self.LAYER, particle) for w in waves]
         (first, q), = kernel_tables.values()
         assert (first, first + q.size) == (low.start, high.stop)
-        assert not np.isnan(q).any()
+        assert not np.isnan(q["q"]).any()
         assert [x.size for x in kernel_calls] == [low.stop - low.start, 88 + 697]
         assert np.array(warm).tobytes() == np.array(cold).tobytes()
 
     def test_repeated_key_is_computed_once(self, monkeypatch, kernel_tables):
         # a frequency repeated in one call, or a count repeated at one
-        # frequency, is one key: its nodes go into the block's kernel call
+        # frequency, is one key: its nodes go into the block's kernel calls
         # once, and every repeat reads the same values
         import dustmie.channel as channel
         sizes = []
         kernel = channel._qext
 
-        def counted(x, *args):
+        def counted(x, *args, **kwargs):
             sizes.append(x.size)
-            return kernel(x, *args)
+            return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(channel, "_qext", counted)
 
@@ -988,7 +1100,8 @@ class TestKeptTables:
         assert sizes == [nodes]
         assert k_dust([1e12], [0, 0, 1000]).tolist() == [[single[0]], [single[0]],
                                                         [single[1000]]]
-        assert sizes == [2 * nodes]
+        span = frequency_slice([150.0], 1e12).nodes
+        assert sizes == [nodes, rejected_nodes(1e12, 1000, span)]
         # 40 columns of one key take two blocks of at most _TABLE_SIZES span
         # nodes; the column that ends the first block reads what that block
         # stored
@@ -998,21 +1111,25 @@ class TestKeptTables:
 
     def test_many_columns_stay_within_the_bound(self, kernel_tables):
         # 60 charged frequency columns of 799-946-node supports, in blocks
-        # of 38 and 22: only the last 36 keys are kept, as many as
-        # 256 KB holds
+        # of 38 and 22: beside the uncharged key's records, which every
+        # column reads (958 nodes, 38 KB), only the last 30 charged keys are
+        # kept, as many as 256 KB holds
         import dustmie.channel as channel
         freqs = np.geomspace(1e11, 3e11, 60)
         channel._k_dust_grid([150.0], freqs, [1000], self.LAYER, 300.0, M_DEFAULT,
                              ("physical",), "full")
         kept = channel._stored_bytes()
         assert kept <= 2**18
-        assert [key[1] for key in kernel_tables] == freqs[-len(kernel_tables):].tolist()
-        assert len(kernel_tables) == 36
+        charged = [key for key in kernel_tables if len(key) > 1]
+        assert len(charged) == 30 and len(kernel_tables) == 1 + 30
+        assert kernel_tables[M_KEY,][1].nbytes == 40 * 958
+        assert [key[1] for key in charged] == freqs[-30:].tolist()
         # a key holds its frequency's slice
-        for f, (begin, q) in zip(freqs[-36:].tolist(), kernel_tables.values()):
+        for f, key in zip(freqs[-30:].tolist(), charged):
+            begin, q = kernel_tables[key]
             nodes = frequency_slice([150.0], f).nodes
             assert (begin, begin + q.size) == (nodes.start, nodes.stop)
-        older = support_nodes([150.0], freqs[-36 - 1])
+        older = support_nodes([150.0], freqs[-30 - 1])
         assert kept + 8 * older > 2**18
         # uncharged, the 60 columns are one key over the union of their
         # slices
@@ -1020,7 +1137,7 @@ class TestKeptTables:
         channel._k_dust_grid([150.0], freqs, [0], self.LAYER, 300.0, M_DEFAULT,
                              ("physical",), "full")
         (key, (begin, q)), = kernel_tables.items()
-        assert key == (M_KEY,) and not np.isnan(q).any()
+        assert key == (M_KEY,) and not np.isnan(q["q"]).any()
         assert (begin, begin + q.size) == (frequency_slice([150.0], freqs[0]).nodes.start,
                                            frequency_slice([150.0], freqs[-1]).nodes.stop)
 
@@ -1043,8 +1160,10 @@ class TestKeptTables:
 
     def test_partly_kept_columns_make_one_call(self, kernel_tables, kernel_calls):
         # five frequencies at 150 m after one of them ran at 100 m, whose
-        # kept run lies inside the 150 m support: the nodes the other four
-        # lack and the ends the fifth lacks are one kernel call
+        # kept runs lie inside the 150 m support: the uncharged records the
+        # block lacks are one kernel call, and the charged nodes that the
+        # linear rule rejects, of the other four and of the fifth's ends,
+        # are one more
         import dustmie.channel as channel
         freqs = np.geomspace(1e11, 3e12, 5)
 
@@ -1056,7 +1175,7 @@ class TestKeptTables:
         k_dust([100.0], freqs[2:3])
         kernel_calls.clear()
         assert k_dust([150.0], freqs).tolist() == cold.tolist()
-        assert len(kernel_calls) == 1
+        assert len(kernel_calls) == 2
 
 
 class TestAltitudeProfile:

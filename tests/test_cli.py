@@ -228,7 +228,9 @@ class TestAttenuation:
                             "--group-ne", "0,1000", "--units", "both")
         assert code == 0
         assert len(parse_csv(out)[3]) == 5
-        assert len(kernel_calls) == 1   # both charges and unit modes share one table
+        # both charges and unit modes share one table: the uncharged records,
+        # then the charged nodes that the linear rule rejects
+        assert len(kernel_calls) == 2
 
     def test_one_kernel_call_per_frequency_column(self, capsys, kernel_calls):
         code, out = run_cli(capsys, "attenuation", "--sweep", "f", "--count", "5",
@@ -236,7 +238,9 @@ class TestAttenuation:
                             "--n0", "1e3", "--group-ne", "0,1000")
         assert code == 0
         assert len(parse_csv(out)[3]) == 5
-        assert len(kernel_calls) == 1   # 2 charges x 5 frequencies in one table
+        # 2 charges x 5 frequencies in one table: the uncharged records, then
+        # the charged nodes that the linear rule rejects
+        assert len(kernel_calls) == 2
 
     def test_kernel_calls_stay_within_table_sizes(self, capsys, monkeypatch):
         # 40 charge columns are sliced, not broadcast against the nodes at once
@@ -244,9 +248,9 @@ class TestAttenuation:
         sizes = []
         kernel = dustmie.channel._qext
 
-        def counted(x, *args):
+        def counted(x, *args, **kwargs):
             sizes.append(x.size)
-            return kernel(x, *args)
+            return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(dustmie.channel, "_qext", counted)
         code, out = run_cli(capsys, "attenuation", "--sweep", "h", "--count", "3",

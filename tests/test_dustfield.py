@@ -43,6 +43,18 @@ class TestLognormalParams:
         with pytest.warns(UserWarning):
             lognormal_params(5000.0)
 
+    def test_extrapolation_onset(self):
+        # the warning starts just above 1,000 m: none at 1,000 m itself, and
+        # exactly one at the next float up, in both functions
+        import warnings
+        for fn in (lognormal_params, size_support):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fn(1000.0)
+            with pytest.warns(UserWarning, match="extrapolated") as record:
+                fn(math.nextafter(1000.0, math.inf))
+            assert len(record) == 1
+
     def test_extrapolation_warns_once_per_call(self):
         h = np.array([[100.0, 1020.0], [1050.0, 1100.0]])
         for fn in (lognormal_params, size_support):

@@ -22,7 +22,7 @@ from dustmie.mie import (
     truncation_order,
 )
 
-from oracles import charged_mie_qext, first_ratios, neutral_mie_qext
+from oracles import charged_mie_fields, charged_mie_qext, first_ratios, neutral_mie_qext
 
 M_DEFAULT = 2.0 - 0.025j
 
@@ -500,6 +500,22 @@ class TestChargedOracle:
         with pytest.raises(RecurrenceOverflowError, match="underflow"):
             extinction_efficiency_x(1e-100, m, 1j)
 
+    # the fields S, B and K that make Q_ext linear in g_e within a bound
+    # (`mie._SeriesSum._linear`), against the same sums of the oracle's
+    # Moebius coefficients: S and B measured within 3.9e-15, and K within
+    # 3.4e-10 (2-0.025j at x = 0.3, where the largest kappa is the last
+    # order's, whose ratios carry the upward steps' drift above n = x)
+    @pytest.mark.parametrize("m", [1.33, M_DEFAULT, 1.5 + 1j, 3 + 0.001j])
+    def test_linear_fields_match_the_oracle(self, m):
+        x = np.array([1e-3, 0.01, 0.3, 3.0, 20.0])
+        fields = mie._qext(x, m, np.zeros(x.size, complex), linear=True)
+        for xi, got in zip(x.tolist(), fields):
+            s, b, k = charged_mie_fields(xi, m)
+            assert abs(got["s"] - s) <= 1e-13 * abs(s)
+            assert got["b"] == pytest.approx(b, rel=1e-13, abs=0)
+            assert got["k"] == pytest.approx(k, rel=1e-9, abs=0)
+        assert np.array_equal(fields["q"], mie._qext(x, m, np.zeros(x.size, complex)))
+
     def test_index_matched_sphere_at_tiny_x_vanishes(self):
         # its terms are exactly zero, not underflowed
         x = np.geomspace(1e-100, 1e-60, 5)
@@ -580,6 +596,40 @@ class TestChargedInvariants:
                 checked = cond < 1e8
                 assert checked[0]
                 assert np.all(dev[checked] <= 64 * 2.2e-16 * cond[checked])
+
+
+    # g_e = t e^(i phase) / K for t from 1e-12 to 2, on both sides of the
+    # real axis
+    LADDER = np.outer([1e-12, 1e-8, 1e-4, 0.5, 2.0],
+                      np.exp(1j * np.array([0.3, -2.8]))).ravel()
+
+    @given(log_x=st.floats(-3.0, math.log10(mie._MAX_X)), m=st.sampled_from(INDICES))
+    @example(log_x=-3.0, m=1.33)
+    @example(log_x=math.log10(mie._MAX_X), m=1.33)
+    @settings(max_examples=12, deadline=None)
+    def test_linear_charge_is_within_its_bound(self, log_x, m):
+        # Q_ext(g_e) = Q_0 + Re(S g_e) within 2 B |g_e|^2 wherever
+        # |g_e| K <= 1/2, so wherever `channel._linear_q` admits a node,
+        # to the two sums' rounding: at most 1e-14 of Q_0 measured on 400
+        # sizes to x = 2e4 at five indices. The rule admits no node past
+        # that disc, nor any of an index-matched sphere, whose Q_0 is 0
+        from dustmie.channel import _linear_q
+        x = min(10.0**log_x, mie._MAX_X)
+        for index in (m, 1.0):
+            fields = mie._qext(np.array([x]), index, np.zeros(1, complex), linear=True)
+            g_e = self.LADDER / fields["k"][0]
+            fields = np.repeat(fields, g_e.size)
+            admitted, linear = _linear_q(fields, g_e)
+            q = mie._qext(np.full(g_e.size, x), index, g_e)
+            mag = np.abs(g_e)
+            disc = mag * fields["k"] <= 0.5
+            bound = 2 * fields["b"] * mag**2 + 5e-14 * fields["q"]
+            assert np.all(np.abs(q - linear)[disc] <= bound[disc])
+            assert not admitted[~disc].any()
+            if index == 1.0:
+                assert np.all(fields["q"] == 0) and not admitted.any()
+            else:
+                assert admitted.any()
 
 
 @pytest.fixture
@@ -856,8 +906,10 @@ class TestBatchKernel:
         dust_attenuation_coefficient(200.0, WaveSpec.from_frequency(3e12),
                                      DustLayerModel(n0=1e3),
                                      ParticleState(20e-6, 1000, 300.0, M_DEFAULT))
-        # one upward loop for every size, x from 0.005 to 624
-        assert route_and_block_counts == {"upward": 1, "downward": 0, "blocks": 15}
+        # one upward loop for every size, x from 0.005 to 624, of the
+        # uncharged records, and one for the charged nodes that the linear
+        # rule rejects, the smallest sizes, in one order block
+        assert route_and_block_counts == {"upward": 2, "downward": 0, "blocks": 16}
         # its four largest sizes (orders 636 to 660, 8 apart where the
         # lattice is three times coarser) go on in scalars from order 629,
         # where 32 orders are left
