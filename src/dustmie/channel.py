@@ -17,7 +17,7 @@ from .dustfield import (MAX_RADIUS_MM, MIN_RADIUS_MM, DustLayerModel, _fit,
                         _support, lognormal_params)
 from .errors import ConfigError, DomainError
 from .mie import (_MAX_RADIUS, _MIN_RADIUS, ParticleState, WaveSpec, _check_scale,
-                  _electron_count, _normalize_m, _qext, _size_and_charge,
+                  _electron_count, _linear_q, _normalize_m, _qext, _size_and_charge,
                   collision_frequency)
 
 NP_PER_M_TO_DB_PER_KM = 4.343e3  # 10 log10(e) * 1000
@@ -224,12 +224,14 @@ _TABLE_SIZES = 2**15
 # node. A size's Q_ext does not depend on the batch that computes it, so a
 # kept value serves any later support.
 # Keys are dropped, least recently used first, while the arrays hold more
-# than _STORED_BYTES (256 KB). For 2-0.025j the uncharged key over
-# 0.1-10 THz takes at most 60 KB (1,504 nodes) and a charged key 8-11 KB
-# (966-1,372 nodes), so 17-24 charged keys fit beside it; 60 charged keys
-# over 0.1-0.3 THz at 150 m keep their last 30. A key larger than the budget
-# is not kept (the store is emptied). The cap window's nodes, at each
-# frequency's own radii, are not kept.
+# than _STORED_BYTES (256 KB). A block marks the uncharged key used after
+# its charged keys, which all read its records, so that charged keys that
+# fill the store drop older charged keys, not those records. For 2-0.025j
+# the uncharged key over 0.1-10 THz takes at most 60 KB (1,504 nodes) and a
+# charged key 8-11 KB (966-1,372 nodes), so 17-24 charged keys fit beside
+# it; 60 charged keys over 0.1-0.3 THz at 150 m keep their last 30. A key
+# larger than the budget is not kept (the store is emptied). The cap
+# window's nodes, at each frequency's own radii, are not kept.
 # Calls from several threads read and write it under _tables_lock, which is
 # not held while the kernel runs; an array is replaced, never written.
 _STORED_BYTES = 2**18
@@ -396,32 +398,33 @@ def _stored_bytes() -> int:
     return sum(q.nbytes for _, q in _tables.values())
 
 
-def _keep(fresh: dict) -> None:
+def _keep(fresh: dict, base) -> None:
     """Keep `fresh`, a dict from kernel keys to their (first index, Q_ext),
-    as the most recently used. Then drop keys, least recently used first,
-    while the store holds more than _STORED_BYTES."""
+    as the most recently used, and after them the uncharged key `base`,
+    whose records every charged column reads. Then drop keys, least
+    recently used first, while the store holds more than _STORED_BYTES."""
     with _tables_lock:
         for key, array in fresh.items():
             _tables.pop(key, None)
             _tables[key] = array
+        if base in _tables:
+            _tables.move_to_end(base)
         while _tables and _stored_bytes() > _STORED_BYTES:
             _tables.popitem(last=False)
 
 
-def _linear_q(fields: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q_ext of charged sizes from the uncharged key's fields at their
-    nodes, `mie._LINEAR` records, and their g_e: (admitted, Q_0 + Re(S g_e)),
-    admitted marking the nodes whose linear value the bound admits. A field
-    that is not finite admits nothing, and nor does Q_0 = 0 (an
-    index-matched sphere)."""
-    mag = np.abs(g)
-    admitted = ((mag * fields["k"] <= 0.5)
-                & (2 * fields["b"] * (mag * mag) < _LINEAR_EPS * fields["q"]))
-    s = fields["s"]
-    return admitted, fields["q"] + (s.real * g.real - s.imag * g.imag)
+def _joined(run, cells: np.ndarray, values: np.ndarray) -> tuple[int, np.ndarray]:
+    """A key's kept (first index, array) run, or None, joined with its
+    values at lattice indices cells, the one or two ends the run lacks."""
+    begin = int(cells[0])
+    if not run:
+        return begin, values
+    first, q = run
+    begin = min(first, begin)
+    return begin, np.concatenate((values[:first - begin], q, values[first - begin:]))
 
 
-def _q_blocks(columns, kernel):
+def _q_blocks(columns, uncharged, charged):
     """Yield (column, Q_ext on its span) for each of `columns`, an iterable
     of (column id, kernel key, the frequency's `_Slice`), all of one index.
 
@@ -431,15 +434,15 @@ def _q_blocks(columns, kernel):
     block needs one range of lattice indices, from the first node of its
     columns' spans to the last: one span for a charged key, whose columns
     share a frequency, and for the uncharged key, key[:1] of any key, whose
-    fields serve the charged keys, the hull of every span of the block. A
+    records serve the charged keys, the hull of every span of the block. A
     key whose kept run covers that range is read in place: no copy, store
     or kernel call. For every other key the block computes the one or two
-    ends its kept run lacks (the whole range for a key not kept): the
-    uncharged key's first, in a kernel([(key, lattice indices, None)]) call,
-    and then the charged keys', in one kernel([(key, lattice indices, the
-    uncharged key's records there), ...]) call. Then it keeps each joined
-    run (`_keep`), so every kept node is computed and a block that raises
-    keeps nothing."""
+    ends its kept run lacks (the whole range for a key not kept). The
+    uncharged key's go first, in one uncharged(lattice indices) call, which
+    gives `mie._LINEAR` records, and then the charged keys', in one
+    charged([(key, lattice indices, the uncharged records there), ...])
+    call. Then the block keeps each joined run (`_keep`), so every kept
+    node is computed and a block that raises keeps nothing."""
     columns = iter(columns)
     column = next(columns, None)
     while column is not None:
@@ -455,42 +458,35 @@ def _q_blocks(columns, kernel):
             for k in (key[:1], key):
                 lo, hi = ranges.get(k, (piece.nodes.start, piece.nodes.stop))
                 ranges[k] = min(lo, piece.nodes.start), max(hi, piece.nodes.stop)
+        base, *keys = ranges
         with _tables_lock:
             runs = {key: _tables.get(key) for key in ranges}
-            for key in ranges:
+            for key in (*keys, base):
                 if runs[key]:
                     _tables.move_to_end(key)
-        base, *charged = ranges
+        todo = {}
+        for key, (lo, hi) in ranges.items():
+            first, q = runs[key] or (lo, ())
+            end = first + len(q)
+            if lo < first or end < hi:
+                todo[key] = np.r_[min(lo, first):first, end:max(hi, end)]
         fresh = {}
-        for keys in ([base], charged):
-            todo = []
-            for key in keys:
-                lo, hi = ranges[key]
-                first, q = runs[key] or (lo, ())
-                end = first + len(q)
-                if lo < first or end < hi:
-                    todo.append((key, np.r_[min(lo, first):first, end:max(hi, end)]))
-            if not todo:
-                continue
-            if keys is charged:
-                first, fields = runs[base]
-                values = kernel([(key, cells, fields[cells - first]) for key, cells in todo])
-            else:
-                values = kernel([(*todo[0], None)])
-            for (key, cells), value in zip(todo, np.split(
-                    values, np.cumsum([cells.size for _, cells in todo])[:-1])):
-                begin = int(cells[0])
-                if runs[key]:
-                    first, q = runs[key]
-                    begin = min(first, begin)
-                    value = np.concatenate((value[:first - begin], q, value[first - begin:]))
-                fresh[key] = runs[key] = begin, value
+        if base in todo:
+            cells = todo.pop(base)
+            fresh[base] = runs[base] = _joined(runs[base], cells, uncharged(cells))
+        if todo:
+            first, records = runs[base]
+            values = charged([(key, cells, records[cells - first])
+                              for key, cells in todo.items()])
+            for (key, cells), value in zip(todo.items(), np.split(
+                    values, np.cumsum([cells.size for cells in todo.values()])[:-1])):
+                fresh[key] = runs[key] = _joined(runs[key], cells, value)
         if fresh:
-            _keep(fresh)
+            _keep(fresh, base)
         for drawn in block:
             (first, q), span = runs[drawn[1]], drawn[2].nodes
             q = q[span.start - first:span.stop - first]
-            yield drawn, q["q"] if len(drawn[1]) == 1 else q
+            yield drawn, q["q"] if drawn[1] == base else q
 
 
 @functools.lru_cache(maxsize=64)
@@ -563,21 +559,20 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
         r_m = np.exp(ln_x + (_LN_MM_PER_X_HZ - math.log(f))) * 1e-3
         return _size_and_charge(r_m, np.asarray(f), np.asarray(ne), t, mode)
 
-    def lattice_kernel(todo):
-        """For the uncharged key alone (fields None), the `mie._LINEAR`
-        records of its lattice indices; else the Q_ext of each (key, lattice
-        indices, uncharged records there) todo yields, from the records
-        where `_linear_q` admits a node and from one kernel call over the
-        rest."""
-        todo = [(key, _ln_x_map(_V_STEP * cells, u2)[0], fields)
-                for key, cells, fields in todo]
-        if todo[0][2] is None:
-            x, g_e = sizes(*todo[0][:2])
-            return _qext(x, m, g_e, linear=True)
+    def uncharged(cells):
+        """The `mie._LINEAR` records of the uncharged key at lattice
+        indices cells."""
+        x, g_e = sizes((m,), _ln_x_map(_V_STEP * cells, u2)[0])
+        return _qext(x, m, g_e, linear=True)
+
+    def charged(todo):
+        """The Q_ext of each (key, lattice indices, uncharged records there)
+        of todo: the records' linear value where `_linear_q` admits a node,
+        and one kernel call over the rest."""
         q, rejected, x, g_e = [], [], [], []
-        for key, ln_x, fields in todo:
-            x_f, g_f = sizes(key, ln_x)
-            admitted, q_f = _linear_q(fields, g_f)
+        for key, cells, fields in todo:
+            x_f, g_f = sizes(key, _ln_x_map(_V_STEP * cells, u2)[0])
+            admitted, q_f = _linear_q(fields, g_f, _LINEAR_EPS)
             q.append(q_f)
             rejected.append(~admitted)
             x.append(x_f[~admitted])
@@ -588,7 +583,7 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
         return q
 
     last = None
-    for (c, key, piece), q in _q_blocks(columns(), lattice_kernel):
+    for (c, key, piece), q in _q_blocks(columns(), uncharged, charged):
         if piece is not last:
             last, weights = piece, _size_weights(piece, mu, sigma, layer.n0)
         if piece.tail is not None:

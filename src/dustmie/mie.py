@@ -933,6 +933,21 @@ def _qext(x: np.ndarray, m: complex, g_e: np.ndarray,
     return out
 
 
+def _linear_q(fields: np.ndarray, g: np.ndarray,
+              eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q_ext of charged sizes from their `_LINEAR` records, and their g_e:
+    (admitted, Q_0 + Re(S g_e)), admitted marking the sizes where
+    |g_e| K <= 1/2 and 2 B |g_e|^2 < eps Q_0, so that the linear value is
+    within eps Q_0 of the series, to the two sums' rounding
+    (`_SeriesSum._linear`). A field that is not finite admits nothing, and
+    nor does Q_0 = 0, an index-matched sphere's."""
+    mag = np.abs(g)
+    admitted = ((mag * fields["k"] <= 0.5)
+                & (2 * fields["b"] * (mag * mag) < eps * fields["q"]))
+    s = fields["s"]
+    return admitted, fields["q"] + (s.real * g.real - s.imag * g.imag)
+
+
 def _size_and_charge(radius, frequency, electrons, temperature, mode):
     """Size parameter and charge coefficient g_e of spheres in a wave, from
     checked electron counts. Each other input is checked once, in the order

@@ -50,17 +50,17 @@ def support_nodes(heights, f):
 
 def rejected_nodes(f, ne, nodes, temperature=300.0, m=M_KEY):
     """How many of the lattice nodes (a slice) a charged column at f (Hz)
-    and ne sends to the kernel: those whose g_e fails `_linear_q`'s rule
-    on the uncharged key's kept records."""
+    and ne sends to the kernel: those whose g_e fails `mie._linear_q`'s
+    rule on the uncharged key's kept records."""
     import dustmie.channel as channel
-    from dustmie.mie import _size_and_charge
+    from dustmie.mie import _linear_q, _size_and_charge
     first, records = channel._tables[m,]
     cells = np.arange(nodes.start, nodes.stop)
     ln_x = channel._ln_x_map(channel._V_STEP * cells, channel._damped_ln_x(m))[0]
     r_m = np.exp(ln_x + (channel._LN_MM_PER_X_HZ - math.log(f))) * 1e-3
     _, g_e = _size_and_charge(r_m, np.asarray(f), np.asarray(float(ne)), temperature,
                               "full")
-    admitted, _ = channel._linear_q(records[cells - first], g_e)
+    admitted, _ = _linear_q(records[cells - first], g_e, channel._LINEAR_EPS)
     return int(np.count_nonzero(~admitted))
 
 
@@ -1109,20 +1109,33 @@ class TestKeptTables:
         assert k_dust([1e12] * 40, [0]).tolist() == [[single[0]] * 40]
         assert sizes == [nodes]
 
-    def test_many_columns_stay_within_the_bound(self, kernel_tables):
-        # 60 charged frequency columns of 799-946-node supports, in blocks
-        # of 38 and 22: beside the uncharged key's records, which every
-        # column reads (958 nodes, 38 KB), only the last 30 charged keys are
-        # kept, as many as 256 KB holds
+    def test_many_columns_stay_within_the_bound(self, kernel_tables, kernel_calls):
+        # 60 charged frequency columns of 798-946-node supports, in blocks
+        # of 38 and 22. The first block's charged keys alone hold 251 KB,
+        # but a block marks the uncharged records, which every column reads,
+        # used after its charged keys: the store drops the older charged
+        # keys, and the second block's uncharged call computes only the 67
+        # nodes its spans add to the first block's 912. Beside those records
+        # (979 nodes, 38 KB), the last 30 charged keys are kept, as many as
+        # 256 KB holds
         import dustmie.channel as channel
         freqs = np.geomspace(1e11, 3e11, 60)
         channel._k_dust_grid([150.0], freqs, [1000], self.LAYER, 300.0, M_DEFAULT,
                              ("physical",), "full")
+        spans = [frequency_slice([150.0], f).nodes for f in freqs]
+        first, second = (spans[37].stop - spans[0].start,
+                         spans[-1].stop - spans[37].stop)
+        assert (first, second) == (912, 67)
+        assert sum(8 * (span.stop - span.start) for span in spans[:38]) > 250 * 2**10
+        assert [x.size for x in kernel_calls] == [
+            first, sum(rejected_nodes(f, 1000, span) for f, span in zip(freqs[:38], spans)),
+            second, sum(rejected_nodes(f, 1000, span) for f, span in zip(freqs[38:],
+                                                                         spans[38:]))]
         kept = channel._stored_bytes()
         assert kept <= 2**18
         charged = [key for key in kernel_tables if len(key) > 1]
-        assert len(charged) == 30 and len(kernel_tables) == 1 + 30
-        assert kernel_tables[M_KEY,][1].nbytes == 40 * 958
+        assert len(charged) == 30 and list(kernel_tables)[-1] == (M_KEY,)
+        assert kernel_tables[M_KEY,][1].nbytes == 40 * (first + second)
         assert [key[1] for key in charged] == freqs[-30:].tolist()
         # a key holds its frequency's slice
         for f, key in zip(freqs[-30:].tolist(), charged):
@@ -1142,8 +1155,10 @@ class TestKeptTables:
                                            frequency_slice([150.0], freqs[-1]).nodes.stop)
 
     def test_group_over_the_budget_is_not_kept(self, monkeypatch, kernel_tables):
-        # two keys against room for one: the least recently used goes; a
-        # key larger than the budget goes with the rest of the store
+        # two keys against room for one: the least recently used goes, the
+        # charged key, as a block marks the uncharged records its charged
+        # keys read used after them; a key larger than the budget goes with
+        # the rest of the store
         import dustmie.channel as channel
 
         def k_dust(counts):
@@ -1153,9 +1168,9 @@ class TestKeptTables:
         (_, q), = kernel_tables.values()
         monkeypatch.setattr(channel, "_STORED_BYTES", q.nbytes)
         k_dust([0, 1000])
-        assert list(kernel_tables) == [(M_KEY, 1e12, 1000.0, 300.0, "full")]
+        assert list(kernel_tables) == [(M_KEY,)]
         monkeypatch.setattr(channel, "_STORED_BYTES", q.nbytes - 8)
-        k_dust([0])
+        k_dust([0, 10**6])
         assert not kernel_tables
 
     def test_partly_kept_columns_make_one_call(self, kernel_tables, kernel_calls):

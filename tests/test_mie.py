@@ -609,17 +609,16 @@ class TestChargedInvariants:
     @settings(max_examples=12, deadline=None)
     def test_linear_charge_is_within_its_bound(self, log_x, m):
         # Q_ext(g_e) = Q_0 + Re(S g_e) within 2 B |g_e|^2 wherever
-        # |g_e| K <= 1/2, so wherever `channel._linear_q` admits a node,
+        # |g_e| K <= 1/2, so wherever `mie._linear_q` admits a node,
         # to the two sums' rounding: at most 1e-14 of Q_0 measured on 400
         # sizes to x = 2e4 at five indices. The rule admits no node past
         # that disc, nor any of an index-matched sphere, whose Q_0 is 0
-        from dustmie.channel import _linear_q
         x = min(10.0**log_x, mie._MAX_X)
         for index in (m, 1.0):
             fields = mie._qext(np.array([x]), index, np.zeros(1, complex), linear=True)
             g_e = self.LADDER / fields["k"][0]
             fields = np.repeat(fields, g_e.size)
-            admitted, linear = _linear_q(fields, g_e)
+            admitted, linear = mie._linear_q(fields, g_e, 1e-13)   # channel._LINEAR_EPS
             q = mie._qext(np.full(g_e.size, x), index, g_e)
             mag = np.abs(g_e)
             disc = mag * fields["k"] <= 0.5
