@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     DustmieError,
     RecurrenceOverflowError,
-    SingularDenominatorError,
 )
 from .mie import (
     ParticleState,
@@ -54,7 +53,6 @@ __all__ = [
     "PathLossResult",
     "PhysicalConstants",
     "RecurrenceOverflowError",
-    "SingularDenominatorError",
     "WaveSpec",
     "charged_coefficient",
     "collision_frequency",

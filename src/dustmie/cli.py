@@ -24,8 +24,7 @@ import numpy as np
 
 from .channel import AltitudeProfile, LinkGeometry, _k_dust_grid, path_loss
 from .dustfield import DustLayerModel, size_pdf
-from .errors import ConfigError, DustmieError, RecurrenceOverflowError, \
-    SingularDenominatorError
+from .errors import ConfigError, DustmieError, RecurrenceOverflowError
 from .mie import ParticleState, WaveSpec, extinction_efficiency_array
 from .sweeps import SweepTable, config_hash, sweep_grid
 
@@ -378,7 +377,7 @@ def _run(args) -> tuple[int, str | None]:
             sys.stdout.write(table.render(args.format))
     except ConfigError as exc:
         return 2, f"dustmie: config error: {exc}"
-    except (RecurrenceOverflowError, SingularDenominatorError) as exc:
+    except RecurrenceOverflowError as exc:
         return 3, f"dustmie: numerical failure: {exc}"
     except DustmieError as exc:
         return 2, f"dustmie: error: {exc}"

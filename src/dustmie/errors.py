@@ -13,9 +13,5 @@ class RecurrenceOverflowError(DustmieError, OverflowError):
     """Intermediate recurrence terms exceeded representable magnitude."""
 
 
-class SingularDenominatorError(DustmieError, ArithmeticError):
-    """A Mie coefficient denominator is numerically singular (resonance)."""
-
-
 class ConfigError(DustmieError, ValueError):
     """Invalid or incomplete run configuration."""

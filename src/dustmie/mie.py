@@ -64,11 +64,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import DomainError, RecurrenceOverflowError, SingularDenominatorError
+from .errors import DomainError, RecurrenceOverflowError
 
 _MIN_RADIUS = 1e-9      # m; the radius domain of a sphere and of the size
 _MAX_RADIUS = 1e-2      # integral (`dustfield._support`)
-_DENOM_FLOOR = 1e-300
 _TINY = np.finfo(float).tiny            # the smallest normal float
 # Largest size parameter taken: up to here the series summed to
 # `truncation_order` is pinned within 1e-8 of a longer sum (see
@@ -91,11 +90,13 @@ _ROW_STEPPED = 160
 # exp(-2 Re arccosh((n - 1/2)/z)). A size starts where e^-45 (3e-20, below
 # an ulp) of the seed's error is left when the steps reach its top stored
 # order, plus 8 orders for where that asymptotic rate runs ahead of the true
-# one (see `_start_orders`). Chosen on the grids of
+# one (see `_start_orders`). On the grids of
 # tests/test_specfun.py::TestStartOrders (12 indices from 1 to 1.2+10j,
-# x from 1e-3 to 1e3), where every stored s_n must equal, bit for bit, its
-# value from Wiscombe's start: 40 and 8, or 45 and 4, still pass there, while
-# 36 and 8, or 45 and 0, do not.
+# x from 1e-3 to 1e3) every stored s_n equals, bit for bit, its value from
+# Wiscombe's start. Those bits mark no edge: with 45 they hold at margins
+# 0, 2, 3 and 5 to 10 but not 1 or 4, and with 8 at decays 42, 44, 46 and
+# 50 but not 36, 40, 41 or 43 (misses within 7e-16). Above x = 1e3 the two
+# starts part by up to 1.4e-15 (2-0.025j, x from 1e4 to 2e4).
 _SEED_DECAY = 45.0
 _SEED_MARGIN = 8
 # Highest order a downward recurrence may start from. The start grows with
@@ -464,7 +465,8 @@ class _SeriesSum:
     partial sums carry over, so a size's Q_ext depends on neither its batch
     nor its blocks."""
 
-    # The scratch roles of `add`, in bytes per (order, size) cell
+    # The scratch roles of an order block, in bytes per (order, size) cell;
+    # "pair" holds the downward route's gather indices, then `_linear`'s
     ROLES = {"m_d": 32, "coef": 32, "pair": 16, "s_t": 16, "rho": 8, "unused": 1}
 
     def __init__(self, x: np.ndarray, m: complex, g_e: np.ndarray,
@@ -474,7 +476,7 @@ class _SeriesSum:
         # the partial sums of S and B, and K so far (`_linear`), if asked for
         self.linear = ((np.zeros(x.size, complex), np.zeros(x.size), np.zeros(x.size))
                        if linear else None)
-        self.m, self.m2 = m, m * m
+        self.m2 = m * m
         self.g_x, self.g_over_x = g_e * x, g_e / x
         self.trig = trig                       # (sin x, cos x), if known
         self.scratch = scratch or _Scratch(self.ROLES)
@@ -495,7 +497,8 @@ class _SeriesSum:
         """Sums the next block, s_t = s_n(x) + i t_n(x) (eta_1(x) at n = 1)
         and m_d = s_n(mx) over its orders and sizes, which it overwrites, and
         returns their charged (a_n, b_n), under the caller's np.errstate
-        (an overflow fails in `_qext`). With xi_n = psi_n + i eta_n, the
+        (an overflow, or a denominator of exactly 0, leaves a sum that is
+        not finite, which fails in `_qext`). With xi_n = psi_n + i eta_n, the
         charged coefficients divided by psi_n(mx) are
         a_n = A(psi) / (A(psi) + i A(eta)), A(f) = D_n(mx) f - (g_e D_n(mx)
         + m) f', and b_n alike with B(f) = (g_e - m D_n(mx)) f + f'. Divided
@@ -568,10 +571,6 @@ class _SeriesSum:
         q.real -= v
         np.multiply(q.imag, rho, out=den.real)
         np.subtract(q.real, den.real, out=den.real)
-        small = np.abs(den, out=scratch("pair", stacked)) < _DENOM_FLOOR
-        if small.any() and np.greater(small, unused).any():
-            raise SingularDenominatorError(
-                f"singular Mie denominator (x in [{x.min():g}, {x.max():g}], m={self.m})")
         q /= den
         a, b = q
         if self.linear is not None:
@@ -616,8 +615,8 @@ class _SeriesSum:
         run in order of n, as `_sum`'s do, so its fields do not depend on
         its batch. The factor i of both derivatives is taken out of S's sum,
         and the denominators are inverted once, as a complex divide costs
-        about five multiplies. Beside the scratch's free "pair" role, the
-        block takes 40 bytes a cell."""
+        about five multiplies. Beside the scratch's "pair" role, which `add`
+        does not use, the block takes 40 bytes a cell."""
         top, w = v.shape
         x = self.x[:w]
         inv_x = 1 / x

@@ -177,6 +177,21 @@ def first_ratios(z):
         prec, last = 2 * prec, pair
 
 
+def first_order_poles(x, m):
+    """The charges g_e at which the denominators of `charged_mie_qext`'s
+    a_1 and b_1 vanish, rounded to complex: setting them to 0 gives
+    g_e = xi_1(x) / xi_1'(x) - m / D_1(mx) for a_1 and
+    g_e = m D_1(mx) - xi_1'(x) / xi_1(x) for b_1, with
+    D_1(z) = 1 / (1/z - cot z) - 1/z and xi_1'(x) / xi_1(x) =
+    i x / (x + i) - 1/x. Im(m) >= 0 as in the package."""
+    x, m = mp.mpf(x), mp.mpc(m)
+    m = mp.mpc(m.real, abs(m.imag))
+    z = m * x
+    d1 = 1 / (1 / z - mp.cot(z)) - 1 / z
+    dxi = 1j * x / (x + 1j) - 1 / x
+    return complex(1 / dxi - m / d1), complex(m * d1 - dxi)
+
+
 def series_sph_j(n, z, terms=60):
     """Power-series evaluation of j_n(z), independent of any recurrence."""
     z = mp.mpc(z)

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dustmie import (DustLayerModel, ParticleState, WaveSpec, dust_attenuation_coefficient,
+                     extinction_efficiency_array)
 from dustmie.cli import _SECTIONS, DEFAULT_M, RunConfig, build_parser, load_config, run
 from dustmie.errors import ConfigError
-from dustmie.sweeps import SweepTable
+from dustmie.sweeps import SweepTable, sweep_grid
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +262,68 @@ class TestAttenuation:
         assert len(parse_csv(out)[1]) == 41
         assert len(sizes) > 1
         assert max(sizes) <= dustmie.channel._TABLE_SIZES
+
+
+def column_label(name):
+    """(quantity, electron count, units mode or None) of a column label
+    such as k_dust[Ne=1000;paper] or q_ext[Ne=0]."""
+    quantity, _, inner = name.rstrip("]").partition("[Ne=")
+    ne, _, units = inner.partition(";")
+    return quantity, int(ne), units or None
+
+
+class TestColumnsMatchLabels:
+    """Each table column holds what its label names: every cell against the
+    library call at the label's electron count and units mode, on the
+    sweep's own grid, within the 12 printed digits. The references start
+    from an empty store of kept tables, so they share no table with the
+    run. The four runs take about 0.2 s."""
+
+    PRINTED = 5e-12                        # half a unit in the 12th digit
+
+    def table(self, capsys, command, sweep, start, stop, *args):
+        """The run's columns (label, values) after the sweep's, checked
+        against its grid, and that grid."""
+        code, out = run_cli(capsys, command, "--sweep", sweep, "--start", str(start),
+                            "--stop", str(stop), "--count", "5", "--spacing", "log",
+                            "--group-ne", "0,1000", *args)
+        assert code == 0
+        _, names, _, rows = parse_csv(out)
+        columns = [(name, np.array(values)) for name, values in zip(names, zip(*rows))]
+        grid = sweep_grid(start, stop, 5, "log")
+        assert np.all(np.abs(columns[0][1] - grid) <= self.PRINTED * grid)
+        return columns[1:], grid
+
+    @pytest.mark.parametrize("sweep,start,stop", [("f", 1e11, 1e13), ("h", 1, 600)])
+    def test_k_dust_columns(self, capsys, kernel_tables, sweep, start, stop):
+        columns, grid = self.table(capsys, "attenuation", sweep, start, stop,
+                                   "--n0", "1e3", "--h0", "150", "--units", "both")
+        kernel_tables.clear()
+        cfg = RunConfig()
+        labels = [column_label(name) for name, _ in columns]
+        assert sorted(labels) == [("k_dust", ne, units) for ne in (0, 1000)
+                                  for units in ("paper", "physical")]
+        for (_, ne, units), (name, values) in zip(labels, columns):
+            particle = ParticleState(cfg.r, ne, cfg.T, cfg.m)
+            for point, value in zip(grid.tolist(), values):
+                f, h = (point, 150.0) if sweep == "f" else (cfg.f, point)
+                ref = dust_attenuation_coefficient(h, WaveSpec(f), DustLayerModel(1e3),
+                                                   particle, units_mode=units)
+                assert value == pytest.approx(ref, rel=self.PRINTED, abs=0), (name, point)
+
+    @pytest.mark.parametrize("sweep,start,stop", [("x", 0.02, 300), ("f", 1e11, 1e13)])
+    def test_q_ext_columns(self, capsys, sweep, start, stop):
+        columns, grid = self.table(capsys, "qext", sweep, start, stop)
+        assert [column_label(name) for name, _ in columns] == [
+            ("q_ext", 0, None), ("q_ext", 1000, None)]
+        cfg = RunConfig()
+        if sweep == "x":
+            radius, frequency = grid * WaveSpec(cfg.f).wavelength / (2 * np.pi), cfg.f
+        else:
+            radius, frequency = cfg.r, grid
+        for (name, values), ne in zip(columns, (0, 1000)):
+            ref = extinction_efficiency_array(radius, frequency, ne, cfg.T, cfg.m)
+            assert np.all(np.abs(values - ref) <= self.PRINTED * np.abs(ref)), name
 
 
 class TestPathloss:
@@ -974,3 +1038,81 @@ def test_any_one_key_config_file_exits_0_2_or_3(tmp_path):
                 else:
                     rows = parse_csv(out.getvalue())[3]
                     assert rows and all(np.isfinite(row).all() for row in rows), case
+
+
+# A value each key can run with, so that well-formed files reach exit 0 too
+CONFIG_RUNNABLE = {"f": "3e11", "r": "2e-5", "ne": "10", "T": "300", "m": "1.5+0.1j",
+                   "n0": "1e3", "d": "1000", "d0": "10", "h0": "150",
+                   "theta_deg": "45", "n_i": "2", "sigma_i": "3"}
+CONFIG_FLAWS = [None, "duplicate key", "duplicate section", "no =", "%(x)s",
+                "no section header", "not UTF-8"]
+
+
+def config_file(rng):
+    """A config file of two to four keys drawn with rng, each with a value
+    from CONFIG_VALUES or one it runs with, and a flaw from CONFIG_FLAWS:
+    None, or one that configparser or the UTF-8 decoder rejects. Returns
+    (bytes, flaw, the keys)."""
+    keys = rng.sample([(s, k) for s, keys in _SECTIONS.items() for k in keys],
+                      rng.randint(2, 4))
+    keys.sort(key=lambda item: list(_SECTIONS).index(item[0]))
+    lines, section = [], None
+    for s, key in keys:
+        if s != section:
+            lines.append(f"[{s}]")
+            section = s
+        value = rng.choice(CONFIG_VALUES + [CONFIG_RUNNABLE[key]] * len(CONFIG_VALUES))
+        lines.append(f"{key} = {value}")
+    flaw = rng.choice(CONFIG_FLAWS)
+    key = keys[-1][1]
+    if flaw == "duplicate key":
+        lines.append(f"{key} = {CONFIG_RUNNABLE[key]}")
+    elif flaw == "duplicate section":
+        lines.insert(-1, lines[0])
+    elif flaw == "no =":
+        lines[-1] = rng.choice([key, f"{key} {CONFIG_RUNNABLE[key]}"])
+    elif flaw == "%(x)s":                  # an interpolation of no key
+        lines[-1] = f"{key} = %(x)s"
+    elif flaw == "no section header":
+        lines.pop(0)
+    text = "\n".join(lines).encode() + b"\n"
+    if flaw == "not UTF-8":
+        text = text.replace(b" = ", b" = \xff", 1)
+    return text, flaw, [key for _, key in keys]
+
+
+def test_any_multi_key_or_malformed_config_file_exits_0_2_or_3(tmp_path):
+    # 210 files of several keys, each run by a subcommand drawn with a fixed
+    # seed, about 0.15 s in all (of the 37 well-formed ones, 19 exit 0 and
+    # 18 exit 2): a flawed file is a config error before any table is
+    # built, a well-formed one exits 0, 2 or 3, a failed run prints no
+    # table, and a table it prints holds no inf or nan cell
+    rng = random.Random(47)
+    path = tmp_path / "run.ini"
+    codes = []
+    for _ in range(210):
+        text, flaw, keys = config_file(rng)
+        path.write_bytes(text)
+        command = rng.choice(sorted(CONFIG_ARGV))
+        argv = [command, "--config", str(path)]
+        flags = {"--" + key.replace("_", "-") for key in keys}
+        for name, default in CONFIG_ARGV[command].items():
+            if name not in flags:
+                argv += [name, default]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        case = (text, command)
+        codes.append((flaw, code))
+        if flaw:
+            assert code == 2, case
+            assert err.getvalue().startswith("dustmie: config error: malformed config"), case
+        assert code in (0, 2, 3), case
+        if code:
+            assert out.getvalue() == "", case
+        else:
+            rows = parse_csv(out.getvalue())[3]
+            assert rows and all(np.isfinite(row).all() for row in rows), case
+    # every flaw is drawn, and some well-formed files run
+    assert {flaw for flaw, _ in codes} == set(CONFIG_FLAWS)
+    assert (None, 0) in codes

@@ -22,7 +22,8 @@ from dustmie.mie import (
     truncation_order,
 )
 
-from oracles import charged_mie_fields, charged_mie_qext, first_ratios, neutral_mie_qext
+from oracles import (charged_mie_fields, charged_mie_qext, first_order_poles, first_ratios,
+                     neutral_mie_qext)
 
 M_DEFAULT = 2.0 - 0.025j
 
@@ -629,6 +630,63 @@ class TestChargedInvariants:
                 assert np.all(fields["q"] == 0) and not admitted.any()
             else:
                 assert admitted.any()
+
+
+class TestZeroDenominator:
+    """Each charged a_n and b_n has a pole in g_e. A denominator that is
+    exactly 0 in a used cell leaves its size's sum not finite, and `_qext`
+    rejects every sum that is not finite as an overflow: the one failure
+    path of a series."""
+
+    @staticmethod
+    def make_singular(s_t, m_d):
+        # with m = 1 and g_e = 0, s_2(x) = t_2(x) = s_2(mx) in the first
+        # size gives Q_A = Q_B = u = v = e, so Q - v = Q - e = 0 and the
+        # denominator Q - v + i rho_2 (Q - e) is exactly 0
+        s = s_t[1, 0].real
+        s_t[1, 0], m_d[1, 0] = complex(s, s), s
+
+    def test_zero_denominator_leaves_its_size_not_finite(self):
+        x = np.array([1.5, 1.2])
+        series = mie._SeriesSum(x, 1.0, np.zeros(2, complex), np.array([2, 2]),
+                                trig=(np.sin(x), np.cos(x)))
+        s1 = x / (1 / x - 1 / np.tan(x))
+        eta1 = -np.cos(x) / x - np.sin(x)
+        s_t = np.array([s1 + 1j * eta1, [3.7 + 1.9j, 2.5 + 1.1j]])
+        m_d = s_t.real.copy()                  # s_n(mx) = s_n(x) at m = 1
+        self.make_singular(s_t, m_d)
+        with np.errstate(all="ignore"):
+            series.add(s_t, m_d)
+        # the other size's terms are exactly 0, as an index-matched sphere's
+        assert not np.isfinite(series.total[0]) and series.total[1] == 0.0
+
+    def test_qext_rejects_it_as_an_overflow(self, monkeypatch):
+        add = mie._SeriesSum.add
+
+        def singular(series, s_t, m_d):
+            if series.order == 1:
+                self.make_singular(s_t, m_d)
+            return add(series, s_t, m_d)
+        monkeypatch.setattr(mie._SeriesSum, "add", singular)
+        with pytest.raises(RecurrenceOverflowError,
+                           match=r"^overflow in the Mie series \(x in \[3, 3\], m=\(1\+0j\)\)$"):
+            extinction_efficiency_x(3.0, 1.0)
+
+    # g_e aimed at the pole of a_1 and of b_1, at 50 log-uniform x from
+    # 0.01 to 316 an index. Of these 600 calls, 596 gave |Q_ext| of at
+    # least 7e4, and 4 met a denominator of exactly 0 (x86-64 Linux,
+    # numpy 2.4); which calls hit 0 exactly rests on libm's last bits, so
+    # only the kind of outcome is pinned
+    @pytest.mark.parametrize("m", TestChargedInvariants.INDICES)
+    def test_charges_at_first_order_poles_give_a_value_or_an_overflow(self, m):
+        rng = np.random.default_rng(47)
+        for x in (10.0 ** rng.uniform(-2.0, 2.5, 50)).tolist():
+            for g_e in first_order_poles(x, _normalize_m(m)):
+                try:
+                    q = extinction_efficiency_x(x, m, g_e)
+                except RecurrenceOverflowError:
+                    continue
+                assert math.isfinite(q) and abs(q) > 1e3
 
 
 @pytest.fixture

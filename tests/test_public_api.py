@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "PathLossResult",
     "PhysicalConstants",
     "RecurrenceOverflowError",
-    "SingularDenominatorError",
     "WaveSpec",
     "charged_coefficient",
     "collision_frequency",
