@@ -237,20 +237,6 @@ _TABLE_SIZES = 2**15
 _STORED_BYTES = 2**18
 _tables: OrderedDict = OrderedDict()
 _tables_lock = threading.Lock()
-# A charged node takes Q_0 + Re(S g_e) from the uncharged key's records
-# where |g_e| K <= 1/2 and 2 B |g_e|^2 < _LINEAR_EPS Q_0 (`_linear_q`), and
-# the kernel's charged sum elsewhere. An admitted value is then within
-# _LINEAR_EPS Q_0 of that sum, to the two sums' rounding (at most 1e-14 of
-# Q_0, measured on 400 sizes to x = 2e4 at five indices). Q_0 > 0, and a
-# row's weights are positive but at the end panels, where phi is below e^-32
-# of its peak, so a charged k_dust is within _LINEAR_EPS k_dust(Ne = 0) of
-# the sum with every node from the kernel, in both units modes. On the
-# f-sweep to 10 THz at 150 m, 1e-13 admits 86.5 % of the charged nodes at
-# Ne 1e3 and 61.8 % at 1e6, 1e-14 84.1 and 55.5 %, and 1e-15 81.1 and
-# 48.5 %; each moves k_dust from that sum by at most 9.4e-15 of k_dust(Ne =
-# 0), the rounding of x, which a charged key computes from its radii. So
-# the largest of them is taken.
-_LINEAR_EPS = 1e-13
 
 
 # The slant-path rule: 8 Gauss-Legendre nodes (on [-1, 1]; leggauss(8),
@@ -568,11 +554,13 @@ def _k_dust_grid(heights, frequencies, electrons, layer: DustLayerModel,
     def charged(todo):
         """The Q_ext of each (key, lattice indices, uncharged records there)
         of todo: the records' linear value where `_linear_q` admits a node,
-        and one kernel call over the rest."""
+        and one kernel call over the rest. As Q_0 > 0, and the weights are
+        positive but where phi is below e^-32 of its peak, k_dust is then
+        within mie._LINEAR_EPS k_dust(Ne = 0) of the all-kernel sum."""
         q, rejected, x, g_e = [], [], [], []
         for key, cells, fields in todo:
             x_f, g_f = sizes(key, _ln_x_map(_V_STEP * cells, u2)[0])
-            admitted, q_f = _linear_q(fields, g_f, _LINEAR_EPS)
+            admitted, q_f = _linear_q(fields, g_f)
             q.append(q_f)
             rejected.append(~admitted)
             x.append(x_f[~admitted])

@@ -140,8 +140,21 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
             setattr(cfg, fld.name, value)
 
 
+# Each sweep variable's default range; an f-sweep's is the paper's band
+_SWEEP_RANGES = {"x": (0.02, 2.0), "h": (100.0, 200.0), "r": (0.005, 1.0),
+                 "f": (1e11, 1e13)}
+
+
+def _sweep_grid(args) -> np.ndarray:
+    """The sweep's grid; an unset end takes its default, as the metadata says."""
+    start, stop = _SWEEP_RANGES[args.sweep]
+    args.start = start if args.start is None else args.start
+    args.stop = stop if args.stop is None else args.stop
+    return sweep_grid(args.start, args.stop, args.count, args.spacing)
+
+
 def cmd_qext(cfg: RunConfig, args) -> SweepTable:
-    grid = sweep_grid(args.start, args.stop, args.count, args.spacing)
+    grid = _sweep_grid(args)
 
     if args.sweep == "x" and args.group_r is not None:
         raise ConfigError("grouping by radius only applies to frequency sweeps")
@@ -179,7 +192,7 @@ def cmd_qext(cfg: RunConfig, args) -> SweepTable:
 
 def cmd_spectrum(cfg: RunConfig, args) -> SweepTable:
     heights = _float_list(args.heights)
-    grid = sweep_grid(args.start, args.stop, args.count, args.spacing)
+    grid = _sweep_grid(args)
     layer = DustLayerModel(n0=cfg.n0)
     meta = _base_metadata(cfg, args)
 
@@ -205,7 +218,7 @@ def cmd_attenuation(cfg: RunConfig, args) -> SweepTable:
         )
     n0 = 1.0 if args.normalized else cfg.n0
     layer = DustLayerModel(n0=n0)
-    grid = sweep_grid(args.start, args.stop, args.count, args.spacing)
+    grid = _sweep_grid(args)
     ne_list = _electron_counts(args.group_ne, [0, 1000, 1000000])
     unit_modes = ["physical", "paper"] if args.units == "both" else [args.units]
 
@@ -250,13 +263,6 @@ def cmd_pathloss(cfg: RunConfig, args) -> SweepTable:
                       _base_metadata(cfg, args))
 
 
-def _add_sweep_args(sub, default_start, default_stop):
-    sub.add_argument("--start", type=float, default=default_start)
-    sub.add_argument("--stop", type=float, default=default_stop)
-    sub.add_argument("--count", type=int, default=100)
-    sub.add_argument("--spacing", choices=["linear", "log"], default="linear")
-
-
 # Flags beyond --config, --format and --out; each subcommand takes only the
 # ones it reads.
 _FLAGS = {
@@ -266,6 +272,10 @@ _FLAGS = {
                     help="kernel units; both (attenuation only) emits "
                          "physical and paper columns side by side"),
     "--seed": dict(type=int),
+    "--start": dict(type=float),           # default: `_SWEEP_RANGES`
+    "--stop": dict(type=float),
+    "--count": dict(type=int, default=100),
+    "--spacing": dict(choices=["linear", "log"], default="linear"),
     "--kabs-profile": dict(help="two-column text profile: altitude_m dB_per_km"),
     **{"--" + fld.name.replace("_", "-"): dict(type=_CONVERTERS.get(fld.name, float))
        for fld in fields(RunConfig)},
@@ -288,22 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     q = subs.add_parser("qext", help="extinction efficiency sweep")
-    _add_flags(q, "--mode --f --r --ne --T --m")
+    _add_flags(q, "--mode --f --r --ne --T --m --start --stop --count --spacing")
     q.add_argument("--sweep", choices=["x", "f"], default="x")
-    _add_sweep_args(q, 0.02, 2.0)
     q.add_argument("--group-ne", default=None, help="comma list of electron counts")
     q.add_argument("--group-r", default=None, help="comma list of radii in m")
 
     s = subs.add_parser("spectrum", help="size PDF / number density sweep")
-    _add_flags(s, "--n0")
-    _add_sweep_args(s, 0.005, 1.0)
+    _add_flags(s, "--n0 --start --stop --count --spacing")
     s.add_argument("--heights", default="100,150,200", help="comma list, m")
     s.set_defaults(sweep="r")
 
     a = subs.add_parser("attenuation", help="dust attenuation coefficient sweep")
-    _add_flags(a, "--mode --units --f --T --m --n0 --h0")
+    _add_flags(a, "--mode --units --f --T --m --n0 --h0 --start --stop --count "
+                  "--spacing")
     a.add_argument("--sweep", choices=["h", "f"], default="h")
-    _add_sweep_args(a, 100.0, 200.0)
     a.add_argument("--group-ne", default=None, help="comma list of electron counts")
     a.add_argument("--normalized", action="store_true",
                    help="emit per-(N0) attenuation when n0 is unknown")

@@ -88,17 +88,13 @@ _CHUNK_TERMS = 7168
 _ROW_STEPPED = 160
 # A downward step multiplies the seed's error by about
 # exp(-2 Re arccosh((n - 1/2)/z)). A size starts where e^-45 (3e-20, below
-# an ulp) of the seed's error is left when the steps reach its top stored
-# order, plus 8 orders for where that asymptotic rate runs ahead of the true
-# one (see `_start_orders`). On the grids of
-# tests/test_specfun.py::TestStartOrders (12 indices from 1 to 1.2+10j,
-# x from 1e-3 to 1e3) every stored s_n equals, bit for bit, its value from
-# Wiscombe's start. Those bits mark no edge: with 45 they hold at margins
-# 0, 2, 3 and 5 to 10 but not 1 or 4, and with 8 at decays 42, 44, 46 and
-# 50 but not 36, 40, 41 or 43 (misses within 7e-16). Above x = 1e3 the two
-# starts part by up to 1.4e-15 (2-0.025j, x from 1e4 to 2e4).
+# an ulp) of the seed's error is left at its top stored order (see
+# `_start_orders`). The stored s_n keep the bits of Wiscombe's start up to
+# x = 1e3, and up to x = 2e4 stay within 3e-15 of them, twice the worst
+# measured, which is the rounding of Wiscombe's longer run, not the seed
+# (tests/test_specfun.py::TestStartOrders). Decays 36 and 40 lose the bits,
+# 33 the bound; 40 would save 1.5-2 % of the start orders.
 _SEED_DECAY = 45.0
-_SEED_MARGIN = 8
 # Highest order a downward recurrence may start from. The start grows with
 # |m x|: 1.7e5 orders for 2+1e4j at x = 60, 1.7e7 for 2+1e6j, 6e11 (a
 # multi-TB run) for 2+1e10j, and past 2^63 it would wrap. Tabulated dust
@@ -364,7 +360,7 @@ def _start_orders(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rate = 2 * np.arccosh(np.maximum(sums / 2, 1))
     steps = np.divide(_SEED_DECAY, rate, out=np.full(rate.shape, np.inf),
                       where=rate > 0)
-    start = np.minimum(wiscombe, rows + 1 + np.ceil(steps) + _SEED_MARGIN)
+    start = np.minimum(wiscombe, rows + 1 + np.ceil(steps))
     start = np.maximum.accumulate(start[::-1])[::-1]
     if not start[0] <= _MAX_START:             # a nan start too
         raise DomainError(f"the downward recurrence would start at order "
@@ -932,17 +928,24 @@ def _qext(x: np.ndarray, m: complex, g_e: np.ndarray,
     return out
 
 
-def _linear_q(fields: np.ndarray, g: np.ndarray,
-              eps: float) -> tuple[np.ndarray, np.ndarray]:
+# The linear rule's level, the largest tried: on the f-sweep to 10 THz at
+# 150 m, 1e-13 admits 86.5 % of the charged nodes at Ne 1e3 and 61.8 % at
+# 1e6, 1e-14 84.1 and 55.5 %, 1e-15 81.1 and 48.5 %; each moves k_dust by at
+# most 9.4e-15 of k_dust(Ne = 0), the rounding of x (a charged key's radii).
+_LINEAR_EPS = 1e-13
+
+
+def _linear_q(fields: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q_ext of charged sizes from their `_LINEAR` records, and their g_e:
     (admitted, Q_0 + Re(S g_e)), admitted marking the sizes where
-    |g_e| K <= 1/2 and 2 B |g_e|^2 < eps Q_0, so that the linear value is
-    within eps Q_0 of the series, to the two sums' rounding
-    (`_SeriesSum._linear`). A field that is not finite admits nothing, and
-    nor does Q_0 = 0, an index-matched sphere's."""
+    |g_e| K <= 1/2 and 2 B |g_e|^2 < _LINEAR_EPS Q_0, so that the linear
+    value is within _LINEAR_EPS Q_0 of the series, to the two sums'
+    rounding, at most 1e-14 of Q_0 (`_SeriesSum._linear`). A field that is
+    not finite admits nothing, and nor does Q_0 = 0, an index-matched
+    sphere's."""
     mag = np.abs(g)
     admitted = ((mag * fields["k"] <= 0.5)
-                & (2 * fields["b"] * (mag * mag) < eps * fields["q"]))
+                & (2 * fields["b"] * (mag * mag) < _LINEAR_EPS * fields["q"]))
     s = fields["s"]
     return admitted, fields["q"] + (s.real * g.real - s.imag * g.imag)
 

@@ -66,7 +66,7 @@ def test_c03_neutral_limit_oracle():
 def test_c05_charge_trends():
     x = 0.02
     lam = 1e-3
-    w = WaveSpec.from_frequency(CONSTANTS.c / lam)
+    w = WaveSpec(CONSTANTS.c / lam)
     r = x * lam / (2 * math.pi)
     gamma = collision_frequency(300.0)
     q = []
@@ -78,7 +78,7 @@ def test_c05_charge_trends():
 
     # the Ne=1e6 margin is small: it needs a size integral accurate well
     # below 1e-6
-    w3 = WaveSpec.from_frequency(0.3e12)
+    w3 = WaveSpec(0.3e12)
     layer = DustLayerModel(n0=100.0)
     k0 = dust_attenuation_coefficient(
         200.0, w3, layer, ParticleState(20e-6, 0, 300.0, M_DEFAULT))
@@ -93,12 +93,12 @@ def test_c06_frequency_and_altitude_trends():
     layer = DustLayerModel(n0=1e3)
     particle = ParticleState(20e-6, 0, 300.0, M_DEFAULT)
     g = LinkGeometry(h0=100.0, theta=0.2, d=200.0, d0=10.0)
-    loss_03 = slant_dust_loss(g, WaveSpec.from_frequency(0.3e12), layer, particle)
-    loss_1 = slant_dust_loss(g, WaveSpec.from_frequency(1e12), layer, particle)
+    loss_03 = slant_dust_loss(g, WaveSpec(0.3e12), layer, particle)
+    loss_1 = slant_dust_loss(g, WaveSpec(1e12), layer, particle)
     # altitude trend evaluated at 1 THz, the frequency at which the source
     # states it; at 0.3 THz the heavier large-particle tail of the 200 m
     # spectrum reverses the ordering
-    w = WaveSpec.from_frequency(1e12)
+    w = WaveSpec(1e12)
     k100 = dust_attenuation_coefficient(100.0, w, layer, particle)
     k200 = dust_attenuation_coefficient(200.0, w, layer, particle)
     ok = loss_1 >= loss_03 and k100 >= k200
@@ -115,7 +115,7 @@ def test_c07_quadrature_oracles():
         (200.0, 0.15e12, 1000, 2e3),
     ]
     for h, f, ne, n0 in configs:
-        w = WaveSpec.from_frequency(f)
+        w = WaveSpec(f)
         layer = DustLayerModel(n0=n0)
         particle = ParticleState(20e-6, ne, 300.0, M_DEFAULT)
         k = dust_attenuation_coefficient(h, w, layer, particle)
@@ -124,7 +124,7 @@ def test_c07_quadrature_oracles():
     # slant-path configuration against a 1e5-slab Riemann oracle
     profile = AltitudeProfile([0, 50, 120, 400, 2000], [3.0, 2.8, 1.9, 0.7, 0.05])
     g = LinkGeometry(h0=10.0, theta=math.pi / 2, d=1500.0, d0=10.0)
-    w = WaveSpec.from_frequency(0.3e12)
+    w = WaveSpec(0.3e12)
     loss = slant_dust_loss(g, w, DustLayerModel(n0=0.0),
                            ParticleState(20e-6, 0, 300.0, M_DEFAULT), k_abs=profile)
     n = 100000
@@ -159,7 +159,7 @@ def test_c09_determinism_and_mode_agreement(tmp_path):
 
     worst = 0.0
     for f in (0.3e12, 1e12, 3e12, 10e12):
-        w = WaveSpec.from_frequency(f)
+        w = WaveSpec(f)
         p = ParticleState(5e-6, 10**4, 300.0, M_DEFAULT)
         qf, qa = (extinction_efficiency_array(
             p.radius, w.frequency, p.electrons, p.temperature, p.refractive_index,

@@ -60,7 +60,7 @@ def rejected_nodes(f, ne, nodes, temperature=300.0, m=M_KEY):
     r_m = np.exp(ln_x + (channel._LN_MM_PER_X_HZ - math.log(f))) * 1e-3
     _, g_e = _size_and_charge(r_m, np.asarray(f), np.asarray(float(ne)), temperature,
                               "full")
-    admitted, _ = _linear_q(records[cells - first], g_e, channel._LINEAR_EPS)
+    admitted, _ = _linear_q(records[cells - first], g_e)
     return int(np.count_nonzero(~admitted))
 
 
@@ -136,14 +136,14 @@ def test_level_simpson_matches_recursive_rule():
 class TestDustAttenuationCoefficient:
     def test_zero_n0(self):
         layer = DustLayerModel(n0=0.0)
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         assert dust_attenuation_coefficient(100.0, w, layer, PARTICLE) == 0.0
 
     def test_memory_budget(self, kernel_tables):
         # the largest kernel table of the band: its order blocks' dense
         # arrays, and a downward pass's ragged store where an index needs
         # one (the default index needs none), stay bounded
-        w = WaveSpec.from_frequency(3e12)
+        w = WaveSpec(3e12)
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
         dust_attenuation_coefficient(200.0, w, layer, particle)
@@ -281,16 +281,16 @@ class TestDustAttenuationCoefficient:
     def test_unset_n0_rejected(self):
         with pytest.raises(ConfigError):
             dust_attenuation_coefficient(
-                100.0, WaveSpec.from_frequency(300e9), DustLayerModel(), PARTICLE)
+                100.0, WaveSpec(300e9), DustLayerModel(), PARTICLE)
 
     def test_linearity_in_n0(self):
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         k1 = dust_attenuation_coefficient(100.0, w, DustLayerModel(n0=1e3), PARTICLE)
         k2 = dust_attenuation_coefficient(100.0, w, DustLayerModel(n0=2e3), PARTICLE)
         assert k2 == pytest.approx(2 * k1, rel=1e-9)
 
     def test_matches_trapezoid_oracle(self):
-        w = WaveSpec.from_frequency(0.1e12)
+        w = WaveSpec(0.1e12)
         layer = DustLayerModel(n0=1e4)
         k = dust_attenuation_coefficient(100.0, w, layer, PARTICLE)
         ref = trapezoid_k_dust(100.0, w, layer, PARTICLE)
@@ -298,7 +298,7 @@ class TestDustAttenuationCoefficient:
 
     @pytest.mark.parametrize("f,h,ne", [(0.3e12, 150.0, 1000), (1.2e12, 120.0, 0)])
     def test_fixed_grid_matches_adaptive_reference(self, f, h, ne):
-        w = WaveSpec.from_frequency(f)
+        w = WaveSpec(f)
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, ne, 300.0, M_DEFAULT)
         k = dust_attenuation_coefficient(h, w, layer, particle)
@@ -371,7 +371,7 @@ class TestDustAttenuationCoefficient:
         (1.33, 3e12, 9.9e-6, None), (3 + 0.001j, 0.3e12, 3.2e-4, 100),
         (1.5 + 0.01j, 1e12, 4.9e-8, 200)])
     def test_lattice_error_at_weak_absorption(self, m, f, level, share):
-        w, layer = WaveSpec.from_frequency(f), DustLayerModel(n0=1.0)
+        w, layer = WaveSpec(f), DustLayerModel(n0=1.0)
         particle = ParticleState(20e-6, 0, 300.0, m)
         if m == 1.33:
             with pytest.raises(ReferenceSpreadError) as failed:
@@ -385,14 +385,14 @@ class TestDustAttenuationCoefficient:
     def test_known_adaptive_miss(self):
         # here a default-tolerance adaptive size integral returned 0.43063;
         # rel_tol 1e-8 and an 80k-point trapezoid both give this value
-        w = WaveSpec.from_frequency(2.79598e12)
+        w = WaveSpec(2.79598e12)
         k = dust_attenuation_coefficient(175.546, w, DustLayerModel(n0=1e3), PARTICLE)
         assert k == pytest.approx(0.431349324234458, rel=1e-6)
 
     def test_altitude_trend(self):
         # holds at 1 THz; at 0.3 THz the heavier 200 m large-particle tail
         # reverses it
-        w = WaveSpec.from_frequency(1e12)
+        w = WaveSpec(1e12)
         layer = DustLayerModel(n0=1e4)
         k100 = dust_attenuation_coefficient(100.0, w, layer, PARTICLE)
         k200 = dust_attenuation_coefficient(200.0, w, layer, PARTICLE)
@@ -401,15 +401,15 @@ class TestDustAttenuationCoefficient:
     def test_frequency_trend(self):
         layer = DustLayerModel(n0=1e4)
         k_low = dust_attenuation_coefficient(
-            100.0, WaveSpec.from_frequency(0.3e12), layer, PARTICLE)
+            100.0, WaveSpec(0.3e12), layer, PARTICLE)
         k_high = dust_attenuation_coefficient(
-            100.0, WaveSpec.from_frequency(1e12), layer, PARTICLE)
+            100.0, WaveSpec(1e12), layer, PARTICLE)
         assert k_high >= k_low
 
     def test_paper_units_mode(self):
         # r in mm and a dimensionless efficiency: huge numbers, but exactly
         # the printed formula; only the prefactor semantics differ
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         layer = DustLayerModel(n0=1e4)
         k_phys = dust_attenuation_coefficient(
             100.0, w, layer, PARTICLE, units_mode="physical")
@@ -421,12 +421,12 @@ class TestDustAttenuationCoefficient:
     def test_bad_units_mode(self):
         with pytest.raises(ConfigError):
             dust_attenuation_coefficient(
-                100.0, WaveSpec.from_frequency(300e9),
+                100.0, WaveSpec(300e9),
                 DustLayerModel(n0=1.0), PARTICLE, units_mode="bogus")
 
     def test_altitude_array_matches_scalar_calls(self):
         # one table over the union of the supports, then a sum per altitude
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
         heights = np.array([[100.0, 140.0], [170.0, 200.0]])
@@ -482,7 +482,7 @@ class TestDustAttenuationCoefficient:
             for f, k_f in zip(freqs, k_mode):
                 kernel_tables.clear()
                 assert k_f[0] == dust_attenuation_coefficient(
-                    150.0, WaveSpec.from_frequency(f), layer, particle,
+                    150.0, WaveSpec(f), layer, particle,
                     units_mode=units_mode)
 
     def test_count_columns_match_per_count_calls(self, monkeypatch, kernel_tables):
@@ -622,7 +622,7 @@ class TestRadiusDomain:
             return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(channel, "_qext", spy)
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         heights = [100.0, 150.0, 200.0, 300.0, 800.0, 10000.0]
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "size-spectrum fit extrapolated")
@@ -724,7 +724,7 @@ class TestSlantDustLoss:
     def test_fixed_rule_matches_adaptive_reference(self, f, h0, theta_deg, d):
         theta = math.pi / 2 if theta_deg == 90.0 else math.radians(theta_deg)
         g = LinkGeometry(h0=h0, theta=theta, d=d, d0=10.0)
-        w = WaveSpec.from_frequency(f)
+        w = WaveSpec(f)
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
         loss = slant_dust_loss(g, w, layer, particle)
@@ -739,7 +739,7 @@ class TestSlantDustLoss:
         profile = AltitudeProfile(alt, db_per_km)
         theta = math.pi / 2 if theta_deg == 90.0 else math.radians(theta_deg)
         g = LinkGeometry(h0=h0, theta=theta, d=d, d0=10.0)
-        loss = slant_dust_loss(g, WaveSpec.from_frequency(300e9),
+        loss = slant_dust_loss(g, WaveSpec(300e9),
                                DustLayerModel(n0=0.0), PARTICLE, k_abs=profile)
         # the exact integral: trapezoids between the knots, in altitude
         top = h0 + d * math.sin(theta)
@@ -755,7 +755,7 @@ class TestSlantDustLoss:
 
     def test_unset_n0_rejected(self):
         g = LinkGeometry(h0=100.0, theta=0.2, d=100.0, d0=10.0)
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         with pytest.raises(ConfigError):
             slant_dust_loss(g, w, DustLayerModel(), PARTICLE)
         with pytest.raises(ConfigError):
@@ -763,7 +763,7 @@ class TestSlantDustLoss:
 
     def test_horizontal_path_is_constant_altitude(self):
         g = LinkGeometry(h0=100.0, theta=0.0, d=500.0, d0=10.0)
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         layer = DustLayerModel(n0=1e4)
         loss = slant_dust_loss(g, w, layer, PARTICLE)
         k = dust_attenuation_coefficient(100.0, w, layer, PARTICLE)
@@ -771,7 +771,7 @@ class TestSlantDustLoss:
 
     def test_bad_units_mode_rejected_for_every_n0(self):
         g = LinkGeometry(h0=100.0, theta=0.3, d=100.0, d0=10.0)
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         for n0 in (0.0, None, 1e3):
             with pytest.raises(ConfigError):
                 slant_dust_loss(g, w, DustLayerModel(n0=n0), PARTICLE,
@@ -781,14 +781,14 @@ class TestSlantDustLoss:
 
     def test_no_attenuation_no_loss(self):
         g = LinkGeometry(h0=100.0, theta=0.3, d=500.0, d0=10.0)
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         assert slant_dust_loss(g, w, DustLayerModel(n0=0.0), PARTICLE) == 0.0
 
     def test_vertical_path_matches_slab_oracle(self):
         profile = AltitudeProfile([0, 100, 150, 300, 1000],
                                   [5.0, 4.0, 2.5, 1.0, 0.2])
         g = LinkGeometry(h0=0.0, theta=math.pi / 2, d=900.0, d0=10.0)
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         loss = slant_dust_loss(g, w, DustLayerModel(n0=0.0), PARTICLE,
                                k_abs=profile)
         # midpoint Riemann slab sum
@@ -803,7 +803,7 @@ class TestSlantDustLoss:
         # that builds k_dust afresh at every altitude it visits; the size
         # support at 200 m reaches well past the one at 100 m
         g = LinkGeometry(h0=100.0, theta=math.pi / 2, d=100.0, d0=10.0)
-        w = WaveSpec.from_frequency(0.3e12)
+        w = WaveSpec(0.3e12)
         layer = DustLayerModel(n0=1e3)
         particle = ParticleState(20e-6, 1000, 300.0, M_DEFAULT)
         loss = slant_dust_loss(g, w, layer, particle)
@@ -816,7 +816,7 @@ class TestSlantDustLoss:
 
     def test_slant_with_dust_matches_slab_oracle(self):
         g = LinkGeometry(h0=100.0, theta=math.pi / 2, d=50.0, d0=10.0)
-        w = WaveSpec.from_frequency(0.1e12)
+        w = WaveSpec(0.1e12)
         layer = DustLayerModel(n0=1e4)
         loss = slant_dust_loss(g, w, layer, PARTICLE)
         n = 64   # the altitude dependence is smooth; modest slab count
@@ -845,7 +845,7 @@ class TestKeptTables:
         # kept run (what a hit reads), then a higher one, whose support extends it at both ends (below
         # the radius cap, the top node rises with h)
         import dustmie.channel as channel
-        w, particle = WaveSpec.from_frequency(f), self.particle(ne)
+        w, particle = WaveSpec(f), self.particle(ne)
         heights = [120.0, 100.0, 140.0, 250.0]
         cold = []
         for h in heights:
@@ -872,7 +872,7 @@ class TestKeptTables:
 
     @pytest.mark.parametrize("f", [0.3e12, 1e12])
     def test_warm_equals_cold_slant_loss(self, kernel_tables, f):
-        w, particle = WaveSpec.from_frequency(f), self.particle(1000)
+        w, particle = WaveSpec(f), self.particle(1000)
         paths = [LinkGeometry(h0=h0, theta=math.radians(deg), d=d, d0=10.0)
                  for h0, deg, d in [(110.0, 12.0, 80.0), (140.0, 14.0, 90.0),
                                     (100.0, 10.0, 50.0), (60.0, 40.0, 300.0)]]
@@ -895,7 +895,7 @@ class TestKeptTables:
 
         channel._map_inverse.cache_clear()
         g = LinkGeometry(h0=120.0, theta=math.radians(12.0), d=80.0, d0=10.0)
-        w = WaveSpec.from_frequency(1e12)
+        w = WaveSpec(1e12)
         first = path_loss(g, w, self.LAYER, self.particle(0))
         assert len(kernel_calls) == 1 and channel._map_inverse.cache_info().misses == 2
         (kept,) = kernel_tables.values()
@@ -911,7 +911,7 @@ class TestKeptTables:
         # 0.3 THz and 3 THz bracket 0.5 and 2 THz: their slices cover the
         # nodes between, so only the bracketing frequencies run the kernel
         for f in (0.3e12, 3e12, 0.5e12, 2e12):
-            path_loss(g, WaveSpec.from_frequency(f), self.LAYER, self.particle(0))
+            path_loss(g, WaveSpec(f), self.LAYER, self.particle(0))
         assert len(kernel_calls) == 4
         # a call at a kept frequency and key grows nothing and keeps its bits
         kept = kernel_tables[M_KEY,]
@@ -925,10 +925,11 @@ class TestKeptTables:
         # and 150 m runs one kernel call, on the nodes of its 946 whose g_e
         # fails the linear rule: 139 at Ne 1e3 and 267 at 1e6, its smallest
         # sizes. The rest take Q_0 + Re(S g_e), which moves k_dust from the
-        # sum with every node from the kernel by at most _LINEAR_EPS of the
-        # uncharged k_dust
+        # sum with every node from the kernel by at most mie._LINEAR_EPS of
+        # the uncharged k_dust
         import dustmie.channel as channel
-        w = WaveSpec.from_frequency(0.3e12)
+        import dustmie.mie as mie
+        w = WaveSpec(0.3e12)
         k0 = dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(0))
         kernel_calls.clear()
         k = dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(ne))
@@ -942,7 +943,7 @@ class TestKeptTables:
         assert np.allclose(np.sort(x), x_all[:rejected], rtol=1e-14, atol=0)
         assert q.size == 946
         # every node from the kernel: a rule that admits none
-        monkeypatch.setattr(channel, "_LINEAR_EPS", 0.0)
+        monkeypatch.setattr(mie, "_LINEAR_EPS", 0.0)
         kernel_tables.pop((M_KEY, 0.3e12, float(ne), 300.0, "full"))
         kernel_calls.clear()
         exact = dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(ne))
@@ -977,7 +978,7 @@ class TestKeptTables:
 
     def test_key_is_normalised(self, kernel_calls):
         # a 0-d array index and the index with Im(m) > 0 are the same key
-        w = WaveSpec.from_frequency(1e12)
+        w = WaveSpec(1e12)
         k = dust_attenuation_coefficient(120.0, w, self.LAYER, self.particle(0))
         for m in (np.array(M_DEFAULT), M_DEFAULT.conjugate()):
             particle = ParticleState(20e-6, 0, np.array(300.0), m)
@@ -1008,7 +1009,7 @@ class TestKeptTables:
 
         def loss(job):
             g, f, ne = job
-            return slant_dust_loss(g, WaveSpec.from_frequency(f), self.LAYER,
+            return slant_dust_loss(g, WaveSpec(f), self.LAYER,
                                    self.particle(ne))
 
         for job in jobs:
@@ -1032,7 +1033,7 @@ class TestKeptTables:
         # the library form of the CLI's exit-3 path loss: an index whose
         # square overflows a float, and an unknown g_e mode, which the
         # uncharged key, whose key drops the mode, rejects as well
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(10))
         dust_attenuation_coefficient(150.0, w, self.LAYER, self.particle(0))
 
@@ -1060,7 +1061,7 @@ class TestKeptTables:
         # its own span in one kernel call
         low, high = (frequency_slice([0.0], f).nodes for f in (0.1e12, 30e12))
         assert (high.start - low.stop, high.stop - high.start) == (88, 697)
-        waves = [WaveSpec.from_frequency(f) for f in (0.1e12, 30e12)]
+        waves = [WaveSpec(f) for f in (0.1e12, 30e12)]
         particle = self.particle(0)
         cold = []
         for w in waves:
@@ -1223,7 +1224,7 @@ class TestPathLoss:
 
     def test_reference_distance_only_fspl(self):
         g = LinkGeometry(h0=100.0, theta=0.1, d=10.0, d0=10.0, n_i=2.0)
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         res = path_loss(g, w, DustLayerModel(n0=0.0), PARTICLE)
         assert res.distance_term_db == 0.0
         assert res.shadow_db == 0.0
@@ -1231,12 +1232,12 @@ class TestPathLoss:
         assert res.total_db == pytest.approx(res.fspl_db)
 
     def test_fspl_reference_value(self):
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         res = path_loss(self.GEOM, w, DustLayerModel(n0=0.0), PARTICLE)
         assert res.fspl_db == pytest.approx(101.98, abs=0.05)
 
     def test_total_is_sum_of_components(self):
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         res = path_loss(self.GEOM, w, DustLayerModel(n0=1e3), PARTICLE,
                         shadow_seed=5)
         assert res.total_db == pytest.approx(
@@ -1244,7 +1245,7 @@ class TestPathLoss:
         assert res.dust_loss_db >= 0
 
     def test_seeded_shadow_is_deterministic(self):
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         a = path_loss(self.GEOM, w, DustLayerModel(n0=0.0), PARTICLE, shadow_seed=11)
         b = path_loss(self.GEOM, w, DustLayerModel(n0=0.0), PARTICLE, shadow_seed=11)
         assert a == b
@@ -1253,11 +1254,11 @@ class TestPathLoss:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError):
-            path_loss(self.GEOM, WaveSpec.from_frequency(300e9),
+            path_loss(self.GEOM, WaveSpec(300e9),
                       DustLayerModel(n0=0.0), PARTICLE, shadow_seed=-1)
 
     def test_monotone_in_distance(self):
-        w = WaveSpec.from_frequency(300e9)
+        w = WaveSpec(300e9)
         layer = DustLayerModel(n0=1e3)
         totals = []
         for d in (10.0, 100.0, 500.0, 2000.0):

@@ -597,6 +597,26 @@ def subcommand_flags():
             for name, sub in subs.choices.items()}
 
 
+# Without --start or --stop a sweep spans its variable's default range: an
+# f-sweep the paper's 0.1-10 THz band, not an x- or h-sweep's range read as
+# hertz. The metadata records the ends used
+@pytest.mark.parametrize("argv,ends", [
+    (["qext", "--sweep", "f"], (1e11, 1e13)),
+    (["attenuation", "--sweep", "f", "--n0", "1e3", "--h0", "150"], (1e11, 1e13)),
+    (["qext", "--sweep", "f", "--start", "2e12"], (2e12, 1e13)),
+    (["attenuation", "--sweep", "f", "--n0", "1e3", "--stop", "1e12"], (1e11, 1e12)),
+    (["qext"], (0.02, 2.0)),
+    (["attenuation", "--n0", "1e3"], (100.0, 200.0)),
+    (["spectrum"], (0.005, 1.0)),
+])
+def test_sweep_default_range(capsys, argv, ends):
+    code, out = run_cli(capsys, *argv, "--count", "2")
+    assert code == 0
+    meta, _, _, rows = parse_csv(out)
+    assert tuple(row[0] for row in rows) == ends
+    assert (float(meta["start"]), float(meta["stop"])) == ends
+
+
 class TestFlagSurface:
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
         got = subcommand_flags()

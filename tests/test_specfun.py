@@ -282,6 +282,26 @@ class TestStartOrders:
         monkeypatch.setattr(mie, "_start_orders", wiscombe_start)
         assert np.array_equal(s, _scaled_ratio(z, rows))
 
+    # Above x = 1e3 the start rule and Wiscombe's start part by rounding:
+    # each size's error comes from whichever start takes more steps through
+    # the oscillatory orders, n < |m x|. At 2-0.025j on 60 sizes from 1e4 to
+    # 2e4 the two part by 1.38e-15; at the worst cell Wiscombe's start is
+    # 1.1e-15 from a 40-digit run and the rule 3.6e-16. Every other grid
+    # here keeps Wiscombe's bits. So the bound is 3e-15, about twice the
+    # worst. It fails a seed left above it (_SEED_DECAY 33 reads 5.7e-15);
+    # decays 36 and 40 read 2.4e-15 and pass it, and fail the bit test
+    # above. The 15 grids take about 1.6 s of CPU (2-core host).
+    @pytest.mark.parametrize("m,lo,count", [
+        *[(m, 1e-3, 12) for m in START_INDICES + [0.5, 0.8 + 0.1j]],
+        (2 - 0.025j, 1e4, 60)])
+    def test_stored_values_within_bound_of_wiscombe_start(self, m, lo, count,
+                                                          monkeypatch):
+        z, rows = kernel_pair(m, np.geomspace(mie._MAX_X, lo, count))
+        s = _scaled_ratio(z, rows)
+        monkeypatch.setattr(mie, "_start_orders", wiscombe_start)
+        ref = _scaled_ratio(z, rows)
+        assert np.all(np.abs(s - ref) <= 3e-15 * np.abs(ref))
+
     def test_absorbing_sphere_starts_near_its_orders(self):
         z, rows = kernel_pair(1.5 + 3j, np.array([780.9]))
         assert wiscombe_start(z, rows)[0] == 2840
